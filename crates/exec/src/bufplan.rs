@@ -1,17 +1,10 @@
-//! Liveness-based buffer planning and the runtime storage arena.
+//! Liveness-based buffer planning.
 //!
-//! [`BufferPlan`] is the static half: a liveness pass over a [`Graph`]
-//! computing consumer counts, last uses, and the planned peak of a
-//! drop-at-last-use execution. [`Arena`] is the dynamic half: a
-//! size-bucketed pool of freed `Vec<f32>` backing buffers that the
-//! executors recycle for weight materialization instead of hitting the
-//! allocator once per parameterized node.
-
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+//! [`BufferPlan`] is a liveness pass over a [`Graph`] computing consumer
+//! counts, last uses, and the planned peak of a drop-at-last-use
+//! execution.
 
 use ngb_graph::Graph;
-use ngb_tensor::Tensor;
 
 /// Static liveness analysis of one graph.
 #[derive(Debug, Clone)]
@@ -107,120 +100,6 @@ impl BufferPlan {
     }
 }
 
-/// Counters describing one run's use of an [`Arena`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArenaStats {
-    /// `take` calls served from a recycled buffer.
-    pub hits: u64,
-    /// `take` calls that had to allocate fresh.
-    pub misses: u64,
-    /// Dead tensors whose storage was recovered into the arena.
-    pub reclaimed: u64,
-    /// Bytes currently parked in the arena's free lists.
-    pub retained_bytes: usize,
-}
-
-/// A thread-safe pool of freed f32 buffers, bucketed by power-of-two
-/// capacity.
-///
-/// Invariant: every buffer parked in bucket `b` has capacity ≥ `b`
-/// (buffers land in the largest power-of-two bucket not exceeding their
-/// capacity), and `take(n)` only searches buckets ≥ `n` rounded up — so a
-/// hit always has enough capacity.
-#[derive(Debug, Default)]
-pub struct Arena {
-    inner: Mutex<ArenaInner>,
-}
-
-#[derive(Debug, Default)]
-struct ArenaInner {
-    buckets: BTreeMap<usize, Vec<Vec<f32>>>,
-    stats: ArenaStats,
-}
-
-/// Cap on bytes parked in a single arena; beyond it, freed buffers go back
-/// to the allocator. Generous for the benchmark's models while bounding
-/// worst-case retention.
-const MAX_RETAINED_BYTES: usize = 256 << 20;
-
-impl Arena {
-    /// Fetches a cleared buffer with capacity ≥ `n`, recycling a freed one
-    /// when possible.
-    pub fn take(&self, n: usize) -> Vec<f32> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let want = n.next_power_of_two();
-        let mut inner = self.inner.lock().expect("arena lock");
-        let found = inner
-            .buckets
-            .range(want..)
-            .find(|(_, q)| !q.is_empty())
-            .map(|(&b, _)| b);
-        match found {
-            Some(bucket) => {
-                let buf = inner
-                    .buckets
-                    .get_mut(&bucket)
-                    .and_then(Vec::pop)
-                    .expect("bucket nonempty by find");
-                inner.stats.retained_bytes -= buf.capacity() * 4;
-                inner.stats.hits += 1;
-                buf
-            }
-            None => {
-                inner.stats.misses += 1;
-                Vec::with_capacity(n)
-            }
-        }
-    }
-
-    /// Parks a freed buffer for reuse (dropped instead when the arena is
-    /// at its retention cap or the buffer has no capacity).
-    pub fn give(&self, mut buf: Vec<f32>) {
-        let cap = buf.capacity();
-        if cap == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("arena lock");
-        if inner.stats.retained_bytes + cap * 4 > MAX_RETAINED_BYTES {
-            return; // lock released, then buf drops to the allocator
-        }
-        buf.clear();
-        // floor to power of two so the bucket key never overstates capacity
-        let bucket = prev_power_of_two(cap);
-        inner.stats.retained_bytes += cap * 4;
-        inner.buckets.entry(bucket).or_default().push(buf);
-    }
-
-    /// Recovers a dead tensor's storage into the arena when this was the
-    /// last reference to a full contiguous f32 buffer; otherwise the
-    /// tensor just drops.
-    pub fn reclaim(&self, dead: Tensor) {
-        if let Some(buf) = dead.try_reclaim_f32() {
-            {
-                let mut inner = self.inner.lock().expect("arena lock");
-                inner.stats.reclaimed += 1;
-            }
-            self.give(buf);
-        }
-    }
-
-    /// Snapshot of the arena's counters.
-    pub fn stats(&self) -> ArenaStats {
-        self.inner.lock().expect("arena lock").stats
-    }
-}
-
-fn prev_power_of_two(n: usize) -> usize {
-    debug_assert!(n > 0);
-    if n.is_power_of_two() {
-        n
-    } else {
-        n.next_power_of_two() >> 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,61 +140,5 @@ mod tests {
         assert_eq!(plan.dropped_edges, 1);
         // the in-range edge still counts
         assert_eq!(plan.uses[0], 1);
-    }
-
-    #[test]
-    fn take_returns_cleared_buffer_with_enough_capacity() {
-        let arena = Arena::default();
-        let mut big = Vec::with_capacity(100);
-        big.push(1.0f32);
-        arena.give(big);
-        // smaller request is served by the bigger parked buffer
-        let buf = arena.take(50);
-        assert!(buf.is_empty());
-        assert!(buf.capacity() >= 64, "capacity {}", buf.capacity());
-        let stats = arena.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.retained_bytes, 0);
-        // nothing left: next take allocates fresh
-        let fresh = arena.take(10);
-        assert!(fresh.capacity() >= 10);
-        assert_eq!(arena.stats().misses, 1);
-    }
-
-    #[test]
-    fn undersized_parked_buffers_are_not_returned() {
-        let arena = Arena::default();
-        arena.give(Vec::with_capacity(16));
-        let buf = arena.take(64);
-        assert!(buf.capacity() >= 64);
-        assert_eq!(arena.stats().misses, 1);
-        assert_eq!(arena.stats().hits, 0);
-    }
-
-    #[test]
-    fn reclaim_recovers_unique_contiguous_storage_only() {
-        let arena = Arena::default();
-        let t = Tensor::zeros(&[4, 4]);
-        arena.reclaim(t);
-        assert_eq!(arena.stats().reclaimed, 1);
-        assert!(arena.take(16).capacity() >= 16);
-        assert_eq!(arena.stats().hits, 1);
-
-        // a live clone blocks reclamation
-        let t = Tensor::zeros(&[4, 4]);
-        let alias = t.clone();
-        arena.reclaim(t);
-        assert_eq!(arena.stats().reclaimed, 1);
-        drop(alias);
-    }
-
-    #[test]
-    fn zero_sized_requests_do_not_touch_the_pool() {
-        let arena = Arena::default();
-        assert_eq!(arena.take(0).capacity(), 0);
-        arena.give(Vec::new());
-        let stats = arena.stats();
-        assert_eq!(stats.hits + stats.misses, 0);
-        assert_eq!(stats.retained_bytes, 0);
     }
 }

@@ -3,14 +3,16 @@
 //! Two strategies, chosen by [`FusedKind`]:
 //!
 //! * **Conv+BN folding** ([`FusedKind::ConvBnAct`]): the batch-norm's
-//!   scale/shift is folded into the convolution's weights and bias before
-//!   the single conv kernel runs, then any activation epilogue is applied
-//!   in one pass. Folding reorders floating-point arithmetic, so outputs
-//!   match the unfused graph within a tolerance, not bitwise.
+//!   scale/shift is folded into the convolution's weights and bias — once,
+//!   when the [`crate::ParamStore`] first draws the node's parameters —
+//!   so the single conv kernel runs on the folded set, then any activation
+//!   epilogue is applied in one pass. Folding reorders floating-point
+//!   arithmetic, so outputs match the unfused graph within a tolerance,
+//!   not bitwise.
 //! * **Stage pipeline** (everything else): stages execute in order, with
 //!   consecutive unary pointwise stages collapsed into one fused loop
 //!   ([`ngb_ops::fused::map_chain`]) and every other stage dispatched
-//!   through the interpreter's regular [`execute_node`] under a synthetic
+//!   through the interpreter's regular [`execute_op`] under a synthetic
 //!   node carrying the stage's original seed id. Per-stage arithmetic is
 //!   therefore identical to the unfused kernels — outputs are
 //!   bit-identical to `-O0`.
@@ -19,8 +21,8 @@ use ngb_graph::{FusedKind, FusedOp, FusedStage, Node, NodeId, OpKind};
 use ngb_ops::fused::{map_chain, Pointwise};
 use ngb_tensor::{Tensor, TensorError};
 
-use crate::bufplan::Arena;
-use crate::interp::{execute_node, rng_for};
+use crate::interp::execute_op;
+use crate::params::NodeParams;
 
 type Result<T> = std::result::Result<T, TensorError>;
 
@@ -29,13 +31,13 @@ pub(crate) fn execute_fused(
     seed: u64,
     f: &FusedOp,
     args: &[Tensor],
-    arena: &Arena,
+    params: &NodeParams,
     quant: ngb_ops::Quant,
 ) -> Result<Tensor> {
     match f.kind {
-        FusedKind::ConvBnAct => conv_bn_act(seed, f, args, arena),
+        FusedKind::ConvBnAct => conv_bn_act(f, args, params.stage(0)),
         FusedKind::GemmEpilogue | FusedKind::ElementwiseChain | FusedKind::AttentionPrologue => {
-            pipeline(seed, f, args, arena, quant)
+            pipeline(seed, f, args, params, quant)
         }
     }
 }
@@ -50,62 +52,33 @@ fn take_arg(args: &[Tensor], i: usize) -> Result<&Tensor> {
 }
 
 /// `Conv2d → BatchNorm2d/FrozenBatchNorm2d [→ pointwise...]` as a single
-/// folded convolution.
-fn conv_bn_act(seed: u64, f: &FusedOp, args: &[Tensor], arena: &Arena) -> Result<Tensor> {
+/// convolution on the folded `[weight, bias]` set.
+fn conv_bn_act(f: &FusedOp, args: &[Tensor], folded: &[Tensor]) -> Result<Tensor> {
     let [conv_stage, bn_stage, rest @ ..] = f.stages.as_slice() else {
         return Err(bad("conv_bn_act requires at least conv + bn stages"));
     };
     let OpKind::Conv2d {
-        in_c,
-        out_c,
-        kernel,
         stride,
         padding,
         groups,
-        bias,
+        ..
     } = &conv_stage.op
     else {
         return Err(bad("conv_bn_act stage 0 must be Conv2d"));
     };
-
-    // Conv parameters: the exact draw sequence of the unfused Conv2d arm,
-    // keyed by the stage's original node id.
-    let mut rng = rng_for(seed, NodeId(conv_stage.seed_id));
-    let fan_in = (in_c / groups) * kernel * kernel;
-    let shape = [*out_c, in_c / groups, *kernel, *kernel];
-    let numel = shape.iter().product();
-    let w = rng.kaiming_into(arena.take(numel), &shape, fan_in.max(1));
-    let b = bias.then(|| rng.normal(&[*out_c]));
-    let mut wv = w.to_vec_f32()?;
-    arena.reclaim(w);
-    let mut bv = match b {
-        Some(t) => t.to_vec_f32()?,
-        None => vec![0.0; *out_c],
-    };
-
-    // BN parameters: the exact draw sequence of the unfused BN arm.
-    let (OpKind::BatchNorm2d { c } | OpKind::FrozenBatchNorm2d { c }) = &bn_stage.op else {
+    if !matches!(
+        bn_stage.op,
+        OpKind::BatchNorm2d { .. } | OpKind::FrozenBatchNorm2d { .. }
+    ) {
         return Err(bad("conv_bn_act stage 1 must be a 2-d batch norm"));
+    }
+    let [w, folded_bias] = folded else {
+        return Err(bad("conv_bn_act was not given its folded parameters"));
     };
-    let mut rng = rng_for(seed, NodeId(bn_stage.seed_id));
-    let (g, beta) = (rng.uniform(&[*c], 0.9, 1.1), rng.uniform(&[*c], -0.1, 0.1));
-    let (m, v) = (rng.uniform(&[*c], -0.1, 0.1), rng.uniform(&[*c], 0.8, 1.2));
-
-    ngb_ops::fused::fold_bn(
-        &mut wv,
-        &mut bv,
-        &g.to_vec_f32()?,
-        &beta.to_vec_f32()?,
-        &m.to_vec_f32()?,
-        &v.to_vec_f32()?,
-        1e-5,
-    );
-    let w = Tensor::from_vec(wv, &shape)?;
-    let folded_bias = Tensor::from_vec(bv, &[*out_c])?;
     let out = ngb_ops::gemm::conv2d(
         take_arg(args, 0)?,
-        &w,
-        Some(&folded_bias),
+        w,
+        Some(folded_bias),
         *stride,
         *padding,
         *groups,
@@ -146,13 +119,13 @@ fn pipeline(
     seed: u64,
     f: &FusedOp,
     args: &[Tensor],
-    arena: &Arena,
+    params: &NodeParams,
     quant: ngb_ops::Quant,
 ) -> Result<Tensor> {
     let mut cursor = 0usize;
     let mut chain: Option<Tensor> = None;
     let mut pending: Vec<Pointwise> = Vec::new();
-    for stage in &f.stages {
+    for (k, stage) in f.stages.iter().enumerate() {
         match (chain.is_some(), stage.op.pointwise(), stage.extra_inputs) {
             (true, Some(p), 0) => pending.push(p),
             (false, Some(p), 1) => {
@@ -173,7 +146,8 @@ fn pipeline(
                 }
                 cursor += stage.extra_inputs;
                 let synth = synthetic_node(stage);
-                chain = Some(execute_node(seed, &synth, &stage_args, None, arena, quant)?);
+                let p = params.stage(k);
+                chain = Some(execute_op(seed, &synth, &stage_args, None, p, quant)?);
             }
         }
     }

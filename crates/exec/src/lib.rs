@@ -4,9 +4,10 @@
 //! between an [`ngb_graph::Graph`] and an [`ExecutionTrace`]:
 //!
 //! * [`Interpreter`] — the sequential reference engine: runs nodes in
-//!   topological order with reproducible synthetic weights, drops each
-//!   activation at its last use, and recycles weight storage through a
-//!   size-bucketed [`Arena`].
+//!   topological order with reproducible synthetic weights and drops
+//!   each activation at its last use.
+//! * [`ParamStore`] — resident parameters: each engine owner draws a
+//!   layer's weights once and times kernels on them afterwards.
 //! * [`ParallelExecutor`] — the parallel engine: a [`Schedule`] (Kahn
 //!   wavefronts + critical-path priorities) feeds a dependency-counted
 //!   ready queue drained by a std-only [`ThreadPool`]. Outputs are
@@ -46,17 +47,19 @@ mod fused;
 mod interp;
 mod intraop;
 mod parallel;
+mod params;
 mod pool;
 mod sanitizer;
 mod schedule;
 
-pub use bufplan::{Arena, ArenaStats, BufferPlan};
+pub use bufplan::BufferPlan;
 pub use interp::{
     preflight_check, run_node, synth_input, Engine, ExecutionTrace, Interpreter, NodeTiming,
 };
 pub use intraop::PoolRunner;
 pub use ngb_ops::Quant;
 pub use parallel::ParallelExecutor;
+pub use params::{ArenaStats, ParamStore, MAX_RESIDENT_BYTES};
 pub use pool::ThreadPool;
 pub use sanitizer::ShadowMemory;
 pub use schedule::{Schedule, ScheduleStats};

@@ -27,23 +27,28 @@ use ngb_graph::{Graph, NodeId};
 use ngb_ops::parallel::{self as intra, IntraOpRunner, IntraOpStats};
 use ngb_tensor::{Tensor, TensorError};
 
-use crate::bufplan::{Arena, BufferPlan};
+use crate::bufplan::BufferPlan;
 use crate::interp::{
     collect_outputs, execute_node, gather_args, planner_bytes, ExecutionTrace, NodeTiming,
 };
 use crate::intraop::PoolRunner;
+use crate::params::{FetchTally, ParamStore};
 use crate::pool::ThreadPool;
 use crate::schedule::Schedule;
 
-/// Parallel engine: owns a worker pool, reusable across runs and graphs.
+/// Parallel engine: owns a worker pool and a parameter store, both
+/// reusable across runs and graphs.
 #[derive(Debug)]
 pub struct ParallelExecutor {
-    seed: u64,
-    preflight: bool,
-    intra_op: bool,
-    sanitize: bool,
-    quant: ngb_ops::Quant,
-    pool: Arc<ThreadPool>,
+    pub(crate) seed: u64,
+    pub(crate) preflight: bool,
+    pub(crate) intra_op: bool,
+    pub(crate) sanitize: bool,
+    pub(crate) quant: ngb_ops::Quant,
+    pub(crate) pool: Arc<ThreadPool>,
+    /// Fresh per executor, except that an [`crate::Interpreter`] hands the
+    /// executor it drives its own.
+    pub(crate) store: Arc<ParamStore>,
 }
 
 impl ParallelExecutor {
@@ -52,14 +57,7 @@ impl ParallelExecutor {
     /// environment setting (on when unset); the execution sanitizer to
     /// `NGB_SANITIZE` (off when unset).
     pub fn new(seed: u64, threads: usize) -> ParallelExecutor {
-        ParallelExecutor {
-            seed,
-            preflight: false,
-            intra_op: crate::env_intraop(true),
-            sanitize: crate::env_sanitize(false),
-            quant: crate::env_quant(ngb_ops::Quant::None),
-            pool: Arc::new(ThreadPool::new(threads)),
-        }
+        ParallelExecutor::with_pool(seed, Arc::new(ThreadPool::new(threads)))
     }
 
     /// Creates an executor running on a caller-owned pool. Lets several
@@ -73,6 +71,7 @@ impl ParallelExecutor {
             sanitize: crate::env_sanitize(false),
             quant: crate::env_quant(ngb_ops::Quant::None),
             pool,
+            store: Arc::default(),
         }
     }
 
@@ -243,7 +242,7 @@ impl ParallelExecutor {
             quant: self.quant,
             sched,
             is_output: (0..len).map(|i| plan.is_output(i)).collect(),
-            arena: Arena::default(),
+            store: Arc::clone(&self.store),
             shadow: self.sanitize.then(|| crate::ShadowMemory::new(len)),
             started_at: Instant::now(),
             pool: Arc::downgrade(&self.pool),
@@ -258,6 +257,7 @@ impl ParallelExecutor {
                 inflight: initial,
                 live_bytes: 0,
                 peak_live_bytes: 0,
+                fetched: FetchTally::default(),
                 error: None,
             }),
             progress: Condvar::new(),
@@ -286,13 +286,15 @@ impl ParallelExecutor {
             .collect();
         let mut values = std::mem::take(&mut inner.values);
         let peak_live_bytes = inner.peak_live_bytes;
+        let fetched = inner.fetched;
         drop(inner);
         let outputs = collect_outputs(graph, &shared.is_output, &mut values)?;
         Ok(ExecutionTrace {
             outputs,
             timings,
             peak_live_bytes,
-            arena: shared.arena.stats(),
+            arena: fetched.stats(&self.store),
+            param_synthesis: fetched.synthesis(),
         })
     }
 }
@@ -305,7 +307,7 @@ struct RunState {
     quant: ngb_ops::Quant,
     sched: Schedule,
     is_output: Vec<bool>,
-    arena: Arena,
+    store: Arc<ParamStore>,
     /// Present only in sanitize mode: the shadow of `Inner::values`.
     shadow: Option<crate::ShadowMemory>,
     started_at: Instant,
@@ -331,7 +333,18 @@ struct Inner {
     inflight: usize,
     live_bytes: usize,
     peak_live_bytes: usize,
+    fetched: FetchTally,
     error: Option<TensorError>,
+}
+
+/// What a ticket's kernel call produced, handed to `finish_node`.
+struct Executed {
+    out: Tensor,
+    start: Duration,
+    elapsed: Duration,
+    stats: IntraOpStats,
+    bytes_materialized: u64,
+    fetched: FetchTally,
 }
 
 /// Ready-queue entry: max-heap on priority, ties broken toward the lower
@@ -390,40 +403,51 @@ impl RunState {
         drop(inner);
 
         let outcome = gathered.and_then(|args| {
-            let kernel_start = Instant::now();
-            intra::reset_stats();
-            // contiguous-copy telemetry is thread-local; the node's copies
-            // all happen on this worker thread (intra-op chunk jobs never
-            // materialize), so reset/take brackets exactly this node
-            ngb_tensor::telemetry::reset_bytes_materialized();
-            let exec_once = || {
-                execute_node(
-                    self.seed,
-                    node,
-                    &args,
-                    self.overrides.get(&node.id),
-                    &self.arena,
-                    self.quant,
-                )
-            };
-            let result = catch_unwind(AssertUnwindSafe(|| match &self.runner {
-                Some(r) => intra::with_runner(Arc::clone(r) as Arc<dyn IntraOpRunner>, exec_once),
-                None => exec_once(),
+            // one unwind boundary for the draw and the kernel: a first
+            // touch can panic in the weight generator like a kernel can
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let mut fetched = FetchTally::default();
+                let params = self.store.fetch(self.seed, node, &mut fetched)?;
+                let kernel_start = Instant::now();
+                intra::reset_stats();
+                // contiguous-copy telemetry is thread-local; the node's
+                // copies all happen on this worker thread (intra-op chunk
+                // jobs never materialize), so reset/take brackets exactly
+                // this node
+                ngb_tensor::telemetry::reset_bytes_materialized();
+                let exec_once = || {
+                    execute_node(
+                        self.seed,
+                        node,
+                        &args,
+                        self.overrides.get(&node.id),
+                        &params,
+                        self.quant,
+                    )
+                };
+                let out = match &self.runner {
+                    Some(r) => {
+                        intra::with_runner(Arc::clone(r) as Arc<dyn IntraOpRunner>, exec_once)
+                    }
+                    None => exec_once(),
+                }?;
+                Ok(Executed {
+                    out,
+                    start: kernel_start.duration_since(self.started_at),
+                    elapsed: kernel_start.elapsed(),
+                    stats: intra::take_stats(),
+                    bytes_materialized: ngb_tensor::telemetry::take_bytes_materialized(),
+                    fetched,
+                })
             }));
-            let stats = intra::take_stats();
-            let bytes_materialized = ngb_tensor::telemetry::take_bytes_materialized();
-            let elapsed = kernel_start.elapsed();
-            let start = kernel_start.duration_since(self.started_at);
-            match result {
-                Ok(Ok(out)) => Ok((out, start, elapsed, stats, bytes_materialized)),
-                Ok(Err(e)) => Err(e),
-                Err(panic) => Err(TensorError::InvalidArgument(format!(
+            result.unwrap_or_else(|panic| {
+                Err(TensorError::InvalidArgument(format!(
                     "node {} ({}) kernel panicked: {}",
                     node.id,
                     node.name,
                     panic_message(&*panic)
-                ))),
-            }
+                )))
+            })
         });
 
         let mut newly_ready = 0usize;
@@ -435,25 +459,14 @@ impl RunState {
                 }
             }
             Ok(_) if inner.error.is_some() => {} // stale result of an aborted run
-            Ok((out, start, elapsed, stats, bytes_materialized)) => {
-                match self.finish_node(
-                    &mut inner,
-                    item.pos,
-                    out,
-                    start,
-                    elapsed,
-                    worker,
-                    stats,
-                    bytes_materialized,
-                ) {
-                    Ok(n) => newly_ready = n,
-                    Err(e) => {
-                        if inner.error.is_none() {
-                            inner.error = Some(e);
-                        }
+            Ok(done) => match self.finish_node(&mut inner, item.pos, worker, done) {
+                Ok(n) => newly_ready = n,
+                Err(e) => {
+                    if inner.error.is_none() {
+                        inner.error = Some(e);
                     }
                 }
-            }
+            },
         }
         // account successor tickets before releasing the lock so the
         // waiter can never observe inflight == 0 with work outstanding
@@ -488,18 +501,22 @@ impl RunState {
     /// # Errors
     ///
     /// In sanitize mode, a shadow-memory violation (the run aborts).
-    #[allow(clippy::too_many_arguments)]
     fn finish_node(
         &self,
         inner: &mut Inner,
         pos: usize,
-        out: Tensor,
-        start: Duration,
-        elapsed: Duration,
         worker: usize,
-        stats: IntraOpStats,
-        bytes_materialized: u64,
+        done: Executed,
     ) -> Result<usize, TensorError> {
+        let Executed {
+            out,
+            start,
+            elapsed,
+            stats,
+            bytes_materialized,
+            fetched,
+        } = done;
+        inner.fetched.merge(fetched);
         let node = &self.graph.nodes[pos];
         if let Some(s) = &self.shadow {
             s.write(pos, pos)?;
@@ -540,7 +557,6 @@ impl RunState {
                         s.free(i, pos)?;
                     }
                     inner.live_bytes -= planner_bytes(dead.shape());
-                    self.arena.reclaim(dead);
                 }
             }
         }

@@ -435,8 +435,7 @@ pub enum OpKind {
     // ----------------------------------------------------------------- fused
     /// A composite node produced by the `ngb-opt` graph rewriter: several
     /// primitive stages executed as one kernel, with interior activations
-    /// kept in registers/cache instead of being materialized through the
-    /// arena.
+    /// kept in registers/cache instead of being materialized as values.
     Fused(FusedOp),
 }
 

@@ -201,6 +201,11 @@ pub struct ModelProfile {
     pub nodes: Vec<NodeProfile>,
     /// Estimated peak activation memory, bytes.
     pub peak_memory_bytes: usize,
+    /// Seconds a measured profile's engine spent synthesizing parameters
+    /// — once, before the kernels of its first iteration, and outside
+    /// every node's latency (see `ngb_exec::ParamStore`). 0 for analytic
+    /// profiles.
+    pub param_synthesis_s: f64,
 }
 
 impl ModelProfile {
@@ -280,6 +285,7 @@ impl ModelProfile {
     #[must_use]
     pub fn merged_with(mut self, other: ModelProfile) -> ModelProfile {
         self.nodes.extend(other.nodes);
+        self.param_synthesis_s += other.param_synthesis_s;
         self
     }
 
@@ -377,6 +383,7 @@ pub fn profile_analytic_with_options(
         batch,
         nodes,
         peak_memory_bytes: graph.peak_activation_bytes(),
+        param_synthesis_s: 0.0,
     }
 }
 
@@ -464,8 +471,10 @@ pub fn profile_measured_checked(
     let mut chunks: Vec<usize> = vec![1; graph.len()];
     let mut intra: Vec<usize> = vec![1; graph.len()];
     let mut bytes_mat: Vec<u64> = vec![0; graph.len()];
+    let mut param_synthesis_s = 0.0;
     for _ in 0..iterations {
         let trace = interp.run(graph)?;
+        param_synthesis_s += trace.param_synthesis.as_secs_f64();
         for t in &trace.timings {
             best[t.id.0] = best[t.id.0].min(t.elapsed.as_secs_f64());
             shapes[t.id.0] = t.out_shape.clone();
@@ -513,6 +522,7 @@ pub fn profile_measured_checked(
         batch,
         nodes,
         peak_memory_bytes: graph.peak_activation_bytes(),
+        param_synthesis_s,
     })
 }
 

@@ -31,6 +31,9 @@ pub struct PerformanceReport {
     pub gemm_frac: f64,
     /// Non-GEMM share per group (0–1).
     pub group_fracs: BTreeMap<String, f64>,
+    /// One-time parameter synthesis of a measured profile, milliseconds;
+    /// not part of `latency_ms` or any share. 0 for analytic profiles.
+    pub param_synthesis_ms: f64,
 }
 
 impl PerformanceReport {
@@ -53,6 +56,7 @@ impl PerformanceReport {
                     (f > 0.0).then(|| (g.label().to_string(), f))
                 })
                 .collect(),
+            param_synthesis_ms: p.param_synthesis_s * 1e3,
         }
     }
 
@@ -69,6 +73,13 @@ impl PerformanceReport {
             "  latency {:.3} ms   energy {:.3} J   peak mem {:.1} MB",
             self.latency_ms, self.energy_j, self.peak_memory_mb
         );
+        if self.param_synthesis_ms > 0.0 {
+            let _ = writeln!(
+                s,
+                "  parameter synthesis {:.3} ms (once, outside latency)",
+                self.param_synthesis_ms
+            );
+        }
         let _ = writeln!(s, "  GEMM {:5.1}%", self.gemm_frac * 100.0);
         for (g, f) in &self.group_fracs {
             let _ = writeln!(s, "  {g:<14} {:5.1}%", f * 100.0);

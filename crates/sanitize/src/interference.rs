@@ -12,15 +12,16 @@
 //!    a future use-after-free; an extended one corrupts the peak
 //!    accounting);
 //! 2. greedily colors the plan's lifetimes into slots, reusing a slot
-//!    only across a happens-before edge — mirroring how the executors'
-//!    arena can recycle one value's storage into another;
+//!    only across a happens-before edge — the only order in which an
+//!    executor could hand one value's storage to another;
 //! 3. re-checks the resulting assignment against the *graph-derived*
 //!    truth: any same-slot pair whose true lifetimes overlap or whose
 //!    reuse is unordered is reported.
 //!
-//! Today's executors index values by node id (no static aliasing), so
-//! step 3 certifies the plan/arena contract that zero-copy views and
-//! copy-on-write storage (ROADMAP items 2 and 4) will rely on.
+//! Today's executors index values by node id and free each at its last
+//! use (no static aliasing, no storage recycling), so step 3 certifies
+//! the plan contract that zero-copy views and copy-on-write storage
+//! (ROADMAP items 2 and 4) will rely on.
 
 use ngb_exec::BufferPlan;
 use ngb_graph::{Graph, NodeId};

@@ -194,6 +194,7 @@ impl ShardPlan {
                 .unwrap_or(1),
             nodes,
             peak_memory_bytes: self.graph.peak_activation_bytes(),
+            param_synthesis_s: 0.0,
         }
     }
 

@@ -3,17 +3,19 @@
 //! explicit [`OpKind::Transfer`] nodes.
 //!
 //! Every node executes through [`ngb_exec::run_node`] — the same
-//! dispatch, RNG seeding, and arena recycling as the single-device
-//! engines — so a sharded run is bit-identical to
+//! dispatch and RNG seeding as the single-device engines — so a sharded
+//! run is bit-identical to
 //! [`Interpreter::run`](ngb_exec::Interpreter::run) on the unsharded
 //! graph (microbatches are request-level replays and all produce the
-//! same values; outputs are reported once).
+//! same values; outputs are reported once). One [`ParamStore`] per
+//! [`execute`] call, shared by the device threads, draws each layer once
+//! however many microbatches or `LinearShard` parts read it.
 
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use ngb_exec::{run_node, Arena, Quant};
+use ngb_exec::{run_node, ParamStore, Quant};
 use ngb_graph::{NodeId, OpKind};
 use ngb_tensor::{num_elements, Tensor, TensorError};
 
@@ -63,6 +65,7 @@ pub fn execute(plan: &ShardPlan, seed: u64, microbatches: usize) -> Result<Shard
     let n = plan.graph.len();
     let n_dev = plan.devices.len();
     let quant = ngb_exec::env_quant(Quant::None);
+    let store = ParamStore::default();
 
     // per-device node lists, id order (ids are topological)
     let mut device_nodes: Vec<Vec<usize>> = vec![Vec::new(); n_dev];
@@ -107,11 +110,13 @@ pub fn execute(plan: &ShardPlan, seed: u64, microbatches: usize) -> Result<Shard
             let remote_sends = &remote_sends;
             let local_uses = &local_uses;
             let is_output = &is_output;
+            let store = &store;
             handles.push(scope.spawn(move || {
                 run_device(
                     plan,
                     seed,
                     quant,
+                    store,
                     m,
                     my_nodes,
                     rx,
@@ -165,6 +170,7 @@ fn run_device(
     plan: &ShardPlan,
     seed: u64,
     quant: Quant,
+    store: &ParamStore,
     m: usize,
     my_nodes: &[usize],
     rx: mpsc::Receiver<Packet>,
@@ -173,7 +179,6 @@ fn run_device(
     local_uses: &[usize],
     is_output: &[bool],
 ) -> DeviceResult {
-    let arena = Arena::default();
     // values from peers that arrived ahead of this device's schedule
     let mut early: HashMap<(usize, usize), Tensor> = HashMap::new();
     let mut busy = Duration::ZERO;
@@ -218,7 +223,7 @@ fn run_device(
                     .collect::<Result<_, _>>()?
             };
             let started = Instant::now();
-            let out = run_node(seed, node, &args, None, &arena, quant)?;
+            let out = run_node(seed, node, &args, None, store, quant)?;
             busy += started.elapsed();
             drop(args);
             for &(tpos, dst) in &remote_sends[pos] {
@@ -246,9 +251,7 @@ fn run_device(
                     *slot -= 1;
                     if *slot == 0 {
                         uses.remove(&i.0);
-                        if let Some(dead) = values.remove(&i.0) {
-                            arena.reclaim(dead);
-                        }
+                        values.remove(&i.0);
                     }
                 }
             }

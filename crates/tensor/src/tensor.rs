@@ -183,9 +183,8 @@ impl Tensor {
     ///
     /// Succeeds only when the tensor is a contiguous, zero-offset, full view
     /// of uniquely owned f32 storage — i.e. dropping it would free the
-    /// buffer anyway. Execution engines use this to recycle dead activation
-    /// and weight storage through an arena instead of round-tripping every
-    /// buffer through the global allocator.
+    /// buffer anyway — so a caller can recycle a dead tensor's storage
+    /// instead of round-tripping it through the global allocator.
     ///
     /// Returns `None` (dropping the tensor normally) when the storage is
     /// shared, non-f32, or viewed through a nontrivial layout.

@@ -6,7 +6,7 @@
 #   CI_STAGES=test-opt,regress scripts/ci.sh
 #
 # Stages: fmt, clippy, test, test-parallel, test-opt, test-intraop,
-# sanitize, serve, decode, shard, contiguous-ratchet, regress.
+# sanitize, serve, decode, shard, contiguous-ratchet, regress, benchmark.
 # Unknown stage names in CI_STAGES exit 2 with the valid list, so a typo
 # never silently skips every gate.
 # The contiguous-ratchet stage pins the declared list of eager
@@ -35,12 +35,15 @@
 # upload the diff report as an artifact; tune it with NGB_NO_WALLCLOCK=1
 # (skip the measured smoke channel) or NGB_WALLCLOCK_FACTOR=<f> (extra
 # noise headroom on slow runners).
+# The benchmark stage runs benchmark/check.sh as it stands: the standalone
+# benchmark crate is outside this workspace, so no other stage compiles it
+# against the ngb-exec surface it builds on (ExecutionTrace, run_node).
 # Each run ends with a per-stage timing table, also appended to
 # $GITHUB_STEP_SUMMARY when set (the workflow's job summary).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES="fmt,clippy,test,test-parallel,test-opt,test-intraop,sanitize,serve,decode,shard,contiguous-ratchet,regress"
+ALL_STAGES="fmt,clippy,test,test-parallel,test-opt,test-intraop,sanitize,serve,decode,shard,contiguous-ratchet,regress,benchmark"
 STAGES="${CI_STAGES:-$ALL_STAGES}"
 
 # reject unknown stage names up front: a typo in CI_STAGES must fail
@@ -239,6 +242,7 @@ run_stage decode        decode_gate
 run_stage shard         shard_gate
 run_stage contiguous-ratchet contiguous_ratchet
 run_stage regress       regress_gate
+run_stage benchmark     benchmark/check.sh
 
 print_summary
 echo "==> ok (stages: $STAGES, total ${SECONDS}s)"
