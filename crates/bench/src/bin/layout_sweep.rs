@@ -89,8 +89,9 @@ struct LayoutDoc {
 }
 
 fn measure(graph: &nongemm::Graph, iters: usize) -> LevelRow {
-    let profile = nongemm::profiler::profile_measured(graph, iters, 0x5eed)
-        .expect("registry models execute on the host");
+    let profile =
+        nongemm::profiler::profile_measured(graph, iters, &nongemm::Interpreter::default())
+            .expect("registry models execute on the host");
     let b = profile.breakdown();
     LevelRow {
         nodes: graph.len(),

@@ -49,80 +49,140 @@ enum Format {
     Json,
 }
 
+/// The flags subcommands share. Each `parse_*_args` names the subset its
+/// subcommand accepts and offers every argument to [`Common::take`] first.
 #[derive(Debug)]
-struct Args {
+struct Common {
+    /// Subcommand name for `--format` diagnostics (`""` for `run`, the
+    /// only one that also accepts `csv`).
+    cmd: &'static str,
+    accepts: &'static [&'static str],
     models: Vec<String>,
-    platform: Platform,
-    flow: Flow,
     batch: usize,
-    cpu_only: bool,
     tiny: bool,
-    measured: bool,
-    microbench: bool,
     threads: usize,
     opt_level: Option<OptLevel>,
     intra_op: Option<bool>,
-    sanitize: Option<bool>,
     format: Format,
+}
+
+impl Common {
+    fn new(cmd: &'static str, accepts: &'static [&'static str]) -> Common {
+        Common {
+            cmd,
+            accepts,
+            models: Vec::new(),
+            batch: 1,
+            tiny: false,
+            threads: 0,
+            opt_level: None,
+            intra_op: None,
+            format: Format::Text,
+        }
+    }
+
+    /// Consumes `arg` (and its value) when it is `--help` or a shared flag
+    /// this subcommand accepts; `false` leaves it to the caller.
+    fn take(&mut self, arg: &str, it: &mut std::slice::Iter<'_, String>) -> bool {
+        if matches!(arg, "--help" | "-h") {
+            print!("{HELP}");
+            std::process::exit(0);
+        }
+        if !self.accepts.contains(&arg) {
+            return false;
+        }
+        match arg {
+            "--model" => self.models.push(take_value(it, "--model")),
+            "--batch" => self.batch = parse_positive(&take_value(it, "--batch"), "--batch"),
+            "--tiny" => self.tiny = true,
+            "--threads" => self.threads = parse_positive(&take_value(it, "--threads"), "--threads"),
+            "--opt-level" => self.opt_level = Some(parse_opt_level(&take_value(it, "--opt-level"))),
+            "--intra-op" => self.intra_op = Some(parse_intra_op(&take_value(it, "--intra-op"))),
+            "--format" => {
+                self.format = match (take_value(it, "--format").as_str(), self.cmd) {
+                    ("text", _) => Format::Text,
+                    ("json", _) => Format::Json,
+                    ("csv", "") => Format::Csv,
+                    (other, "") => {
+                        eprintln!("unknown format '{other}'");
+                        usage()
+                    }
+                    (other, cmd) => {
+                        eprintln!("{cmd} supports --format text|json, not '{other}'");
+                        usage()
+                    }
+                }
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// The harness inputs these flags select; callers add what only their
+    /// subcommand knows. `NonGemmBench::interpreter` turns the engine
+    /// settings into the `Interpreter`.
+    fn bench_config(&self) -> BenchConfig {
+        BenchConfig {
+            models: self.models.clone(),
+            batch: self.batch,
+            scale: if self.tiny { Scale::Tiny } else { Scale::Full },
+            threads: self.threads,
+            opt_level: self.opt_level,
+            intra_op: self.intra_op,
+            ..BenchConfig::default()
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Args {
+    common: Common,
+    platform: Platform,
+    flow: Flow,
+    cpu_only: bool,
+    measured: bool,
+    microbench: bool,
+    sanitize: Option<bool>,
     trace: Option<String>,
 }
 
 #[derive(Debug)]
 struct VerifyArgs {
-    models: Vec<String>,
-    batch: usize,
-    tiny: bool,
-    threads: usize,
-    opt_level: Option<OptLevel>,
-    intra_op: Option<bool>,
-    format: Format,
+    common: Common,
     all: bool,
 }
 
 #[derive(Debug)]
 struct SanitizeArgs {
-    models: Vec<String>,
-    batch: usize,
-    tiny: bool,
-    threads: usize,
-    opt_level: Option<OptLevel>,
-    intra_op: Option<bool>,
+    common: Common,
     static_only: bool,
-    format: Format,
 }
 
 #[derive(Debug)]
 struct GenerateArgs {
-    models: Vec<String>,
-    tiny: bool,
+    common: Common,
     prompt_len: usize,
     max_new: usize,
     quantize: Option<nongemm::ops::Quant>,
-    threads: usize,
 }
 
 #[derive(Debug)]
 struct ShardArgs {
-    models: Vec<String>,
+    common: Common,
     devices: Option<String>,
     strategy: nongemm::shard::Strategy,
     microbatches: usize,
-    batch: usize,
-    tiny: bool,
-    opt_level: Option<OptLevel>,
-    format: Format,
 }
 
 #[derive(Debug)]
 struct CiArgs {
-    models: Vec<String>,
+    common: Common,
     dir: String,
     update: bool,
     bench: String,
     report: Option<String>,
     wallclock_iters: usize,
     no_wallclock: bool,
-    format: Format,
 }
 
 const HELP: &str = "\
@@ -294,30 +354,39 @@ fn parse_intra_op(v: &str) -> bool {
     }
 }
 
+/// The shared flags of the subcommands that build and may execute graphs.
+const ENGINE_FLAGS: &[&str] = &[
+    "--model",
+    "--batch",
+    "--tiny",
+    "--threads",
+    "--opt-level",
+    "--intra-op",
+    "--format",
+];
+
+fn unknown_argument(arg: &str) -> ! {
+    eprintln!("unknown argument '{arg}'");
+    usage()
+}
+
 fn parse_run_args(argv: &[String]) -> Args {
     let mut args = Args {
-        models: Vec::new(),
+        common: Common::new("", ENGINE_FLAGS),
         platform: Platform::data_center(),
         flow: Flow::Eager,
-        batch: 1,
         cpu_only: false,
-        tiny: false,
         measured: false,
         microbench: false,
-        threads: 0,
-        opt_level: None,
-        intra_op: None,
         sanitize: None,
-        format: Format::Text,
         trace: None,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
+        if args.common.take(arg, &mut it) {
+            continue;
+        }
         match arg.as_str() {
-            "--model" => {
-                let v = take_value(&mut it, "--model");
-                args.models.push(v);
-            }
             "--platform" => {
                 args.platform = match take_value(&mut it, "--platform").as_str() {
                     "mobile" => Platform::mobile(),
@@ -341,44 +410,12 @@ fn parse_run_args(argv: &[String]) -> Args {
                     }
                 }
             }
-            "--batch" => args.batch = parse_positive(&take_value(&mut it, "--batch"), "--batch"),
             "--cpu-only" => args.cpu_only = true,
-            "--tiny" => args.tiny = true,
             "--measured" => args.measured = true,
             "--microbench" => args.microbench = true,
-            "--threads" => {
-                args.threads = parse_positive(&take_value(&mut it, "--threads"), "--threads")
-            }
-            "--opt-level" => {
-                args.opt_level = Some(parse_opt_level(&take_value(&mut it, "--opt-level")))
-            }
-            "--intra-op" => {
-                args.intra_op = Some(parse_intra_op(&take_value(&mut it, "--intra-op")))
-            }
             "--sanitize" => args.sanitize = Some(true),
-            "--format" => {
-                args.format = match take_value(&mut it, "--format").as_str() {
-                    "text" => Format::Text,
-                    "csv" => Format::Csv,
-                    "json" => Format::Json,
-                    other => {
-                        eprintln!("unknown format '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--trace" => {
-                let v = take_value(&mut it, "--trace");
-                args.trace = Some(v);
-            }
-            "--help" | "-h" => {
-                print!("{HELP}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage()
-            }
+            "--trace" => args.trace = Some(take_value(&mut it, "--trace")),
+            other => unknown_argument(other),
         }
     }
     args
@@ -386,52 +423,17 @@ fn parse_run_args(argv: &[String]) -> Args {
 
 fn parse_verify_args(argv: &[String]) -> VerifyArgs {
     let mut args = VerifyArgs {
-        models: Vec::new(),
-        batch: 1,
-        tiny: false,
-        threads: 0,
-        opt_level: None,
-        intra_op: None,
-        format: Format::Text,
+        common: Common::new("verify", ENGINE_FLAGS),
         all: false,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
+        if args.common.take(arg, &mut it) {
+            continue;
+        }
         match arg.as_str() {
-            "--model" => {
-                let v = take_value(&mut it, "--model");
-                args.models.push(v);
-            }
-            "--batch" => args.batch = parse_positive(&take_value(&mut it, "--batch"), "--batch"),
-            "--tiny" => args.tiny = true,
             "--all" => args.all = true,
-            "--threads" => {
-                args.threads = parse_positive(&take_value(&mut it, "--threads"), "--threads")
-            }
-            "--opt-level" => {
-                args.opt_level = Some(parse_opt_level(&take_value(&mut it, "--opt-level")))
-            }
-            "--intra-op" => {
-                args.intra_op = Some(parse_intra_op(&take_value(&mut it, "--intra-op")))
-            }
-            "--format" => {
-                args.format = match take_value(&mut it, "--format").as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => {
-                        eprintln!("verify supports --format text|json, not '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                print!("{HELP}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage()
-            }
+            other => unknown_argument(other),
         }
     }
     args
@@ -439,52 +441,17 @@ fn parse_verify_args(argv: &[String]) -> VerifyArgs {
 
 fn parse_sanitize_args(argv: &[String]) -> SanitizeArgs {
     let mut args = SanitizeArgs {
-        models: Vec::new(),
-        batch: 1,
-        tiny: false,
-        threads: 0,
-        opt_level: None,
-        intra_op: None,
+        common: Common::new("sanitize", ENGINE_FLAGS),
         static_only: false,
-        format: Format::Text,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
+        if args.common.take(arg, &mut it) {
+            continue;
+        }
         match arg.as_str() {
-            "--model" => {
-                let v = take_value(&mut it, "--model");
-                args.models.push(v);
-            }
-            "--batch" => args.batch = parse_positive(&take_value(&mut it, "--batch"), "--batch"),
-            "--tiny" => args.tiny = true,
             "--static-only" => args.static_only = true,
-            "--threads" => {
-                args.threads = parse_positive(&take_value(&mut it, "--threads"), "--threads")
-            }
-            "--opt-level" => {
-                args.opt_level = Some(parse_opt_level(&take_value(&mut it, "--opt-level")))
-            }
-            "--intra-op" => {
-                args.intra_op = Some(parse_intra_op(&take_value(&mut it, "--intra-op")))
-            }
-            "--format" => {
-                args.format = match take_value(&mut it, "--format").as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => {
-                        eprintln!("sanitize supports --format text|json, not '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                print!("{HELP}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage()
-            }
+            other => unknown_argument(other),
         }
     }
     args
@@ -494,8 +461,15 @@ fn parse_sanitize_args(argv: &[String]) -> SanitizeArgs {
 /// of the `NGB_SERVE_*` environment defaults.
 fn parse_serve_args(argv: &[String]) -> nongemm::serve::ServeConfig {
     let mut config = nongemm::serve::ServeConfig::default();
+    let mut common = Common::new(
+        "serve",
+        &["--tiny", "--threads", "--opt-level", "--intra-op"],
+    );
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
+        if common.take(arg, &mut it) {
+            continue;
+        }
         match arg.as_str() {
             "--addr" => config.addr = take_value(&mut it, "--addr"),
             "--max-batch" => {
@@ -524,56 +498,40 @@ fn parse_serve_args(argv: &[String]) -> nongemm::serve::ServeConfig {
                     }
                 }
             }
-            "--threads" => {
-                config.threads = parse_positive(&take_value(&mut it, "--threads"), "--threads")
-            }
-            "--opt-level" => {
-                config.opt_level = parse_opt_level(&take_value(&mut it, "--opt-level"))
-            }
-            "--intra-op" => {
-                config.intra_op = Some(parse_intra_op(&take_value(&mut it, "--intra-op")))
-            }
-            "--tiny" => config.scale = Scale::Tiny,
-            "--help" | "-h" => {
-                print!("{HELP}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage()
-            }
+            other => unknown_argument(other),
         }
     }
+    if common.tiny {
+        config.scale = Scale::Tiny;
+    }
+    config.threads = common.threads;
+    config.opt_level = common.opt_level.unwrap_or(config.opt_level);
+    config.intra_op = common.intra_op;
     config
 }
 
 fn parse_ci_args(argv: &[String]) -> CiArgs {
     let mut args = CiArgs {
-        models: Vec::new(),
+        common: Common::new("ci", &["--model", "--format"]),
         dir: "baselines".to_string(),
         update: false,
         bench: "BENCH_BASELINE.json".to_string(),
         report: None,
         wallclock_iters: regress::DEFAULT_WALLCLOCK_ITERS,
         no_wallclock: false,
-        format: Format::Text,
     };
     let mut explicit_check = false;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
+        if args.common.take(arg, &mut it) {
+            continue;
+        }
         match arg.as_str() {
-            "--model" => {
-                let v = take_value(&mut it, "--model");
-                args.models.push(v);
-            }
             "--dir" => args.dir = take_value(&mut it, "--dir"),
             "--check" => explicit_check = true,
             "--update" => args.update = true,
             "--bench" => args.bench = take_value(&mut it, "--bench"),
-            "--report" => {
-                let v = take_value(&mut it, "--report");
-                args.report = Some(v);
-            }
+            "--report" => args.report = Some(take_value(&mut it, "--report")),
             "--wallclock-iters" => {
                 args.wallclock_iters = parse_positive(
                     &take_value(&mut it, "--wallclock-iters"),
@@ -581,24 +539,7 @@ fn parse_ci_args(argv: &[String]) -> CiArgs {
                 )
             }
             "--no-wallclock" => args.no_wallclock = true,
-            "--format" => {
-                args.format = match take_value(&mut it, "--format").as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => {
-                        eprintln!("ci supports --format text|json, not '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                print!("{HELP}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage()
-            }
+            other => unknown_argument(other),
         }
     }
     if args.update && explicit_check {
@@ -610,22 +551,20 @@ fn parse_ci_args(argv: &[String]) -> CiArgs {
 
 fn parse_shard_args(argv: &[String]) -> ShardArgs {
     let mut args = ShardArgs {
-        models: Vec::new(),
+        common: Common::new(
+            "shard",
+            &["--model", "--batch", "--tiny", "--opt-level", "--format"],
+        ),
         devices: None,
         strategy: nongemm::shard::Strategy::Pipeline,
         microbatches: nongemm::shard::DEFAULT_MICROBATCHES,
-        batch: 1,
-        tiny: false,
-        opt_level: None,
-        format: Format::Text,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
+        if args.common.take(arg, &mut it) {
+            continue;
+        }
         match arg.as_str() {
-            "--model" => {
-                let v = take_value(&mut it, "--model");
-                args.models.push(v);
-            }
             "--devices" => args.devices = Some(take_value(&mut it, "--devices")),
             "--strategy" => {
                 let v = take_value(&mut it, "--strategy");
@@ -638,29 +577,7 @@ fn parse_shard_args(argv: &[String]) -> ShardArgs {
                 args.microbatches =
                     parse_positive(&take_value(&mut it, "--microbatches"), "--microbatches")
             }
-            "--batch" => args.batch = parse_positive(&take_value(&mut it, "--batch"), "--batch"),
-            "--tiny" => args.tiny = true,
-            "--opt-level" => {
-                args.opt_level = Some(parse_opt_level(&take_value(&mut it, "--opt-level")))
-            }
-            "--format" => {
-                args.format = match take_value(&mut it, "--format").as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => {
-                        eprintln!("shard supports --format text|json, not '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                print!("{HELP}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage()
-            }
+            other => unknown_argument(other),
         }
     }
     args
@@ -677,13 +594,7 @@ fn run_shard(argv: &[String]) -> ExitCode {
         None => shard::env_devices("2xgpu"),
     };
     let devices = spec.roster();
-    let bench = NonGemmBench::new(BenchConfig {
-        models: args.models.clone(),
-        batch: args.batch,
-        scale: if args.tiny { Scale::Tiny } else { Scale::Full },
-        opt_level: args.opt_level,
-        ..BenchConfig::default()
-    });
+    let bench = NonGemmBench::new(args.common.bench_config());
     let graphs = match bench.build_graphs() {
         Ok(g) => g,
         Err(e) => {
@@ -721,7 +632,7 @@ fn run_shard(argv: &[String]) -> ExitCode {
             if !identical {
                 return Err("sharded outputs diverge from single-device execution".into());
             }
-            Ok(match args.format {
+            Ok(match args.common.format {
                 Format::Json => format!(
                     "{{\"model\":\"{}\",\"devices\":\"{}\",\"strategy\":\"{}\",\
                      \"microbatches\":{},\"splits\":{},\"bit_identical\":true,\
@@ -774,21 +685,17 @@ fn run_shard(argv: &[String]) -> ExitCode {
 
 fn parse_generate_args(argv: &[String]) -> GenerateArgs {
     let mut args = GenerateArgs {
-        models: Vec::new(),
-        tiny: false,
+        common: Common::new("generate", &["--model", "--tiny", "--threads"]),
         prompt_len: 4,
         max_new: 16,
         quantize: None,
-        threads: 0,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
+        if args.common.take(arg, &mut it) {
+            continue;
+        }
         match arg.as_str() {
-            "--model" => {
-                let v = take_value(&mut it, "--model");
-                args.models.push(v);
-            }
-            "--tiny" => args.tiny = true,
             "--prompt-len" => {
                 args.prompt_len =
                     parse_positive(&take_value(&mut it, "--prompt-len"), "--prompt-len")
@@ -807,47 +714,31 @@ fn parse_generate_args(argv: &[String]) -> GenerateArgs {
                     }
                 }
             }
-            "--threads" => {
-                args.threads = parse_positive(&take_value(&mut it, "--threads"), "--threads")
-            }
-            "--help" | "-h" => {
-                print!("{HELP}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage()
-            }
+            other => unknown_argument(other),
         }
     }
-    if args.models.is_empty() {
-        args.models = vec!["gpt2".to_string(), "llama2".to_string()];
+    if args.common.models.is_empty() {
+        args.common.models = vec!["gpt2".to_string(), "llama2".to_string()];
     }
     args
 }
 
 fn run_generate(argv: &[String]) -> ExitCode {
-    use nongemm::exec::Engine;
     use nongemm::runtime::{greedy_decode, synth_prompt, DecodeSession};
-    use nongemm::Interpreter;
 
     let args = parse_generate_args(argv);
-    let scale = if args.tiny { Scale::Tiny } else { Scale::Full };
-    let threads = if args.threads == 0 {
-        nongemm::exec::env_threads(1)
+    let scale = if args.common.tiny {
+        Scale::Tiny
     } else {
-        args.threads
+        Scale::Full
     };
-    let mut interp = Interpreter::default();
-    if threads > 1 {
-        interp = interp.engine(Engine::Parallel(threads));
-    }
+    let mut interp = NonGemmBench::new(args.common.bench_config()).interpreter();
     if let Some(q) = args.quantize {
         interp = interp.quantize(q);
     }
     let total = args.prompt_len + args.max_new;
 
-    for alias in &args.models {
+    for alias in &args.common.models {
         let Some(id) = ModelId::all()
             .iter()
             .copied()
@@ -922,15 +813,7 @@ fn main() -> ExitCode {
 
 fn run_verify(argv: &[String]) -> ExitCode {
     let args = parse_verify_args(argv);
-    let bench = NonGemmBench::new(BenchConfig {
-        models: args.models.clone(),
-        batch: args.batch,
-        scale: if args.tiny { Scale::Tiny } else { Scale::Full },
-        threads: args.threads,
-        opt_level: args.opt_level,
-        intra_op: args.intra_op,
-        ..BenchConfig::default()
-    });
+    let bench = NonGemmBench::new(args.common.bench_config());
     let reports = match bench.verify() {
         Ok(r) => r,
         Err(e) => {
@@ -945,7 +828,7 @@ fn run_verify(argv: &[String]) -> ExitCode {
     let mut denied = 0usize;
     for report in &reports {
         denied += report.deny_count();
-        match args.format {
+        match args.common.format {
             Format::Json => println!("{}", report.to_json()),
             _ => println!("{}", report.to_text(args.all)),
         }
@@ -963,15 +846,7 @@ fn run_verify(argv: &[String]) -> ExitCode {
 
 fn run_sanitize(argv: &[String]) -> ExitCode {
     let args = parse_sanitize_args(argv);
-    let bench = NonGemmBench::new(BenchConfig {
-        models: args.models.clone(),
-        batch: args.batch,
-        scale: if args.tiny { Scale::Tiny } else { Scale::Full },
-        threads: args.threads,
-        opt_level: args.opt_level,
-        intra_op: args.intra_op,
-        ..BenchConfig::default()
-    });
+    let bench = NonGemmBench::new(args.common.bench_config());
     let reports = match bench.sanitize(!args.static_only) {
         Ok(r) => r,
         Err(e) => {
@@ -986,7 +861,7 @@ fn run_sanitize(argv: &[String]) -> ExitCode {
     let mut hazards = 0usize;
     for report in &reports {
         hazards += report.hazards.len();
-        match args.format {
+        match args.common.format {
             Format::Json => println!("{}", report.to_json()),
             _ => println!("{}", report.to_text()),
         }
@@ -1026,7 +901,7 @@ fn run_ci(argv: &[String]) -> ExitCode {
     let wallclock_enabled = !args.no_wallclock && !regress::wallclock_disabled_by_env();
     let cfg = regress::GateConfig {
         dir: std::path::PathBuf::from(&args.dir),
-        models: select_models(&args.models),
+        models: select_models(&args.common.models),
         wallclock_iters: wallclock_enabled.then_some(args.wallclock_iters),
         tolerance: regress::Tolerance::from_env(),
     };
@@ -1039,7 +914,7 @@ fn run_ci(argv: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match args.format {
+        match args.common.format {
             Format::Text => print!("{}", outcome.to_text()),
             _ => println!(
                 "{}",
@@ -1064,7 +939,7 @@ fn run_ci(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match args.format {
+    match args.common.format {
         Format::Text => print!("{}", outcome.to_text()),
         _ => println!("{}", outcome.to_json()),
     }
@@ -1131,22 +1006,18 @@ fn run_bench(argv: &[String]) -> ExitCode {
     } else {
         args.platform.clone()
     };
+    let format = args.common.format;
     let bench = NonGemmBench::new(BenchConfig {
-        models: args.models.clone(),
         platform,
         use_gpu: !args.cpu_only,
         flow: args.flow,
-        batch: args.batch,
-        scale: if args.tiny { Scale::Tiny } else { Scale::Full },
         iterations: 3,
-        threads: args.threads,
-        opt_level: args.opt_level,
-        intra_op: args.intra_op,
         sanitize: args.sanitize,
+        ..args.common.bench_config()
     });
 
     if args.microbench {
-        return run_microbench(&bench, args.format);
+        return run_microbench(&bench, format);
     }
 
     let profiles = if args.measured {
@@ -1162,12 +1033,12 @@ fn run_bench(argv: &[String]) -> ExitCode {
         }
     };
 
-    if args.format == Format::Csv {
+    if format == Format::Csv {
         println!("{}", csv_header());
     }
     for profile in &profiles {
         let report = PerformanceReport::from_profile(profile);
-        match args.format {
+        match format {
             Format::Text => println!("{}", report.to_text()),
             Format::Csv => println!("{}", report.to_csv_row()),
             Format::Json => println!(

@@ -68,7 +68,7 @@ pub use ngb_shard as shard;
 pub use ngb_tensor as tensor;
 
 pub use ngb_analyze::{AnalysisReport, Analyzer, Lint, LintConfig, Severity};
-pub use ngb_exec::{Engine, ExecutionTrace, Interpreter, ParallelExecutor, Schedule, ThreadPool};
+pub use ngb_exec::{Engine, ExecutionTrace, Interpreter, Schedule, ThreadPool};
 pub use ngb_graph::{Graph, NonGemmGroup, OpClass, OpKind};
 pub use ngb_microbench::{MicroResult, OperatorRegistry};
 pub use ngb_models::{ModelId, ModelRegistry, Scale, Task};
@@ -227,63 +227,44 @@ impl NonGemmBench {
             .collect())
     }
 
-    /// Effective worker-thread count: the explicit `threads` setting, or
-    /// `NGB_THREADS` (falling back to 1) when the setting is `0` (auto).
-    pub fn effective_threads(&self) -> usize {
-        if self.config.threads == 0 {
-            ngb_exec::env_threads(1)
-        } else {
-            self.config.threads
+    /// The `threads` setting, or `NGB_THREADS` (else 1) when it is `0`.
+    fn threads(&self) -> usize {
+        match self.config.threads {
+            0 => ngb_exec::env_threads(1),
+            n => n,
         }
     }
 
-    /// Effective intra-op parallelism switch: the explicit `intra_op`
-    /// setting, or `NGB_INTRAOP` (falling back to on) when unset.
-    pub fn effective_intra_op(&self) -> bool {
-        self.config
-            .intra_op
-            .unwrap_or_else(|| ngb_exec::env_intraop(true))
-    }
-
-    /// Effective shadow-memory sanitizer switch: the explicit `sanitize`
-    /// setting, or `NGB_SANITIZE` (falling back to off) when unset.
-    pub fn effective_sanitize(&self) -> bool {
-        self.config
-            .sanitize
-            .unwrap_or_else(|| ngb_exec::env_sanitize(false))
-    }
-
-    /// The execution engine measured runs use, derived from
-    /// [`NonGemmBench::effective_threads`].
-    pub fn engine(&self) -> Engine {
-        match self.effective_threads() {
-            0 | 1 => Engine::Sequential,
-            n => Engine::Parallel(n),
+    /// The engine value measured runs use: seed `0x5eed`, the parallel
+    /// engine when the `threads` setting (or `NGB_THREADS` when it is `0`)
+    /// asks for more than one worker, and the explicit `intra_op` /
+    /// `sanitize` settings over the `NGB_INTRAOP` / `NGB_SANITIZE`
+    /// defaults [`Interpreter::new`] resolves.
+    pub fn interpreter(&self) -> Interpreter {
+        let mut interp = Interpreter::new(0x5eed);
+        if self.threads() > 1 {
+            interp = interp.engine(Engine::Parallel(self.threads()));
         }
+        if let Some(on) = self.config.intra_op {
+            interp = interp.intra_op(on);
+        }
+        if let Some(on) = self.config.sanitize {
+            interp = interp.sanitize(on);
+        }
+        interp
     }
 
     /// Runs the end-to-end flow by real host execution (sensible with
-    /// [`Scale::Tiny`]), on the engine selected by the `threads` setting.
+    /// [`Scale::Tiny`]) through [`NonGemmBench::interpreter`], one per
+    /// model so each model's parameters are released with its profile.
     ///
     /// # Errors
     ///
     /// Propagates graph-construction or kernel errors.
     pub fn run_measured(&self) -> Result<Vec<ModelProfile>, TensorError> {
-        let engine = self.engine();
-        let intra_op = self.effective_intra_op();
-        let sanitize = self.effective_sanitize();
         self.build_graphs()?
             .iter()
-            .map(|g| {
-                ngb_profiler::profile_measured_checked(
-                    g,
-                    self.config.iterations,
-                    0x5eed,
-                    engine,
-                    Some(intra_op),
-                    Some(sanitize),
-                )
-            })
+            .map(|g| ngb_profiler::profile_measured(g, self.config.iterations, &self.interpreter()))
             .collect()
     }
 
@@ -300,19 +281,12 @@ impl NonGemmBench {
     /// Propagates graph-construction errors (sanitizer findings are
     /// reported, not raised).
     pub fn sanitize(&self, execute: bool) -> Result<Vec<SanitizeReport>, TensorError> {
-        let engine = self.engine();
-        let intra_op = self.effective_intra_op();
         self.build_graphs()?
             .iter()
             .map(|g| {
                 let mut report = ngb_sanitize::verify_graph(g);
                 if execute && report.is_clean() {
-                    let run = Interpreter::new(0x5eed)
-                        .engine(engine)
-                        .intra_op(intra_op)
-                        .sanitize(true)
-                        .run(g);
-                    if let Err(e) = run {
+                    if let Err(e) = self.interpreter().sanitize(true).run(g) {
                         report.push(
                             HazardKind::Runtime,
                             Vec::new(),
@@ -358,7 +332,7 @@ impl NonGemmBench {
     /// Propagates graph-construction errors.
     pub fn verify(&self) -> Result<Vec<AnalysisReport>, TensorError> {
         let graphs = self.build_graphs()?;
-        let threads = self.effective_threads().min(graphs.len().max(1));
+        let threads = self.threads().min(graphs.len().max(1));
         if threads <= 1 {
             let analyzer = Analyzer::new();
             return Ok(graphs.iter().map(|g| analyzer.analyze(g)).collect());
@@ -506,7 +480,7 @@ mod tests {
             sanitize: Some(true),
             ..BenchConfig::default()
         });
-        assert!(b.effective_sanitize());
+        assert!(b.interpreter().sanitize_enabled());
         let reports = b.sanitize(true).unwrap();
         assert_eq!(reports.len(), 2);
         for r in &reports {
@@ -523,9 +497,9 @@ mod tests {
                 ..BenchConfig::default()
             })
         };
-        assert_eq!(mk(1).engine(), Engine::Sequential);
-        assert_eq!(mk(4).engine(), Engine::Parallel(4));
-        assert_eq!(mk(4).effective_threads(), 4);
+        assert_eq!(mk(1).interpreter().engine_kind(), Engine::Sequential);
+        assert_eq!(mk(4).interpreter().engine_kind(), Engine::Parallel(4));
+        assert_eq!(mk(4).interpreter().engine_kind().threads(), 4);
     }
 
     #[test]
@@ -536,8 +510,8 @@ mod tests {
                 ..BenchConfig::default()
             })
         };
-        assert!(mk(Some(true)).effective_intra_op());
-        assert!(!mk(Some(false)).effective_intra_op());
+        assert!(mk(Some(true)).interpreter().intra_op_enabled());
+        assert!(!mk(Some(false)).interpreter().intra_op_enabled());
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //! resident weights — which is the *measured* (host CPU) profiling mode of
 //! the benchmark.
 //!
-//! Execution is engine-selectable: [`Engine::Sequential`] runs nodes one by
-//! one on the calling thread, [`Engine::Parallel`] hands the graph to the
-//! [`crate::ParallelExecutor`]. Both engines share the same per-node kernel
-//! dispatch ([`execute_node`]) and per-node RNG seeding, so their outputs
-//! are bit-identical.
+//! [`Interpreter`] is the one engine value: seed, engine, intra-op,
+//! sanitizer, quantization and preflight settings, the parameter store and
+//! (for [`Engine::Parallel`]) the resident worker pool. Every engine
+//! drives the same run core ([`crate::RunCore`] / [`crate::ExecCtx`]) over
+//! the same per-node kernel dispatch ([`execute_node`]) and per-node RNG
+//! seeding, so outputs are bit-identical whichever engine runs them.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ngb_tensor::random::TensorRng;
@@ -23,15 +24,21 @@ use ngb_tensor::{Tensor, TensorError};
 use ngb_graph::{Graph, Node, NodeId, OpKind};
 use ngb_ops::Quant;
 
-use crate::params::{ArenaStats, FetchTally, NodeParams, ParamStore};
+use crate::bufplan::BufferPlan;
+use crate::intraop::PoolRunner;
+use crate::params::{ArenaStats, NodeParams, ParamStore};
+use crate::pool::ThreadPool;
+use crate::runcore::{missing_input, validate, ExecCtx, RunCore};
+use crate::schedule::Schedule;
 
 /// Which execution engine [`Interpreter::run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// One node at a time on the calling thread.
     Sequential,
-    /// Dependency-scheduled execution on a pool of N worker threads
-    /// (see [`crate::ParallelExecutor`]). `Parallel(1)` still exercises the
+    /// Dependency-scheduled execution on the interpreter's pool of N
+    /// worker threads: nodes dispatch as their producers complete, highest
+    /// critical-path priority first. `Parallel(1)` still exercises the
     /// scheduler and pool with a single worker.
     Parallel(usize),
 }
@@ -127,18 +134,22 @@ impl ExecutionTrace {
 
 /// Executes graphs with reproducible synthetic weights.
 ///
-/// Clones share one [`ParamStore`], as does the parallel engine the
-/// interpreter drives, so a layer is synthesized once per interpreter
-/// however many graphs, runs, or sessions use it.
+/// Clones share one [`ParamStore`] and, under [`Engine::Parallel`], one
+/// resident [`ThreadPool`], so a layer is synthesized once and workers are
+/// spawned once per interpreter however many graphs, runs, or sessions use
+/// it. The pool is created by the first parallel run (or [`Self::pool`])
+/// and joined when the last clone drops — always on a caller's thread,
+/// because a run holds only a weak handle to it.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
     seed: u64,
     preflight: bool,
     engine: Engine,
-    intra_op: Option<bool>,
-    sanitize: Option<bool>,
+    intra_op: bool,
+    sanitize: bool,
     quant: Quant,
     pub(crate) store: Arc<ParamStore>,
+    pool: Arc<OnceLock<Arc<ThreadPool>>>,
 }
 
 impl Default for Interpreter {
@@ -149,60 +160,71 @@ impl Default for Interpreter {
 
 impl Interpreter {
     /// Creates a sequential interpreter whose weights derive from `seed`.
+    /// The intra-op, sanitizer and quantization settings start from
+    /// `NGB_INTRAOP` (on when unset), `NGB_SANITIZE` (off) and `NGB_QUANT`
+    /// (`none`), read here once.
     pub fn new(seed: u64) -> Interpreter {
         Interpreter {
             seed,
             preflight: false,
             engine: Engine::Sequential,
-            intra_op: None,
-            sanitize: None,
+            intra_op: crate::env_intraop(true),
+            sanitize: crate::env_sanitize(false),
             quant: crate::env_quant(Quant::None),
             store: Arc::default(),
+            pool: Arc::default(),
         }
     }
 
-    /// Selects the execution engine (builder style).
+    /// Selects the execution engine (builder style). A different engine
+    /// gets its own pool; the parameter store stays shared.
     #[must_use]
     pub fn engine(mut self, engine: Engine) -> Interpreter {
+        if engine != self.engine {
+            self.pool = Arc::default();
+        }
         self.engine = engine;
         self
     }
 
+    /// The selected execution engine.
+    pub fn engine_kind(&self) -> Engine {
+        self.engine
+    }
+
     /// Forces intra-op parallelism on or off for the parallel engine.
-    /// The default (`None`) honors `NGB_INTRAOP` (on when unset). The
-    /// switch never changes results — chunk partitioning is a pure
+    /// The switch never changes results — chunk partitioning is a pure
     /// function of shape — only where chunks execute.
     #[must_use]
     pub fn intra_op(mut self, enabled: bool) -> Interpreter {
-        self.intra_op = Some(enabled);
+        self.intra_op = enabled;
         self
     }
 
-    /// The effective intra-op setting (explicit override or `NGB_INTRAOP`).
+    /// Whether kernels dispatch intra-op chunks onto the pool.
     pub fn intra_op_enabled(&self) -> bool {
-        self.intra_op.unwrap_or_else(|| crate::env_intraop(true))
+        self.intra_op
     }
 
-    /// Forces the shadow-memory execution sanitizer on or off. The default
-    /// (`None`) honors `NGB_SANITIZE` (off when unset). When enabled, every
-    /// value-table access is checked against a [`crate::ShadowMemory`] and
-    /// hazards fail the run with the offending node ids and an access
-    /// trace; results are unchanged (the sanitizer only observes).
+    /// Forces the shadow-memory execution sanitizer on or off. When
+    /// enabled, every value-table access is checked against a
+    /// [`crate::ShadowMemory`] and hazards fail the run with the offending
+    /// node ids and an access trace; results are unchanged (the sanitizer
+    /// only observes), and when off no shadow state exists at all.
     #[must_use]
     pub fn sanitize(mut self, enabled: bool) -> Interpreter {
-        self.sanitize = Some(enabled);
+        self.sanitize = enabled;
         self
     }
 
-    /// The effective sanitizer setting (explicit override or `NGB_SANITIZE`).
+    /// Whether value-table accesses are checked against a shadow memory.
     pub fn sanitize_enabled(&self) -> bool {
-        self.sanitize.unwrap_or_else(|| crate::env_sanitize(false))
+        self.sanitize
     }
 
-    /// Selects the weight-quantization mode for GEMM-family layers. The
-    /// default honors `NGB_QUANT` (`none` when unset). `Quant::Int8`
-    /// quantizes Linear / GPT-2 Conv1D weights per output channel at
-    /// execution time; all other operators are unaffected.
+    /// Selects the weight-quantization mode for GEMM-family layers.
+    /// `Quant::Int8` quantizes Linear / GPT-2 Conv1D weights per output
+    /// channel at execution time; all other operators are unaffected.
     #[must_use]
     pub fn quantize(mut self, quant: Quant) -> Interpreter {
         self.quant = quant;
@@ -239,6 +261,32 @@ impl Interpreter {
         preflight_check(graph)
     }
 
+    /// The resident worker pool, spawned on first use with the engine's
+    /// thread count and shared with every clone — for backpressure
+    /// counters or graceful-shutdown coordination.
+    pub fn pool(&self) -> Arc<ThreadPool> {
+        Arc::clone(
+            self.pool
+                .get_or_init(|| Arc::new(ThreadPool::new(self.engine.threads()))),
+        )
+    }
+
+    /// Starts a run: the context every [`ExecCtx::execute`] of it shares.
+    /// Kernels fan chunks out over the pool when the engine has more than
+    /// one worker and intra-op parallelism is on; otherwise the same
+    /// shape-pure chunks run serially, so outputs match bit for bit.
+    pub fn begin_run(&self) -> ExecCtx {
+        let runner = (self.intra_op && self.engine.threads() > 1)
+            .then(|| Arc::new(PoolRunner::new(&self.pool())) as _);
+        ExecCtx {
+            seed: self.seed,
+            quant: self.quant,
+            store: Arc::clone(&self.store),
+            runner,
+            started_at: Instant::now(),
+        }
+    }
+
     /// Runs the graph end to end with synthetic inputs, timing every node.
     ///
     /// # Errors
@@ -254,8 +302,10 @@ impl Interpreter {
     ///
     /// # Errors
     ///
-    /// Propagates kernel errors, including shape mismatches from overridden
-    /// inputs.
+    /// Structural errors, then the first kernel error (including shape
+    /// mismatches from overridden inputs, and a kernel panic as a typed
+    /// error naming the node); a parallel run aborts without deadlocking
+    /// and the interpreter remains usable.
     pub fn run_with_inputs(
         &self,
         graph: &Graph,
@@ -264,149 +314,54 @@ impl Interpreter {
         if self.preflight {
             self.check(graph)?;
         }
-        match self.engine {
-            Engine::Sequential => self.run_sequential(graph, inputs),
-            Engine::Parallel(n) => crate::ParallelExecutor {
-                seed: self.seed,
-                preflight: false,
-                intra_op: self.intra_op_enabled(),
-                sanitize: self.sanitize_enabled(),
-                quant: self.quant,
-                pool: Arc::new(crate::ThreadPool::new(n)),
-                store: Arc::clone(&self.store),
+        validate(graph)?;
+        let plan = BufferPlan::new(graph);
+        if self.engine == Engine::Sequential {
+            let mut core = RunCore::for_plan(plan, self.sanitize);
+            let ctx = self.begin_run();
+            for node in graph.iter() {
+                let args = core.gather(node)?;
+                let done = ctx.execute(node, args, inputs.get(&node.id), 0)?;
+                core.finish(node, done)?;
             }
-            .run_with_inputs(graph, inputs),
+            return core.drain_trace(graph, &self.store);
         }
+        let sched = Schedule::new(graph);
+        if !sched.is_complete() {
+            return Err(TensorError::InvalidArgument(format!(
+                "graph has a dependency cycle: only {} of {} nodes schedulable",
+                sched.wavefronts.iter().map(Vec::len).sum::<usize>(),
+                graph.len()
+            )));
+        }
+        crate::parallel::run_tickets(self, graph, inputs, sched, plan)
     }
 
-    fn run_sequential(
+    /// Runs the graph on the ticket scheduler under a caller-supplied
+    /// [`Schedule`] and [`BufferPlan`] instead of recomputing them — the
+    /// fault-injection hook the sanitizer's seeded-fault tests use to
+    /// execute deliberately corrupted parts and assert the shadow memory
+    /// catches the resulting hazard.
+    ///
+    /// The caller is responsible for parts whose dependency counts drain
+    /// (every node must eventually become ready); the normal entry points
+    /// guarantee this via [`Schedule::is_complete`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first kernel or sanitizer error.
+    pub fn run_with_parts(
         &self,
         graph: &Graph,
-        inputs: &HashMap<NodeId, Tensor>,
+        sched: Schedule,
+        plan: BufferPlan,
     ) -> Result<ExecutionTrace, TensorError> {
-        let len = graph.len();
-        let mut values: Vec<Option<Tensor>> = vec![None; len];
-        let mut timings = Vec::with_capacity(len);
-        // remaining-consumer counts drive drop-at-last-use; a node that
-        // starts at zero is an output and is never dropped
-        let mut uses = vec![0usize; len];
-        for node in graph.iter() {
-            for &i in &node.inputs {
-                match uses.get_mut(i.0) {
-                    Some(slot) => *slot += 1,
-                    None => {
-                        return Err(TensorError::InvalidArgument(format!(
-                            "node {} consumes nonexistent node {i}",
-                            node.id
-                        )))
-                    }
-                }
-            }
-        }
-        let is_output: Vec<bool> = uses.iter().map(|&u| u == 0).collect();
-        let mut fetched = FetchTally::default();
-        let shadow = self
-            .sanitize_enabled()
-            .then(|| crate::ShadowMemory::new(len));
-        let mut live_bytes = 0usize;
-        let mut peak_live_bytes = 0usize;
-        let t0 = Instant::now();
-        for (pos, node) in graph.iter().enumerate() {
-            if node.id.0 != pos {
-                return Err(TensorError::InvalidArgument(format!(
-                    "node at position {pos} has id {}",
-                    node.id
-                )));
-            }
-            if let Some(s) = &shadow {
-                for &i in &node.inputs {
-                    s.begin_read(i.0, pos)?;
-                }
-            }
-            let args = gather_args(node, &values)?;
-            let params = self.store.fetch(self.seed, node, &mut fetched)?;
-            let started = Instant::now();
-            // no intra-op runner here: the same shape-pure chunks run
-            // serially, so outputs match the parallel engine bit for bit
-            ngb_ops::parallel::reset_stats();
-            ngb_tensor::telemetry::reset_bytes_materialized();
-            let out = execute_node(
-                self.seed,
-                node,
-                &args,
-                inputs.get(&node.id),
-                &params,
-                self.quant,
-            )?;
-            let stats = ngb_ops::parallel::take_stats();
-            let bytes_materialized = ngb_tensor::telemetry::take_bytes_materialized();
-            let elapsed = started.elapsed();
-            drop(args); // release input clones so a last use frees the storage
-            if let Some(s) = &shadow {
-                s.write(pos, pos)?;
-                for &i in &node.inputs {
-                    s.end_read(i.0, pos);
-                }
-            }
-            live_bytes += planner_bytes(out.shape());
-            peak_live_bytes = peak_live_bytes.max(live_bytes);
-            timings.push(NodeTiming {
-                id: node.id,
-                elapsed,
-                start: started.duration_since(t0),
-                worker: 0,
-                out_shape: out.shape().to_vec(),
-                intra_chunks: stats.chunks,
-                intra_participants: stats.max_participants.max(1),
-                bytes_materialized,
-            });
-            values[pos] = Some(out);
-            for &i in &node.inputs {
-                uses[i.0] -= 1;
-                if uses[i.0] == 0 {
-                    if let Some(dead) = values[i.0].take() {
-                        if let Some(s) = &shadow {
-                            s.free(i.0, pos)?;
-                        }
-                        live_bytes -= planner_bytes(dead.shape());
-                    }
-                }
-            }
-        }
-        let outputs = collect_outputs(graph, &is_output, &mut values)?;
-        Ok(ExecutionTrace {
-            outputs,
-            timings,
-            peak_live_bytes,
-            arena: fetched.stats(&self.store),
-            param_synthesis: fetched.synthesis(),
-        })
+        validate(graph)?;
+        crate::parallel::run_tickets(self, graph, &HashMap::new(), sched, plan)
     }
 }
 
-/// Executes one node outside the engines, with caller-gathered input
-/// tensors — the `ngb-shard` executor drives plan nodes on per-device
-/// threads through this entry point. Dispatch and RNG seeding (via
-/// `seed_hint`) are exactly the engines' own, so results are bit-identical
-/// to [`Interpreter::run`] node for node; parameters come from (and on
-/// first touch stay in) the caller's `store`.
-///
-/// # Errors
-///
-/// Propagates kernel errors.
-pub fn run_node(
-    seed: u64,
-    node: &Node,
-    args: &[Tensor],
-    override_input: Option<&Tensor>,
-    store: &ParamStore,
-    quant: Quant,
-) -> Result<Tensor, TensorError> {
-    let params = store.fetch(seed, node, &mut FetchTally::default())?;
-    execute_node(seed, node, args, override_input, &params, quant)
-}
-
-/// Structural + shape-conformance preflight shared by both engines.
+/// Structural + shape-conformance preflight.
 ///
 /// # Errors
 ///
@@ -440,54 +395,6 @@ pub fn preflight_check(graph: &Graph) -> Result<(), TensorError> {
     Ok(())
 }
 
-/// Bytes of one value in the planner's metric: element count × 4 (the
-/// f32-equivalent accounting [`Graph::peak_activation_bytes`] uses).
-pub(crate) fn planner_bytes(shape: &[usize]) -> usize {
-    ngb_tensor::num_elements(shape) * 4
-}
-
-/// Clones the input tensors of `node` out of the value table.
-pub(crate) fn gather_args(
-    node: &Node,
-    values: &[Option<Tensor>],
-) -> Result<Vec<Tensor>, TensorError> {
-    node.inputs
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| {
-            values
-                .get(id.0)
-                .and_then(|v| v.clone())
-                .ok_or_else(|| missing_input(node, i))
-        })
-        .collect()
-}
-
-fn missing_input(node: &Node, i: usize) -> TensorError {
-    TensorError::InvalidArgument(format!(
-        "node {} ({}) is missing input {i}",
-        node.id, node.name
-    ))
-}
-
-/// Drains output values (nodes without consumers) in id order.
-pub(crate) fn collect_outputs(
-    graph: &Graph,
-    is_output: &[bool],
-    values: &mut [Option<Tensor>],
-) -> Result<Vec<(NodeId, Tensor)>, TensorError> {
-    graph
-        .iter()
-        .filter(|n| is_output[n.id.0])
-        .map(|n| {
-            let v = values[n.id.0].take().ok_or_else(|| {
-                TensorError::InvalidArgument(format!("output node {} never executed", n.id))
-            })?;
-            Ok((n.id, v))
-        })
-        .collect()
-}
-
 /// The per-node weight/input RNG: keyed on node id (never execution
 /// order), which is what makes parallel execution bit-identical to
 /// sequential.
@@ -509,7 +416,7 @@ pub fn synth_input(seed: u64, node: &Node) -> Tensor {
 
 /// Executes one node given its already-gathered input tensors and its
 /// already-fetched parameters, so a caller's timer around this call reads
-/// kernel time only. Shared by the sequential and parallel engines.
+/// kernel time only.
 ///
 /// # Errors
 ///

@@ -82,7 +82,7 @@ impl Scope {
             let job = unsafe { &*self.job.0 };
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i)));
             if let Err(panic) = outcome {
-                let msg = crate::parallel::panic_message(&*panic);
+                let msg = crate::runcore::panic_message(&*panic);
                 let mut slot = self.panic.lock().expect("intra-op panic slot");
                 slot.get_or_insert(msg);
             }

@@ -1,26 +1,35 @@
 //! # ngb-exec
 //!
-//! Graph execution engines for NonGEMM Bench. The crate owns everything
-//! between an [`ngb_graph::Graph`] and an [`ExecutionTrace`]:
+//! Graph execution for NonGEMM Bench. The crate owns everything between an
+//! [`ngb_graph::Graph`] and an [`ExecutionTrace`]: one run core, three
+//! drivers, one engine value.
 //!
-//! * [`Interpreter`] — the sequential reference engine: runs nodes in
-//!   topological order with reproducible synthetic weights and drops
-//!   each activation at its last use.
-//! * [`ParamStore`] — resident parameters: each engine owner draws a
-//!   layer's weights once and times kernels on them afterwards.
-//! * [`ParallelExecutor`] — the parallel engine: a [`Schedule`] (Kahn
-//!   wavefronts + critical-path priorities) feeds a dependency-counted
-//!   ready queue drained by a std-only [`ThreadPool`]. Outputs are
-//!   **bit-identical** to the sequential engine because weights and inputs
-//!   derive from per-node RNG seeds, never from execution order.
-//! * [`BufferPlan`] — the static liveness pass both engines share.
+//! * [`RunCore`] + [`ExecCtx`] — the run core: the value table with its
+//!   drop-at-last-use, live-bytes, timing, parameter-fetch and
+//!   shadow-memory bookkeeping, and the timed, panic-safe kernel call.
+//!   Gather → execute → finish exists once, here.
+//! * [`Interpreter`] — the engine value: seed, [`Engine`], intra-op,
+//!   sanitizer, quantization and preflight settings, the [`ParamStore`]
+//!   (each layer's weights drawn once, kernels timed on resident copies)
+//!   and, for [`Engine::Parallel`], the resident [`ThreadPool`].
+//! * The drivers: [`Engine::Sequential`] walks positions on the calling
+//!   thread; [`Engine::Parallel`] feeds a [`Schedule`] (Kahn wavefronts +
+//!   critical-path priorities) into a dependency-counted ready queue
+//!   drained by pool tickets; `ngb-shard` walks one node list per device
+//!   thread. Outputs are **bit-identical** across all three because
+//!   weights and inputs derive from per-node RNG seeds, never from
+//!   execution order.
+//! * [`BufferPlan`] — the static liveness pass whose consumer counts the
+//!   core follows and `ngb-sanitize` certifies.
 //! * [`PoolRunner`] — scoped intra-op dispatch: kernels partition work
 //!   into shape-pure chunks (`ngb_ops::parallel`) that fan out across
 //!   idle pool workers, sharing one pool with node-level scheduling.
 //!
-//! The thread count comes from the `NGB_THREADS` environment variable (see
-//! [`env_threads`]) or explicit [`Engine::Parallel`] selection; the
-//! intra-op switch from `NGB_INTRAOP` (see [`env_intraop`], default on).
+//! This file is the only reader of `NGB_THREADS`, `NGB_INTRAOP`,
+//! `NGB_SANITIZE` and `NGB_QUANT` ([`env_threads`], [`env_intraop`],
+//! [`env_sanitize`], [`env_quant`]); [`Interpreter::new`] resolves the
+//! last three once, and the thread count arrives by explicit
+//! [`Engine::Parallel`] selection.
 //!
 //! # Examples
 //!
@@ -49,18 +58,17 @@ mod intraop;
 mod parallel;
 mod params;
 mod pool;
+mod runcore;
 mod sanitizer;
 mod schedule;
 
 pub use bufplan::BufferPlan;
-pub use interp::{
-    preflight_check, run_node, synth_input, Engine, ExecutionTrace, Interpreter, NodeTiming,
-};
+pub use interp::{preflight_check, synth_input, Engine, ExecutionTrace, Interpreter, NodeTiming};
 pub use intraop::PoolRunner;
 pub use ngb_ops::Quant;
-pub use parallel::ParallelExecutor;
 pub use params::{ArenaStats, ParamStore, MAX_RESIDENT_BYTES};
 pub use pool::ThreadPool;
+pub use runcore::{validate, ExecCtx, Executed, RunCore};
 pub use sanitizer::ShadowMemory;
 pub use schedule::{Schedule, ScheduleStats};
 

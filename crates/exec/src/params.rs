@@ -260,7 +260,7 @@ struct Resident {
 }
 
 /// The memo of one engine owner: an [`crate::Interpreter`] and its
-/// clones, a [`crate::ParallelExecutor`], or one sharded execute.
+/// clones — what a server, a decode session or one sharded execute holds.
 pub struct ParamStore {
     resident: Mutex<Resident>,
     budget: usize,

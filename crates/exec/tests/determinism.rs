@@ -3,7 +3,7 @@
 //! sequential interpreter. The engine earns this with per-node RNG seeding
 //! and pure kernels — scheduling order never touches the math.
 
-use ngb_exec::{Engine, Interpreter};
+use ngb_exec::{BufferPlan, Engine, Interpreter};
 use ngb_models::{ModelId, Scale};
 
 /// Output bit patterns: NaN-safe equality (`NaN != NaN` under `f32` eq).
@@ -80,4 +80,40 @@ fn parallel_timings_cover_every_node_once() {
     }
     // liveness accounting ran: some bytes were live at the peak
     assert!(trace.peak_live_bytes > 0);
+}
+
+#[test]
+fn every_driver_keeps_one_accounting() {
+    // the sequential loop and the ticket scheduler drive the same run
+    // core, so per-node counts cannot depend on which one ran the node
+    for &model in ModelId::all() {
+        let g = model.build(1, Scale::Tiny).unwrap();
+        let seq = Interpreter::default().run(&g).unwrap();
+        let par = Interpreter::default()
+            .engine(Engine::Parallel(1))
+            .run(&g)
+            .unwrap();
+        assert_eq!(bits(&seq), bits(&par), "{model}");
+        assert_eq!(seq.timings.len(), par.timings.len(), "{model}");
+        for (s, p) in seq.timings.iter().zip(&par.timings) {
+            assert_eq!(s.id, p.id, "{model}");
+            assert_eq!(s.out_shape, p.out_shape, "{model} node {}", s.id);
+            assert_eq!(s.intra_chunks, p.intra_chunks, "{model} node {}", s.id);
+            assert_eq!(
+                s.bytes_materialized, p.bytes_materialized,
+                "{model} node {}",
+                s.id
+            );
+        }
+        // the detection models' NMS keeps fewer boxes than the static
+        // shapes plan for; everywhere else the sequential run is exactly
+        // the drop-at-last-use schedule the plan simulates
+        if !matches!(model, ModelId::FasterRcnn | ModelId::MaskRcnn) {
+            assert_eq!(
+                seq.peak_live_bytes,
+                BufferPlan::new(&g).planned_peak_bytes,
+                "{model}"
+            );
+        }
+    }
 }

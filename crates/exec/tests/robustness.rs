@@ -1,9 +1,9 @@
-//! Failure behavior of the parallel engine: a mid-graph kernel error or a
+//! Failure behavior of the engines: a mid-graph kernel error or a
 //! panicking kernel must abort the run cleanly — an `Err` comes back, no
-//! worker deadlocks or leaks, and the same executor keeps working on the
-//! next (valid) graph.
+//! worker deadlocks or leaks, and the same interpreter keeps working on
+//! the next (valid) graph.
 
-use ngb_exec::{Engine, Interpreter, ParallelExecutor};
+use ngb_exec::{Engine, Interpreter};
 use ngb_graph::{Graph, GraphBuilder, OpKind};
 
 /// A graph with parallel branches plus a matmul; `break_matmul` corrupts
@@ -48,7 +48,7 @@ fn kernel_error_aborts_the_parallel_run_cleanly() {
 
 #[test]
 fn executor_survives_a_failed_run_and_stays_usable() {
-    let exec = ParallelExecutor::new(0x5eed, 4);
+    let exec = Interpreter::new(0x5eed).engine(Engine::Parallel(4));
     let mut bad = branchy_matmul_graph();
     break_matmul(&mut bad);
     let good = branchy_matmul_graph();
@@ -68,7 +68,7 @@ fn executor_survives_a_failed_run_and_stays_usable() {
 fn panicking_kernel_is_reported_as_an_error_not_a_crash() {
     let mut g = branchy_matmul_graph();
     // Linear with in_f = 0 hits the weight initializer's nonzero-fan-in
-    // assert: a genuine kernel panic inside a worker thread
+    // assert: a genuine kernel panic, on the caller's thread or a worker
     g.nodes[2] = ngb_graph::Node {
         id: g.nodes[2].id,
         op: OpKind::Linear {
@@ -81,11 +81,17 @@ fn panicking_kernel_is_reported_as_an_error_not_a_crash() {
         name: "poison".into(),
         seed_hint: None,
     };
-    let exec = ParallelExecutor::new(0x5eed, 2);
-    let err = exec.run(&g).expect_err("panicking kernel must surface");
-    let msg = err.to_string();
-    assert!(msg.contains("panicked"), "unexpected error: {msg}");
-    // the pool's workers survived the panic
-    let good = branchy_matmul_graph();
-    assert!(exec.run(&good).is_ok());
+    for engine in [Engine::Sequential, Engine::Parallel(2)] {
+        let exec = Interpreter::new(0x5eed).engine(engine);
+        let err = exec.run(&g).expect_err("panicking kernel must surface");
+        let msg = err.to_string();
+        assert!(msg.contains("panicked"), "unexpected error: {msg}");
+        assert!(
+            msg.contains("poison"),
+            "{engine:?} must name the node: {msg}"
+        );
+        // the pool's workers survived the panic
+        let good = branchy_matmul_graph();
+        assert!(exec.run(&good).is_ok(), "{engine:?}");
+    }
 }

@@ -12,9 +12,9 @@
 //!   analytic device models (the substitution for the paper's physical
 //!   GPUs; see DESIGN.md), and
 //! * [`profile_measured`] — actually executes the graph on the host CPU
-//!   through [`ngb_exec::Interpreter`] and uses wall-clock timings.
-//!   [`profile_measured_with_engine`] does the same on the parallel
-//!   executor, attributing each node to its worker thread.
+//!   through the caller's [`ngb_exec::Interpreter`] and uses wall-clock
+//!   timings; under the parallel engine each node is attributed to its
+//!   worker thread.
 //!
 //! The three report types of §3.2.4 (performance/cost, workload,
 //! non-GEMM) live in [`report`].
@@ -27,6 +27,5 @@ pub mod trace;
 
 pub use profile::{
     breakdown_from_trace, profile_analytic, profile_analytic_with_options, profile_measured,
-    profile_measured_checked, profile_measured_configured, profile_measured_with_engine, Breakdown,
-    ModelProfile, NodeProfile, StagePhase,
+    Breakdown, ModelProfile, NodeProfile, StagePhase,
 };

@@ -387,82 +387,24 @@ pub fn profile_analytic_with_options(
     }
 }
 
-/// Profiles `graph` by real execution on the host CPU, taking the
-/// minimum over `iterations` runs per node (warm caches, like the paper's
-/// steady-state iterations).
+/// Profiles `graph` by real execution on the host CPU through `interp` —
+/// its engine, intra-op, sanitizer and quantization settings, its resident
+/// parameters and pool — taking each node's minimum over `iterations` runs
+/// (warm caches, like the paper's steady-state iterations). Under
+/// [`Engine::Parallel`] start offsets and worker attribution come from the
+/// final iteration, so the trace shows one coherent concurrent timeline;
+/// per-node profiles record the chunk count and the maximum effective
+/// intra-op parallelism observed.
 ///
 /// # Errors
 ///
-/// Propagates interpreter errors.
+/// Propagates interpreter errors, including sanitizer violations (the
+/// offending nodes plus a replayable event trace).
 pub fn profile_measured(
     graph: &Graph,
     iterations: usize,
-    seed: u64,
+    interp: &Interpreter,
 ) -> Result<ModelProfile, ngb_tensor::TensorError> {
-    profile_measured_with_engine(graph, iterations, seed, Engine::Sequential)
-}
-
-/// [`profile_measured`] on an explicit execution engine. With
-/// [`Engine::Parallel`], per-node latencies are still minima over
-/// iterations, while start offsets and worker attribution come from the
-/// final iteration (so the trace shows one coherent concurrent timeline).
-///
-/// # Errors
-///
-/// Propagates interpreter errors.
-pub fn profile_measured_with_engine(
-    graph: &Graph,
-    iterations: usize,
-    seed: u64,
-    engine: Engine,
-) -> Result<ModelProfile, ngb_tensor::TensorError> {
-    profile_measured_configured(graph, iterations, seed, engine, None)
-}
-
-/// [`profile_measured_with_engine`] with an explicit intra-op parallelism
-/// override: `Some(on)` forces the switch, `None` defers to `NGB_INTRAOP`
-/// (default on). Per-node profiles record the chunk count and the maximum
-/// effective intra-op parallelism observed.
-///
-/// # Errors
-///
-/// Propagates interpreter errors.
-pub fn profile_measured_configured(
-    graph: &Graph,
-    iterations: usize,
-    seed: u64,
-    engine: Engine,
-    intra_op: Option<bool>,
-) -> Result<ModelProfile, ngb_tensor::TensorError> {
-    profile_measured_checked(graph, iterations, seed, engine, intra_op, None)
-}
-
-/// [`profile_measured_configured`] with an explicit shadow-memory
-/// sanitizer override: `Some(on)` forces the switch, `None` defers to
-/// `NGB_SANITIZE` (default off). A sanitized run executes the same graph
-/// with every buffer read, write, and free checked against the shadow
-/// state; a detected hazard aborts profiling with the sanitizer's
-/// diagnosis (offending nodes plus a replayable event trace) as the
-/// error.
-///
-/// # Errors
-///
-/// Propagates interpreter errors, including sanitizer violations.
-pub fn profile_measured_checked(
-    graph: &Graph,
-    iterations: usize,
-    seed: u64,
-    engine: Engine,
-    intra_op: Option<bool>,
-    sanitize: Option<bool>,
-) -> Result<ModelProfile, ngb_tensor::TensorError> {
-    let mut interp = Interpreter::new(seed).engine(engine);
-    if let Some(on) = intra_op {
-        interp = interp.intra_op(on);
-    }
-    if let Some(on) = sanitize {
-        interp = interp.sanitize(on);
-    }
     let iterations = iterations.max(1);
     let mut best: Vec<f64> = vec![f64::INFINITY; graph.len()];
     let mut shapes: Vec<Vec<usize>> = vec![Vec::new(); graph.len()];
@@ -515,7 +457,7 @@ pub fn profile_measured_checked(
     Ok(ModelProfile {
         model: graph.name.clone(),
         platform: "Host (measured)".to_string(),
-        flow: match engine {
+        flow: match interp.engine_kind() {
             Engine::Sequential => "interpreter".to_string(),
             Engine::Parallel(n) => format!("interpreter-parallel-{}", n.max(1)),
         },
@@ -693,7 +635,7 @@ mod tests {
     #[test]
     fn measured_profile_times_real_execution() {
         let g = transformer_ish();
-        let p = profile_measured(&g, 3, 42).unwrap();
+        let p = profile_measured(&g, 3, &Interpreter::new(42)).unwrap();
         assert_eq!(p.nodes.len(), g.len());
         assert!(p.total_latency_s() > 0.0);
         assert!(p.nodes.iter().all(|n| n.latency_s.is_finite()));
@@ -706,7 +648,7 @@ mod tests {
     #[test]
     fn measured_parallel_profile_attributes_workers() {
         let g = transformer_ish();
-        let p = profile_measured_with_engine(&g, 2, 42, Engine::Parallel(2)).unwrap();
+        let p = profile_measured(&g, 2, &Interpreter::new(42).engine(Engine::Parallel(2))).unwrap();
         assert_eq!(p.nodes.len(), g.len());
         assert!(p.nodes.iter().all(|n| n.tid < 2));
         assert!(p.flow.contains("parallel"));
@@ -722,7 +664,7 @@ mod tests {
         let x = b.input(&[1, 64, 2048]); // 128 Ki elems: above the chunk grain
         b.push(OpKind::Gelu, &[x], "act").unwrap();
         let g = b.finish();
-        let p = profile_measured_configured(&g, 1, 42, Engine::Sequential, Some(true)).unwrap();
+        let p = profile_measured(&g, 1, &Interpreter::new(42).intra_op(true)).unwrap();
         let act = p.nodes.iter().find(|n| n.name == "act").unwrap();
         // chunk count is a pure function of shape: 128Ki / 32Ki = 4 chunks
         assert_eq!(act.intra_chunks, 4);
@@ -743,7 +685,7 @@ mod tests {
             .unwrap();
         b.push(OpKind::Contiguous, &[t], "contig").unwrap();
         let g = b.finish();
-        let p = profile_measured(&g, 1, 42).unwrap();
+        let p = profile_measured(&g, 1, &Interpreter::new(42)).unwrap();
         let contig = p.nodes.iter().find(|n| n.name == "contig").unwrap();
         // the transposed view is non-dense, so Contiguous copies 8*16 f32s
         assert_eq!(contig.bytes_materialized, 8 * 16 * 4);

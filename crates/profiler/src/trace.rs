@@ -111,8 +111,8 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{profile_analytic, profile_measured_with_engine};
-    use ngb_exec::Engine;
+    use crate::profile::{profile_analytic, profile_measured};
+    use ngb_exec::{Engine, Interpreter};
     use ngb_graph::{GraphBuilder, OpKind};
     use ngb_platform::Platform;
     use ngb_runtime::Flow;
@@ -216,7 +216,7 @@ mod tests {
         let r = b.push(OpKind::Relu, &[x], "right").unwrap();
         b.push(OpKind::Add, &[l, r], "join").unwrap();
         let g = b.finish();
-        let p = profile_measured_with_engine(&g, 1, 7, Engine::Parallel(2)).unwrap();
+        let p = profile_measured(&g, 1, &Interpreter::new(7).engine(Engine::Parallel(2))).unwrap();
         let trace = to_chrome_trace(&p);
         let v: serde_json::Value = serde_json::from_str(&trace).expect("valid json");
         let events = v["traceEvents"].as_array().expect("array");

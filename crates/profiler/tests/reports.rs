@@ -1,6 +1,7 @@
 //! Report-format stability tests: the CSV schema, text layout, and JSON
 //! field set are public interfaces that downstream tooling parses.
 
+use ngb_exec::Interpreter;
 use ngb_graph::{GraphBuilder, OpKind};
 use ngb_platform::Platform;
 use ngb_profiler::report::{csv_header, NonGemmReport, PerformanceReport, WorkloadReport};
@@ -127,7 +128,7 @@ fn json_fields_are_complete() {
 fn measured_and_analytic_reports_share_schema() {
     let g = sample_graph();
     let analytic = profile_analytic(&g, &Platform::data_center(), Flow::Eager, true, 2);
-    let measured = profile_measured(&g, 1, 3).expect("executes");
+    let measured = profile_measured(&g, 1, &Interpreter::new(3)).expect("executes");
     let ra = PerformanceReport::from_profile(&analytic).to_csv_row();
     let rm = PerformanceReport::from_profile(&measured).to_csv_row();
     assert_eq!(ra.split(',').count(), rm.split(',').count());

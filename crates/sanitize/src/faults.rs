@@ -5,7 +5,7 @@
 //! and returns what it broke so a test can assert the exact hazard is
 //! caught — by the static verifier (`verify_parts`) or by the runtime
 //! shadow-memory sanitizer when the corrupted parts are executed through
-//! `ParallelExecutor::run_with_parts`.
+//! `Interpreter::run_with_parts`.
 
 use std::ops::Range;
 

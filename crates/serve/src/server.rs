@@ -3,7 +3,7 @@
 //!
 //! Threading model (all std): one accept thread, one reader thread per
 //! connection, and one scheduler thread that forms and executes batches
-//! on the shared [`ngb_exec::ParallelExecutor`] pool. Responses are
+//! on the pool of one shared [`ngb_exec::Interpreter`]. Responses are
 //! written through a mutex-guarded clone of the connection socket, so the
 //! scheduler and the reader (which answers control ops and rejections
 //! inline) never interleave partial lines.
@@ -21,7 +21,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ngb_exec::{ParallelExecutor, ThreadPool};
+use ngb_exec::{Engine, Interpreter};
 use ngb_graph::Graph;
 use ngb_models::ModelId;
 use ngb_runtime::{GraphCache, GraphKey};
@@ -122,8 +122,7 @@ struct Shared {
     queues: Mutex<Queues>,
     work: Condvar,
     cache: GraphCache,
-    executor: ParallelExecutor,
-    pool: Arc<ThreadPool>,
+    executor: Interpreter,
     stats: Mutex<ServeStats>,
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn: AtomicU64,
@@ -165,11 +164,12 @@ impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let pool = Arc::new(ThreadPool::new(config.effective_threads()));
-        let mut executor = ParallelExecutor::with_pool(config.seed, Arc::clone(&pool));
+        let mut executor =
+            Interpreter::new(config.seed).engine(Engine::Parallel(config.effective_threads()));
         if let Some(on) = config.intra_op {
             executor = executor.intra_op(on);
         }
+        executor.pool(); // spawn the workers now, not inside the first request
         let shared = Arc::new(Shared {
             config,
             addr,
@@ -183,7 +183,6 @@ impl Server {
             work: Condvar::new(),
             cache: GraphCache::new(),
             executor,
-            pool,
             stats: Mutex::new(ServeStats::default()),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
@@ -369,11 +368,11 @@ fn stats_response(shared: &Arc<Shared>) -> Value {
         ("draining", Value::Bool(draining)),
         (
             "pool_queue_depth",
-            Value::Number(shared.pool.queue_depth() as f64),
+            Value::Number(shared.executor.pool().queue_depth() as f64),
         ),
         (
             "pool_in_flight",
-            Value::Number(shared.pool.in_flight() as f64),
+            Value::Number(shared.executor.pool().in_flight() as f64),
         ),
         (
             "graph_cache",
@@ -398,7 +397,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
         execute_batch(shared, model, taken);
     }
     // drain finished: quiesce the pool, then unblock every reader
-    shared.pool.shutdown();
+    shared.executor.pool().shutdown();
     for (_, stream) in shared.conns.lock().expect("conns lock").drain() {
         let _ = stream.shutdown(Shutdown::Both);
     }

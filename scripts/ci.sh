@@ -6,13 +6,21 @@
 #   CI_STAGES=test-opt,regress scripts/ci.sh
 #
 # Stages: fmt, clippy, test, test-parallel, test-opt, test-intraop,
-# sanitize, serve, decode, shard, contiguous-ratchet, regress, benchmark.
+# sanitize, serve, decode, shard, contiguous-ratchet, one-executor,
+# regress, benchmark.
 # Unknown stage names in CI_STAGES exit 2 with the valid list, so a typo
 # never silently skips every gate.
 # The contiguous-ratchet stage pins the declared list of eager
 # .contiguous() call sites in ngb-ops kernels: strided consumption is the
 # default, and a new materialization site fails CI until it is justified
 # and added to the fallback list here.
+# The one-executor stage pins the run core as the only node walk: outside
+# test modules, the shadow-memory read hook, the contiguous-copy counter
+# read and the parameter fetch — the calls every copy of the
+# gather/execute/finish loop has to make — must each live in exactly one
+# file of the executing crates, and the four NGB_* engine variables must
+# be read only by crates/exec/src/lib.rs. A second loop or a second knob
+# parser fails CI until it is justified here.
 # The sanitize stage audits that unsafe code stays confined to ngb-ops
 # and ngb-exec, lints the verifier crate at -D warnings, and runs the
 # 18-model hazard sweep (static verifier + shadow-memory execution) on a
@@ -37,13 +45,13 @@
 # noise headroom on slow runners).
 # The benchmark stage runs benchmark/check.sh as it stands: the standalone
 # benchmark crate is outside this workspace, so no other stage compiles it
-# against the ngb-exec surface it builds on (ExecutionTrace, run_node).
+# against the ngb-exec surface it builds on (Interpreter, ExecutionTrace).
 # Each run ends with a per-stage timing table, also appended to
 # $GITHUB_STEP_SUMMARY when set (the workflow's job summary).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES="fmt,clippy,test,test-parallel,test-opt,test-intraop,sanitize,serve,decode,shard,contiguous-ratchet,regress,benchmark"
+ALL_STAGES="fmt,clippy,test,test-parallel,test-opt,test-intraop,sanitize,serve,decode,shard,contiguous-ratchet,one-executor,regress,benchmark"
 STAGES="${CI_STAGES:-$ALL_STAGES}"
 
 # reject unknown stage names up front: a typo in CI_STAGES must fail
@@ -230,6 +238,40 @@ contiguous_ratchet() {
   echo "contiguous ratchet: all eager call sites are declared fallbacks"
 }
 
+# Files with a non-test call site of PATTERN under the crates that execute
+# graphs. Test modules are approximated, as above, by everything past a
+# file's first "mod tests" marker.
+non_test_sites() {
+  local f lineno test_start
+  { grep -rn --include='*.rs' -e "$1" crates/{exec,shard,runtime,serve,profiler}/src || true; } \
+    | while IFS=: read -r f lineno _; do
+        test_start=$(grep -n 'mod tests' "$f" | head -n1 | cut -d: -f1 || true)
+        [[ -n "$test_start" && "$lineno" -gt "$test_start" ]] && continue
+        echo "$f"
+      done | sort -u
+}
+
+one_executor() {
+  local pattern files violations=0
+  for pattern in '\.begin_read(' 'take_bytes_materialized(' '\.fetch('; do
+    files=$(non_test_sites "$pattern")
+    if [[ $(grep -c . <<<"$files" || true) -ne 1 ]]; then
+      echo "error: call sites of '$pattern' must live in exactly one file, found:"
+      echo "${files:-  (none)}"
+      violations=1
+    fi
+  done
+  files=$(grep -rlE 'env::var\("NGB_(THREADS|INTRAOP|SANITIZE|QUANT)"\)' crates --include='*.rs' \
+    | grep -v '^crates/exec/src/lib\.rs$' || true)
+  if [[ -n "$files" ]]; then
+    echo "error: NGB_{THREADS,INTRAOP,SANITIZE,QUANT} read outside crates/exec/src/lib.rs:"
+    echo "$files"
+    violations=1
+  fi
+  [[ $violations -eq 0 ]] || return 1
+  echo "one executor: one gather/execute/finish core, one reader of the engine variables"
+}
+
 run_stage fmt           cargo fmt --all -- --check
 run_stage clippy        cargo clippy --all-targets -- -D warnings
 run_stage test          cargo test -q
@@ -241,6 +283,7 @@ run_stage serve         serve_gate
 run_stage decode        decode_gate
 run_stage shard         shard_gate
 run_stage contiguous-ratchet contiguous_ratchet
+run_stage one-executor  one_executor
 run_stage regress       regress_gate
 run_stage benchmark     benchmark/check.sh
 

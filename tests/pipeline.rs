@@ -84,7 +84,8 @@ fn measured_and_analytic_agree_on_hotspot_class() {
     // CPU profile must attribute the largest share to GEMM operators
     // (CPU-only; this is Figure 1's CPU panel).
     let g = ModelId::Gpt2.build(1, Scale::Tiny).expect("builds");
-    let measured = nongemm::profiler::profile_measured(&g, 3, 7).expect("executes");
+    let measured = nongemm::profiler::profile_measured(&g, 3, &nongemm::Interpreter::new(7))
+        .expect("executes");
     let analytic = nongemm::profiler::profile_analytic(
         &g,
         &nongemm::Platform::data_center().cpu_only(),

@@ -6,7 +6,7 @@
 //! chunks) is caught by the static verifier or the shadow-memory
 //! sanitizer. Sanitizer-off runs stay byte-identical to sanitized runs.
 
-use nongemm::exec::{BufferPlan, Engine, Interpreter, ParallelExecutor, Schedule};
+use nongemm::exec::{BufferPlan, Engine, Interpreter, Schedule};
 use nongemm::graph::{Graph, GraphBuilder, OpKind};
 use nongemm::sanitize::{faults, verify_graph, verify_parts, HazardKind, SanitizeReport};
 use nongemm::{optimize, ModelId, OptLevel, Scale};
@@ -185,7 +185,8 @@ fn shadow_memory_catches_a_dropped_edge_at_runtime() {
     for seed in 0..8u64 {
         let mut sched = Schedule::new(&g);
         let (u, v) = faults::drop_edge(&mut sched, &g, seed).unwrap();
-        let err = ParallelExecutor::new(0x5eed, 1)
+        let err = Interpreter::new(0x5eed)
+            .engine(Engine::Parallel(1))
             .sanitize(true)
             .run_with_parts(&g, sched, BufferPlan::new(&g))
             .expect_err("the sanitizer must catch the %{u}->%{v} race");
@@ -204,7 +205,8 @@ fn shadow_memory_catches_a_truncated_lifetime_at_runtime() {
     let g = residual_block();
     let mut plan = BufferPlan::new(&g);
     let v = faults::truncate_lifetime(&mut plan, 0).unwrap();
-    let err = ParallelExecutor::new(0x5eed, 1)
+    let err = Interpreter::new(0x5eed)
+        .engine(Engine::Parallel(1))
         .sanitize(true)
         .run_with_parts(&g, Schedule::new(&g), plan)
         .expect_err("the sanitizer must catch the use-after-free");
@@ -223,7 +225,8 @@ fn shadow_memory_catches_a_truncated_lifetime_at_runtime() {
 #[test]
 fn unmutated_parts_run_clean_through_the_fault_entry_point() {
     let g = residual_block();
-    let trace = ParallelExecutor::new(0x5eed, 2)
+    let trace = Interpreter::new(0x5eed)
+        .engine(Engine::Parallel(2))
         .sanitize(true)
         .run_with_parts(&g, Schedule::new(&g), BufferPlan::new(&g))
         .unwrap();
