@@ -253,8 +253,9 @@ SERVE OPTIONS:
                         printed on startup)
   --max-batch <n>       largest dynamic batch (default: $NGB_SERVE_MAX_BATCH
                         or 8; batch-opaque models always execute at 1)
-  --batch-wait-us <n>   how long a pending request waits for batch
-                        companions (default: $NGB_SERVE_BATCH_WAIT_US or 2000)
+  --batch-wait-us <n>   ceiling on holding a request for companions,
+                        applied only while arrivals are denser than it
+                        (default: $NGB_SERVE_BATCH_WAIT_US or 2000)
   --queue-cap <n>       per-model admission queue bound; 0 rejects all
                         (default: $NGB_SERVE_QUEUE_CAP or 64)
   --threads <n>         executor worker threads (default: $NGB_THREADS or 1)

@@ -26,6 +26,9 @@ impl Client {
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        // a request is one small write; Nagle would hold the next one back
+        // until the server acknowledges this one
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader })
     }
@@ -36,10 +39,10 @@ impl Client {
     ///
     /// Propagates socket errors.
     pub fn send(&mut self, req: &Request) -> std::io::Result<()> {
-        let line = req.to_line();
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        // line and newline in one segment, never two
+        let mut line = req.to_line();
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())
     }
 
     /// Reads the next response line.

@@ -7,12 +7,25 @@
 //! Requests travel as line-delimited JSON over plain TCP (std only, no
 //! async runtime): each line in is one request object, each line out one
 //! response object (see [`protocol`]). The server keeps one bounded FIFO
-//! per model, forms dynamic batches up to `max_batch` or until the oldest
-//! request's `batch_wait` deadline fires, schedules models fair
-//! round-robin, and executes batches on one shared [`ngb_exec`] worker
-//! pool. Built-and-optimized graphs are memoized per (model, scale,
+//! per model, forms dynamic batches up to `max_batch`, schedules models
+//! fair round-robin, and executes batches on one shared [`ngb_exec`]
+//! worker pool. Built-and-optimized graphs are memoized per (model, scale,
 //! opt-level, batch) in an [`ngb_runtime::GraphCache`], so steady state
 //! pays no graph construction.
+//!
+//! A request is only ever delayed by work. **Due rule:** a queue is
+//! dispatched when it holds a full batch, when its oldest request has
+//! waited `batch_wait`, when the server drains — or when the model's
+//! smoothed inter-arrival gap, measured at admission, is at least
+//! `batch_wait`, because then no companion is expected before the deadline
+//! and holding the request would buy nothing. **Wire rule:** a response and
+//! its newline are one buffer and one `write_all` on a `TCP_NODELAY`
+//! socket, and the rows of a batch that answer the same connection share
+//! one write; a line sent as two segments waits for the peer's delayed ACK
+//! between them. Measured on the benchmark's `serve_mix` workload (150
+//! req/s, mixed models, one pipelined connection), the two rules took the
+//! median request from 7.1 ms to 0.75 ms with execution flat at 0.28 ms;
+//! DESIGN.md §16 and EXPERIMENTS.md hold the runs.
 //!
 //! Admission control is explicit: a full queue *rejects* with a
 //! 429-style error carrying `retry_after_ms` (never silently drops), and
@@ -47,8 +60,9 @@ use ngb_opt::OptLevel;
 pub const DEFAULT_ADDR: &str = "127.0.0.1:0";
 /// Default cap on dynamically formed batches.
 pub const DEFAULT_MAX_BATCH: usize = 8;
-/// Default batching deadline: how long the oldest queued request may wait
-/// for companions before its batch is dispatched anyway.
+/// Default batching ceiling: how long the oldest queued request may be held
+/// for companions, while arrivals are denser than this, before its batch is
+/// dispatched anyway.
 pub const DEFAULT_BATCH_WAIT_US: u64 = 2_000;
 /// Default per-model queue capacity (admission control bound).
 pub const DEFAULT_QUEUE_CAP: usize = 64;
@@ -65,7 +79,11 @@ pub struct ServeConfig {
     pub opt_level: OptLevel,
     /// Maximum dynamic batch size (≥ 1).
     pub max_batch: usize,
-    /// Batching deadline for the oldest request in a queue.
+    /// Ceiling on holding a request for companions, applied only while
+    /// arrivals are denser than it: a batch that is not full waits until
+    /// its oldest request is this old if the model's smoothed inter-arrival
+    /// gap is shorter than this, and is dispatched as soon as the scheduler
+    /// is free otherwise.
     pub batch_wait: Duration,
     /// Per-model queue capacity; 0 rejects every request (useful as an
     /// admission-control drill).

@@ -36,7 +36,10 @@ pub enum Request {
         id: String,
         /// Model alias (e.g. `"bert"`).
         model: String,
-        /// Input seed; defaults to the interpreter's default seed.
+        /// Input seed; defaults to the interpreter's default seed. Must be
+        /// below 2^53: the wire carries numbers as `f64`, which stops holding
+        /// every integer exactly there, and a seed that changed in transit
+        /// would break the digest contract unseen.
         seed: u64,
     },
     /// Liveness check.
@@ -51,13 +54,18 @@ pub enum Request {
     Shutdown,
 }
 
+/// Exclusive bound on a request seed: 2^53, up to which an `f64` holds
+/// every integer exactly.
+const SEED_LIMIT: u64 = 1 << 53;
+
 impl Request {
     /// Parses one request line.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for malformed JSON, a missing or
-    /// unknown `op`, or a missing `model` on `infer`.
+    /// unknown `op`, a missing `model` on `infer`, or a `seed` that is
+    /// present but not an integer in `0..2^53`.
     pub fn parse(line: &str) -> Result<Request, String> {
         let v: Value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
         let op = v
@@ -76,7 +84,13 @@ impl Request {
                     .and_then(Value::as_str)
                     .unwrap_or_default()
                     .to_string();
-                let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(0x5eed);
+                let seed = match v.get("seed") {
+                    None => 0x5eed,
+                    Some(seed) => seed
+                        .as_u64()
+                        .filter(|&n| n < SEED_LIMIT)
+                        .ok_or_else(|| "\"seed\" must be an integer in 0..2^53".to_string())?,
+                };
                 Ok(Request::Infer { id, model, seed })
             }
             "ping" => Ok(Request::Ping),
@@ -208,6 +222,34 @@ mod tests {
                 seed: 0x5eed,
             }
         );
+    }
+
+    #[test]
+    fn largest_exact_seed_round_trips() {
+        let r = Request::Infer {
+            id: "r1".into(),
+            model: "bert".into(),
+            seed: SEED_LIMIT - 1,
+        };
+        assert_eq!(Request::parse(&r.to_line()).unwrap(), r);
+    }
+
+    #[test]
+    fn a_present_but_invalid_seed_is_an_error_not_the_default() {
+        // 2^53 and 2^53 + 1 are one f64: neither may be taken for the other
+        for seed in [
+            "-1",
+            "1.5",
+            "\"7\"",
+            "null",
+            "9007199254740992",
+            "9007199254740993",
+            "1e300",
+        ] {
+            let line = format!(r#"{{"op":"infer","model":"bert","seed":{seed}}}"#);
+            let err = Request::parse(&line).expect_err(seed);
+            assert!(err.contains("seed"), "seed {seed}: {err}");
+        }
     }
 
     #[test]

@@ -8,16 +8,25 @@
 //! scheduler and the reader (which answers control ops and rejections
 //! inline) never interleave partial lines.
 //!
+//! A request is only ever delayed by work. On the wire, a response and its
+//! newline leave in one `write_all` on a `TCP_NODELAY` socket, and the rows
+//! of one batch that answer the same connection share that write: a second
+//! small segment would sit behind Nagle's algorithm until the client's
+//! delayed ACK. In the scheduler, a batch that is not full is held for
+//! companions only while the model's measured arrivals are denser than
+//! `batch_wait` (see [`due`]); sparse traffic is dispatched the moment the
+//! scheduler is free.
+//!
 //! Graceful drain: `shutdown` (wire op or [`ServerHandle::shutdown`])
 //! stops admission, the scheduler keeps dispatching until every admitted
 //! request is answered, the worker pool is drained and stopped, and every
 //! connection socket is closed so reader threads exit.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,6 +81,26 @@ struct Pending {
     reply: Responder,
 }
 
+/// Longest request line a connection may send, newline included.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Locks `m` whether or not an earlier holder panicked. Every critical
+/// section in this file leaves its data valid at each step (counter bumps
+/// and queue pushes; nothing that can panic sits between two updates that
+/// belong together), so a poisoned lock must not turn every later request
+/// into a dead server.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One response as it travels: the JSON object and its newline together,
+/// so no caller can emit them as two segments.
+fn wire_line(v: &Value) -> String {
+    let mut line = serde_json::to_string(v).expect("responses serialize");
+    line.push('\n');
+    line
+}
+
 /// Serialized write access to one connection socket.
 #[derive(Clone)]
 struct Responder {
@@ -80,18 +109,87 @@ struct Responder {
 
 impl Responder {
     fn send(&self, v: &Value) {
-        let line = serde_json::to_string(v).expect("responses serialize");
-        let mut s = self.stream.lock().expect("responder lock");
-        // a vanished client is not a server error; the write just ends
-        let _ = s.write_all(line.as_bytes());
-        let _ = s.write_all(b"\n");
-        let _ = s.flush();
+        self.write(&wire_line(v));
     }
+
+    /// Writes whole lines with one `write_all` under the lock.
+    fn write(&self, lines: &str) {
+        // a vanished client is not a server error; the write just ends
+        let _ = lock(&self.stream).write_all(lines.as_bytes());
+    }
+}
+
+/// Answers each request with one write per connection: lines that go back
+/// on the same socket leave together.
+fn reply_all<'a>(replies: impl Iterator<Item = (&'a Responder, Value)>) {
+    let mut writes: Vec<(&Responder, String)> = Vec::new();
+    for (to, v) in replies {
+        let line = wire_line(&v);
+        let same = writes
+            .iter_mut()
+            .find(|(r, _)| Arc::ptr_eq(&r.stream, &to.stream));
+        match same {
+            Some((_, lines)) => lines.push_str(&line),
+            None => writes.push((to, line)),
+        }
+    }
+    for (to, lines) in writes {
+        to.write(&lines);
+    }
+}
+
+/// Smoothed gap between the admissions of one model's requests: the
+/// measurement the scheduler reads to tell whether a waiting request can
+/// expect a companion.
+#[derive(Default)]
+struct Arrivals {
+    last: Option<Instant>,
+    gap: Option<Duration>,
+}
+
+impl Arrivals {
+    /// Folds the gap since the previous admission into the estimate with
+    /// weight 1/4, so a handful of arrivals follow a change of rate.
+    fn observe(&mut self, now: Instant) {
+        if let Some(last) = self.last {
+            let sample = now.saturating_duration_since(last);
+            self.gap = Some(self.gap.map_or(sample, |g| (g * 3 + sample) / 4));
+        }
+        self.last = Some(now);
+    }
+
+    /// The smoothed gap; with fewer than two arrivals nothing says a
+    /// companion is coming.
+    fn gap(&self) -> Duration {
+        self.gap.unwrap_or(Duration::MAX)
+    }
+}
+
+/// Whether a non-empty queue is dispatched now. A batch that is not full
+/// is held, up to the oldest request's `batch_wait` deadline, only while
+/// arrivals are dense enough (`gap < batch_wait`) that a companion is
+/// expected before that deadline.
+fn due(
+    len: usize,
+    cap: usize,
+    head_age: Duration,
+    gap: Duration,
+    batch_wait: Duration,
+    draining: bool,
+) -> bool {
+    len >= cap || draining || head_age >= batch_wait || gap >= batch_wait
+}
+
+/// One model's FIFO and the arrival measurement kept beside it.
+struct ModelQueue {
+    model: ModelId,
+    pending: VecDeque<Pending>,
+    arrivals: Arrivals,
 }
 
 /// Queue state guarded by one mutex (scheduler + all readers).
 struct Queues {
-    by_model: Vec<(ModelId, VecDeque<Pending>)>,
+    by_model: Vec<ModelQueue>,
     rr: usize,
     paused: bool,
     draining: bool,
@@ -99,20 +197,24 @@ struct Queues {
 }
 
 impl Queues {
-    fn queue_mut(&mut self, model: ModelId) -> &mut VecDeque<Pending> {
-        if let Some(i) = self.by_model.iter().position(|(m, _)| *m == model) {
-            &mut self.by_model[i].1
+    fn queue_mut(&mut self, model: ModelId) -> &mut ModelQueue {
+        if let Some(i) = self.by_model.iter().position(|q| q.model == model) {
+            &mut self.by_model[i]
         } else {
-            self.by_model.push((model, VecDeque::new()));
-            &mut self.by_model.last_mut().expect("just pushed").1
+            self.by_model.push(ModelQueue {
+                model,
+                pending: VecDeque::new(),
+                arrivals: Arrivals::default(),
+            });
+            self.by_model.last_mut().expect("just pushed")
         }
     }
 
     fn queue_len(&self, model: ModelId) -> usize {
         self.by_model
             .iter()
-            .find(|(m, _)| *m == model)
-            .map_or(0, |(_, q)| q.len())
+            .find(|q| q.model == model)
+            .map_or(0, |q| q.pending.len())
     }
 }
 
@@ -131,7 +233,7 @@ struct Shared {
 impl Shared {
     fn begin_shutdown(&self) {
         {
-            let mut q = self.queues.lock().expect("queue lock");
+            let mut q = lock(&self.queues);
             if q.draining {
                 return;
             }
@@ -218,7 +320,7 @@ impl ServerHandle {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> ServeStats {
-        *self.shared.stats.lock().expect("stats lock")
+        *lock(&self.shared.stats)
     }
 
     /// Initiates graceful drain (same as the wire `shutdown` op).
@@ -241,24 +343,23 @@ impl ServerHandle {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     for stream in listener.incoming() {
-        if shared.queues.lock().expect("queue lock").draining {
+        if lock(&shared.queues).draining {
             return; // wake-up connection (or late client) — drop and exit
         }
         let Ok(stream) = stream else { continue };
+        // responses are whole lines written once; Nagle would only hold a
+        // later one back until the client acknowledges the earlier
+        let _ = stream.set_nodelay(true);
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            shared
-                .conns
-                .lock()
-                .expect("conns lock")
-                .insert(conn_id, clone);
+            lock(&shared.conns).insert(conn_id, clone);
         }
         let shared = Arc::clone(shared);
         let _ = std::thread::Builder::new()
             .name(format!("ngb-serve-conn-{conn_id}"))
             .spawn(move || {
                 connection_loop(stream, &shared);
-                shared.conns.lock().expect("conns lock").remove(&conn_id);
+                lock(&shared.conns).remove(&conn_id);
             });
     }
 }
@@ -270,17 +371,37 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let responder = Responder {
         stream: Arc::new(Mutex::new(write_half)),
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let bad_request = |msg: &str| {
+        lock(&shared.stats).errors += 1;
+        responder.send(&error_response("", 400, msg, None));
+    };
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // the cap bounds what a peer that never sends '\n' can make us hold
+        let mut capped = reader.by_ref().take(MAX_LINE_BYTES as u64);
+        if !matches!(capped.read_until(b'\n', &mut line), Ok(n) if n > 0) {
+            break; // closed by the peer, or by the drain
+        }
+        if line.len() == MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            bad_request("request line too long");
+            // close our side, then discard what the peer still sends: closing
+            // over unread input resets the connection and can take the 400
+            // with it before the peer has read it
+            let _ = reader.get_ref().shutdown(Shutdown::Write);
+            let _ = std::io::copy(&mut reader, &mut std::io::sink());
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            bad_request("request line is not UTF-8");
+            continue;
+        };
+        if text.trim().is_empty() {
             continue;
         }
-        match Request::parse(&line) {
-            Err(msg) => {
-                shared.stats.lock().expect("stats lock").errors += 1;
-                responder.send(&error_response("", 400, &msg, None));
-            }
+        match Request::parse(text) {
+            Err(msg) => bad_request(&msg),
             Ok(req) => handle_request(shared, &responder, req),
         }
     }
@@ -292,12 +413,12 @@ fn handle_request(shared: &Arc<Shared>, responder: &Responder, req: Request) {
         Request::Ping => responder.send(&ok_response(vec![("pong", Value::Bool(true))])),
         Request::Stats => responder.send(&stats_response(shared)),
         Request::Pause => {
-            shared.queues.lock().expect("queue lock").paused = true;
+            lock(&shared.queues).paused = true;
             shared.work.notify_all();
             responder.send(&ok_response(vec![("paused", Value::Bool(true))]));
         }
         Request::Resume => {
-            shared.queues.lock().expect("queue lock").paused = false;
+            lock(&shared.queues).paused = false;
             shared.work.notify_all();
             responder.send(&ok_response(vec![("paused", Value::Bool(false))]));
         }
@@ -313,7 +434,7 @@ fn handle_request(shared: &Arc<Shared>, responder: &Responder, req: Request) {
 /// error response.
 fn admit(shared: &Arc<Shared>, responder: &Responder, id: String, model: &str, seed: u64) {
     let Some(model_id) = model_by_alias(model) else {
-        shared.stats.lock().expect("stats lock").errors += 1;
+        lock(&shared.stats).errors += 1;
         responder.send(&error_response(
             &id,
             404,
@@ -323,24 +444,27 @@ fn admit(shared: &Arc<Shared>, responder: &Responder, id: String, model: &str, s
         return;
     };
     let rejection = {
-        let mut q = shared.queues.lock().expect("queue lock");
+        let mut q = lock(&shared.queues);
         if q.draining {
             Some(error_response(&id, 503, "shutting down", None))
         } else if q.queue_len(model_id) >= shared.config.queue_cap {
             let retry_ms = (shared.config.batch_wait.as_millis() as u64).max(1);
             Some(error_response(&id, 429, "queue full", Some(retry_ms)))
         } else {
-            q.queue_mut(model_id).push_back(Pending {
+            let now = Instant::now();
+            let queue = q.queue_mut(model_id);
+            queue.arrivals.observe(now);
+            queue.pending.push_back(Pending {
                 id,
                 seed,
-                enqueued: Instant::now(),
+                enqueued: now,
                 reply: responder.clone(),
             });
             q.queued_total += 1;
             None
         }
     };
-    let mut stats = shared.stats.lock().expect("stats lock");
+    let mut stats = lock(&shared.stats);
     match rejection {
         Some(resp) => {
             stats.rejected += 1;
@@ -356,9 +480,9 @@ fn admit(shared: &Arc<Shared>, responder: &Responder, id: String, model: &str, s
 }
 
 fn stats_response(shared: &Arc<Shared>) -> Value {
-    let stats = *shared.stats.lock().expect("stats lock");
+    let stats = *lock(&shared.stats);
     let (queued, paused, draining) = {
-        let q = shared.queues.lock().expect("queue lock");
+        let q = lock(&shared.queues);
         (q.queued_total, q.paused, q.draining)
     };
     let cache = shared.cache.stats();
@@ -386,9 +510,9 @@ fn stats_response(shared: &Arc<Shared>) -> Value {
     ok_response(vec![("stats", stats.to_value(extra))])
 }
 
-/// Round-robin scheduler: picks the next dispatchable model (full batch,
-/// expired deadline, or draining), sleeps until the earliest deadline
-/// otherwise, and exits once draining leaves every queue empty.
+/// Round-robin scheduler: picks the next model whose queue is [`due`],
+/// sleeps until the earliest deadline (or the next arrival) otherwise, and
+/// exits once draining leaves every queue empty.
 fn scheduler_loop(shared: &Arc<Shared>) {
     loop {
         let Some((model, taken)) = next_batch(shared) else {
@@ -398,7 +522,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
     }
     // drain finished: quiesce the pool, then unblock every reader
     shared.executor.pool().shutdown();
-    for (_, stream) in shared.conns.lock().expect("conns lock").drain() {
+    for (_, stream) in lock(&shared.conns).drain() {
         let _ = stream.shutdown(Shutdown::Both);
     }
 }
@@ -406,7 +530,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
 fn next_batch(shared: &Arc<Shared>) -> Option<(ModelId, Vec<Pending>)> {
     let max_batch = shared.config.max_batch;
     let batch_wait = shared.config.batch_wait;
-    let mut q = shared.queues.lock().expect("queue lock");
+    let mut q = lock(&shared.queues);
     loop {
         if q.draining && q.queued_total == 0 {
             return None;
@@ -416,54 +540,39 @@ fn next_batch(shared: &Arc<Shared>) -> Option<(ModelId, Vec<Pending>)> {
             let now = Instant::now();
             let n = q.by_model.len();
             // round-robin scan for a dispatchable queue
-            let mut pick = None;
-            for i in 0..n {
-                let idx = (q.rr + i) % n;
-                let (model, queue) = &q.by_model[idx];
-                if queue.is_empty() {
-                    continue;
-                }
-                let cap = effective_max_batch(*model, max_batch);
-                let due = queue.len() >= cap
-                    || q.draining
-                    || queue
-                        .front()
-                        .is_some_and(|p| p.enqueued + batch_wait <= now);
-                if due {
-                    pick = Some((idx, *model, cap));
-                    break;
-                }
-            }
-            if let Some((idx, model, cap)) = pick {
+            let pick = (0..n).map(|i| (q.rr + i) % n).find_map(|idx| {
+                let queue = &q.by_model[idx];
+                let head = queue.pending.front()?;
+                let cap = effective_max_batch(queue.model, max_batch);
+                let head_age = now.saturating_duration_since(head.enqueued);
+                let (len, gap) = (queue.pending.len(), queue.arrivals.gap());
+                due(len, cap, head_age, gap, batch_wait, q.draining).then_some((idx, cap))
+            });
+            if let Some((idx, cap)) = pick {
                 q.rr = (idx + 1) % n;
-                let queue = &mut q.by_model[idx].1;
-                let take = queue.len().min(cap);
-                let taken: Vec<Pending> = queue.drain(..take).collect();
+                let queue = &mut q.by_model[idx];
+                let model = queue.model;
+                let take = queue.pending.len().min(cap);
+                let taken: Vec<Pending> = queue.pending.drain(..take).collect();
                 q.queued_total -= taken.len();
                 return Some((model, taken));
             }
-            // nothing due yet: sleep until the earliest pending deadline
+            // every waiting request expects a companion: sleep until the
+            // earliest deadline; an arrival wakes the scan sooner
             let earliest = q
                 .by_model
                 .iter()
-                .filter_map(|(_, queue)| queue.front())
+                .filter_map(|queue| queue.pending.front())
                 .map(|p| p.enqueued + batch_wait)
                 .min();
             if let Some(deadline) = earliest {
-                let now = Instant::now();
-                let wait = if deadline > now {
-                    deadline - now
-                } else {
-                    Duration::ZERO
-                };
-                if !wait.is_zero() {
-                    let (guard, _) = shared.work.wait_timeout(q, wait).expect("queue lock");
-                    q = guard;
-                }
+                let wait = deadline.saturating_duration_since(Instant::now());
+                let woken = shared.work.wait_timeout(q, wait);
+                q = woken.unwrap_or_else(PoisonError::into_inner).0;
                 continue;
             }
         }
-        q = shared.work.wait(q).expect("queue lock");
+        q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -507,16 +616,7 @@ fn execute_batch(shared: &Arc<Shared>, model: ModelId, taken: Vec<Pending>) {
 
     let (graph, trace, exec) = match result {
         Ok(r) => r,
-        Err(e) => {
-            let mut stats = shared.stats.lock().expect("stats lock");
-            stats.errors += batch as u64;
-            drop(stats);
-            let msg = format!("execution failed: {e}");
-            for p in &taken {
-                p.reply.send(&error_response(&p.id, 500, &msg, None));
-            }
-            return;
-        }
+        Err(e) => return fail_batch(shared, &taken, &format!("execution failed: {e}")),
     };
 
     // split each output once, then assemble per-request records
@@ -533,16 +633,7 @@ fn execute_batch(shared: &Arc<Shared>, model: ModelId, taken: Vec<Pending>) {
                     rows[i].push((*node, row));
                 }
             }
-            Err(e) => {
-                let mut stats = shared.stats.lock().expect("stats lock");
-                stats.errors += batch as u64;
-                drop(stats);
-                let msg = format!("batch split failed: {e}");
-                for p in &taken {
-                    p.reply.send(&error_response(&p.id, 500, &msg, None));
-                }
-                return;
-            }
+            Err(e) => return fail_batch(shared, &taken, &format!("batch split failed: {e}")),
         }
     }
 
@@ -551,7 +642,15 @@ fn execute_batch(shared: &Arc<Shared>, model: ModelId, taken: Vec<Pending>) {
             .unwrap_or(Value::Null);
     let exec_us = exec.as_micros() as f64;
 
-    for (p, row) in taken.iter().zip(rows) {
+    // counted before answered: a client that asks for stats after its
+    // answer finds itself in them
+    {
+        let mut stats = lock(&shared.stats);
+        stats.completed += batch as u64;
+        stats.batches += 1;
+        stats.max_batch = stats.max_batch.max(batch);
+    }
+    reply_all(taken.iter().zip(rows).map(|(p, row)| {
         let queue_us = dispatched.duration_since(p.enqueued).as_micros() as f64;
         let outputs: Vec<Value> = row
             .iter()
@@ -579,15 +678,87 @@ fn execute_batch(shared: &Arc<Shared>, model: ModelId, taken: Vec<Pending>) {
             ("outputs", Value::Array(outputs)),
             ("breakdown", breakdown.clone()),
         ]);
-        p.reply.send(&ok_response(vec![
+        let response = ok_response(vec![
             ("id", Value::String(p.id.clone())),
             ("model", Value::String(alias.to_string())),
             ("result", record),
-        ]));
+        ]);
+        (&p.reply, response)
+    }));
+}
+
+/// Answers every request of a batch that could not be served with a 500.
+fn fail_batch(shared: &Arc<Shared>, taken: &[Pending], msg: &str) {
+    lock(&shared.stats).errors += taken.len() as u64;
+    reply_all(
+        taken
+            .iter()
+            .map(|p| (&p.reply, error_response(&p.id, 500, msg, None))),
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WAIT: Duration = Duration::from_millis(2);
+    const YOUNG: Duration = Duration::from_micros(100);
+    const DENSE: Duration = Duration::from_micros(500);
+    const SPARSE: Duration = Duration::from_millis(13);
+
+    #[test]
+    fn a_queue_is_due_when_waiting_cannot_add_a_companion() {
+        // dense arrivals and a young head: the one case worth holding
+        assert!(!due(1, 8, YOUNG, DENSE, WAIT, false));
+        assert!(!due(7, 8, YOUNG, DENSE, WAIT, false));
+        // full batch
+        assert!(due(8, 8, YOUNG, DENSE, WAIT, false));
+        assert!(due(1, 1, YOUNG, DENSE, WAIT, false));
+        // expired head, at and past the deadline
+        assert!(due(1, 8, WAIT, DENSE, WAIT, false));
+        assert!(due(1, 8, WAIT * 3, DENSE, WAIT, false));
+        // draining
+        assert!(due(1, 8, YOUNG, DENSE, WAIT, true));
+        // sparse arrivals, measured or not yet measurable
+        assert!(due(1, 8, YOUNG, SPARSE, WAIT, false));
+        assert!(due(1, 8, YOUNG, WAIT, WAIT, false));
+        assert!(due(1, 8, Duration::ZERO, Duration::MAX, WAIT, false));
+        // no linger configured: nothing is ever held
+        assert!(due(
+            1,
+            8,
+            Duration::ZERO,
+            Duration::ZERO,
+            Duration::ZERO,
+            false
+        ));
     }
 
-    let mut stats = shared.stats.lock().expect("stats lock");
-    stats.completed += batch as u64;
-    stats.batches += 1;
-    stats.max_batch = stats.max_batch.max(batch);
+    #[test]
+    fn the_gap_estimate_follows_a_hand_made_arrival_sequence() {
+        let t0 = Instant::now();
+        let at = |us: u64| t0 + Duration::from_micros(us);
+        let mut a = Arrivals::default();
+        assert_eq!(a.gap(), Duration::MAX);
+        a.observe(at(0));
+        assert_eq!(a.gap(), Duration::MAX, "one arrival measures no gap");
+        a.observe(at(8_000));
+        assert_eq!(a.gap(), Duration::from_micros(8_000));
+        // (3 * 8000 + 4000) / 4, then (3 * 7000 + 1000) / 4
+        a.observe(at(12_000));
+        assert_eq!(a.gap(), Duration::from_micros(7_000));
+        a.observe(at(13_000));
+        assert_eq!(a.gap(), Duration::from_micros(5_500));
+        // a burst drags the estimate under a 2 ms ceiling within five
+        // arrivals, and one long silence lifts it back over at once
+        for i in 1..=5 {
+            a.observe(at(13_000 + 100 * i));
+        }
+        assert!(a.gap() < WAIT, "gap {:?}", a.gap());
+        a.observe(at(1_013_500));
+        assert!(a.gap() >= WAIT, "gap {:?}", a.gap());
+        // a clock reading that does not advance is a zero gap, not a panic
+        a.observe(at(1_013_500));
+        a.observe(at(0));
+    }
 }

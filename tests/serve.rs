@@ -116,15 +116,23 @@ fn malformed_lines_get_400_not_disconnect() {
 }
 
 #[test]
-fn single_request_is_served_at_the_batch_deadline() {
-    // one lonely request must not wait forever for companions: the
-    // batch-wait deadline fires and it is served with batch_size == 1
-    let handle = start(test_config());
+fn a_lone_request_is_served_without_waiting_out_batch_wait() {
+    // batch_wait is a ceiling on holding a request for companions, and it
+    // applies only while arrivals are denser than it: one request after a
+    // quiet second has no companion to wait for and must not sit out the
+    // whole second
+    let config = ServeConfig {
+        batch_wait: Duration::from_secs(1),
+        ..test_config()
+    };
+    let handle = start(config);
+    std::thread::sleep(Duration::from_secs(1));
     let mut c = Client::connect(handle.addr()).unwrap();
     let resp = c.infer("bert", "solo", 7).unwrap();
     assert_eq!(resp["ok"], true, "response: {resp}");
     assert_eq!(resp["result"]["batch_size"], 1u64);
-    assert!(resp["result"]["queue_us"].as_f64().unwrap() >= 0.0);
+    let queue_us = resp["result"]["queue_us"].as_f64().unwrap();
+    assert!((0.0..100_000.0).contains(&queue_us), "queue_us {queue_us}");
     assert!(resp["result"]["exec_us"].as_f64().unwrap() > 0.0);
     // the taxonomy breakdown rides along on every response
     assert!(resp["result"]["breakdown"]["total_s"].as_f64().unwrap() > 0.0);
@@ -139,6 +147,84 @@ fn single_request_is_served_at_the_batch_deadline() {
     };
     assert_eq!(final_stats.completed, 1);
     assert_eq!(final_stats.accepted, 1);
+}
+
+#[test]
+fn sequential_round_trips_never_wait_for_a_delayed_ack() {
+    // a client that sends nothing between exchanges acknowledges a segment
+    // only after the delayed-ACK timer (about 40 ms on Linux loopback): a
+    // line that travels as two segments pays that on every exchange, here
+    // about a second in all
+    let handle = start(test_config());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let started = std::time::Instant::now();
+    for _ in 0..25 {
+        assert_eq!(c.request(&Request::Ping).unwrap()["pong"], true);
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(500), "25 pings took {took:?}");
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn an_endless_request_line_gets_one_400_and_only_that_connection_closes() {
+    use std::io::{Read, Write};
+    let handle = start(test_config());
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    // a server that waits for the newline never answers: fail, do not hang
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&vec![b'x'; 100 * 1024]).unwrap();
+    let mut answer = String::new();
+    // read to the end: the server closes its side after the one answer
+    raw.read_to_string(&mut answer).unwrap();
+    let lines: Vec<&str> = answer.lines().collect();
+    assert_eq!(lines.len(), 1, "answer: {answer}");
+    let resp: serde_json::Value = serde_json::from_str(lines[0]).unwrap();
+    assert_eq!(resp["ok"], false);
+    assert_eq!(resp["error"]["code"], 400u64);
+    assert_eq!(resp["error"]["message"], "request line too long");
+
+    let mut c = Client::connect(handle.addr()).unwrap();
+    assert_eq!(c.request(&Request::Ping).unwrap()["pong"], true);
+    assert_eq!(handle.stats().errors, 1);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn an_invalid_seed_is_refused_and_the_largest_exact_one_is_served() {
+    use std::io::Write;
+    let handle = start(test_config());
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    // 2^53 is where the wire's f64 stops carrying every integer
+    let bad = ["-1", "1.5", "\"7\"", "9007199254740992"];
+    for seed in bad {
+        let line = format!("{{\"op\":\"infer\",\"model\":\"bert\",\"seed\":{seed}}}\n");
+        raw.write_all(line.as_bytes()).unwrap();
+        let mut answer = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut answer).unwrap();
+        let resp: serde_json::Value = serde_json::from_str(&answer).unwrap();
+        assert_eq!(resp["ok"], false, "seed {seed}: {resp}");
+        assert_eq!(resp["error"]["code"], 400u64, "seed {seed}: {resp}");
+        let message = resp["error"]["message"].as_str().unwrap();
+        assert!(message.contains("seed"), "seed {seed}: {message}");
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.errors, bad.len() as u64);
+    assert_eq!(stats.accepted, 0, "no bad seed ran as the default seed");
+
+    let largest = (1u64 << 53) - 1;
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let resp = c.infer("bert", "edge", largest).unwrap();
+    assert_eq!(resp["ok"], true, "response: {resp}");
+    assert_eq!(
+        response_digests(&resp),
+        solo_digests(ModelId::Bert, OptLevel::O0, largest)
+    );
+    handle.shutdown();
+    handle.join();
 }
 
 #[test]
