@@ -1,8 +1,9 @@
 //! # ngb-bench
 //!
-//! Figure/table regeneration binaries for the NonGEMM Bench reproduction,
-//! plus the Criterion kernel benches. Each binary prints the rows/series
-//! of one paper artifact (see DESIGN.md §4 for the index):
+//! The binaries that regenerate `artifacts/` for the NonGEMM Bench
+//! reproduction, plus the two Criterion kernel benches (`gemm_kernels`,
+//! `nongemm_kernels`). Each binary prints the rows/series of one paper
+//! artifact or extension experiment (see DESIGN.md §4 for the index):
 //!
 //! * `fig1` — GPT2-XL & ViT-L/16 GEMM vs non-GEMM, CPU vs +A100
 //! * `fig5` / `fig6` — data-center / workstation group breakdowns
@@ -13,6 +14,12 @@
 //! * `table5` — benchmark feature comparison
 //! * `summary` — the §4.3 headline averages
 //! * `microbench` — the standalone operator registry replay
+//! * `ablation`, `sensitivity`, `batch_sweep`, `energy`,
+//!   `attention_fusion`, `decode` — the extension experiments
+//!
+//! Wall-clock measurement of the stack itself (graph execution, serving,
+//! decode, sharding) is not here: it lives in the standalone `benchmark/`
+//! crate declared by `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]
 

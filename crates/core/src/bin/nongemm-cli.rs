@@ -142,7 +142,7 @@ struct Args {
     cpu_only: bool,
     measured: bool,
     microbench: bool,
-    sanitize: Option<bool>,
+    sanitize: bool,
     trace: Option<String>,
 }
 
@@ -169,7 +169,7 @@ struct GenerateArgs {
 #[derive(Debug)]
 struct ShardArgs {
     common: Common,
-    devices: Option<String>,
+    devices: String,
     strategy: nongemm::shard::Strategy,
     microbatches: usize,
 }
@@ -212,7 +212,6 @@ RUN OPTIONS:
   --intra-op <on|off>   intra-op data parallelism for --measured
                         (default: $NGB_INTRAOP or on)
   --sanitize            run --measured under the shadow-memory sanitizer
-                        (default: $NGB_SANITIZE or off)
   --format <fmt>        text | csv | json (default: text)
   --trace <path>        also write a Chrome trace JSON per model
 
@@ -222,8 +221,7 @@ GENERATE OPTIONS:
   --tiny                use the executable tiny presets
   --prompt-len <n>      synthetic prompt length (default: 4)
   --max-new-tokens <n>  tokens to generate greedily (default: 16)
-  --quantize <q>        none | int8 weight-quantized GEMMs
-                        (default: $NGB_QUANT or none)
+  --quantize <q>        none | int8 weight-quantized GEMMs (default: none)
   --threads <n>         worker threads (default: $NGB_THREADS or 1)
 
 VERIFY OPTIONS:
@@ -248,16 +246,15 @@ SANITIZE OPTIONS:
   --format <fmt>        text | json (default: text)
 
 SERVE OPTIONS:
-  --addr <host:port>    listen address (default: $NGB_SERVE_ADDR or
-                        127.0.0.1:0 — port 0 picks an ephemeral port,
-                        printed on startup)
-  --max-batch <n>       largest dynamic batch (default: $NGB_SERVE_MAX_BATCH
-                        or 8; batch-opaque models always execute at 1)
+  --addr <host:port>    listen address (default: 127.0.0.1:0 — port 0
+                        picks an ephemeral port, printed on startup)
+  --max-batch <n>       largest dynamic batch (default: 8; batch-opaque
+                        models always execute at 1)
   --batch-wait-us <n>   ceiling on holding a request for companions,
                         applied only while arrivals are denser than it
-                        (default: $NGB_SERVE_BATCH_WAIT_US or 2000)
+                        (default: 2000)
   --queue-cap <n>       per-model admission queue bound; 0 rejects all
-                        (default: $NGB_SERVE_QUEUE_CAP or 64)
+                        (default: 64)
   --threads <n>         executor worker threads (default: $NGB_THREADS or 1)
   --opt-level <0|1|2>   graph-rewrite level for served graphs
                         (default: $NGB_OPT or 0)
@@ -268,7 +265,7 @@ SHARD OPTIONS:
   --model <alias>       model alias (repeatable; default: all 18)
   --devices <spec>      device roster: kind names cpu|gpu|npu joined by '+',
                         with optional <n>x repeat — 2xgpu, gpu+cpu, 4xgpu,
-                        2xgpu+npu (default: $NGB_DEVICES or 2xgpu)
+                        2xgpu+npu (default: 2xgpu)
   --strategy <s>        pipeline | tensor (default: pipeline)
   --microbatches <n>    pipeline microbatches / replays (default: 4)
   --batch <n>           batch size (default: 1)
@@ -292,15 +289,9 @@ CI OPTIONS:
 ENVIRONMENT:
   NGB_THREADS / NGB_OPT      defaults for --threads / --opt-level
   NGB_INTRAOP                default for --intra-op (0/off/false disable)
-  NGB_SANITIZE               default for --sanitize (0/off/false disable)
-  NGB_QUANT                  default for generate --quantize (none | int8)
-  NGB_INTRAOP_MIN_ELEMS      min elements before a kernel splits into
-                             intra-op chunks (work-budget heuristic)
-  NGB_SERVE_ADDR             default for serve --addr
-  NGB_SERVE_MAX_BATCH        default for serve --max-batch
-  NGB_SERVE_BATCH_WAIT_US    default for serve --batch-wait-us
-  NGB_SERVE_QUEUE_CAP        default for serve --queue-cap
-  NGB_DEVICES                default for shard --devices (e.g. 2xgpu, gpu+cpu)
+  NGB_NO_WALLCLOCK           ci: skip the measured channel (non-empty, not 0)
+  NGB_WALLCLOCK_FACTOR       ci: tolerated wall-clock slow-down (default 10)
+  NGB_OUT_DIR                ngb-bench figure binaries also write CSV here
 
 EXIT CODES:
   0  success / clean    1  failure or regression    2  usage error
@@ -379,7 +370,7 @@ fn parse_run_args(argv: &[String]) -> Args {
         cpu_only: false,
         measured: false,
         microbench: false,
-        sanitize: None,
+        sanitize: false,
         trace: None,
     };
     let mut it = argv.iter();
@@ -414,7 +405,7 @@ fn parse_run_args(argv: &[String]) -> Args {
             "--cpu-only" => args.cpu_only = true,
             "--measured" => args.measured = true,
             "--microbench" => args.microbench = true,
-            "--sanitize" => args.sanitize = Some(true),
+            "--sanitize" => args.sanitize = true,
             "--trace" => args.trace = Some(take_value(&mut it, "--trace")),
             other => unknown_argument(other),
         }
@@ -459,7 +450,7 @@ fn parse_sanitize_args(argv: &[String]) -> SanitizeArgs {
 }
 
 /// Builds a [`nongemm::serve::ServeConfig`] from the command line on top
-/// of the `NGB_SERVE_*` environment defaults.
+/// of its defaults.
 fn parse_serve_args(argv: &[String]) -> nongemm::serve::ServeConfig {
     let mut config = nongemm::serve::ServeConfig::default();
     let mut common = Common::new(
@@ -556,7 +547,7 @@ fn parse_shard_args(argv: &[String]) -> ShardArgs {
             "shard",
             &["--model", "--batch", "--tiny", "--opt-level", "--format"],
         ),
-        devices: None,
+        devices: "2xgpu".to_string(),
         strategy: nongemm::shard::Strategy::Pipeline,
         microbatches: nongemm::shard::DEFAULT_MICROBATCHES,
     };
@@ -566,7 +557,7 @@ fn parse_shard_args(argv: &[String]) -> ShardArgs {
             continue;
         }
         match arg.as_str() {
-            "--devices" => args.devices = Some(take_value(&mut it, "--devices")),
+            "--devices" => args.devices = take_value(&mut it, "--devices"),
             "--strategy" => {
                 let v = take_value(&mut it, "--strategy");
                 args.strategy = nongemm::shard::Strategy::parse(&v).unwrap_or_else(|| {
@@ -587,13 +578,13 @@ fn parse_shard_args(argv: &[String]) -> ShardArgs {
 fn run_shard(argv: &[String]) -> ExitCode {
     use nongemm::shard::{self, DeviceSpec, ShardOptions};
     let args = parse_shard_args(argv);
-    let spec = match &args.devices {
-        Some(s) => DeviceSpec::parse(s).unwrap_or_else(|| {
-            eprintln!("--devices '{s}' is not a valid roster (try 2xgpu or gpu+cpu)");
-            usage()
-        }),
-        None => shard::env_devices("2xgpu"),
-    };
+    let spec = DeviceSpec::parse(&args.devices).unwrap_or_else(|| {
+        eprintln!(
+            "--devices '{}' is not a valid roster (try 2xgpu or gpu+cpu)",
+            args.devices
+        );
+        usage()
+    });
     let devices = spec.roster();
     let bench = NonGemmBench::new(args.common.bench_config());
     let graphs = match bench.build_graphs() {
@@ -624,11 +615,7 @@ fn run_shard(argv: &[String]) -> ExitCode {
                     .iter()
                     .zip(&reference.outputs)
                     .all(|((si, sv), (ri, rv))| {
-                        let a = sv.to_vec_f32().unwrap_or_default();
-                        let b = rv.to_vec_f32().unwrap_or_default();
-                        si == ri
-                            && a.len() == b.len()
-                            && a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits())
+                        si == ri && nongemm::tensor::bit_equal(sv, rv).unwrap_or(false)
                     });
             if !identical {
                 return Err("sharded outputs diverge from single-device execution".into());

@@ -114,8 +114,7 @@ pub struct BenchConfig {
     /// `None` means auto: honor `NGB_INTRAOP` when set, else on.
     pub intra_op: Option<bool>,
     /// Shadow-memory execution sanitizer for measured execution.
-    /// `None` means auto: honor `NGB_SANITIZE` when set, else off.
-    pub sanitize: Option<bool>,
+    pub sanitize: bool,
 }
 
 impl Default for BenchConfig {
@@ -131,7 +130,7 @@ impl Default for BenchConfig {
             threads: 0,
             opt_level: None,
             intra_op: None,
-            sanitize: None,
+            sanitize: false,
         }
     }
 }
@@ -237,9 +236,9 @@ impl NonGemmBench {
 
     /// The engine value measured runs use: seed `0x5eed`, the parallel
     /// engine when the `threads` setting (or `NGB_THREADS` when it is `0`)
-    /// asks for more than one worker, and the explicit `intra_op` /
-    /// `sanitize` settings over the `NGB_INTRAOP` / `NGB_SANITIZE`
-    /// defaults [`Interpreter::new`] resolves.
+    /// asks for more than one worker, the explicit `intra_op` setting over
+    /// the `NGB_INTRAOP` default [`Interpreter::new`] resolves, and the
+    /// `sanitize` setting.
     pub fn interpreter(&self) -> Interpreter {
         let mut interp = Interpreter::new(0x5eed);
         if self.threads() > 1 {
@@ -248,10 +247,7 @@ impl NonGemmBench {
         if let Some(on) = self.config.intra_op {
             interp = interp.intra_op(on);
         }
-        if let Some(on) = self.config.sanitize {
-            interp = interp.sanitize(on);
-        }
-        interp
+        interp.sanitize(self.config.sanitize)
     }
 
     /// Runs the end-to-end flow by real host execution (sensible with
@@ -477,7 +473,7 @@ mod tests {
             models: vec!["gpt2".into(), "mrcnn".into()],
             scale: Scale::Tiny,
             threads: 2,
-            sanitize: Some(true),
+            sanitize: true,
             ..BenchConfig::default()
         });
         assert!(b.interpreter().sanitize_enabled());

@@ -160,17 +160,16 @@ impl Default for Interpreter {
 
 impl Interpreter {
     /// Creates a sequential interpreter whose weights derive from `seed`.
-    /// The intra-op, sanitizer and quantization settings start from
-    /// `NGB_INTRAOP` (on when unset), `NGB_SANITIZE` (off) and `NGB_QUANT`
-    /// (`none`), read here once.
+    /// Intra-op parallelism starts from `NGB_INTRAOP` (on when unset),
+    /// read here once; the sanitizer starts off and weights unquantized.
     pub fn new(seed: u64) -> Interpreter {
         Interpreter {
             seed,
             preflight: false,
             engine: Engine::Sequential,
             intra_op: crate::env_intraop(true),
-            sanitize: crate::env_sanitize(false),
-            quant: crate::env_quant(Quant::None),
+            sanitize: false,
+            quant: Quant::None,
             store: Arc::default(),
             pool: Arc::default(),
         }

@@ -19,7 +19,7 @@ use ngb_ops::parallel::IntraOpRunner;
 use crate::pool::ThreadPool;
 
 /// Scoped intra-op runner over the engine's [`ThreadPool`].
-pub struct PoolRunner {
+pub(crate) struct PoolRunner {
     pool: Weak<ThreadPool>,
     threads: usize,
 }
@@ -36,7 +36,7 @@ impl PoolRunner {
     /// A runner dispatching helper chunks onto `pool`. Holds only a weak
     /// handle: if the pool is gone the runner degrades to serial, and it
     /// can never keep worker threads alive past their pool's drop.
-    pub fn new(pool: &Arc<ThreadPool>) -> PoolRunner {
+    pub(crate) fn new(pool: &Arc<ThreadPool>) -> PoolRunner {
         PoolRunner {
             threads: pool.threads(),
             pool: Arc::downgrade(pool),

@@ -21,15 +21,17 @@
 //!   execution order.
 //! * [`BufferPlan`] — the static liveness pass whose consumer counts the
 //!   core follows and `ngb-sanitize` certifies.
-//! * [`PoolRunner`] — scoped intra-op dispatch: kernels partition work
-//!   into shape-pure chunks (`ngb_ops::parallel`) that fan out across
-//!   idle pool workers, sharing one pool with node-level scheduling.
+//! * `PoolRunner` (crate-internal) — scoped intra-op dispatch: kernels
+//!   partition work into shape-pure chunks (`ngb_ops::parallel`) that fan
+//!   out across idle pool workers, sharing one pool with node-level
+//!   scheduling.
 //!
-//! This file is the only reader of `NGB_THREADS`, `NGB_INTRAOP`,
-//! `NGB_SANITIZE` and `NGB_QUANT` ([`env_threads`], [`env_intraop`],
-//! [`env_sanitize`], [`env_quant`]); [`Interpreter::new`] resolves the
-//! last three once, and the thread count arrives by explicit
-//! [`Engine::Parallel`] selection.
+//! This file is the only reader of `NGB_THREADS` and `NGB_INTRAOP`
+//! ([`env_threads`], `env_intraop`); [`Interpreter::new`] resolves the
+//! second once, and the thread count arrives by explicit
+//! [`Engine::Parallel`] selection. The sanitizer and quantization have no
+//! variable: [`Interpreter::sanitize`] and [`Interpreter::quantize`] set
+//! them.
 //!
 //! # Examples
 //!
@@ -64,7 +66,6 @@ mod schedule;
 
 pub use bufplan::BufferPlan;
 pub use interp::{preflight_check, synth_input, Engine, ExecutionTrace, Interpreter, NodeTiming};
-pub use intraop::PoolRunner;
 pub use ngb_ops::Quant;
 pub use params::{ArenaStats, ParamStore, MAX_RESIDENT_BYTES};
 pub use pool::ThreadPool;
@@ -85,31 +86,11 @@ pub fn env_threads(fallback: usize) -> usize {
 /// Reads the intra-op parallelism switch from `NGB_INTRAOP`: `0`, `off`,
 /// or `false` disable it, anything else enables it, and `fallback` applies
 /// when the variable is unset.
-pub fn env_intraop(fallback: bool) -> bool {
+pub(crate) fn env_intraop(fallback: bool) -> bool {
     match std::env::var("NGB_INTRAOP") {
         Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
         Err(_) => fallback,
     }
-}
-
-/// Reads the execution-sanitizer switch from `NGB_SANITIZE`: `0`, `off`,
-/// or `false` disable it, anything else enables it, and `fallback` applies
-/// when the variable is unset (the sanitizer defaults to off).
-pub fn env_sanitize(fallback: bool) -> bool {
-    match std::env::var("NGB_SANITIZE") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => fallback,
-    }
-}
-
-/// Reads the weight-quantization mode from `NGB_QUANT` (`int8`/`i8`
-/// select int8; `none`/`off`/`fp32` select full precision); `fallback`
-/// applies when the variable is unset or unparsable.
-pub fn env_quant(fallback: Quant) -> Quant {
-    std::env::var("NGB_QUANT")
-        .ok()
-        .and_then(|v| Quant::parse(&v))
-        .unwrap_or(fallback)
 }
 
 /// Default worker count: `NGB_THREADS` if set, else the host's available

@@ -14,9 +14,9 @@
 //! inputs under the run lock, executes it unlocked, finishes it under the
 //! lock again, and enqueues tickets for newly-ready successors. Workers
 //! are free between tickets, which is what lets intra-op helper chunks
-//! (spawned by kernels through [`crate::PoolRunner`] when intra-op is on)
-//! interleave on the same pool instead of starving behind long-lived node
-//! loops.
+//! (spawned by kernels through [`crate::intraop::PoolRunner`] when
+//! intra-op is on) interleave on the same pool instead of starving behind
+//! long-lived node loops.
 //!
 //! A kernel error (or panic) aborts the run cleanly: the first failure is
 //! recorded, remaining tickets drain without executing, in-flight kernels

@@ -15,8 +15,8 @@
 //! reports the offending node ids *and* the recent history of the slot's
 //! accesses — enough to replay the interleaving that produced it. All
 //! checks sit behind one mutex; the sanitizer is a debugging mode
-//! (`--sanitize` / `NGB_SANITIZE`), not a fast path, and when disabled
-//! the executors hold no [`ShadowMemory`] at all (zero overhead).
+//! (`--sanitize`, `Interpreter::sanitize`), not a fast path, and when
+//! disabled the executors hold no [`ShadowMemory`] at all (zero overhead).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -23,19 +23,10 @@ use ngb_tensor::Tensor;
 use crate::Result;
 
 /// Elements per chunk: 32 Ki f32 elements (128 KiB) keeps a chunk's
-/// working set cache-resident while amortizing dispatch overhead.
+/// working set cache-resident while amortizing dispatch overhead. It is
+/// also the work-budget floor [`par_for`] and [`par_rows`] pass as
+/// `min_elems`: tensors smaller than one grain stay serial (one chunk).
 pub const GRAIN_ELEMS: usize = 32 * 1024;
-
-/// Work-budget floor: tensors smaller than this stay serial (one chunk).
-/// Overridable via `NGB_INTRAOP_MIN_ELEMS`; the threshold only collapses
-/// the chunk count to 1, so changing it never changes results.
-pub fn min_intraop_elems() -> usize {
-    std::env::var("NGB_INTRAOP_MIN_ELEMS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(GRAIN_ELEMS)
-}
 
 // ----------------------------------------------------------------------
 // Partitioning: pure functions of (total, row_len) only
@@ -190,19 +181,18 @@ fn run_chunks(chunks: usize, job: &(dyn Fn(usize) + Sync)) -> usize {
 // ----------------------------------------------------------------------
 
 /// Runs `job` over disjoint element ranges that exactly partition
-/// `0..total`. The split depends only on `total` (and the env threshold),
-/// never on thread count.
+/// `0..total`. The split depends only on `total`, never on thread count.
 pub fn par_for(total: usize, job: impl Fn(Range<usize>) + Sync) {
-    let chunks = element_chunks(total, min_intraop_elems());
+    let chunks = element_chunks(total, GRAIN_ELEMS);
     let participants = run_chunks(chunks, &|c| job(element_range(total, chunks, c)));
     record(chunks, participants);
 }
 
 /// Runs `job` over disjoint row ranges that exactly partition `0..rows`,
 /// where each row is a work unit of `row_len` elements. The split depends
-/// only on `(rows, row_len)` (and the env threshold).
+/// only on `(rows, row_len)`.
 pub fn par_rows(rows: usize, row_len: usize, job: impl Fn(Range<usize>) + Sync) {
-    let chunks = row_chunks(rows, row_len, min_intraop_elems());
+    let chunks = row_chunks(rows, row_len, GRAIN_ELEMS);
     let participants = run_chunks(chunks, &|c| job(row_range(rows, row_len, chunks, c)));
     record(chunks, participants);
 }

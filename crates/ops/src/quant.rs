@@ -25,8 +25,7 @@ use crate::Result;
 
 /// Weight-quantization mode for a deployment flow. `None` is the f32
 /// reference path; `Int8` quantizes Linear/Conv1D weights per output
-/// channel at execution time. Selected via `--quantize int8` or
-/// `NGB_QUANT=int8`.
+/// channel at execution time. Selected via `--quantize int8`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Quant {
     /// Full-precision f32 weights (the default).
@@ -38,7 +37,7 @@ pub enum Quant {
 }
 
 impl Quant {
-    /// Parses a CLI/env spelling. Accepts `none`/`off`/`fp32`/`f32` and
+    /// Parses a CLI spelling. Accepts `none`/`off`/`fp32`/`f32` and
     /// `int8`/`i8`; anything else is `None` (the Option, i.e. invalid).
     pub fn parse(s: &str) -> Option<Quant> {
         match s.trim().to_ascii_lowercase().as_str() {

@@ -319,7 +319,7 @@ proptest! {
         // chunk-of-blocks → rows: expanding each chunk's blocks must
         // re-cover 0..m exactly
         let mut rows_covered = 0usize;
-        for chunk in parallel::row_partition(units, unit_len, parallel::min_intraop_elems()) {
+        for chunk in parallel::row_partition(units, unit_len, parallel::GRAIN_ELEMS) {
             for ib in chunk {
                 prop_assert_eq!(blocks[ib].start, rows_covered);
                 rows_covered = blocks[ib].end;

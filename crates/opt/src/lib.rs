@@ -26,7 +26,7 @@
 //!   `Reshape`/`View` on the path stays zero-copy under the incoming
 //!   strides (checked with [`ngb_tensor::reshape_strides`]). The strided
 //!   kernels are bit-identical to their contiguous fast paths, so elision
-//!   never changes results. Disable with `NGB_ELIDE=0`.
+//!   never changes results; [`optimize_with`] can pin it off.
 //!
 //! Passes run to a fixpoint; every rewrite strictly shrinks the graph, so
 //! the loop terminates. Rewritten nodes carry `seed_hint` (and fused
@@ -168,24 +168,15 @@ impl OptReport {
     }
 }
 
-/// Whether contiguous elision is enabled: `NGB_ELIDE` unset or anything
-/// other than `"0"` means on.
-pub fn elide_enabled() -> bool {
-    std::env::var("NGB_ELIDE").map(|v| v != "0").unwrap_or(true)
-}
-
 /// Rewrites `graph` at `level`, returning the optimized graph and a
 /// report of what changed. At [`OptLevel::O0`] the graph is returned
-/// unchanged (a plain clone). Contiguous elision is controlled by the
-/// `NGB_ELIDE` environment variable (default on at `O1+`); use
-/// [`optimize_with`] to pin it explicitly.
+/// unchanged (a plain clone); at `O1+` contiguous elision is on.
 pub fn optimize(graph: &Graph, level: OptLevel) -> (Graph, OptReport) {
-    optimize_with(graph, level, elide_enabled())
+    optimize_with(graph, level, true)
 }
 
-/// [`optimize`] with contiguous elision pinned on or off, independent of
-/// the `NGB_ELIDE` environment variable (tests and sweeps use this to
-/// avoid process-global env races).
+/// [`optimize`] with contiguous elision pinned on or off (the layout
+/// tests compare the two; the regress snapshots pin it on).
 pub fn optimize_with(graph: &Graph, level: OptLevel, elide: bool) -> (Graph, OptReport) {
     let mut report = OptReport {
         nodes_before: graph.len(),

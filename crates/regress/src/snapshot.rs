@@ -240,8 +240,7 @@ impl ModelBaseline {
 /// Propagates graph-construction errors.
 pub fn snapshot(id: ModelId, scale: Scale, level: OptLevel) -> Result<Snapshot, TensorError> {
     let built = id.build(1, scale)?;
-    // Elision pinned on (the default) so baselines never depend on the
-    // ambient NGB_ELIDE environment.
+    // Elision pinned on: the committed baselines record elided graphs.
     let (graph, opt_report) = optimize_with(&built, level, true);
     let analysis = Analyzer::new().analyze(&graph);
     let (deny, warn, allow) = analysis.severity_counts();

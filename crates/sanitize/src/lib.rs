@@ -18,9 +18,9 @@
 //!    cover of its output.
 //!
 //! The dynamic counterpart is the shadow-memory sanitizer in `ngb-exec`
-//! ([`ngb_exec::ShadowMemory`], `--sanitize` / `NGB_SANITIZE`); the
-//! [`faults`] module provides the seeded mutators that prove both halves
-//! actually detect each hazard class.
+//! ([`ngb_exec::ShadowMemory`], `--sanitize`); the [`faults`] module
+//! provides the seeded mutators that prove both halves actually detect
+//! each hazard class.
 //!
 //! # Examples
 //!

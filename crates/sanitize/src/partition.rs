@@ -91,7 +91,7 @@ pub fn verify_ranges(
 /// Symbolically checks every decomposition each node's kernels can
 /// dispatch for the node's static output shape.
 pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
-    let min = parallel::min_intraop_elems();
+    let min = parallel::GRAIN_ELEMS;
     for node in graph.iter() {
         let numel = ngb_tensor::num_elements(&node.out_shape);
         verify_ranges(

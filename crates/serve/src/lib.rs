@@ -67,8 +67,8 @@ pub const DEFAULT_BATCH_WAIT_US: u64 = 2_000;
 /// Default per-model queue capacity (admission control bound).
 pub const DEFAULT_QUEUE_CAP: usize = 64;
 
-/// Server configuration. `Default` reads the `NGB_SERVE_*` environment
-/// overrides, falling back to the crate's `DEFAULT_*` constants.
+/// Server configuration. `Default` is the crate's `DEFAULT_*` constants,
+/// with the rewrite level from `NGB_OPT`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// TCP listen address, e.g. `"127.0.0.1:7077"`.
@@ -101,15 +101,12 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            addr: env_string("NGB_SERVE_ADDR", DEFAULT_ADDR),
+            addr: DEFAULT_ADDR.to_string(),
             scale: Scale::Full,
             opt_level: OptLevel::from_env(),
-            max_batch: env_usize("NGB_SERVE_MAX_BATCH", DEFAULT_MAX_BATCH).max(1),
-            batch_wait: Duration::from_micros(env_u64(
-                "NGB_SERVE_BATCH_WAIT_US",
-                DEFAULT_BATCH_WAIT_US,
-            )),
-            queue_cap: env_usize("NGB_SERVE_QUEUE_CAP", DEFAULT_QUEUE_CAP),
+            max_batch: DEFAULT_MAX_BATCH,
+            batch_wait: Duration::from_micros(DEFAULT_BATCH_WAIT_US),
+            queue_cap: DEFAULT_QUEUE_CAP,
             threads: 0,
             intra_op: None,
             seed: 0x5eed,
@@ -126,22 +123,4 @@ impl ServeConfig {
             self.threads
         }
     }
-}
-
-fn env_string(key: &str, default: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| default.to_string())
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }

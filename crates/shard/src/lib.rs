@@ -25,8 +25,7 @@
 //! consuming device; the executor moves the tensors over channels and the
 //! profile charges each transfer the modeled PCIe latency of its link.
 //! Both strategies are verified bit-identical to the single-device
-//! interpreter for all 18 benchmark models (see `tests/shard.rs` and the
-//! `shard` CI stage).
+//! interpreter for all 18 benchmark models (see `tests/shard.rs`).
 //!
 //! # Examples
 //!
@@ -55,7 +54,7 @@
 mod plan;
 mod run;
 
-pub use plan::{partition, ModeledEstimate, ShardOptions, ShardPlan, Stage, DEFAULT_MICROBATCHES};
+pub use plan::{partition, ModeledEstimate, ShardOptions, ShardPlan, DEFAULT_MICROBATCHES};
 pub use run::{execute, ShardRun};
 
 use ngb_platform::{DeviceKind, DeviceModel};
@@ -94,9 +93,9 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// A parsed `--devices` / `NGB_DEVICES` roster: `2xgpu`, `gpu+cpu`,
-/// `4xgpu`, `gpu+gpu+npu`, … Each element names a device class; `Nx`
-/// prefixes repeat it.
+/// A parsed `--devices` roster: `2xgpu`, `gpu+cpu`, `4xgpu`,
+/// `gpu+gpu+npu`, … Each element names a device class; `Nx` prefixes
+/// repeat it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceSpec {
     /// Device kinds in roster order (device index order).
@@ -172,15 +171,6 @@ impl DeviceSpec {
             .collect();
         names.join("+")
     }
-}
-
-/// Reads the device roster from `NGB_DEVICES`, falling back to `fallback`
-/// when the variable is unset or unparsable.
-pub fn env_devices(fallback: &str) -> DeviceSpec {
-    let spec = std::env::var("NGB_DEVICES").unwrap_or_default();
-    DeviceSpec::parse(&spec)
-        .or_else(|| DeviceSpec::parse(fallback))
-        .expect("fallback device spec must parse")
 }
 
 /// Modeled latency of moving `bytes` from `src` to `dst`: each non-CPU

@@ -24,18 +24,6 @@ pub struct ShardOptions {
     pub identity_placement: bool,
 }
 
-/// One device's share of a plan, for reports.
-#[derive(Debug, Clone)]
-pub struct Stage {
-    /// Device index (roster order).
-    pub device: usize,
-    /// Plan nodes owned by the device.
-    pub nodes: usize,
-    /// Modeled compute seconds for one microbatch, including collective
-    /// kernels and the PCIe charge of incoming transfers.
-    pub modeled_s: f64,
-}
-
 /// Modeled performance of a plan at a given microbatch count.
 #[derive(Debug, Clone)]
 pub struct ModeledEstimate {
@@ -93,17 +81,6 @@ impl ShardPlan {
     /// Number of devices that own at least one node.
     pub fn active_devices(&self) -> usize {
         self.device_s.iter().filter(|&&s| s > 0.0).count().max(1)
-    }
-
-    /// Per-device stage summary, in device order.
-    pub fn stages(&self) -> Vec<Stage> {
-        (0..self.devices.len())
-            .map(|d| Stage {
-                device: d,
-                nodes: self.device_of.iter().filter(|&&x| x == d).count(),
-                modeled_s: self.device_s[d],
-            })
-            .collect()
     }
 
     /// Modeled performance at `microbatches` replays.

@@ -6,8 +6,7 @@
 #   CI_STAGES=test-opt,regress scripts/ci.sh
 #
 # Stages: fmt, clippy, test, test-parallel, test-opt, test-intraop,
-# sanitize, serve, decode, shard, contiguous-ratchet, one-executor,
-# regress, benchmark.
+# sanitize, serve, contiguous-ratchet, one-executor, regress, benchmark.
 # Unknown stage names in CI_STAGES exit 2 with the valid list, so a typo
 # never silently skips every gate.
 # The contiguous-ratchet stage pins the declared list of eager
@@ -18,9 +17,12 @@
 # test modules, the shadow-memory read hook, the contiguous-copy counter
 # read and the parameter fetch — the calls every copy of the
 # gather/execute/finish loop has to make — must each live in exactly one
-# file of the executing crates, and the four NGB_* engine variables must
-# be read only by crates/exec/src/lib.rs. A second loop or a second knob
-# parser fails CI until it is justified here.
+# file of the executing crates, and each NGB_* variable has one reader:
+# outside test modules env::var("NGB_ may appear only in
+# crates/exec/src/lib.rs (THREADS, INTRAOP), crates/opt/src/lib.rs (OPT),
+# crates/regress/src/{diff,gate}.rs (WALLCLOCK_FACTOR, NO_WALLCLOCK) and
+# crates/bench/src/lib.rs (OUT_DIR). A second loop, a seventh variable or
+# a second reader of an existing one fails CI until it is justified here.
 # The sanitize stage audits that unsafe code stays confined to ngb-ops
 # and ngb-exec, lints the verifier crate at -D warnings, and runs the
 # 18-model hazard sweep (static verifier + shadow-memory execution) on a
@@ -33,16 +35,6 @@
 # --batch-wait-us: sparser traffic is dispatched at once and need not
 # batch. It also greps that no response or request can leave in two
 # segments (no separate newline write, TCP_NODELAY on both ends).
-# The decode stage greedy-decodes 32 tokens on tiny gpt2 and llama2 and
-# asserts the cached KV path is bit-identical to the uncached recompute,
-# the int8 weight-quantized path stays within its documented tolerance,
-# and throughput is positive; the batch sweep lands in
-# target/ci/BENCH_DECODE.json for artifact upload.
-# The shard stage partitions all 18 tiny models across 2- and 4-device
-# rosters with both the pipeline and tensor strategies, executes every
-# plan on per-device threads, and fails unless each run is bit-identical
-# to single-device execution; modeled + executed stage times, bubbles,
-# and transfer bytes land in target/ci/BENCH_SHARD.json for upload.
 # The regress stage writes target/ci/regress-report.{json,txt} so CI can
 # upload the diff report as an artifact; tune it with NGB_NO_WALLCLOCK=1
 # (skip the measured smoke channel) or NGB_WALLCLOCK_FACTOR=<f> (extra
@@ -55,7 +47,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES="fmt,clippy,test,test-parallel,test-opt,test-intraop,sanitize,serve,decode,shard,contiguous-ratchet,one-executor,regress,benchmark"
+ALL_STAGES="fmt,clippy,test,test-parallel,test-opt,test-intraop,sanitize,serve,contiguous-ratchet,one-executor,regress,benchmark"
 STAGES="${CI_STAGES:-$ALL_STAGES}"
 
 # reject unknown stage names up front: a typo in CI_STAGES must fail
@@ -185,37 +177,6 @@ serve_gate() {
     || { echo "error: no dynamic batch larger than 1 was formed"; return 1; }
 }
 
-decode_gate() {
-  mkdir -p target/ci
-  cargo build --release -q --bin decode_sweep --bin nongemm-cli
-  # decode_sweep exits non-zero unless, for each model, the cached path
-  # is bit-identical to the uncached recompute, int8 stays within its
-  # documented tolerance, and every sweep point has positive throughput
-  ./target/release/decode_sweep --tokens 32 \
-    --out target/ci/BENCH_DECODE.json
-  grep -q '"bit_identical": true' target/ci/BENCH_DECODE.json \
-    || { echo "error: sweep summary does not record bit identity"; return 1; }
-  # the CLI front end must drive the same path end-to-end
-  ./target/release/nongemm-cli generate --tiny --max-new-tokens 8 >/dev/null
-  env NGB_QUANT=int8 \
-    ./target/release/nongemm-cli generate --tiny --model gpt2 --max-new-tokens 8 >/dev/null
-}
-
-shard_gate() {
-  mkdir -p target/ci
-  cargo build --release -q --bin shard_sweep --bin nongemm-cli
-  # shard_sweep exits non-zero unless every model, on every roster and
-  # under both strategies, executes sharded bit-identically to the
-  # single-device interpreter
-  ./target/release/shard_sweep --out target/ci/BENCH_SHARD.json
-  grep -q '"bit_identical": true' target/ci/BENCH_SHARD.json \
-    || { echo "error: sweep summary does not record bit identity"; return 1; }
-  # the CLI front end must drive the same path, including a
-  # heterogeneous roster and the tensor strategy
-  ./target/release/nongemm-cli shard --model gpt2 --tiny \
-    --devices gpu+cpu --strategy tensor >/dev/null
-}
-
 # Declared eager-materialization fallbacks in ngb-ops kernel code
 # (file:reason). Everything else must consume strided operands in place;
 # shrinking this list is progress, growing it needs a review.
@@ -254,38 +215,51 @@ contiguous_ratchet() {
   echo "contiguous ratchet: all eager call sites are declared fallbacks"
 }
 
-# Files with a non-test call site of PATTERN under the crates that execute
-# graphs. Test modules are approximated, as above, by everything past a
-# file's first "mod tests" marker.
-non_test_sites() {
-  local f lineno test_start
-  { grep -rn --include='*.rs' -e "$1" crates/{exec,shard,runtime,serve,profiler}/src || true; } \
-    | while IFS=: read -r f lineno _; do
+# Non-test matches of the extended regex PATTERN in the *.rs files under
+# the remaining arguments, one "file<TAB>match" line each. Test modules are
+# approximated, as above, by everything past a file's first "mod tests"
+# marker.
+non_test_hits() {
+  local pattern="$1" f lineno hit test_start
+  shift
+  { grep -rnoE --include='*.rs' -e "$pattern" "$@" || true; } \
+    | while IFS=: read -r f lineno hit; do
         test_start=$(grep -n 'mod tests' "$f" | head -n1 | cut -d: -f1 || true)
         [[ -n "$test_start" && "$lineno" -gt "$test_start" ]] && continue
-        echo "$f"
-      done | sort -u
+        printf '%s\t%s\n' "$f" "$hit"
+      done
 }
 
+# The one reader of each NGB_* variable, as "file<TAB>variable" lines in
+# sort order. A new variable or a new reader is added here, with its reason
+# in the header.
+ENV_READERS="crates/bench/src/lib.rs	NGB_OUT_DIR
+crates/exec/src/lib.rs	NGB_INTRAOP
+crates/exec/src/lib.rs	NGB_THREADS
+crates/opt/src/lib.rs	NGB_OPT
+crates/regress/src/diff.rs	NGB_WALLCLOCK_FACTOR
+crates/regress/src/gate.rs	NGB_NO_WALLCLOCK"
+
 one_executor() {
-  local pattern files violations=0
-  for pattern in '\.begin_read(' 'take_bytes_materialized(' '\.fetch('; do
-    files=$(non_test_sites "$pattern")
+  local pattern files readers violations=0
+  for pattern in '\.begin_read\(' 'take_bytes_materialized\(' '\.fetch\('; do
+    files=$(non_test_hits "$pattern" crates/{exec,shard,runtime,serve,profiler}/src \
+      | cut -f1 | sort -u)
     if [[ $(grep -c . <<<"$files" || true) -ne 1 ]]; then
       echo "error: call sites of '$pattern' must live in exactly one file, found:"
       echo "${files:-  (none)}"
       violations=1
     fi
   done
-  files=$(grep -rlE 'env::var\("NGB_(THREADS|INTRAOP|SANITIZE|QUANT)"\)' crates --include='*.rs' \
-    | grep -v '^crates/exec/src/lib\.rs$' || true)
-  if [[ -n "$files" ]]; then
-    echo "error: NGB_{THREADS,INTRAOP,SANITIZE,QUANT} read outside crates/exec/src/lib.rs:"
-    echo "$files"
+  readers=$(non_test_hits 'env::var(_os)?\("NGB_[A-Z_]+"' crates \
+    | sed -E 's/\t.*"(NGB_[A-Z_]+)"$/\t\1/' | LC_ALL=C sort)
+  if [[ "$readers" != "$ENV_READERS" ]]; then
+    echo "error: the readers of NGB_* variables differ from the declared list (< declared, > found):"
+    diff <(echo "$ENV_READERS") <(echo "$readers") || true
     violations=1
   fi
   [[ $violations -eq 0 ]] || return 1
-  echo "one executor: one gather/execute/finish core, one reader of the engine variables"
+  echo "one executor: one gather/execute/finish core, one reader per NGB_* variable"
 }
 
 run_stage fmt           cargo fmt --all -- --check
@@ -296,8 +270,6 @@ run_stage test-opt      env NGB_OPT=2 NGB_THREADS=4 cargo test -q
 run_stage test-intraop  env NGB_INTRAOP=1 NGB_THREADS=4 cargo test -q
 run_stage sanitize      sanitize_gate
 run_stage serve         serve_gate
-run_stage decode        decode_gate
-run_stage shard         shard_gate
 run_stage contiguous-ratchet contiguous_ratchet
 run_stage one-executor  one_executor
 run_stage regress       regress_gate

@@ -71,16 +71,10 @@ fn help_exits_zero_and_documents_every_flag() {
             "--quantize",
             "--max-new-tokens",
             "--prompt-len",
-            "NGB_QUANT",
             "NGB_THREADS",
             "NGB_OPT",
             "NGB_NO_WALLCLOCK",
             "NGB_INTRAOP",
-            "NGB_INTRAOP_MIN_ELEMS",
-            "NGB_SERVE_ADDR",
-            "NGB_SERVE_MAX_BATCH",
-            "NGB_SERVE_BATCH_WAIT_US",
-            "NGB_SERVE_QUEUE_CAP",
         ] {
             assert!(text.contains(needle), "{args:?} help lacks '{needle}'");
         }
@@ -231,6 +225,31 @@ fn generate_decodes_a_tiny_model_with_and_without_int8() {
         assert!(text.contains("tok/s"), "{text}");
         assert!(text.contains("cache hit rate"), "{text}");
         assert!(text.contains(&format!("quant {quant}")), "{text}");
+    }
+}
+
+/// A heterogeneous roster under the tensor strategy, and a model most of
+/// whose outputs are integer tensors: `shard` compares every output.
+#[test]
+fn shard_reports_bit_identity_in_text_and_json() {
+    for (args, needle) in [
+        (
+            "shard --tiny --model gpt2 --devices gpu+cpu --strategy tensor",
+            "bit-identical",
+        ),
+        (
+            "shard --tiny --model segformer --format json",
+            "\"bit_identical\":true",
+        ),
+    ] {
+        let out = cli().args(args.split(' ')).output().expect("spawn cli");
+        assert!(
+            out.status.success(),
+            "{args}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains(needle), "{args}: {text}");
     }
 }
 

@@ -22,9 +22,9 @@ const LM_MODELS: [ModelId; 4] = [
     ModelId::Llama2_7b,
 ];
 
-/// Tokens to generate per model: the CI-gate models get the full
-/// 32-token run, the larger GPT-2 variants a shorter one to keep the
-/// debug-mode suite fast.
+/// Tokens to generate per model: gpt2 and llama2 (the `generate`
+/// defaults) get the full 32-token run, the larger GPT-2 variants a
+/// shorter one to keep the debug-mode suite fast.
 fn new_tokens(id: ModelId) -> usize {
     match id {
         ModelId::Gpt2 | ModelId::Llama2_7b => 32,
@@ -32,12 +32,18 @@ fn new_tokens(id: ModelId) -> usize {
     }
 }
 
-/// Runs cached greedy decode and the uncached reference under `interp`
-/// (optionally with both graphs rewritten at `level` first) and asserts
-/// token-for-token and bit-for-bit agreement.
-fn assert_bit_identity(id: ModelId, interp: &Interpreter, level: Option<OptLevel>, max_new: usize) {
+/// Runs cached greedy decode and the uncached reference at `batch` under
+/// `interp` (optionally with both graphs rewritten at `level` first) and
+/// asserts token-for-token and bit-for-bit agreement.
+fn assert_bit_identity(
+    id: ModelId,
+    batch: usize,
+    interp: &Interpreter,
+    level: Option<OptLevel>,
+    max_new: usize,
+) {
     let total = PROMPT + max_new;
-    let bundle = decode_bundle(id, Scale::Tiny, 1, total)
+    let bundle = decode_bundle(id, Scale::Tiny, batch, total)
         .expect("LM model")
         .expect("bundle builds");
     let (reference, decode) = match level {
@@ -52,7 +58,7 @@ fn assert_bit_identity(id: ModelId, interp: &Interpreter, level: Option<OptLevel
         DecodeSession::new(decode, &reference, interp.clone()).expect("session builds");
     let cached = greedy_decode(&mut session, &prompt, max_new).expect("cached decode");
     let uncached = greedy_reference(&reference, interp, &prompt, max_new).expect("reference");
-    let tag = format!("{:?} (opt {level:?})", id);
+    let tag = format!("{id:?} batch {batch} (opt {level:?})");
     assert_eq!(cached.tokens, uncached.tokens, "{tag}: tokens diverged");
     assert_eq!(cached.step_probs.len(), uncached.step_probs.len());
     for (step, (a, b)) in cached
@@ -73,7 +79,14 @@ fn assert_bit_identity(id: ModelId, interp: &Interpreter, level: Option<OptLevel
 fn cached_decode_is_bit_identical_sequential() {
     for id in LM_MODELS {
         let interp = Interpreter::new(SEED).quantize(Quant::None);
-        assert_bit_identity(id, &interp, None, new_tokens(id));
+        assert_bit_identity(id, 1, &interp, None, new_tokens(id));
+        // a batched session keeps one cache row block per sequence;
+        // every row must still match the recompute
+        if matches!(id, ModelId::Gpt2 | ModelId::Llama2_7b) {
+            for batch in [3, 8] {
+                assert_bit_identity(id, batch, &interp, None, 8);
+            }
+        }
     }
 }
 
@@ -85,7 +98,7 @@ fn cached_decode_is_bit_identical_parallel_8_threads() {
                 .engine(Engine::Parallel(8))
                 .intra_op(intra)
                 .quantize(Quant::None);
-            assert_bit_identity(id, &interp, None, new_tokens(id).min(8));
+            assert_bit_identity(id, 1, &interp, None, new_tokens(id).min(8));
         }
     }
 }
@@ -102,20 +115,22 @@ fn cached_decode_is_bit_identical_at_o2() {
                     .quantize(Quant::None)
             };
             let max_new = if threads == 1 { new_tokens(id) } else { 8 };
-            assert_bit_identity(id, &interp, Some(OptLevel::O2), max_new);
+            assert_bit_identity(id, 1, &interp, Some(OptLevel::O2), max_new);
         }
     }
 }
 
-/// Documented end-to-end int8 envelope (same constant the `decode_sweep`
-/// CI gate enforces): max absolute next-token probability deviation from
-/// fp32 on an identical token stream.
+/// Documented end-to-end int8 envelope: max absolute next-token
+/// probability deviation from fp32 on an identical token stream. Per-GEMM
+/// error is bounded analytically by `ngb_ops::quant::int8_error_bound`;
+/// after layer norms and a softmax the tiny-scale models stay well inside
+/// this envelope.
 const INT8_PROB_TOL: f32 = 5e-2;
 
 #[test]
 fn int8_decode_stays_within_documented_tolerance() {
     for id in [ModelId::Gpt2, ModelId::Llama2_7b] {
-        let max_new = 8;
+        let max_new = new_tokens(id);
         let total = PROMPT + max_new;
         let bundle = decode_bundle(id, Scale::Tiny, 1, total)
             .expect("LM model")

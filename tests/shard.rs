@@ -212,19 +212,18 @@ fn row_split_shards_and_allreduce_reconstruct_unsplit_linear() {
     }
 }
 
-/// Benchmark models survive both strategies on 2- and 4-device rosters
-/// bit-identically. A fast representative subset here; the full 18-model
-/// sweep is the `shard_sweep` CI gate.
+/// All 18 benchmark models survive both strategies on 2- and 4-device
+/// rosters bit-identically.
 #[test]
 fn benchmark_models_shard_bit_identically() {
-    for id in [ModelId::Gpt2, ModelId::Bert, ModelId::Segformer] {
+    for &id in ModelId::all() {
         let graph = id.build(1, Scale::Tiny).expect("tiny model");
-        assert_shard_bit_identical(&graph, "2xgpu", Strategy::Pipeline, 2);
-        assert_shard_bit_identical(&graph, "2xgpu", Strategy::Tensor, 2);
+        for (spec, microbatches) in [("2xgpu", 2), ("4xgpu", 4)] {
+            for strategy in [Strategy::Pipeline, Strategy::Tensor] {
+                assert_shard_bit_identical(&graph, spec, strategy, microbatches);
+            }
+        }
     }
-    let graph = ModelId::Gpt2.build(1, Scale::Tiny).expect("tiny model");
-    assert_shard_bit_identical(&graph, "4xgpu", Strategy::Pipeline, 4);
-    assert_shard_bit_identical(&graph, "4xgpu", Strategy::Tensor, 2);
 }
 
 /// Heterogeneous rosters (accelerator + host CPU) keep bit identity:
