@@ -291,7 +291,6 @@ ENVIRONMENT:
   NGB_INTRAOP                default for --intra-op (0/off/false disable)
   NGB_NO_WALLCLOCK           ci: skip the measured channel (non-empty, not 0)
   NGB_WALLCLOCK_FACTOR       ci: tolerated wall-clock slow-down (default 10)
-  NGB_OUT_DIR                ngb-bench figure binaries also write CSV here
 
 EXIT CODES:
   0  success / clean    1  failure or regression    2  usage error

@@ -19,10 +19,10 @@
 # gather/execute/finish loop has to make — must each live in exactly one
 # file of the executing crates, and each NGB_* variable has one reader:
 # outside test modules env::var("NGB_ may appear only in
-# crates/exec/src/lib.rs (THREADS, INTRAOP), crates/opt/src/lib.rs (OPT),
-# crates/regress/src/{diff,gate}.rs (WALLCLOCK_FACTOR, NO_WALLCLOCK) and
-# crates/bench/src/lib.rs (OUT_DIR). A second loop, a seventh variable or
-# a second reader of an existing one fails CI until it is justified here.
+# crates/exec/src/lib.rs (THREADS, INTRAOP), crates/opt/src/lib.rs (OPT)
+# and crates/regress/src/{diff,gate}.rs (WALLCLOCK_FACTOR, NO_WALLCLOCK).
+# A second loop, a sixth variable or a second reader of an existing one
+# fails CI until it is justified here.
 # The sanitize stage audits that unsafe code stays confined to ngb-ops
 # and ngb-exec, lints the verifier crate at -D warnings, and runs the
 # 18-model hazard sweep (static verifier + shadow-memory execution) on a
@@ -233,8 +233,7 @@ non_test_hits() {
 # The one reader of each NGB_* variable, as "file<TAB>variable" lines in
 # sort order. A new variable or a new reader is added here, with its reason
 # in the header.
-ENV_READERS="crates/bench/src/lib.rs	NGB_OUT_DIR
-crates/exec/src/lib.rs	NGB_INTRAOP
+ENV_READERS="crates/exec/src/lib.rs	NGB_INTRAOP
 crates/exec/src/lib.rs	NGB_THREADS
 crates/opt/src/lib.rs	NGB_OPT
 crates/regress/src/diff.rs	NGB_WALLCLOCK_FACTOR
