@@ -25,15 +25,13 @@
 //!   bubble fraction, and transfer bytes;
 //! * `ci` — the perf-regression gate: `--check` diffs the current tree
 //!   against the committed golden baselines under `baselines/` and exits
-//!   non-zero on any divergence, `--update` regenerates them (plus the
-//!   repo-root `BENCH_BASELINE.json` seed) and summarizes what moved.
+//!   non-zero on any divergence, `--update` regenerates them and
+//!   summarizes what moved.
 //!
 //! Shared conventions: `--opt-level` / `NGB_OPT` select the `ngb-opt`
 //! graph-rewrite level, `--threads` / `NGB_THREADS` the execution
 //! parallelism; usage errors exit 2 with a one-line usage string on
-//! stderr; `--help` prints the full help on stdout and exits 0. The
-//! regression gate additionally honors `NGB_NO_WALLCLOCK` (skip the
-//! measured smoke channel) and `NGB_WALLCLOCK_FACTOR` (noise headroom).
+//! stderr; `--help` prints the full help on stdout and exits 0.
 
 use std::process::ExitCode;
 
@@ -179,10 +177,6 @@ struct CiArgs {
     common: Common,
     dir: String,
     update: bool,
-    bench: String,
-    report: Option<String>,
-    wallclock_iters: usize,
-    no_wallclock: bool,
 }
 
 const HELP: &str = "\
@@ -277,20 +271,14 @@ SHARD OPTIONS:
 
 CI OPTIONS:
   --check               diff current state against baselines (default)
-  --update              regenerate baselines + BENCH_BASELINE.json
+  --update              regenerate the baselines
   --model <alias>       gate only these models (repeatable; default: all 18)
   --dir <path>          baseline directory (default: baselines)
-  --bench <path>        bench seed path (default: BENCH_BASELINE.json)
-  --report <path>       also write the JSON diff report here
-  --wallclock-iters <n> wall-clock samples per model (default: 5)
-  --no-wallclock        skip the measured smoke channel (or NGB_NO_WALLCLOCK=1)
   --format <fmt>        text | json (default: text)
 
 ENVIRONMENT:
   NGB_THREADS / NGB_OPT      defaults for --threads / --opt-level
   NGB_INTRAOP                default for --intra-op (0/off/false disable)
-  NGB_NO_WALLCLOCK           ci: skip the measured channel (non-empty, not 0)
-  NGB_WALLCLOCK_FACTOR       ci: tolerated wall-clock slow-down (default 10)
 
 EXIT CODES:
   0  success / clean    1  failure or regression    2  usage error
@@ -506,10 +494,6 @@ fn parse_ci_args(argv: &[String]) -> CiArgs {
         common: Common::new("ci", &["--model", "--format"]),
         dir: "baselines".to_string(),
         update: false,
-        bench: "BENCH_BASELINE.json".to_string(),
-        report: None,
-        wallclock_iters: regress::DEFAULT_WALLCLOCK_ITERS,
-        no_wallclock: false,
     };
     let mut explicit_check = false;
     let mut it = argv.iter();
@@ -521,15 +505,6 @@ fn parse_ci_args(argv: &[String]) -> CiArgs {
             "--dir" => args.dir = take_value(&mut it, "--dir"),
             "--check" => explicit_check = true,
             "--update" => args.update = true,
-            "--bench" => args.bench = take_value(&mut it, "--bench"),
-            "--report" => args.report = Some(take_value(&mut it, "--report")),
-            "--wallclock-iters" => {
-                args.wallclock_iters = parse_positive(
-                    &take_value(&mut it, "--wallclock-iters"),
-                    "--wallclock-iters",
-                )
-            }
-            "--no-wallclock" => args.no_wallclock = true,
             other => unknown_argument(other),
         }
     }
@@ -885,12 +860,9 @@ fn select_models(names: &[String]) -> Vec<ModelId> {
 
 fn run_ci(argv: &[String]) -> ExitCode {
     let args = parse_ci_args(argv);
-    let wallclock_enabled = !args.no_wallclock && !regress::wallclock_disabled_by_env();
     let cfg = regress::GateConfig {
         dir: std::path::PathBuf::from(&args.dir),
         models: select_models(&args.common.models),
-        wallclock_iters: wallclock_enabled.then_some(args.wallclock_iters),
-        tolerance: regress::Tolerance::from_env(),
     };
 
     if args.update {
@@ -908,14 +880,6 @@ fn run_ci(argv: &[String]) -> ExitCode {
                 serde_json::to_string_pretty(&outcome).expect("outcomes serialize")
             ),
         }
-        let bench_path = std::path::Path::new(&args.bench);
-        match regress::refresh_bench_seed(&cfg, bench_path) {
-            Ok(n) => eprintln!("refreshed {} entry(ies) in {}", n, bench_path.display()),
-            Err(e) => {
-                eprintln!("refreshing {} failed: {e}", bench_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
         return ExitCode::SUCCESS;
     }
 
@@ -929,23 +893,6 @@ fn run_ci(argv: &[String]) -> ExitCode {
     match args.common.format {
         Format::Text => print!("{}", outcome.to_text()),
         _ => println!("{}", outcome.to_json()),
-    }
-    if let Some(path) = &args.report {
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("failed to create {}: {e}", parent.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let mut json = outcome.to_json();
-        json.push('\n');
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
     }
     if outcome.is_clean() {
         ExitCode::SUCCESS

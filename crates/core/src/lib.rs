@@ -76,7 +76,7 @@ pub use ngb_opt::{optimize, optimize_with, OptLevel, OptReport};
 pub use ngb_platform::{DeviceModel, HardwareClass, Platform};
 pub use ngb_profiler::report::{NonGemmReport, PerformanceReport, WorkloadReport};
 pub use ngb_profiler::{Breakdown, ModelProfile};
-pub use ngb_regress::{CheckOutcome, GateConfig, ModelBaseline, Tolerance, UpdateOutcome};
+pub use ngb_regress::{CheckOutcome, GateConfig, ModelBaseline, UpdateOutcome};
 pub use ngb_runtime::Flow;
 pub use ngb_sanitize::{Hazard, HazardKind, SanitizeReport};
 

@@ -24,18 +24,18 @@ use crate::Result;
 
 /// Elements per chunk: 32 Ki f32 elements (128 KiB) keeps a chunk's
 /// working set cache-resident while amortizing dispatch overhead. It is
-/// also the work-budget floor [`par_for`] and [`par_rows`] pass as
-/// `min_elems`: tensors smaller than one grain stay serial (one chunk).
+/// also the work-budget floor: tensors smaller than one grain stay serial
+/// (one chunk).
 pub const GRAIN_ELEMS: usize = 32 * 1024;
 
 // ----------------------------------------------------------------------
 // Partitioning: pure functions of (total, row_len) only
 // ----------------------------------------------------------------------
 
-/// Number of element chunks for `total` elements under threshold
-/// `min_elems`: 1 below the threshold, else `ceil(total / GRAIN_ELEMS)`.
-pub fn element_chunks(total: usize, min_elems: usize) -> usize {
-    if total < min_elems {
+/// Number of element chunks for `total` elements: 1 below one grain,
+/// else `ceil(total / GRAIN_ELEMS)`.
+pub fn element_chunks(total: usize) -> usize {
+    if total < GRAIN_ELEMS {
         1
     } else {
         total.div_ceil(GRAIN_ELEMS).max(1)
@@ -58,8 +58,8 @@ pub fn rows_per_chunk(row_len: usize) -> usize {
 }
 
 /// Number of row chunks for `rows` rows of `row_len` elements.
-pub fn row_chunks(rows: usize, row_len: usize, min_elems: usize) -> usize {
-    if rows.saturating_mul(row_len) < min_elems {
+pub fn row_chunks(rows: usize, row_len: usize) -> usize {
+    if rows.saturating_mul(row_len) < GRAIN_ELEMS {
         1
     } else {
         rows.div_ceil(rows_per_chunk(row_len)).max(1)
@@ -80,8 +80,8 @@ pub fn row_range(rows: usize, row_len: usize, chunks: usize, chunk: usize) -> Ra
 /// elements: every chunk's range, in chunk order. This is the metadata the
 /// `ngb-sanitize` disjointness check certifies — it must stay an exact,
 /// pairwise-disjoint cover of `0..total` and a pure function of shape.
-pub fn element_partition(total: usize, min_elems: usize) -> Vec<Range<usize>> {
-    let chunks = element_chunks(total, min_elems);
+pub fn element_partition(total: usize) -> Vec<Range<usize>> {
+    let chunks = element_chunks(total);
     (0..chunks)
         .map(|c| element_range(total, chunks, c))
         .collect()
@@ -90,8 +90,8 @@ pub fn element_partition(total: usize, min_elems: usize) -> Vec<Range<usize>> {
 /// The complete row decomposition `par_rows` dispatches for `rows` rows of
 /// `row_len` elements; same exact-cover contract as [`element_partition`]
 /// over `0..rows`.
-pub fn row_partition(rows: usize, row_len: usize, min_elems: usize) -> Vec<Range<usize>> {
-    let chunks = row_chunks(rows, row_len, min_elems);
+pub fn row_partition(rows: usize, row_len: usize) -> Vec<Range<usize>> {
+    let chunks = row_chunks(rows, row_len);
     (0..chunks)
         .map(|c| row_range(rows, row_len, chunks, c))
         .collect()
@@ -183,7 +183,7 @@ fn run_chunks(chunks: usize, job: &(dyn Fn(usize) + Sync)) -> usize {
 /// Runs `job` over disjoint element ranges that exactly partition
 /// `0..total`. The split depends only on `total`, never on thread count.
 pub fn par_for(total: usize, job: impl Fn(Range<usize>) + Sync) {
-    let chunks = element_chunks(total, GRAIN_ELEMS);
+    let chunks = element_chunks(total);
     let participants = run_chunks(chunks, &|c| job(element_range(total, chunks, c)));
     record(chunks, participants);
 }
@@ -192,7 +192,7 @@ pub fn par_for(total: usize, job: impl Fn(Range<usize>) + Sync) {
 /// where each row is a work unit of `row_len` elements. The split depends
 /// only on `(rows, row_len)`.
 pub fn par_rows(rows: usize, row_len: usize, job: impl Fn(Range<usize>) + Sync) {
-    let chunks = row_chunks(rows, row_len, GRAIN_ELEMS);
+    let chunks = row_chunks(rows, row_len);
     let participants = run_chunks(chunks, &|c| job(row_range(rows, row_len, chunks, c)));
     record(chunks, participants);
 }
@@ -363,7 +363,7 @@ mod tests {
             GRAIN_ELEMS + 1,
             5 * GRAIN_ELEMS + 13,
         ] {
-            let chunks = element_chunks(total, 1);
+            let chunks = element_chunks(total);
             let mut next = 0usize;
             for c in 0..chunks {
                 let r = element_range(total, chunks, c);
@@ -383,7 +383,7 @@ mod tests {
             (1000, 777),
             (4, GRAIN_ELEMS * 2),
         ] {
-            let chunks = row_chunks(rows, row_len, 1);
+            let chunks = row_chunks(rows, row_len);
             let mut next = 0usize;
             for c in 0..chunks {
                 let r = row_range(rows, row_len, chunks, c);
@@ -400,7 +400,7 @@ mod tests {
         // repeated calls, and independent of the runner's thread count
         let total = 3 * GRAIN_ELEMS + 17;
         let layout = |label: &str| {
-            let chunks = element_chunks(total, 1);
+            let chunks = element_chunks(total);
             let ranges: Vec<_> = (0..chunks)
                 .map(|c| element_range(total, chunks, c))
                 .collect();
@@ -416,12 +416,11 @@ mod tests {
 
     #[test]
     fn threshold_only_collapses_to_one_chunk() {
-        assert_eq!(element_chunks(100, 1000), 1);
-        assert_eq!(element_chunks(100, 1), 1); // still under one grain
-        assert_eq!(element_chunks(GRAIN_ELEMS * 3, usize::MAX), 1);
-        assert_eq!(element_chunks(GRAIN_ELEMS * 3, 1), 3);
-        assert_eq!(row_chunks(10, GRAIN_ELEMS, usize::MAX), 1);
-        assert_eq!(row_chunks(10, GRAIN_ELEMS, 1), 10);
+        assert_eq!(element_chunks(100), 1);
+        assert_eq!(element_chunks(GRAIN_ELEMS - 1), 1);
+        assert_eq!(element_chunks(GRAIN_ELEMS * 3), 3);
+        assert_eq!(row_chunks(10, 100), 1);
+        assert_eq!(row_chunks(10, GRAIN_ELEMS), 10);
     }
 
     #[test]

@@ -269,36 +269,35 @@ fn assert_exact_cover(
 
 proptest! {
     /// Element chunking is a pairwise-disjoint exact cover of the flat
-    /// output for arbitrary sizes and grain thresholds.
+    /// output for arbitrary sizes.
     #[test]
-    fn element_partition_is_exact_cover(total in 0usize..300_000, min in 1usize..100_000) {
-        assert_exact_cover(&parallel::element_partition(total, min), total)?;
+    fn element_partition_is_exact_cover(total in 0usize..300_000) {
+        assert_exact_cover(&parallel::element_partition(total), total)?;
     }
 
     /// Row chunking is a pairwise-disjoint exact cover of the row space
     /// for arbitrary row counts and widths.
     #[test]
     fn row_partition_is_exact_cover(
-        rows in 0usize..5_000, row_len in 0usize..3_000, min in 1usize..100_000,
+        rows in 0usize..5_000, row_len in 0usize..3_000,
     ) {
-        assert_exact_cover(&parallel::row_partition(rows, row_len, min), rows)?;
+        assert_exact_cover(&parallel::row_partition(rows, row_len), rows)?;
     }
 
-    /// Shape purity: the decomposition is a function of (shape, grain)
-    /// only — installing intra-op runners with different thread counts
+    /// Shape purity: the decomposition is a function of shape only — installing intra-op runners with different thread counts
     /// must not change it (thread count only changes who runs a chunk).
     #[test]
     fn partition_is_independent_of_thread_count(
-        total in 1usize..200_000, row_len in 1usize..2_000, min in 1usize..100_000,
+        total in 1usize..200_000, row_len in 1usize..2_000,
     ) {
-        let elems_base = parallel::element_partition(total, min);
-        let rows_base = parallel::row_partition(total.min(4_000), row_len, min);
+        let elems_base = parallel::element_partition(total);
+        let rows_base = parallel::row_partition(total.min(4_000), row_len);
         for threads in [1usize, 2, 8] {
             let runner = std::sync::Arc::new(CountingRunner { threads });
             let (elems, rows) = parallel::with_runner(runner, || {
                 (
-                    parallel::element_partition(total, min),
-                    parallel::row_partition(total.min(4_000), row_len, min),
+                    parallel::element_partition(total),
+                    parallel::row_partition(total.min(4_000), row_len),
                 )
             });
             prop_assert_eq!(&elems, &elems_base, "{threads} threads changed element chunks");
@@ -319,7 +318,7 @@ proptest! {
         // chunk-of-blocks → rows: expanding each chunk's blocks must
         // re-cover 0..m exactly
         let mut rows_covered = 0usize;
-        for chunk in parallel::row_partition(units, unit_len, parallel::GRAIN_ELEMS) {
+        for chunk in parallel::row_partition(units, unit_len) {
             for ib in chunk {
                 prop_assert_eq!(blocks[ib].start, rows_covered);
                 rows_covered = blocks[ib].end;

@@ -1,12 +1,11 @@
 //! On-disk baseline store: one versioned JSON file per model under the
-//! baseline directory, plus the repo-root `BENCH_BASELINE.json` seed.
+//! baseline directory.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
-use crate::snapshot::{ModelBaseline, Snapshot, SCHEMA_VERSION};
+use crate::snapshot::{ModelBaseline, SCHEMA_VERSION};
 
 /// Why a baseline could not be read, written, or produced.
 #[derive(Debug)]
@@ -129,91 +128,11 @@ pub fn write_baseline(path: &Path, baseline: &ModelBaseline) -> Result<(), Regre
     std::fs::write(path, text).map_err(io)
 }
 
-/// One model's row in `BENCH_BASELINE.json`: the full-scale O0
-/// cost-model end-to-end totals — the seed point for the bench
-/// trajectory future PRs extend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchEntry {
-    /// End-to-end analytic latency, microseconds.
-    pub total_us: f64,
-    /// Latency in GEMM operators, microseconds.
-    pub gemm_us: f64,
-    /// Latency in non-GEMM operators, microseconds.
-    pub non_gemm_us: f64,
-    /// Non-GEMM share of end-to-end latency.
-    pub non_gemm_frac: f64,
-}
-
-/// The repo-root `BENCH_BASELINE.json` document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchSeed {
-    /// Layout version (shares [`SCHEMA_VERSION`]).
-    pub schema: u64,
-    /// Per-model entries keyed by alias.
-    pub models: BTreeMap<String, BenchEntry>,
-}
-
-impl BenchSeed {
-    /// An empty seed at the current schema version.
-    pub fn new() -> BenchSeed {
-        BenchSeed {
-            schema: SCHEMA_VERSION,
-            models: BTreeMap::new(),
-        }
-    }
-}
-
-impl Default for BenchSeed {
-    fn default() -> BenchSeed {
-        BenchSeed::new()
-    }
-}
-
-/// The bench-seed entry derived from a full-scale O0 snapshot.
-pub fn bench_entry(snapshot: &Snapshot) -> BenchEntry {
-    BenchEntry {
-        total_us: snapshot.cost.total_us,
-        gemm_us: snapshot.cost.gemm_us,
-        non_gemm_us: snapshot.cost.non_gemm_us,
-        non_gemm_frac: snapshot.cost.non_gemm_frac,
-    }
-}
-
-/// Merges `entries` into the bench seed at `path` (creating it when
-/// absent or unreadable at the current schema) and rewrites it. Entries
-/// for models not in `entries` are preserved, so partial `--update` runs
-/// don't drop the rest of the table.
-///
-/// # Errors
-///
-/// [`RegressError::Io`] on filesystem failure.
-pub fn update_bench_seed(
-    path: &Path,
-    entries: impl IntoIterator<Item = (String, BenchEntry)>,
-) -> Result<BenchSeed, RegressError> {
-    let mut seed = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<BenchSeed>(&text).ok())
-        .filter(|s| s.schema == SCHEMA_VERSION)
-        .unwrap_or_default();
-    for (model, entry) in entries {
-        seed.models.insert(model, entry);
-    }
-    let mut text = serde_json::to_string_pretty(&seed).expect("seeds serialize");
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| RegressError::Io {
-        path: path.to_path_buf(),
-        msg: e.to_string(),
-    })?;
-    Ok(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{model_baseline, SCALES};
+    use crate::snapshot::model_baseline;
     use ngb_models::ModelId;
-    use ngb_opt::OptLevel;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let nanos = std::time::SystemTime::now()
@@ -229,7 +148,7 @@ mod tests {
     #[test]
     fn baseline_round_trips_exactly() {
         let dir = tmpdir("roundtrip");
-        let baseline = model_baseline(ModelId::Gpt2, None).unwrap();
+        let baseline = model_baseline(ModelId::Gpt2).unwrap();
         let path = baseline_path(&dir, &baseline.model);
         write_baseline(&path, &baseline).unwrap();
         let reread = load_baseline(&path).unwrap();
@@ -272,34 +191,6 @@ mod tests {
             load_baseline(&dir.join("absent.json")).unwrap_err(),
             RegressError::Io { .. }
         ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_seed_merges_without_dropping_other_models() {
-        let dir = tmpdir("seed");
-        let path = dir.join("BENCH_BASELINE.json");
-        let baseline = model_baseline(ModelId::Bert, None).unwrap();
-        let snap = baseline
-            .snapshot(SCALES[1].name(), OptLevel::O0)
-            .expect("full/O0 snapshot exists");
-        let first = update_bench_seed(&path, [("bert".to_string(), bench_entry(snap))]).unwrap();
-        assert_eq!(first.models.len(), 1);
-        let second = update_bench_seed(
-            &path,
-            [(
-                "gpt2".to_string(),
-                BenchEntry {
-                    total_us: 1.0,
-                    gemm_us: 0.5,
-                    non_gemm_us: 0.5,
-                    non_gemm_frac: 0.5,
-                },
-            )],
-        )
-        .unwrap();
-        assert_eq!(second.models.len(), 2, "merge keeps the bert entry");
-        assert!(second.models.contains_key("bert"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,5 +1,5 @@
-//! Baseline comparison: the tolerance policy and the per-metric diff
-//! engine behind `nongemm-cli ci --check`.
+//! Baseline comparison: the per-metric diff engine behind
+//! `nongemm-cli ci --check`.
 
 use std::collections::BTreeSet;
 
@@ -7,49 +7,14 @@ use serde::Serialize;
 
 use crate::snapshot::{ModelBaseline, Snapshot};
 
-/// Comparison policy. Counts are always exact; this only parameterizes
-/// the two float channels.
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerance {
-    /// Relative tolerance for deterministic floats (cost totals, mean
-    /// widths). The analytic cost model is pure f64 arithmetic and the
-    /// JSON encoding round-trips exactly, so this only needs to absorb
-    /// benign refactors of summation order; default `1e-9`.
-    pub rel: f64,
-    /// Generous slow-down factor for the measured wall-clock channel: the
-    /// check fails only when the current median exceeds
-    /// `baseline * wallclock_factor`. Default `10.0`; override with
-    /// `NGB_WALLCLOCK_FACTOR` for noisier hosts.
-    pub wallclock_factor: f64,
-}
+/// Relative tolerance for floats (cost totals, mean widths); counts are
+/// always exact. The analytic cost model is pure f64 arithmetic and the
+/// JSON encoding round-trips exactly, so this only needs to absorb benign
+/// refactors of summation order.
+const REL_TOL: f64 = 1e-9;
 
-impl Default for Tolerance {
-    fn default() -> Tolerance {
-        Tolerance {
-            rel: 1e-9,
-            wallclock_factor: 10.0,
-        }
-    }
-}
-
-impl Tolerance {
-    /// The default policy with `NGB_WALLCLOCK_FACTOR` applied when set to
-    /// a finite value `>= 1`.
-    pub fn from_env() -> Tolerance {
-        let mut tol = Tolerance::default();
-        if let Some(f) = std::env::var("NGB_WALLCLOCK_FACTOR")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|f| f.is_finite() && *f >= 1.0)
-        {
-            tol.wallclock_factor = f;
-        }
-        tol
-    }
-
-    fn floats_equal(&self, a: f64, b: f64) -> bool {
-        (a - b).abs() <= self.rel * a.abs().max(b.abs()).max(1.0)
-    }
+fn floats_equal(a: f64, b: f64) -> bool {
+    (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1.0)
 }
 
 /// One divergence between a baseline and the current tree.
@@ -57,8 +22,8 @@ impl Tolerance {
 pub struct MetricDiff {
     /// Model alias.
     pub model: String,
-    /// Snapshot cell (`"tiny/O1"`), `"wallclock"`, or `"baseline"` for
-    /// file-level problems.
+    /// Snapshot cell (`"tiny/O1"`), or `"baseline"` for file-level
+    /// problems.
     pub context: String,
     /// Dotted metric path (`"cost.gemm_us"`, `"graph.nodes"`, ...).
     pub metric: String,
@@ -108,8 +73,8 @@ impl DiffSink<'_> {
         }
     }
 
-    fn float(&mut self, tol: &Tolerance, metric: &str, baseline: f64, current: f64) {
-        if !tol.floats_equal(baseline, current) {
+    fn float(&mut self, metric: &str, baseline: f64, current: f64) {
+        if !floats_equal(baseline, current) {
             self.push(metric, baseline, current);
         }
     }
@@ -136,7 +101,6 @@ impl DiffSink<'_> {
 
     fn float_map(
         &mut self,
-        tol: &Tolerance,
         prefix: &str,
         baseline: &std::collections::BTreeMap<String, f64>,
         current: &std::collections::BTreeMap<String, f64>,
@@ -145,7 +109,7 @@ impl DiffSink<'_> {
         for key in keys {
             let metric = format!("{prefix}.{key}");
             match (baseline.get(key), current.get(key)) {
-                (Some(&b), Some(&c)) => self.float(tol, &metric, b, c),
+                (Some(&b), Some(&c)) => self.float(&metric, b, c),
                 (Some(&b), None) => self.push(&metric, b, "absent"),
                 (None, Some(&c)) => self.push(&metric, "absent", c),
                 (None, None) => unreachable!("key came from one of the maps"),
@@ -156,7 +120,6 @@ impl DiffSink<'_> {
 
 fn compare_snapshot(
     model: &str,
-    tol: &Tolerance,
     baseline: &Snapshot,
     current: &Snapshot,
     out: &mut Vec<MetricDiff>,
@@ -185,17 +148,17 @@ fn compare_snapshot(
     sink.count_map("graph.groups", &b.groups, &c.groups);
 
     let (b, c) = (&baseline.cost, &current.cost);
-    sink.float(tol, "cost.total_us", b.total_us, c.total_us);
-    sink.float(tol, "cost.gemm_us", b.gemm_us, c.gemm_us);
-    sink.float(tol, "cost.non_gemm_us", b.non_gemm_us, c.non_gemm_us);
-    sink.float(tol, "cost.non_gemm_frac", b.non_gemm_frac, c.non_gemm_frac);
-    sink.float(tol, "cost.energy_mj", b.energy_mj, c.energy_mj);
-    sink.float_map(tol, "cost.groups_us", &b.groups_us, &c.groups_us);
+    sink.float("cost.total_us", b.total_us, c.total_us);
+    sink.float("cost.gemm_us", b.gemm_us, c.gemm_us);
+    sink.float("cost.non_gemm_us", b.non_gemm_us, c.non_gemm_us);
+    sink.float("cost.non_gemm_frac", b.non_gemm_frac, c.non_gemm_frac);
+    sink.float("cost.energy_mj", b.energy_mj, c.energy_mj);
+    sink.float_map("cost.groups_us", &b.groups_us, &c.groups_us);
 
     let (b, c) = (&baseline.schedule, &current.schedule);
     sink.count("schedule.wavefronts", b.wavefronts, c.wavefronts);
     sink.count("schedule.max_width", b.max_width, c.max_width);
-    sink.float(tol, "schedule.mean_width", b.mean_width, c.mean_width);
+    sink.float("schedule.mean_width", b.mean_width, c.mean_width);
     sink.flag("schedule.complete", b.complete, c.complete);
 
     let (b, c) = (&baseline.lints, &current.lints);
@@ -219,19 +182,16 @@ fn compare_snapshot(
             sink.count("decode.gemm", b.gemm, c.gemm);
             sink.count("decode.non_gemm", b.non_gemm, c.non_gemm);
             sink.float(
-                tol,
                 "decode.decode_total_us",
                 b.decode_total_us,
                 c.decode_total_us,
             );
             sink.float(
-                tol,
                 "decode.prefill_non_gemm_frac",
                 b.prefill_non_gemm_frac,
                 c.prefill_non_gemm_frac,
             );
             sink.float(
-                tol,
                 "decode.decode_non_gemm_frac",
                 b.decode_non_gemm_frac,
                 c.decode_non_gemm_frac,
@@ -245,19 +205,12 @@ fn compare_snapshot(
 
 /// Diffs `current` against `baseline` for one model. Snapshot cells are
 /// matched by `(scale, opt_level)`; cells present on only one side are
-/// themselves diffs. The wall-clock channel is compared only when both
-/// sides carry it (it is optional by design) and fails one-sidedly: only
-/// a slow-down beyond [`Tolerance::wallclock_factor`] — or a non-finite
-/// current median — is a regression.
-pub fn compare_model(
-    baseline: &ModelBaseline,
-    current: &ModelBaseline,
-    tol: &Tolerance,
-) -> Vec<MetricDiff> {
+/// themselves diffs.
+pub fn compare_model(baseline: &ModelBaseline, current: &ModelBaseline) -> Vec<MetricDiff> {
     let mut out = Vec::new();
     for b in &baseline.snapshots {
         match current.snapshot(&b.scale, b.opt_level) {
-            Some(c) => compare_snapshot(&baseline.model, tol, b, c, &mut out),
+            Some(c) => compare_snapshot(&baseline.model, b, c, &mut out),
             None => out.push(MetricDiff {
                 model: baseline.model.clone(),
                 context: b.key(),
@@ -278,35 +231,23 @@ pub fn compare_model(
             });
         }
     }
-    if let (Some(b), Some(c)) = (&baseline.wallclock, &current.wallclock) {
-        let limit = b.median_us * tol.wallclock_factor;
-        if !c.median_us.is_finite() || c.median_us <= 0.0 || c.median_us > limit {
-            out.push(MetricDiff {
-                model: baseline.model.clone(),
-                context: "wallclock".to_string(),
-                metric: "median_us".to_string(),
-                baseline: format!("{:.1} (limit {:.1})", b.median_us, limit),
-                current: format!("{:.1}", c.median_us),
-            });
-        }
-    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{model_baseline, WallClock};
+    use crate::snapshot::model_baseline;
     use ngb_models::ModelId;
 
     fn gpt2_baseline() -> ModelBaseline {
-        model_baseline(ModelId::Gpt2, None).unwrap()
+        model_baseline(ModelId::Gpt2).unwrap()
     }
 
     #[test]
     fn identical_baselines_compare_clean() {
         let b = gpt2_baseline();
-        assert!(compare_model(&b, &b.clone(), &Tolerance::default()).is_empty());
+        assert!(compare_model(&b, &b.clone()).is_empty());
     }
 
     #[test]
@@ -314,7 +255,7 @@ mod tests {
         let base = gpt2_baseline();
         let mut cur = base.clone();
         cur.snapshots[0].cost.gemm_us *= 1.01;
-        let diffs = compare_model(&base, &cur, &Tolerance::default());
+        let diffs = compare_model(&base, &cur);
         assert_eq!(diffs.len(), 1, "only the perturbed metric fires: {diffs:?}");
         assert_eq!(diffs[0].model, "gpt2");
         assert_eq!(diffs[0].context, base.snapshots[0].key());
@@ -327,7 +268,7 @@ mod tests {
         let mut cur = base.clone();
         cur.snapshots[1].graph.nodes += 1;
         cur.snapshots[1].opt.rewrites.insert("layout".into(), 999);
-        let diffs = compare_model(&base, &cur, &Tolerance::default());
+        let diffs = compare_model(&base, &cur);
         let metrics: Vec<&str> = diffs.iter().map(|d| d.metric.as_str()).collect();
         assert!(metrics.contains(&"graph.nodes"), "{metrics:?}");
         assert!(metrics.contains(&"opt.rewrites.layout"), "{metrics:?}");
@@ -339,57 +280,15 @@ mod tests {
         let base = gpt2_baseline();
         let mut cur = base.clone();
         cur.snapshots.remove(0);
-        let diffs = compare_model(&base, &cur, &Tolerance::default());
+        let diffs = compare_model(&base, &cur);
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].metric, "snapshot");
         assert_eq!(diffs[0].current, "missing");
     }
 
     #[test]
-    fn wallclock_is_one_sided_and_generous() {
-        let mut base = gpt2_baseline();
-        base.wallclock = Some(WallClock {
-            iterations: 5,
-            median_us: 100.0,
-        });
-        let tol = Tolerance::default();
-        let mut fast = base.clone();
-        fast.wallclock = Some(WallClock {
-            iterations: 5,
-            median_us: 1.0,
-        });
-        assert!(
-            compare_model(&base, &fast, &tol).is_empty(),
-            "faster is fine"
-        );
-        let mut within = base.clone();
-        within.wallclock = Some(WallClock {
-            iterations: 5,
-            median_us: 100.0 * tol.wallclock_factor * 0.9,
-        });
-        assert!(compare_model(&base, &within, &tol).is_empty());
-        let mut slow = base.clone();
-        slow.wallclock = Some(WallClock {
-            iterations: 5,
-            median_us: 100.0 * tol.wallclock_factor * 1.1,
-        });
-        let diffs = compare_model(&base, &slow, &tol);
-        assert_eq!(diffs.len(), 1);
-        assert_eq!(diffs[0].context, "wallclock");
-        let mut skipped = base.clone();
-        skipped.wallclock = None;
-        assert!(
-            compare_model(&base, &skipped, &tol).is_empty(),
-            "NGB_NO_WALLCLOCK checks skip the channel"
-        );
-    }
-
-    #[test]
-    fn default_tolerance_is_tight_on_floats_generous_on_wallclock() {
-        let tol = Tolerance::default();
-        assert!(tol.rel > 0.0 && tol.rel < 1e-6);
-        assert!(tol.wallclock_factor >= 2.0);
-        assert!(tol.floats_equal(1.0, 1.0 + 1e-12));
-        assert!(!tol.floats_equal(1.0, 1.0 + 1e-6));
+    fn float_tolerance_is_tight() {
+        assert!(floats_equal(1.0, 1.0 + 1e-12));
+        assert!(!floats_equal(1.0, 1.0 + 1e-6));
     }
 }

@@ -5,15 +5,10 @@ use std::path::PathBuf;
 
 use ngb_models::ModelId;
 
-use crate::baseline::{
-    baseline_path, bench_entry, load_baseline, update_bench_seed, write_baseline, RegressError,
-};
-use crate::diff::{compare_model, MetricDiff, Tolerance};
+use crate::baseline::{baseline_path, load_baseline, write_baseline, RegressError};
+use crate::diff::{compare_model, MetricDiff};
 use crate::report::{CheckOutcome, ModelUpdate, UpdateOutcome};
-use crate::snapshot::{model_baseline, wallclock_median_us, ModelBaseline};
-
-/// Default number of wall-clock samples per model.
-pub const DEFAULT_WALLCLOCK_ITERS: usize = 5;
+use crate::snapshot::{model_baseline, ModelBaseline};
 
 /// Configuration of one gate run.
 #[derive(Debug, Clone)]
@@ -22,49 +17,10 @@ pub struct GateConfig {
     pub dir: PathBuf,
     /// Models to gate.
     pub models: Vec<ModelId>,
-    /// Wall-clock samples per model; `None` disables the channel
-    /// (`NGB_NO_WALLCLOCK`).
-    pub wallclock_iters: Option<usize>,
-    /// Comparison policy.
-    pub tolerance: Tolerance,
 }
 
-impl GateConfig {
-    /// A gate over `dir` and all 18 models, honoring `NGB_NO_WALLCLOCK`
-    /// and `NGB_WALLCLOCK_FACTOR`.
-    pub fn new(dir: impl Into<PathBuf>) -> GateConfig {
-        GateConfig {
-            dir: dir.into(),
-            models: ModelId::all().to_vec(),
-            wallclock_iters: if wallclock_disabled_by_env() {
-                None
-            } else {
-                Some(DEFAULT_WALLCLOCK_ITERS)
-            },
-            tolerance: Tolerance::from_env(),
-        }
-    }
-}
-
-/// Whether `NGB_NO_WALLCLOCK` requests skipping the measured channel
-/// (any non-empty value other than `0`).
-pub fn wallclock_disabled_by_env() -> bool {
-    std::env::var("NGB_NO_WALLCLOCK")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
-fn build_current(
-    cfg: &GateConfig,
-    id: ModelId,
-    with_wallclock: bool,
-) -> Result<ModelBaseline, RegressError> {
-    let iters = if with_wallclock {
-        cfg.wallclock_iters
-    } else {
-        None
-    };
-    model_baseline(id, iters).map_err(|e| RegressError::Build {
+fn build_current(id: ModelId) -> Result<ModelBaseline, RegressError> {
+    model_baseline(id).map_err(|e| RegressError::Build {
         model: id.spec().alias.to_string(),
         msg: e.to_string(),
     })
@@ -74,11 +30,7 @@ fn build_current(
 /// against its committed baseline. A missing or schema-mismatched
 /// baseline file is reported as a diff (context `"baseline"`) rather
 /// than an error, so one stale file fails the gate with an actionable
-/// message instead of aborting it.
-///
-/// The wall-clock channel is measured only for models whose baseline
-/// carries a sample and only when the config enables it — so checks
-/// under `NGB_NO_WALLCLOCK=1` never execute graphs at all.
+/// message instead of aborting it. No graph is executed.
 ///
 /// # Errors
 ///
@@ -88,7 +40,6 @@ fn build_current(
 pub fn check(cfg: &GateConfig) -> Result<CheckOutcome, RegressError> {
     let mut diffs: Vec<MetricDiff> = Vec::new();
     let mut models = Vec::with_capacity(cfg.models.len());
-    let mut wallclock_checked = false;
     for &id in &cfg.models {
         let alias = id.spec().alias.to_string();
         models.push(alias.clone());
@@ -106,16 +57,9 @@ pub fn check(cfg: &GateConfig) -> Result<CheckOutcome, RegressError> {
                 continue;
             }
         };
-        let measure = baseline.wallclock.is_some() && cfg.wallclock_iters.is_some();
-        wallclock_checked |= measure;
-        let current = build_current(cfg, id, measure)?;
-        diffs.extend(compare_model(&baseline, &current, &cfg.tolerance));
+        diffs.extend(compare_model(&baseline, &build_current(id)?));
     }
-    Ok(CheckOutcome {
-        models,
-        diffs,
-        wallclock_checked,
-    })
+    Ok(CheckOutcome { models, diffs })
 }
 
 /// Runs the update gate: regenerates every configured model's baseline
@@ -130,12 +74,12 @@ pub fn check(cfg: &GateConfig) -> Result<CheckOutcome, RegressError> {
 pub fn update(cfg: &GateConfig) -> Result<UpdateOutcome, RegressError> {
     let mut written = Vec::with_capacity(cfg.models.len());
     for &id in &cfg.models {
-        let current = build_current(cfg, id, true)?;
+        let current = build_current(id)?;
         let path = baseline_path(&cfg.dir, &current.model);
         let previous = load_baseline(&path).ok();
         let moved = previous
             .as_ref()
-            .map(|prev| compare_model(prev, &current, &cfg.tolerance))
+            .map(|prev| compare_model(prev, &current))
             .unwrap_or_default();
         write_baseline(&path, &current)?;
         written.push(ModelUpdate {
@@ -145,46 +89,6 @@ pub fn update(cfg: &GateConfig) -> Result<UpdateOutcome, RegressError> {
         });
     }
     Ok(UpdateOutcome { written })
-}
-
-/// Refreshes the repo-root bench seed from freshly written baselines:
-/// every configured model's full-scale O0 cost totals are merged into
-/// `bench_path` (other models' rows are preserved).
-///
-/// # Errors
-///
-/// Propagates [`RegressError::Io`] / [`RegressError::Parse`] /
-/// [`RegressError::Schema`] from reading the baselines just written.
-pub fn refresh_bench_seed(
-    cfg: &GateConfig,
-    bench_path: &std::path::Path,
-) -> Result<usize, RegressError> {
-    let mut entries = Vec::with_capacity(cfg.models.len());
-    for &id in &cfg.models {
-        let alias = id.spec().alias.to_string();
-        let baseline = load_baseline(&baseline_path(&cfg.dir, &alias))?;
-        if let Some(snap) = baseline.snapshot("full", ngb_opt::OptLevel::O0) {
-            entries.push((alias, bench_entry(snap)));
-        }
-    }
-    let count = entries.len();
-    update_bench_seed(bench_path, entries)?;
-    Ok(count)
-}
-
-/// Re-measures only the wall-clock channel for `id` (used by tests and
-/// diagnostics; the gate itself goes through [`check`]/[`update`]).
-///
-/// # Errors
-///
-/// [`RegressError::Build`] when execution fails.
-pub fn measure_wallclock(id: ModelId, iters: usize) -> Result<f64, RegressError> {
-    wallclock_median_us(id, iters)
-        .map(|w| w.median_us)
-        .map_err(|e| RegressError::Build {
-            model: id.spec().alias.to_string(),
-            msg: e.to_string(),
-        })
 }
 
 #[cfg(test)]
@@ -206,8 +110,6 @@ mod tests {
         GateConfig {
             dir,
             models: vec![ModelId::Gpt2],
-            wallclock_iters: None,
-            tolerance: Tolerance::default(),
         }
     }
 
@@ -220,7 +122,6 @@ mod tests {
         assert!(up.written[0].created);
         let out = check(&cfg).unwrap();
         assert!(out.is_clean(), "{}", out.to_text());
-        assert!(!out.wallclock_checked, "no iters configured");
         // an unchanged re-update reports nothing moved
         let up2 = update(&cfg).unwrap();
         assert!(!up2.written[0].created);
@@ -253,20 +154,6 @@ mod tests {
         assert!(!out.is_clean());
         assert!(out.diffs[0].baseline.contains("schema v0"));
         assert!(out.diffs[0].baseline.contains("--update"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_seed_refresh_covers_selected_models() {
-        let dir = tmpdir("bench");
-        let cfg = small_cfg(dir.clone());
-        update(&cfg).unwrap();
-        let bench = dir.join("BENCH_BASELINE.json");
-        let n = refresh_bench_seed(&cfg, &bench).unwrap();
-        assert_eq!(n, 1);
-        let text = std::fs::read_to_string(&bench).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert!(v["models"]["gpt2"]["total_us"].as_f64().unwrap() > 0.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

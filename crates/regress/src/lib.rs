@@ -20,12 +20,9 @@
 //! * **opt** — the rewriter's node-reduction delta and per-rewrite
 //!   counters.
 //!
-//! On top of that rides one *measured* channel: a median-of-k wall-clock
-//! smoke sample of the tiny preset, compared against a generous relative
-//! threshold ([`Tolerance::wallclock_factor`], `NGB_WALLCLOCK_FACTOR`)
-//! and skippable outright with `NGB_NO_WALLCLOCK=1` — single-core CI
-//! containers are too noisy for anything stricter, as the edge-latency
-//! prediction literature repeatedly observes.
+//! Nothing here is measured: a baseline is a pure function of the code,
+//! and `check` never executes a graph. Wall-clock time is the
+//! `benchmark/` harness's job.
 //!
 //! Baselines live as one versioned JSON file per model under
 //! `baselines/` ([`SCHEMA_VERSION`]); a version mismatch is a clear
@@ -46,7 +43,7 @@
 //! let b = snapshot(ModelId::Gpt2, Scale::Tiny, OptLevel::O1).unwrap();
 //! assert_eq!(a, b); // snapshots are deterministic
 //! assert!(a.cost.total_us > 0.0);
-//! assert_eq!(SCHEMA_VERSION, 4);
+//! assert_eq!(SCHEMA_VERSION, 5);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,18 +54,11 @@ mod gate;
 mod report;
 mod snapshot;
 
-pub use baseline::{
-    baseline_path, bench_entry, load_baseline, update_bench_seed, write_baseline, BenchEntry,
-    BenchSeed, RegressError,
-};
-pub use diff::{compare_model, MetricDiff, Tolerance};
-pub use gate::{
-    check, measure_wallclock, refresh_bench_seed, update, wallclock_disabled_by_env, GateConfig,
-    DEFAULT_WALLCLOCK_ITERS,
-};
+pub use baseline::{baseline_path, load_baseline, write_baseline, RegressError};
+pub use diff::{compare_model, MetricDiff};
+pub use gate::{check, update, GateConfig};
 pub use report::{CheckOutcome, ModelUpdate, UpdateOutcome};
 pub use snapshot::{
-    model_baseline, snapshot, wallclock_median_us, CostMetrics, GraphMetrics, LintMetrics,
-    ModelBaseline, OptMetrics, ScheduleMetrics, Snapshot, WallClock, OPT_LEVELS, SCALES,
-    SCHEMA_VERSION,
+    model_baseline, snapshot, CostMetrics, GraphMetrics, LintMetrics, ModelBaseline, OptMetrics,
+    ScheduleMetrics, Snapshot, OPT_LEVELS, SCALES, SCHEMA_VERSION,
 };

@@ -12,9 +12,6 @@ pub struct CheckOutcome {
     pub models: Vec<String>,
     /// Every divergence, grouped by model in selection order.
     pub diffs: Vec<MetricDiff>,
-    /// Whether the wall-clock channel ran (false under
-    /// `NGB_NO_WALLCLOCK` or when baselines carry no sample).
-    pub wallclock_checked: bool,
 }
 
 impl CheckOutcome {
@@ -36,16 +33,7 @@ impl CheckOutcome {
     pub fn to_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "regression check: {} model(s), wallclock {}",
-            self.models.len(),
-            if self.wallclock_checked {
-                "checked"
-            } else {
-                "skipped"
-            }
-        );
+        let _ = writeln!(out, "regression check: {} model(s)", self.models.len());
         for model in &self.models {
             let diffs: Vec<&MetricDiff> = self.diffs.iter().filter(|d| &d.model == model).collect();
             if diffs.is_empty() {
@@ -78,14 +66,12 @@ impl CheckOutcome {
         out
     }
 
-    /// The machine-readable report (what `--report` writes for CI
-    /// artifacts).
+    /// The machine-readable report (what `--format json` prints).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(&JsonReport {
             clean: self.is_clean(),
             models_checked: self.models.len(),
             models_failed: self.failed_models().iter().map(|s| s.to_string()).collect(),
-            wallclock_checked: self.wallclock_checked,
             diffs: self.diffs.clone(),
         })
         .expect("reports serialize")
@@ -98,7 +84,6 @@ struct JsonReport {
     clean: bool,
     models_checked: usize,
     models_failed: Vec<String>,
-    wallclock_checked: bool,
     diffs: Vec<MetricDiff>,
 }
 
@@ -155,7 +140,6 @@ mod tests {
         CheckOutcome {
             models: vec!["gpt2".into(), "bert".into()],
             diffs,
-            wallclock_checked: false,
         }
     }
 

@@ -2,10 +2,9 @@
 //! about one (model × scale × opt-level) configuration.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use ngb_analyze::Analyzer;
-use ngb_exec::{Interpreter, Schedule};
+use ngb_exec::Schedule;
 use ngb_models::{ModelId, Scale};
 use ngb_opt::{optimize_with, OptLevel, OptReport};
 use ngb_platform::Platform;
@@ -25,7 +24,9 @@ use serde::{Deserialize, Serialize};
 /// v4: the taxonomy census gained the `Collective` group (all-reduce /
 /// all-gather / transfer nodes inserted by `ngb-shard` count there
 /// instead of `Other`), so every census vector grew one entry.
-pub const SCHEMA_VERSION: u64 = 4;
+/// v5: the measured wall-clock block is gone; a baseline is a pure
+/// function of the code.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Total positions (prompt + generated) the decode-channel graphs are
 /// built for, per scale. Fixed so the census is deterministic.
@@ -193,23 +194,9 @@ impl Snapshot {
     }
 }
 
-/// The noise-tolerant wall-clock smoke channel: median-of-k host
-/// execution of the tiny preset. Unlike every other metric this is
-/// *measured*, so it is compared against a generous relative threshold
-/// (see `Tolerance::wallclock_factor`) and can be skipped entirely with
-/// `NGB_NO_WALLCLOCK=1`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WallClock {
-    /// Samples taken (the median is over these).
-    pub iterations: usize,
-    /// Median end-to-end host latency, microseconds.
-    pub median_us: f64,
-}
-
 /// Everything `ngb-regress` pins down about one model: the full
-/// scale × opt-level snapshot matrix plus the optional wall-clock
-/// channel. This is the unit of storage — one JSON file per model under
-/// `baselines/`.
+/// scale × opt-level snapshot matrix. This is the unit of storage — one
+/// JSON file per model under `baselines/`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelBaseline {
     /// On-disk layout version ([`SCHEMA_VERSION`]).
@@ -218,9 +205,6 @@ pub struct ModelBaseline {
     pub model: String,
     /// The snapshot matrix, in [`SCALES`] × [`OPT_LEVELS`] order.
     pub snapshots: Vec<Snapshot>,
-    /// Wall-clock smoke sample; `None` when captured under
-    /// `NGB_NO_WALLCLOCK`.
-    pub wallclock: Option<WallClock>,
 }
 
 impl ModelBaseline {
@@ -321,57 +305,23 @@ fn decode_metrics(
     }))
 }
 
-/// Measures the wall-clock smoke channel: median over `iterations` real
-/// host executions of the tiny preset (plus one warm-up run), in
-/// microseconds.
-///
-/// # Errors
-///
-/// Propagates graph-construction or kernel errors.
-pub fn wallclock_median_us(id: ModelId, iterations: usize) -> Result<WallClock, TensorError> {
-    let graph = id.build(1, Scale::Tiny)?;
-    let interp = Interpreter::new(0x5eed);
-    interp.run(&graph)?; // warm-up: first run pays weight synthesis
-    let iterations = iterations.max(1);
-    let mut samples = Vec::with_capacity(iterations);
-    for _ in 0..iterations {
-        let t0 = Instant::now();
-        interp.run(&graph)?;
-        samples.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    Ok(WallClock {
-        iterations,
-        median_us: samples[samples.len() / 2],
-    })
-}
-
 /// Builds the full baseline for one model: the [`SCALES`] × [`OPT_LEVELS`]
-/// snapshot matrix plus, when `wallclock_iters` is `Some`, the measured
-/// wall-clock channel.
+/// snapshot matrix.
 ///
 /// # Errors
 ///
-/// Propagates graph-construction or kernel errors.
-pub fn model_baseline(
-    id: ModelId,
-    wallclock_iters: Option<usize>,
-) -> Result<ModelBaseline, TensorError> {
+/// Propagates graph-construction errors.
+pub fn model_baseline(id: ModelId) -> Result<ModelBaseline, TensorError> {
     let mut snapshots = Vec::with_capacity(SCALES.len() * OPT_LEVELS.len());
     for scale in SCALES {
         for level in OPT_LEVELS {
             snapshots.push(snapshot(id, scale, level)?);
         }
     }
-    let wallclock = match wallclock_iters {
-        Some(k) => Some(wallclock_median_us(id, k)?),
-        None => None,
-    };
     Ok(ModelBaseline {
         schema: SCHEMA_VERSION,
         model: id.spec().alias.to_string(),
         snapshots,
-        wallclock,
     })
 }
 
@@ -403,20 +353,12 @@ mod tests {
 
     #[test]
     fn model_baseline_covers_the_matrix() {
-        let b = model_baseline(ModelId::Bert, None).unwrap();
+        let b = model_baseline(ModelId::Bert).unwrap();
         assert_eq!(b.schema, SCHEMA_VERSION);
         assert_eq!(b.model, "bert");
         assert_eq!(b.snapshots.len(), 6);
-        assert!(b.wallclock.is_none());
         assert!(b.snapshot("tiny", OptLevel::O2).is_some());
         assert!(b.snapshot("full", OptLevel::O0).is_some());
         assert!(b.snapshot("huge", OptLevel::O0).is_none());
-    }
-
-    #[test]
-    fn wallclock_channel_measures_something() {
-        let w = wallclock_median_us(ModelId::Gpt2, 3).unwrap();
-        assert_eq!(w.iterations, 3);
-        assert!(w.median_us.is_finite() && w.median_us > 0.0);
     }
 }

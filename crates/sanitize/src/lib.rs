@@ -145,7 +145,7 @@ mod tests {
         );
 
         // overlapping chunks -> partition-overlap (or out-of-bounds)
-        let mut ranges = ngb_ops::parallel::element_partition(100_000, 1);
+        let mut ranges = ngb_ops::parallel::element_partition(100_000);
         faults::overlap_chunks(&mut ranges, 7).unwrap();
         let mut report = SanitizeReport::new("chunks");
         assert!(!verify_ranges(

@@ -91,12 +91,11 @@ pub fn verify_ranges(
 /// Symbolically checks every decomposition each node's kernels can
 /// dispatch for the node's static output shape.
 pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
-    let min = parallel::GRAIN_ELEMS;
     for node in graph.iter() {
         let numel = ngb_tensor::num_elements(&node.out_shape);
         verify_ranges(
             "element",
-            &parallel::element_partition(numel, min),
+            &parallel::element_partition(numel),
             numel,
             node.id,
             report,
@@ -106,7 +105,7 @@ pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
                 let rows = numel / row_len;
                 verify_ranges(
                     "row",
-                    &parallel::row_partition(rows, row_len, min),
+                    &parallel::row_partition(rows, row_len),
                     rows,
                     node.id,
                     report,
@@ -114,7 +113,7 @@ pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
             }
         }
         if let Some((m, n)) = gemm_dims(node.op.clone(), &node.out_shape) {
-            verify_gemm_tiles(m, n, min, node.id, report);
+            verify_gemm_tiles(m, n, node.id, report);
         }
     }
 }
@@ -137,7 +136,7 @@ fn gemm_dims(op: OpKind, out_shape: &[usize]) -> Option<(usize, usize)> {
 /// Checks the GEMM register-tile decomposition for an `[m, n]` output:
 /// row blocks must exactly cover `0..m`, and the chunk-level grain must
 /// compose with the blocks to re-cover every row.
-fn verify_gemm_tiles(m: usize, n: usize, min: usize, node: NodeId, report: &mut SanitizeReport) {
+fn verify_gemm_tiles(m: usize, n: usize, node: NodeId, report: &mut SanitizeReport) {
     if m == 0 || n == 0 {
         return;
     }
@@ -162,7 +161,7 @@ fn verify_gemm_tiles(m: usize, n: usize, min: usize, node: NodeId, report: &mut 
     // expanding each chunk's blocks must re-cover 0..m in order
     report.stats.partitions_checked += 1;
     let mut covered = 0usize;
-    for chunk in parallel::row_partition(units, unit_len, min) {
+    for chunk in parallel::row_partition(units, unit_len) {
         report.stats.chunks_checked += 1;
         for ib in chunk {
             if blocks[ib].start != covered {

@@ -3,10 +3,10 @@
 #
 #   scripts/ci.sh                  # run every stage
 #   CI_STAGES=clippy scripts/ci.sh # rerun a single stage
-#   CI_STAGES=test-opt,regress scripts/ci.sh
+#   CI_STAGES=test-opt,serve scripts/ci.sh
 #
 # Stages: fmt, clippy, test, test-parallel, test-opt, test-intraop,
-# sanitize, serve, contiguous-ratchet, one-executor, regress, benchmark.
+# sanitize, serve, contiguous-ratchet, one-executor, benchmark.
 # Unknown stage names in CI_STAGES exit 2 with the valid list, so a typo
 # never silently skips every gate.
 # The contiguous-ratchet stage pins the declared list of eager
@@ -19,10 +19,9 @@
 # gather/execute/finish loop has to make — must each live in exactly one
 # file of the executing crates, and each NGB_* variable has one reader:
 # outside test modules env::var("NGB_ may appear only in
-# crates/exec/src/lib.rs (THREADS, INTRAOP), crates/opt/src/lib.rs (OPT)
-# and crates/regress/src/{diff,gate}.rs (WALLCLOCK_FACTOR, NO_WALLCLOCK).
-# A second loop, a sixth variable or a second reader of an existing one
-# fails CI until it is justified here.
+# crates/exec/src/lib.rs (THREADS, INTRAOP) and crates/opt/src/lib.rs
+# (OPT). A second loop, a fourth variable or a second reader of an
+# existing one fails CI until it is justified here.
 # The sanitize stage audits that unsafe code stays confined to ngb-ops
 # and ngb-exec, lints the verifier crate at -D warnings, and runs the
 # 18-model hazard sweep (static verifier + shadow-memory execution) on a
@@ -35,10 +34,6 @@
 # --batch-wait-us: sparser traffic is dispatched at once and need not
 # batch. It also greps that no response or request can leave in two
 # segments (no separate newline write, TCP_NODELAY on both ends).
-# The regress stage writes target/ci/regress-report.{json,txt} so CI can
-# upload the diff report as an artifact; tune it with NGB_NO_WALLCLOCK=1
-# (skip the measured smoke channel) or NGB_WALLCLOCK_FACTOR=<f> (extra
-# noise headroom on slow runners).
 # The benchmark stage runs benchmark/check.sh as it stands: the standalone
 # benchmark crate is outside this workspace, so no other stage compiles it
 # against the ngb-exec surface it builds on (Interpreter, ExecutionTrace).
@@ -47,7 +42,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES="fmt,clippy,test,test-parallel,test-opt,test-intraop,sanitize,serve,contiguous-ratchet,one-executor,regress,benchmark"
+ALL_STAGES="fmt,clippy,test,test-parallel,test-opt,test-intraop,sanitize,serve,contiguous-ratchet,one-executor,benchmark"
 STAGES="${CI_STAGES:-$ALL_STAGES}"
 
 # reject unknown stage names up front: a typo in CI_STAGES must fail
@@ -103,13 +98,6 @@ print_summary() {
       done
     } >>"$GITHUB_STEP_SUMMARY"
   fi
-}
-
-regress_gate() {
-  mkdir -p target/ci
-  cargo build --release -q --bin nongemm-cli
-  ./target/release/nongemm-cli ci --check \
-    --report target/ci/regress-report.json | tee target/ci/regress-report.txt
 }
 
 sanitize_gate() {
@@ -235,9 +223,7 @@ non_test_hits() {
 # in the header.
 ENV_READERS="crates/exec/src/lib.rs	NGB_INTRAOP
 crates/exec/src/lib.rs	NGB_THREADS
-crates/opt/src/lib.rs	NGB_OPT
-crates/regress/src/diff.rs	NGB_WALLCLOCK_FACTOR
-crates/regress/src/gate.rs	NGB_NO_WALLCLOCK"
+crates/opt/src/lib.rs	NGB_OPT"
 
 one_executor() {
   local pattern files readers violations=0
@@ -271,7 +257,6 @@ run_stage sanitize      sanitize_gate
 run_stage serve         serve_gate
 run_stage contiguous-ratchet contiguous_ratchet
 run_stage one-executor  one_executor
-run_stage regress       regress_gate
 run_stage benchmark     benchmark/check.sh
 
 print_summary

@@ -59,10 +59,6 @@ fn help_exits_zero_and_documents_every_flag() {
             "--check",
             "--update",
             "--dir",
-            "--bench",
-            "--report",
-            "--wallclock-iters",
-            "--no-wallclock",
             "--intra-op",
             "--addr",
             "--max-batch",
@@ -73,7 +69,6 @@ fn help_exits_zero_and_documents_every_flag() {
             "--prompt-len",
             "NGB_THREADS",
             "NGB_OPT",
-            "NGB_NO_WALLCLOCK",
             "NGB_INTRAOP",
         ] {
             assert!(text.contains(needle), "{args:?} help lacks '{needle}'");
@@ -94,6 +89,10 @@ fn unknown_flags_and_subcommands_exit_two_with_usage() {
         &["verify", "--format", "csv"],
         &["ci", "--format", "csv"],
         &["ci", "--check", "--update"],
+        &["ci", "--no-wallclock"],
+        &["ci", "--wallclock-iters", "3"],
+        &["ci", "--bench", "x"],
+        &["ci", "--report", "x"],
         &["run", "--model"], // missing value
         &["run", "--intra-op", "maybe"],
         &["verify", "--intra-op", "2"],
@@ -127,16 +126,12 @@ fn unknown_flags_and_subcommands_exit_two_with_usage() {
 fn ci_update_then_check_round_trips_through_the_binary() {
     let dir = tmpdir("gate");
     let baselines = dir.join("baselines");
-    let bench = dir.join("BENCH_BASELINE.json");
     let common = [
         "ci",
         "--model",
         "gpt2",
-        "--no-wallclock",
         "--dir",
         baselines.to_str().unwrap(),
-        "--bench",
-        bench.to_str().unwrap(),
     ];
 
     // a check before any baselines exist must fail and point at --update
@@ -148,6 +143,7 @@ fn ci_update_then_check_round_trips_through_the_binary() {
     let out = cli()
         .args(common)
         .arg("--update")
+        .current_dir(&dir)
         .output()
         .expect("spawn cli");
     assert!(
@@ -158,12 +154,17 @@ fn ci_update_then_check_round_trips_through_the_binary() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("new  gpt2"), "{text}");
     assert!(baselines.join("gpt2.json").is_file());
-    assert!(bench.is_file(), "--update seeds BENCH_BASELINE.json");
+    // run from `dir`, so a file written beside the baselines (a seed at a
+    // relative default path) would land here
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(written, ["baselines"], "--update writes only the baselines");
 
-    let report = dir.join("report.json");
     let out = cli()
         .args(common)
-        .args(["--check", "--report", report.to_str().unwrap()])
+        .arg("--check")
         .output()
         .expect("spawn cli");
     assert!(
@@ -174,8 +175,14 @@ fn ci_update_then_check_round_trips_through_the_binary() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("ok   gpt2"), "{text}");
     assert!(text.contains("result: PASS"), "{text}");
+    let out = cli()
+        .args(common)
+        .args(["--check", "--format", "json"])
+        .output()
+        .expect("spawn cli");
+    assert!(out.status.success());
     let v: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        serde_json::from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
     assert_eq!(v["clean"], true);
     assert_eq!(v["models_checked"], 1.0);
 

@@ -153,7 +153,7 @@ fn static_verifier_catches_every_seeded_fault_class() {
         );
 
         // overlapping chunk decomposition -> partition hazard
-        let mut ranges = nongemm::ops::parallel::element_partition(1 << 20, 1);
+        let mut ranges = nongemm::ops::parallel::element_partition(1 << 20);
         faults::overlap_chunks(&mut ranges, seed).expect("non-empty decomposition");
         let mut report = SanitizeReport::new("chunks");
         assert!(!nongemm::sanitize::verify_ranges(
