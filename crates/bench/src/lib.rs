@@ -6,7 +6,7 @@
 //! study (DESIGN.md §4 and §8 index them); the `artifacts` binary writes
 //! them and `tests/artifacts.rs` fails when a committed file differs from
 //! its renderer. Every profile is analytic over the paper's unoptimized
-//! (-O0) full-scale graphs, so no artifact depends on `NGB_OPT`.
+//! (-O0) full-scale graphs, so no artifact depends on an opt level.
 //!
 //! Wall-clock measurement of the stack itself (graph execution, serving,
 //! decode, sharding) is not here: it lives in the standalone `benchmark/`
@@ -95,7 +95,7 @@ pub fn artifacts_dir() -> PathBuf {
 }
 
 /// Analytic profile of `model`'s full-scale graph at `batch`: the paper's
-/// unoptimized graph, whatever `NGB_OPT` says.
+/// unoptimized graph.
 ///
 /// # Panics
 ///

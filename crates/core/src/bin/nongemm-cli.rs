@@ -28,10 +28,11 @@
 //!   non-zero on any divergence, `--update` regenerates them and
 //!   summarizes what moved.
 //!
-//! Shared conventions: `--opt-level` / `NGB_OPT` select the `ngb-opt`
-//! graph-rewrite level, `--threads` / `NGB_THREADS` the execution
-//! parallelism; usage errors exit 2 with a one-line usage string on
-//! stderr; `--help` prints the full help on stdout and exits 0.
+//! Shared conventions: `--opt-level` selects the `ngb-opt` graph-rewrite
+//! level (default 0), `--threads` the execution parallelism (default 1);
+//! every setting is a flag, none is read from the environment; usage
+//! errors exit 2 with a one-line usage string on stderr; `--help` prints
+//! the full help on stdout and exits 0.
 
 use std::process::ExitCode;
 
@@ -59,8 +60,8 @@ struct Common {
     batch: usize,
     tiny: bool,
     threads: usize,
-    opt_level: Option<OptLevel>,
-    intra_op: Option<bool>,
+    opt_level: OptLevel,
+    intra_op: bool,
     format: Format,
 }
 
@@ -72,9 +73,9 @@ impl Common {
             models: Vec::new(),
             batch: 1,
             tiny: false,
-            threads: 0,
-            opt_level: None,
-            intra_op: None,
+            threads: 1,
+            opt_level: OptLevel::O0,
+            intra_op: true,
             format: Format::Text,
         }
     }
@@ -94,8 +95,8 @@ impl Common {
             "--batch" => self.batch = parse_positive(&take_value(it, "--batch"), "--batch"),
             "--tiny" => self.tiny = true,
             "--threads" => self.threads = parse_positive(&take_value(it, "--threads"), "--threads"),
-            "--opt-level" => self.opt_level = Some(parse_opt_level(&take_value(it, "--opt-level"))),
-            "--intra-op" => self.intra_op = Some(parse_intra_op(&take_value(it, "--intra-op"))),
+            "--opt-level" => self.opt_level = parse_opt_level(&take_value(it, "--opt-level")),
+            "--intra-op" => self.intra_op = parse_intra_op(&take_value(it, "--intra-op")),
             "--format" => {
                 self.format = match (take_value(it, "--format").as_str(), self.cmd) {
                     ("text", _) => Format::Text,
@@ -201,10 +202,9 @@ RUN OPTIONS:
   --tiny                use the executable tiny presets
   --measured            execute on the host instead of the analytic models
   --microbench          run the microbench flow instead of end-to-end
-  --threads <n>         worker threads for --measured (default: $NGB_THREADS or 1)
-  --opt-level <0|1|2>   graph-rewrite level (default: $NGB_OPT or 0)
-  --intra-op <on|off>   intra-op data parallelism for --measured
-                        (default: $NGB_INTRAOP or on)
+  --threads <n>         worker threads for --measured (default: 1)
+  --opt-level <0|1|2>   graph-rewrite level (default: 0)
+  --intra-op <on|off>   intra-op data parallelism for --measured (default: on)
   --sanitize            run --measured under the shadow-memory sanitizer
   --format <fmt>        text | csv | json (default: text)
   --trace <path>        also write a Chrome trace JSON per model
@@ -216,15 +216,14 @@ GENERATE OPTIONS:
   --prompt-len <n>      synthetic prompt length (default: 4)
   --max-new-tokens <n>  tokens to generate greedily (default: 16)
   --quantize <q>        none | int8 weight-quantized GEMMs (default: none)
-  --threads <n>         worker threads (default: $NGB_THREADS or 1)
+  --threads <n>         worker threads (default: 1)
 
 VERIFY OPTIONS:
   --model <alias>       model alias (repeatable; default: all 18)
   --batch <n>           batch size (default: 1)
   --tiny                use the executable tiny presets
-  --threads <n>         analyze models concurrently (default: $NGB_THREADS or 1)
-  --opt-level <0|1|2>   analyze the rewritten graphs (default: $NGB_OPT or 0)
-  --intra-op <on|off>   accepted for parity with run (analysis is static)
+  --threads <n>         analyze models concurrently (default: 1)
+  --opt-level <0|1|2>   analyze the rewritten graphs (default: 0)
   --format <fmt>        text | json (default: text)
   --all                 include allow-level findings in text output
 
@@ -232,10 +231,10 @@ SANITIZE OPTIONS:
   --model <alias>       model alias (repeatable; default: all 18)
   --batch <n>           batch size (default: 1)
   --tiny                use the executable tiny presets
-  --threads <n>         engine for the sanitized execution pass
-                        (default: $NGB_THREADS or 1)
-  --opt-level <0|1|2>   sanitize the rewritten graphs (default: $NGB_OPT or 0)
+  --threads <n>         engine for the sanitized execution pass (default: 1)
+  --opt-level <0|1|2>   sanitize the rewritten graphs (default: 0)
   --intra-op <on|off>   intra-op parallelism for the execution pass
+                        (default: on)
   --static-only         skip the shadow-memory execution pass
   --format <fmt>        text | json (default: text)
 
@@ -249,10 +248,9 @@ SERVE OPTIONS:
                         (default: 2000)
   --queue-cap <n>       per-model admission queue bound; 0 rejects all
                         (default: 64)
-  --threads <n>         executor worker threads (default: $NGB_THREADS or 1)
-  --opt-level <0|1|2>   graph-rewrite level for served graphs
-                        (default: $NGB_OPT or 0)
-  --intra-op <on|off>   intra-op data parallelism (default: $NGB_INTRAOP or on)
+  --threads <n>         executor worker threads (default: 1)
+  --opt-level <0|1|2>   graph-rewrite level for served graphs (default: 0)
+  --intra-op <on|off>   intra-op data parallelism (default: on)
   --tiny                serve the executable tiny presets
 
 SHARD OPTIONS:
@@ -265,8 +263,8 @@ SHARD OPTIONS:
   --batch <n>           batch size (default: 1)
   --tiny                use the executable tiny presets (execution always
                         runs the real kernels; full scale is slow)
-  --opt-level <0|1|2>   rewrite level before partitioning (default: $NGB_OPT
-                        or 0; tensor splits apply to primitive Linear nodes)
+  --opt-level <0|1|2>   rewrite level before partitioning (default: 0;
+                        tensor splits apply to primitive Linear nodes)
   --format <fmt>        text | json (default: text)
 
 CI OPTIONS:
@@ -275,10 +273,6 @@ CI OPTIONS:
   --model <alias>       gate only these models (repeatable; default: all 18)
   --dir <path>          baseline directory (default: baselines)
   --format <fmt>        text | json (default: text)
-
-ENVIRONMENT:
-  NGB_THREADS / NGB_OPT      defaults for --threads / --opt-level
-  NGB_INTRAOP                default for --intra-op (0/off/false disable)
 
 EXIT CODES:
   0  success / clean    1  failure or regression    2  usage error
@@ -344,6 +338,16 @@ const ENGINE_FLAGS: &[&str] = &[
     "--format",
 ];
 
+/// `verify` analyzes statically, so it has no `--intra-op`.
+const VERIFY_FLAGS: &[&str] = &[
+    "--model",
+    "--batch",
+    "--tiny",
+    "--threads",
+    "--opt-level",
+    "--format",
+];
+
 fn unknown_argument(arg: &str) -> ! {
     eprintln!("unknown argument '{arg}'");
     usage()
@@ -402,7 +406,7 @@ fn parse_run_args(argv: &[String]) -> Args {
 
 fn parse_verify_args(argv: &[String]) -> VerifyArgs {
     let mut args = VerifyArgs {
-        common: Common::new("verify", ENGINE_FLAGS),
+        common: Common::new("verify", VERIFY_FLAGS),
         all: false,
     };
     let mut it = argv.iter();
@@ -484,8 +488,8 @@ fn parse_serve_args(argv: &[String]) -> nongemm::serve::ServeConfig {
         config.scale = Scale::Tiny;
     }
     config.threads = common.threads;
-    config.opt_level = common.opt_level.unwrap_or(config.opt_level);
-    config.intra_op = common.intra_op;
+    config.opt_level = common.opt_level;
+    config.intra_op = Some(common.intra_op);
     config
 }
 

@@ -104,15 +104,13 @@ pub struct BenchConfig {
     pub scale: Scale,
     /// Iterations for measured (host-executed) profiling.
     pub iterations: usize,
-    /// Worker threads for measured execution and verification.
-    /// `0` means auto: honor `NGB_THREADS` when set, else run sequentially.
+    /// Worker threads for measured execution and verification; more than
+    /// one selects the parallel engine.
     pub threads: usize,
     /// Graph-rewrite optimization level applied to every built graph.
-    /// `None` means auto: honor `NGB_OPT` when set, else `O0`.
-    pub opt_level: Option<OptLevel>,
+    pub opt_level: OptLevel,
     /// Intra-op data parallelism for measured execution.
-    /// `None` means auto: honor `NGB_INTRAOP` when set, else on.
-    pub intra_op: Option<bool>,
+    pub intra_op: bool,
     /// Shadow-memory execution sanitizer for measured execution.
     pub sanitize: bool,
 }
@@ -127,9 +125,9 @@ impl Default for BenchConfig {
             batch: 1,
             scale: Scale::Full,
             iterations: 3,
-            threads: 0,
-            opt_level: None,
-            intra_op: None,
+            threads: 1,
+            opt_level: OptLevel::O0,
+            intra_op: true,
             sanitize: false,
         }
     }
@@ -166,14 +164,8 @@ impl NonGemmBench {
         }
     }
 
-    /// Effective optimization level: the explicit `opt_level` setting, or
-    /// `NGB_OPT` (falling back to [`OptLevel::O0`]) when unset.
-    pub fn effective_opt_level(&self) -> OptLevel {
-        self.config.opt_level.unwrap_or_else(OptLevel::from_env)
-    }
-
     /// Builds the operator graphs for the selected models, rewritten at
-    /// [`NonGemmBench::effective_opt_level`]. Every flow — end-to-end,
+    /// the configured `opt_level`. Every flow — end-to-end,
     /// measured, microbench, verify — therefore sees the optimized graphs.
     ///
     /// # Errors
@@ -194,12 +186,11 @@ impl NonGemmBench {
     ///
     /// Propagates graph-construction errors.
     pub fn build_graphs_with_reports(&self) -> Result<Vec<(Graph, OptReport)>, TensorError> {
-        let level = self.effective_opt_level();
         self.selected_models()
             .into_iter()
             .map(|m| {
                 let g = m.build(self.config.batch, self.config.scale)?;
-                Ok(ngb_opt::optimize(&g, level))
+                Ok(ngb_opt::optimize(&g, self.config.opt_level))
             })
             .collect()
     }
@@ -226,28 +217,17 @@ impl NonGemmBench {
             .collect())
     }
 
-    /// The `threads` setting, or `NGB_THREADS` (else 1) when it is `0`.
-    fn threads(&self) -> usize {
-        match self.config.threads {
-            0 => ngb_exec::env_threads(1),
-            n => n,
-        }
-    }
-
     /// The engine value measured runs use: seed `0x5eed`, the parallel
-    /// engine when the `threads` setting (or `NGB_THREADS` when it is `0`)
-    /// asks for more than one worker, the explicit `intra_op` setting over
-    /// the `NGB_INTRAOP` default [`Interpreter::new`] resolves, and the
-    /// `sanitize` setting.
+    /// engine when the `threads` setting asks for more than one worker,
+    /// and the `intra_op` and `sanitize` settings.
     pub fn interpreter(&self) -> Interpreter {
         let mut interp = Interpreter::new(0x5eed);
-        if self.threads() > 1 {
-            interp = interp.engine(Engine::Parallel(self.threads()));
+        if self.config.threads > 1 {
+            interp = interp.engine(Engine::Parallel(self.config.threads));
         }
-        if let Some(on) = self.config.intra_op {
-            interp = interp.intra_op(on);
-        }
-        interp.sanitize(self.config.sanitize)
+        interp
+            .intra_op(self.config.intra_op)
+            .sanitize(self.config.sanitize)
     }
 
     /// Runs the end-to-end flow by real host execution (sensible with
@@ -320,15 +300,15 @@ impl NonGemmBench {
 
     /// Runs the `ngb-analyze` static analyzer over every selected model's
     /// graph (the `nongemm-cli verify` flow), one report per model, in the
-    /// original selection order. With more than one effective thread the
-    /// models are analyzed concurrently on a [`ThreadPool`].
+    /// original selection order. With more than one thread the models are
+    /// analyzed concurrently on a [`ThreadPool`].
     ///
     /// # Errors
     ///
     /// Propagates graph-construction errors.
     pub fn verify(&self) -> Result<Vec<AnalysisReport>, TensorError> {
         let graphs = self.build_graphs()?;
-        let threads = self.threads().min(graphs.len().max(1));
+        let threads = self.config.threads.min(graphs.len().max(1));
         if threads <= 1 {
             let analyzer = Analyzer::new();
             return Ok(graphs.iter().map(|g| analyzer.analyze(g)).collect());
@@ -493,6 +473,9 @@ mod tests {
                 ..BenchConfig::default()
             })
         };
+        let default = NonGemmBench::new(BenchConfig::default()).interpreter();
+        assert_eq!(default.engine_kind(), Engine::Sequential);
+        assert_eq!(mk(0).interpreter().engine_kind(), Engine::Sequential);
         assert_eq!(mk(1).interpreter().engine_kind(), Engine::Sequential);
         assert_eq!(mk(4).interpreter().engine_kind(), Engine::Parallel(4));
         assert_eq!(mk(4).interpreter().engine_kind().threads(), 4);
@@ -506,8 +489,11 @@ mod tests {
                 ..BenchConfig::default()
             })
         };
-        assert!(mk(Some(true)).interpreter().intra_op_enabled());
-        assert!(!mk(Some(false)).interpreter().intra_op_enabled());
+        assert!(mk(true).interpreter().intra_op_enabled());
+        assert!(!mk(false).interpreter().intra_op_enabled());
+        assert!(NonGemmBench::new(BenchConfig::default())
+            .interpreter()
+            .intra_op_enabled());
     }
 
     #[test]
@@ -518,7 +504,7 @@ mod tests {
                 scale: Scale::Tiny,
                 iterations: 1,
                 threads: 2,
-                intra_op: Some(intra_op),
+                intra_op,
                 ..BenchConfig::default()
             })
         };
@@ -555,16 +541,15 @@ mod tests {
                 ..BenchConfig::default()
             })
         };
-        let unopt = mk(Some(OptLevel::O0)).build_graphs().unwrap();
-        let built = mk(Some(OptLevel::O2)).build_graphs_with_reports().unwrap();
+        let unopt = mk(OptLevel::O0).build_graphs().unwrap();
+        let built = mk(OptLevel::O2).build_graphs_with_reports().unwrap();
         let (g2, report) = &built[0];
         assert!(report.fusions() > 0, "resnet50 has conv+bn+relu chains");
         assert!(g2.len() < unopt[0].len());
-        assert_eq!(
-            mk(Some(OptLevel::O2)).effective_opt_level(),
-            OptLevel::O2,
-            "explicit setting wins over the environment"
-        );
+        // O0, the default, runs the graph exactly as built
+        assert_eq!(BenchConfig::default().opt_level, OptLevel::O0);
+        let raw = ModelId::ResNet50.build(1, Scale::Tiny).unwrap();
+        assert_eq!(unopt[0].len(), raw.len());
     }
 
     #[test]

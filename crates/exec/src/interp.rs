@@ -44,13 +44,8 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// A parallel engine sized by [`crate::default_threads`]
-    /// (`NGB_THREADS` or the host's available parallelism).
-    pub fn auto() -> Engine {
-        Engine::Parallel(crate::default_threads())
-    }
-
-    /// Worker-thread count of this engine (1 for sequential).
+    /// Worker-thread count of this engine (1 for sequential and for
+    /// `Parallel(0)`).
     pub fn threads(&self) -> usize {
         match *self {
             Engine::Sequential => 1,
@@ -159,15 +154,15 @@ impl Default for Interpreter {
 }
 
 impl Interpreter {
-    /// Creates a sequential interpreter whose weights derive from `seed`.
-    /// Intra-op parallelism starts from `NGB_INTRAOP` (on when unset),
-    /// read here once; the sanitizer starts off and weights unquantized.
+    /// Creates a sequential interpreter whose weights derive from `seed`,
+    /// with intra-op parallelism on, the sanitizer off and weights
+    /// unquantized.
     pub fn new(seed: u64) -> Interpreter {
         Interpreter {
             seed,
             preflight: false,
             engine: Engine::Sequential,
-            intra_op: crate::env_intraop(true),
+            intra_op: true,
             sanitize: false,
             quant: Quant::None,
             store: Arc::default(),
@@ -764,7 +759,6 @@ mod tests {
         assert_eq!(seq.outputs[0].1, par.outputs[0].1);
         assert_eq!(Engine::Sequential.threads(), 1);
         assert_eq!(Engine::Parallel(4).threads(), 4);
-        assert!(Engine::auto().threads() >= 1);
     }
 
     #[test]

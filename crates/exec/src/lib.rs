@@ -26,12 +26,10 @@
 //!   out across idle pool workers, sharing one pool with node-level
 //!   scheduling.
 //!
-//! This file is the only reader of `NGB_THREADS` and `NGB_INTRAOP`
-//! ([`env_threads`], `env_intraop`); [`Interpreter::new`] resolves the
-//! second once, and the thread count arrives by explicit
-//! [`Engine::Parallel`] selection. The sanitizer and quantization have no
-//! variable: [`Interpreter::sanitize`] and [`Interpreter::quantize`] set
-//! them.
+//! No setting comes from the environment: [`Interpreter::new`] starts
+//! sequential with intra-op on, the sanitizer off and weights
+//! unquantized, and [`Interpreter::engine`], [`Interpreter::intra_op`],
+//! [`Interpreter::sanitize`] and [`Interpreter::quantize`] change them.
 //!
 //! # Examples
 //!
@@ -73,41 +71,23 @@ pub use runcore::{validate, ExecCtx, Executed, RunCore};
 pub use sanitizer::ShadowMemory;
 pub use schedule::{Schedule, ScheduleStats};
 
-/// Reads the worker-thread count from `NGB_THREADS`, falling back to
-/// `fallback` when the variable is unset, unparsable, or zero.
-pub fn env_threads(fallback: usize) -> usize {
-    std::env::var("NGB_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(fallback)
-}
-
-/// Reads the intra-op parallelism switch from `NGB_INTRAOP`: `0`, `off`,
-/// or `false` disable it, anything else enables it, and `fallback` applies
-/// when the variable is unset.
-pub(crate) fn env_intraop(fallback: bool) -> bool {
-    match std::env::var("NGB_INTRAOP") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => fallback,
-    }
-}
-
-/// Default worker count: `NGB_THREADS` if set, else the host's available
-/// parallelism (1 when that cannot be determined).
-pub fn default_threads() -> usize {
-    env_threads(
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    )
-}
-
 #[cfg(test)]
 mod tests {
+    use super::{Engine, Interpreter};
+
+    /// The default engine runs one thread, and a parallel engine asked for
+    /// zero workers still runs one (`ServeConfig::threads` 0 relies on it).
     #[test]
     fn default_threads_is_positive() {
-        assert!(super::default_threads() >= 1);
-        assert!(super::env_threads(3) >= 1);
+        assert_eq!(Interpreter::default().engine_kind(), Engine::Sequential);
+        assert_eq!(Interpreter::default().engine_kind().threads(), 1);
+        assert_eq!(Engine::Parallel(0).threads(), 1);
+        assert_eq!(
+            Interpreter::default()
+                .engine(Engine::Parallel(0))
+                .pool()
+                .threads(),
+            1
+        );
     }
 }

@@ -34,8 +34,8 @@
 //! from the *original* node ids — renumbering never changes the numbers a
 //! model computes.
 //!
-//! The level comes from the CLI (`--opt-level`) or the `NGB_OPT`
-//! environment variable (see [`OptLevel::from_env`]).
+//! The level comes from the caller: `BenchConfig::opt_level`,
+//! `ServeConfig::opt_level` or the CLI's `--opt-level` (default `O0`).
 //!
 //! # Examples
 //!
@@ -86,15 +86,6 @@ impl OptLevel {
             "2" => Some(OptLevel::O2),
             _ => None,
         }
-    }
-
-    /// Reads `NGB_OPT`, falling back to [`OptLevel::O0`] when the
-    /// variable is unset or unparsable.
-    pub fn from_env() -> OptLevel {
-        std::env::var("NGB_OPT")
-            .ok()
-            .and_then(|v| OptLevel::parse(&v))
-            .unwrap_or(OptLevel::O0)
     }
 
     /// Canonical display name (`"O0"`, `"O1"`, `"O2"`).

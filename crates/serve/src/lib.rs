@@ -67,8 +67,8 @@ pub const DEFAULT_BATCH_WAIT_US: u64 = 2_000;
 /// Default per-model queue capacity (admission control bound).
 pub const DEFAULT_QUEUE_CAP: usize = 64;
 
-/// Server configuration. `Default` is the crate's `DEFAULT_*` constants,
-/// with the rewrite level from `NGB_OPT`.
+/// Server configuration. `Default` is the crate's `DEFAULT_*` constants
+/// at rewrite level `O0`, one worker thread and intra-op on.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// TCP listen address, e.g. `"127.0.0.1:7077"`.
@@ -88,10 +88,9 @@ pub struct ServeConfig {
     /// Per-model queue capacity; 0 rejects every request (useful as an
     /// admission-control drill).
     pub queue_cap: usize,
-    /// Worker threads of the shared execution pool (0 = `NGB_THREADS`
-    /// or 1).
+    /// Worker threads of the shared execution pool (0 runs one).
     pub threads: usize,
-    /// Intra-op parallelism override (`None` = `NGB_INTRAOP` default).
+    /// Intra-op parallelism (`None` = on).
     pub intra_op: Option<bool>,
     /// Weight seed of the served graphs (requests carry their own input
     /// seeds; this one fixes the model parameters).
@@ -103,24 +102,13 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: DEFAULT_ADDR.to_string(),
             scale: Scale::Full,
-            opt_level: OptLevel::from_env(),
+            opt_level: OptLevel::O0,
             max_batch: DEFAULT_MAX_BATCH,
             batch_wait: Duration::from_micros(DEFAULT_BATCH_WAIT_US),
             queue_cap: DEFAULT_QUEUE_CAP,
-            threads: 0,
+            threads: 1,
             intra_op: None,
             seed: 0x5eed,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Worker threads after applying the `NGB_THREADS` fallback.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            ngb_exec::env_threads(1)
-        } else {
-            self.threads
         }
     }
 }

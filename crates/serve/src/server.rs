@@ -266,8 +266,7 @@ impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let mut executor =
-            Interpreter::new(config.seed).engine(Engine::Parallel(config.effective_threads()));
+        let mut executor = Interpreter::new(config.seed).engine(Engine::Parallel(config.threads));
         if let Some(on) = config.intra_op {
             executor = executor.intra_op(on);
         }

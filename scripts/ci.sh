@@ -3,10 +3,11 @@
 #
 #   scripts/ci.sh                  # run every stage
 #   CI_STAGES=clippy scripts/ci.sh # rerun a single stage
-#   CI_STAGES=test-opt,serve scripts/ci.sh
+#   CI_STAGES=test,serve scripts/ci.sh
 #
-# Stages: fmt, clippy, test, test-parallel, test-opt, test-intraop,
-# sanitize, serve, contiguous-ratchet, one-executor, benchmark.
+# Stages: fmt, clippy, test, sanitize, serve, contiguous-ratchet,
+# one-executor, benchmark. The suite runs once: no setting comes from the
+# environment, so engine and opt-level cases are explicit test inputs.
 # Unknown stage names in CI_STAGES exit 2 with the valid list, so a typo
 # never silently skips every gate.
 # The contiguous-ratchet stage pins the declared list of eager
@@ -17,11 +18,10 @@
 # test modules, the shadow-memory read hook, the contiguous-copy counter
 # read and the parameter fetch — the calls every copy of the
 # gather/execute/finish loop has to make — must each live in exactly one
-# file of the executing crates, and each NGB_* variable has one reader:
-# outside test modules env::var("NGB_ may appear only in
-# crates/exec/src/lib.rs (THREADS, INTRAOP) and crates/opt/src/lib.rs
-# (OPT). A second loop, a fourth variable or a second reader of an
-# existing one fails CI until it is justified here.
+# file of the executing crates, and no setting is read from the
+# environment: outside test modules env::var("NGB_ appears nowhere under
+# crates/. A second loop or any NGB_* reader fails CI until it is
+# justified here.
 # The sanitize stage audits that unsafe code stays confined to ngb-ops
 # and ngb-exec, lints the verifier crate at -D warnings, and runs the
 # 18-model hazard sweep (static verifier + shadow-memory execution) on a
@@ -42,7 +42,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES="fmt,clippy,test,test-parallel,test-opt,test-intraop,sanitize,serve,contiguous-ratchet,one-executor,benchmark"
+ALL_STAGES="fmt,clippy,test,sanitize,serve,contiguous-ratchet,one-executor,benchmark"
 STAGES="${CI_STAGES:-$ALL_STAGES}"
 
 # reject unknown stage names up front: a typo in CI_STAGES must fail
@@ -119,8 +119,7 @@ sanitize_gate() {
   fi
   cargo clippy -q -p ngb-sanitize --all-targets -- -D warnings
   cargo build --release -q --bin nongemm-cli
-  env NGB_THREADS=4 NGB_INTRAOP=1 \
-    ./target/release/nongemm-cli sanitize --tiny
+  ./target/release/nongemm-cli sanitize --tiny --threads 4 --intra-op on
 }
 
 serve_gate() {
@@ -218,12 +217,9 @@ non_test_hits() {
       done
 }
 
-# The one reader of each NGB_* variable, as "file<TAB>variable" lines in
-# sort order. A new variable or a new reader is added here, with its reason
-# in the header.
-ENV_READERS="crates/exec/src/lib.rs	NGB_INTRAOP
-crates/exec/src/lib.rs	NGB_THREADS
-crates/opt/src/lib.rs	NGB_OPT"
+# The readers of NGB_* variables, as "file<TAB>variable" lines in sort
+# order: none. A reader is added here, with its reason in the header.
+ENV_READERS=""
 
 one_executor() {
   local pattern files readers violations=0
@@ -244,15 +240,12 @@ one_executor() {
     violations=1
   fi
   [[ $violations -eq 0 ]] || return 1
-  echo "one executor: one gather/execute/finish core, one reader per NGB_* variable"
+  echo "one executor: one gather/execute/finish core, no NGB_* reader"
 }
 
 run_stage fmt           cargo fmt --all -- --check
 run_stage clippy        cargo clippy --all-targets -- -D warnings
 run_stage test          cargo test -q
-run_stage test-parallel env NGB_THREADS=4 cargo test -q
-run_stage test-opt      env NGB_OPT=2 NGB_THREADS=4 cargo test -q
-run_stage test-intraop  env NGB_INTRAOP=1 NGB_THREADS=4 cargo test -q
 run_stage sanitize      sanitize_gate
 run_stage serve         serve_gate
 run_stage contiguous-ratchet contiguous_ratchet

@@ -67,12 +67,40 @@ fn help_exits_zero_and_documents_every_flag() {
             "--quantize",
             "--max-new-tokens",
             "--prompt-len",
-            "NGB_THREADS",
-            "NGB_OPT",
-            "NGB_INTRAOP",
         ] {
             assert!(text.contains(needle), "{args:?} help lacks '{needle}'");
         }
+    }
+}
+
+/// What a run reports depends on its command line alone: exporting values
+/// for `--opt-level`, `--threads` and `--intra-op` under `NGB_*` names
+/// leaves stdout byte-identical.
+#[test]
+fn output_depends_on_flags_not_the_environment() {
+    const VARS: [(&str, &str); 3] = [("NGB_OPT", "2"), ("NGB_THREADS", "4"), ("NGB_INTRAOP", "0")];
+    for args in [
+        &["run", "--model", "resnet50", "--tiny", "--format", "json"][..],
+        &["verify", "--model", "gpt2", "--tiny"],
+    ] {
+        let mut plain = cli();
+        let mut exported = cli();
+        for (name, value) in VARS {
+            plain.env_remove(name);
+            exported.env(name, value);
+        }
+        let plain = plain.args(args).output().expect("spawn cli");
+        let exported = exported.args(args).output().expect("spawn cli");
+        assert!(
+            plain.status.success() && exported.status.success(),
+            "{args:?}"
+        );
+        assert!(
+            plain.stdout == exported.stdout,
+            "{args:?}: stdout moved with the environment:\n{}\nvs\n{}",
+            String::from_utf8_lossy(&plain.stdout),
+            String::from_utf8_lossy(&exported.stdout)
+        );
     }
 }
 
@@ -236,7 +264,8 @@ fn generate_decodes_a_tiny_model_with_and_without_int8() {
 }
 
 /// A heterogeneous roster under the tensor strategy, and a model most of
-/// whose outputs are integer tensors: `shard` compares every output.
+/// whose outputs are integer tensors: `shard` compares every output. The
+/// `--opt-level 2` case is the only one that partitions fused graphs.
 #[test]
 fn shard_reports_bit_identity_in_text_and_json() {
     for (args, needle) in [
@@ -245,7 +274,15 @@ fn shard_reports_bit_identity_in_text_and_json() {
             "bit-identical",
         ),
         (
+            "shard --tiny --model gpt2 --devices gpu+cpu --strategy tensor --opt-level 2",
+            "bit-identical",
+        ),
+        (
             "shard --tiny --model segformer --format json",
+            "\"bit_identical\":true",
+        ),
+        (
+            "shard --tiny --model segformer --format json --opt-level 2",
             "\"bit_identical\":true",
         ),
     ] {

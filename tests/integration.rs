@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full NonGEMM Bench stack from model
 //! construction through profiling and reporting.
 
-use nongemm::{BenchConfig, Flow, ModelId, NonGemmBench, NonGemmGroup, Platform, Scale};
+use nongemm::{BenchConfig, Flow, ModelId, NonGemmBench, NonGemmGroup, OptLevel, Platform, Scale};
 
 #[test]
 fn all_18_models_build_full_scale_and_validate() {
@@ -41,25 +41,35 @@ fn parameter_counts_track_table1() {
 #[test]
 fn every_model_profiles_on_every_platform_and_flow() {
     // one smoke pass over the full (platform × flow) matrix with one model
-    // per task domain
-    for platform in Platform::all_gpu() {
-        for &flow in Flow::all() {
-            for alias in ["resnet50", "frcnn", "segformer", "gpt2"] {
+    // per task domain, on the graphs as built and after every rewrite
+    for opt_level in [OptLevel::O0, OptLevel::O2] {
+        for platform in Platform::all_gpu() {
+            for &flow in Flow::all() {
                 let bench = NonGemmBench::new(BenchConfig {
-                    models: vec![alias.into()],
+                    models: ["resnet50", "frcnn", "segformer", "gpt2"]
+                        .map(Into::into)
+                        .to_vec(),
                     platform: platform.clone(),
                     flow,
                     use_gpu: true,
                     batch: 1,
                     scale: Scale::Full,
+                    opt_level,
                     ..BenchConfig::default()
                 });
-                let p = &bench.run_end_to_end().expect("profiles")[0];
-                let b = p.breakdown();
-                assert!(p.total_latency_s() > 0.0);
-                assert!(p.total_energy_j() > 0.0);
-                let sum = b.gemm_frac() + b.non_gemm_frac();
-                assert!((sum - 1.0).abs() < 1e-9, "{alias}/{flow}: {sum}");
+                let profiles = bench.run_end_to_end().expect("profiles");
+                assert_eq!(profiles.len(), 4);
+                for p in &profiles {
+                    let b = p.breakdown();
+                    assert!(p.total_latency_s() > 0.0);
+                    assert!(p.total_energy_j() > 0.0);
+                    let sum = b.gemm_frac() + b.non_gemm_frac();
+                    assert!(
+                        (sum - 1.0).abs() < 1e-9,
+                        "{}/{flow}/{opt_level}: {sum}",
+                        p.model
+                    );
+                }
             }
         }
     }
@@ -68,17 +78,26 @@ fn every_model_profiles_on_every_platform_and_flow() {
 #[test]
 fn tiny_models_execute_for_real_end_to_end() {
     // the measured (host) path must run every tiny model through the
-    // interpreter and produce finite outputs
-    let bench = NonGemmBench::new(BenchConfig {
-        scale: Scale::Tiny,
-        iterations: 1,
-        ..BenchConfig::default()
-    });
-    let profiles = bench.run_measured().expect("all tiny models execute");
-    assert_eq!(profiles.len(), 18);
-    for p in &profiles {
-        assert!(p.total_latency_s() > 0.0, "{} measured nothing", p.model);
-        assert!(p.nodes.iter().all(|n| n.latency_s.is_finite()));
+    // interpreter and produce finite outputs, on the sequential engine
+    // unoptimized and on the parallel engine after every rewrite
+    for (threads, opt_level) in [(1, OptLevel::O0), (4, OptLevel::O2)] {
+        let bench = NonGemmBench::new(BenchConfig {
+            scale: Scale::Tiny,
+            iterations: 1,
+            threads,
+            opt_level,
+            ..BenchConfig::default()
+        });
+        let profiles = bench.run_measured().expect("all tiny models execute");
+        assert_eq!(profiles.len(), 18);
+        for p in &profiles {
+            assert!(
+                p.total_latency_s() > 0.0,
+                "{} ({threads}, {opt_level}) measured nothing",
+                p.model
+            );
+            assert!(p.nodes.iter().all(|n| n.latency_s.is_finite()));
+        }
     }
 }
 
@@ -122,21 +141,25 @@ fn microbench_registry_covers_all_groups() {
 
 #[test]
 fn reports_serialize_to_json() {
-    let bench = NonGemmBench::new(BenchConfig {
-        models: vec!["detr".into()],
-        scale: Scale::Full,
-        ..BenchConfig::default()
-    });
-    let reports = bench.reports().expect("reports build");
-    let (perf, workload, non_gemm) = &reports[0];
-    for json in [
-        serde_json::to_string(perf).expect("serializable"),
-        serde_json::to_string(workload).expect("serializable"),
-        serde_json::to_string(non_gemm).expect("serializable"),
-    ] {
-        assert!(json.len() > 50);
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid json");
-        assert!(v.is_object());
+    // at O2 the reports describe fused nodes
+    for opt_level in [OptLevel::O0, OptLevel::O2] {
+        let bench = NonGemmBench::new(BenchConfig {
+            models: vec!["detr".into()],
+            scale: Scale::Full,
+            opt_level,
+            ..BenchConfig::default()
+        });
+        let reports = bench.reports().expect("reports build");
+        let (perf, workload, non_gemm) = &reports[0];
+        for json in [
+            serde_json::to_string(perf).expect("serializable"),
+            serde_json::to_string(workload).expect("serializable"),
+            serde_json::to_string(non_gemm).expect("serializable"),
+        ] {
+            assert!(json.len() > 50);
+            let v: serde_json::Value = serde_json::from_str(&json).expect("valid json");
+            assert!(v.is_object());
+        }
     }
 }
 

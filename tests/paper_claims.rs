@@ -9,9 +9,9 @@ use nongemm::{
 };
 
 // The paper profiles the *unoptimized* eager graphs, so these checks pin
-// `-O0` rather than honoring `NGB_OPT`: Conv+BN folding at `-O2` really
-// does erase the Normalization time §4.1.2 measures — that's the
-// optimizer working, not the claim breaking.
+// `-O0` explicitly: Conv+BN folding at `-O2` really does erase the
+// Normalization time §4.1.2 measures — that's the optimizer working, not
+// the claim breaking.
 fn breakdown(alias: &str, platform: Platform, gpu: bool, flow: Flow, batch: usize) -> Breakdown {
     let bench = NonGemmBench::new(BenchConfig {
         models: vec![alias.into()],
@@ -20,7 +20,7 @@ fn breakdown(alias: &str, platform: Platform, gpu: bool, flow: Flow, batch: usiz
         flow,
         batch,
         scale: Scale::Full,
-        opt_level: Some(OptLevel::O0),
+        opt_level: OptLevel::O0,
         ..BenchConfig::default()
     });
     bench.run_end_to_end().expect("suite models profile")[0].breakdown()
@@ -31,7 +31,7 @@ fn latency(alias: &str, platform: Platform, gpu: bool) -> f64 {
         models: vec![alias.into()],
         platform,
         use_gpu: gpu,
-        opt_level: Some(OptLevel::O0),
+        opt_level: OptLevel::O0,
         ..BenchConfig::default()
     });
     bench.run_end_to_end().expect("suite models profile")[0].total_latency_s()

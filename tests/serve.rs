@@ -116,6 +116,36 @@ fn malformed_lines_get_400_not_disconnect() {
 }
 
 #[test]
+fn a_deeply_nested_line_gets_one_400_and_the_connection_keeps_serving() {
+    // under the 64 KiB line cap, but deep enough to overflow a connection
+    // thread's stack if the JSON parser recursed without a limit
+    use std::io::{BufRead, Write};
+    let handle = start(test_config());
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let mut deep = "[".repeat(60_000);
+    deep.push('\n');
+    raw.write_all(deep.as_bytes()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let resp: serde_json::Value = serde_json::from_str(&line).unwrap();
+    assert_eq!(resp["ok"], false);
+    assert_eq!(resp["error"]["code"], 400u64);
+    let message = resp["error"]["message"].as_str().unwrap();
+    assert!(message.contains("recursion limit exceeded"), "{message}");
+
+    raw.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let pong: serde_json::Value = serde_json::from_str(&line).unwrap();
+    assert_eq!(pong["pong"], true, "{line}");
+    assert_eq!(handle.stats().errors, 1);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn a_lone_request_is_served_without_waiting_out_batch_wait() {
     // batch_wait is a ceiling on holding a request for companions, and it
     // applies only while arrivals are denser than it: one request after a
