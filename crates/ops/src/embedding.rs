@@ -1,7 +1,7 @@
 //! Embedding lookup and gather — the input-side memory operators of every
 //! language model in the suite (token + position embeddings).
 
-use ngb_tensor::{Tensor, TensorError};
+use ngb_tensor::{LaneMap, Tensor, TensorError};
 
 use crate::{OpCost, Result, F32_BYTES};
 
@@ -73,17 +73,32 @@ pub fn gather(x: &Tensor, dim: usize, index: &Tensor) -> Result<Tensor> {
         }
     }
     let idx = index.to_vec_i64()?;
-    let mut out = Vec::with_capacity(index.numel());
-    for (flat, ix) in ngb_tensor::IndexIter::new(index.shape()).enumerate() {
-        let id = idx[flat];
-        if id < 0 || id as usize >= x.shape()[dim] {
-            return Err(TensorError::InvalidArgument(format!(
-                "gather index {id} out of range on dim {dim}"
-            )));
+    if let Some(id) = idx
+        .iter()
+        .find(|&&id| id < 0 || id as usize >= x.shape()[dim])
+    {
+        return Err(TensorError::InvalidArgument(format!(
+            "gather index {id} out of range on dim {dim}"
+        )));
+    }
+    let src = x.storage_f32().ok_or(TensorError::DTypeMismatch {
+        expected: "f32",
+        actual: x.dtype().name(),
+        op: "gather",
+    })?;
+    // lanes along `dim` over the index's shape, read through x's strides:
+    // lane (o, l) of the output takes x's lane (o, l) at the gathered rows
+    let (outer, d, inner) = index.lane_dims(dim)?;
+    let map = LaneMap::new(index.shape(), x.strides(), x.storage_offset(), dim);
+    let mut out = vec![0.0; idx.len()];
+    for o in 0..outer {
+        for l in 0..inner {
+            let base = map.lane_base(o, l) as isize;
+            for t in 0..d {
+                let i = (o * d + t) * inner + l;
+                out[i] = src[(base + idx[i] as isize * map.step()) as usize];
+            }
         }
-        let mut src_ix = ix.clone();
-        src_ix[dim] = id as usize;
-        out.push(x.at(&src_ix)?);
     }
     Tensor::from_vec(out, index.shape())
 }
@@ -128,12 +143,47 @@ mod tests {
         assert!(embedding(&table, &neg).is_err());
     }
 
+    /// `out[ix] = x[ix with ix[dim] = index[ix]]`, element by element, for a
+    /// rank-3 `index`.
+    fn gather_by_definition(x: &Tensor, dim: usize, index: &Tensor) -> Vec<f32> {
+        let ids = index.to_vec_i64().unwrap();
+        let s = index.shape();
+        let mut out = Vec::new();
+        for i in 0..s[0] {
+            for j in 0..s[1] {
+                for k in 0..s[2] {
+                    let mut ix = [i, j, k];
+                    ix[dim] = ids[(i * s[1] + j) * s[2] + k] as usize;
+                    out.push(x.at(&ix).unwrap());
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn gather_along_dim1() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
         let idx = Tensor::from_i64(vec![2, 0], &[2, 1]).unwrap();
         let g = gather(&x, 1, &idx).unwrap();
         assert_eq!(g.to_vec_f32().unwrap(), vec![3.0, 4.0]);
+
+        // a permuted x (strides [1, 12, 4]) narrowed to start at 1 on its
+        // last dim, gathered with an index narrower than x on every other dim
+        let dense = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 4]).unwrap();
+        let x = dense.permute(&[2, 0, 1]).unwrap().narrow(2, 1, 2).unwrap();
+        assert!(!x.is_contiguous());
+        assert_eq!(x.shape(), &[4, 2, 2]);
+        for (dim, ids, shape) in [
+            (0, vec![3, 0, 2, 1, 1, 3], [3, 1, 2]),
+            (1, vec![1, 0, 0, 1, 1, 1], [3, 2, 1]),
+            (2, vec![1, 0, 0, 1], [2, 1, 2]),
+        ] {
+            let idx = Tensor::from_i64(ids, &shape).unwrap();
+            let g = gather(&x, dim, &idx).unwrap();
+            assert_eq!(g.shape(), &shape);
+            assert_eq!(g.to_vec_f32().unwrap(), gather_by_definition(&x, dim, &idx));
+        }
     }
 
     #[test]

@@ -5,40 +5,24 @@ use ngb_tensor::{Tensor, TensorError};
 
 use crate::{OpCost, Result, F32_BYTES};
 
-/// Argmax along `dim` (indices as i64, dim removed).
+/// Argmax along `dim` (indices as i64, dim removed). Ties go to the lowest
+/// index, a lane with no value above `-inf` answers 0, and NaN never wins.
 ///
 /// # Errors
 ///
 /// Fails when `dim` is out of range or input is not f32.
 pub fn argmax(x: &Tensor, dim: usize) -> Result<Tensor> {
-    if dim >= x.rank() {
-        return Err(TensorError::InvalidDim {
-            dim,
-            rank: x.rank(),
-        });
-    }
-    let d = x.shape()[dim];
+    // (best value, its index, values seen so far = the next value's index)
+    let lanes = x.fold_dim(dim, (f32::NEG_INFINITY, 0, 0), |(best, at, t), v| {
+        if v > best {
+            (v, t, t + 1)
+        } else {
+            (best, at, t + 1)
+        }
+    })?;
     let mut out_shape: Vec<usize> = x.shape().to_vec();
     out_shape.remove(dim);
-    let mut best_val = vec![f32::NEG_INFINITY; ngb_tensor::num_elements(&out_shape)];
-    let mut best_ix = vec![0i64; best_val.len()];
-    let out_strides = ngb_tensor::contiguous_strides(&out_shape);
-    for ix in ngb_tensor::IndexIter::new(x.shape()) {
-        let v = x.at(&ix)?;
-        let mut oix = ix.clone();
-        oix.remove(dim);
-        let mut off = 0isize;
-        for (&i, &s) in oix.iter().zip(&out_strides) {
-            off += i as isize * s;
-        }
-        let off = off as usize;
-        if v > best_val[off] {
-            best_val[off] = v;
-            best_ix[off] = ix[dim] as i64;
-        }
-    }
-    let _ = d;
-    Tensor::from_i64(best_ix, &out_shape)
+    Tensor::from_i64(lanes.into_iter().map(|(_, at, _)| at).collect(), &out_shape)
 }
 
 /// Top-k along the **last** dimension, descending; returns
@@ -135,6 +119,36 @@ mod tests {
         let a0 = argmax(&x, 0).unwrap();
         assert_eq!(a0.to_vec_i64().unwrap(), vec![1, 0, 1]);
         assert!(argmax(&x, 2).is_err());
+    }
+
+    /// `lanes` stored row by row, viewed transposed, so argmax over dim 0
+    /// walks each stored row through a strided view.
+    fn transposed(lanes: &[[f32; 4]]) -> Tensor {
+        let data = lanes.iter().flatten().copied().collect();
+        let x = Tensor::from_vec(data, &[lanes.len(), 4]).unwrap();
+        let x = x.permute(&[1, 0]).unwrap();
+        assert!(!x.is_contiguous());
+        x
+    }
+
+    #[test]
+    fn argmax_ties_go_to_the_lowest_index() {
+        let x = transposed(&[[2.0, 5.0, 5.0, 1.0], [4.0, 4.0, 4.0, 4.0]]);
+        assert_eq!(argmax(&x, 0).unwrap().to_vec_i64().unwrap(), vec![1, 0]);
+    }
+
+    #[test]
+    fn argmax_of_an_all_neg_inf_lane_is_zero() {
+        let inf = f32::NEG_INFINITY;
+        let x = transposed(&[[inf; 4], [inf, inf, inf, 0.0]]);
+        assert_eq!(argmax(&x, 0).unwrap().to_vec_i64().unwrap(), vec![0, 3]);
+    }
+
+    #[test]
+    fn argmax_never_picks_nan() {
+        let nan = f32::NAN;
+        let x = transposed(&[[nan, 3.0, nan, 7.0], [1.0, nan, nan, nan], [nan; 4]]);
+        assert_eq!(argmax(&x, 0).unwrap().to_vec_i64().unwrap(), vec![3, 0, 0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::index::{offset_of, IndexIter};
+use crate::index::{dense_copy, for_each_run, offset_of};
 use crate::shape::{broadcast_shapes, broadcast_strides, contiguous_strides, num_elements};
 use crate::storage::{DType, Storage};
 use crate::{Result, TensorError};
@@ -342,23 +342,28 @@ impl Tensor {
         self.offset
     }
 
+    /// This view's elements of `src` (its storage) in row-major order. A
+    /// dense view is one slice copy: setting up the strided walk would
+    /// double the cost of the small dense copies a decode step makes.
+    fn copy_out<T: Copy>(&self, src: &[T]) -> Vec<T> {
+        if self.is_contiguous() {
+            return src[self.offset..self.offset + self.numel()].to_vec();
+        }
+        dense_copy(src, &self.shape, &self.strides, self.offset)
+    }
+
     /// Copies the logical contents (row-major) into a `Vec<f32>`.
     ///
     /// # Errors
     ///
     /// Fails when the tensor is not f32.
     pub fn to_vec_f32(&self) -> Result<Vec<f32>> {
-        if let Some(s) = self.as_slice_f32() {
-            return Ok(s.to_vec());
-        }
         let src = self.storage.as_f32().ok_or(TensorError::DTypeMismatch {
             expected: "f32",
             actual: self.dtype().name(),
             op: "to_vec_f32",
         })?;
-        Ok(IndexIter::new(&self.shape)
-            .map(|ix| src[offset_of(&ix, &self.strides, self.offset)])
-            .collect())
+        Ok(self.copy_out(src))
     }
 
     /// Copies the logical contents (row-major) into a `Vec<i64>`.
@@ -372,9 +377,7 @@ impl Tensor {
             actual: self.dtype().name(),
             op: "to_vec_i64",
         })?;
-        Ok(IndexIter::new(&self.shape)
-            .map(|ix| src[offset_of(&ix, &self.strides, self.offset)])
-            .collect())
+        Ok(self.copy_out(src))
     }
 
     /// Copies the logical contents (row-major) into a `Vec<bool>`.
@@ -388,9 +391,7 @@ impl Tensor {
             actual: self.dtype().name(),
             op: "to_vec_bool",
         })?;
-        Ok(IndexIter::new(&self.shape)
-            .map(|ix| src[offset_of(&ix, &self.strides, self.offset)])
-            .collect())
+        Ok(self.copy_out(src))
     }
 
     // ------------------------------------------------------------------
@@ -533,14 +534,20 @@ impl Tensor {
         }
         let lstr = broadcast_strides(&self.shape, &self.strides, &out_shape);
         let rstr = broadcast_strides(&other.shape, &other.strides, &out_shape);
-        let data: Vec<f32> = IndexIter::new(&out_shape)
-            .map(|ix| {
-                f(
-                    ls[offset_of(&ix, &lstr, self.offset)],
-                    rs[offset_of(&ix, &rstr, other.offset)],
-                )
-            })
-            .collect();
+        let mut data = Vec::with_capacity(num_elements(&out_shape));
+        for_each_run(
+            &out_shape,
+            [&lstr, &rstr],
+            [self.offset, other.offset],
+            |[a, b], len, [sa, sb]| {
+                data.extend((0..len as isize).map(|i| {
+                    f(
+                        ls[(a as isize + i * sa) as usize],
+                        rs[(b as isize + i * sb) as usize],
+                    )
+                }));
+            },
+        );
         Tensor::from_vec(data, &out_shape)
     }
 
@@ -579,6 +586,32 @@ impl Tensor {
         init: f32,
         fold: impl Fn(f32, f32) -> f32,
     ) -> Result<Tensor> {
+        let out = self.fold_dim(dim, init, fold)?;
+        let mut out_shape = self.shape.clone();
+        if keepdim {
+            out_shape[dim] = 1;
+        } else {
+            out_shape.remove(dim);
+        }
+        Tensor::from_vec(out, &out_shape)
+    }
+
+    /// Folds every lane along `dim` into one accumulator of any type: each
+    /// lane starts from `init` and takes its values in increasing index
+    /// order. Returns the accumulators row-major over the shape with `dim`
+    /// removed — [`Tensor::reduce_dim`] is the `f32` case, and an
+    /// accumulator that counts its own steps knows each value's index
+    /// (argmax).
+    ///
+    /// # Errors
+    ///
+    /// Fails when `dim` is out of range or the tensor is not f32.
+    pub fn fold_dim<A: Copy>(
+        &self,
+        dim: usize,
+        init: A,
+        fold: impl Fn(A, f32) -> A,
+    ) -> Result<Vec<A>> {
         if dim >= self.rank() {
             return Err(TensorError::InvalidDim {
                 dim,
@@ -588,31 +621,26 @@ impl Tensor {
         let src = self.storage.as_f32().ok_or(TensorError::DTypeMismatch {
             expected: "f32",
             actual: self.dtype().name(),
-            op: "reduce_dim",
+            op: "fold_dim",
         })?;
-        let mut out_shape = self.shape.clone();
-        out_shape[dim] = 1;
-        let mut out = vec![init; num_elements(&out_shape)];
-        let out_strides = contiguous_strides(&out_shape);
-        for ix in IndexIter::new(&self.shape) {
-            let v = src[offset_of(&ix, &self.strides, self.offset)];
-            let mut oix = ix.clone();
-            oix[dim] = 0;
-            let o = offset_of(&oix, &out_strides, 0);
-            out[o] = fold(out[o], v);
-        }
-        let t = Tensor::from_vec(out, &out_shape)?;
-        if keepdim {
-            Ok(t)
-        } else {
-            let squeezed: Vec<usize> = out_shape
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != dim)
-                .map(|(_, &d)| d)
-                .collect();
-            t.reshape(&squeezed)
-        }
+        let mut lanes = self.shape.clone();
+        lanes[dim] = 1;
+        let mut acc_strides = contiguous_strides(&lanes);
+        acc_strides[dim] = 0;
+        let mut acc = vec![init; num_elements(&lanes)];
+        // row-major over the input, so each lane sees its values in order
+        for_each_run(
+            &self.shape,
+            [&self.strides, &acc_strides],
+            [self.offset, 0],
+            |[s, a], len, [ss, sa]| {
+                for i in 0..len as isize {
+                    let slot = &mut acc[(a as isize + i * sa) as usize];
+                    *slot = fold(*slot, src[(s as isize + i * ss) as usize]);
+                }
+            },
+        );
+        Ok(acc)
     }
 }
 

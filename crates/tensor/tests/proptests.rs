@@ -102,9 +102,22 @@ proptest! {
     }
 }
 
-/// Reference broadcast implementation against which the zip_map fast paths
-/// are checked.
-fn zip_map_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
+/// Every multi-index of `shape` in row-major order, built one nested loop
+/// per dim: the enumerator the references below walk, independent of the
+/// crate's strided walker. A scalar has one (empty) index, a 0-sized dim
+/// none.
+fn indices(shape: &[usize]) -> Vec<Vec<usize>> {
+    shape.iter().fold(vec![Vec::new()], |prefixes, &n| {
+        prefixes
+            .into_iter()
+            .flat_map(|p| (0..n).map(move |i| [p.as_slice(), &[i]].concat()))
+            .collect()
+    })
+}
+
+/// Reference broadcast implementation against which zip_map's fast paths
+/// and its general strided branch are checked.
+fn zip_map_reference(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
     let out = broadcast_shapes(a.shape(), b.shape()).unwrap();
     let read = |t: &Tensor, ix: &[usize]| {
         let pad = out.len() - t.rank();
@@ -115,9 +128,172 @@ fn zip_map_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
             .collect();
         t.at(&tix).unwrap()
     };
-    ngb_tensor::IndexIter::new(&out)
-        .map(|ix| read(a, &ix) + read(b, &ix))
+    indices(&out)
+        .iter()
+        .map(|ix| f(read(a, ix), read(b, ix)))
         .collect()
+}
+
+/// One random strided view of rank 0–6. Each dim has a logical size (0–4,
+/// 0 one time in twenty), the padding a `narrow` cuts off below and above
+/// it (padding below moves the storage offset off 0), and a flag making it
+/// an `expand`ed size-1 dim (stride 0); a random permutation comes last.
+#[derive(Debug, Clone)]
+struct ViewSpec {
+    dims: Vec<(usize, usize, usize, bool)>,
+    perm: Vec<usize>,
+}
+
+fn view_spec() -> impl Strategy<Value = ViewSpec> {
+    prop::collection::vec(0usize..480, 0..=6).prop_flat_map(|codes| {
+        let dims: Vec<(usize, usize, usize, bool)> = codes
+            .iter()
+            .map(|&r| {
+                let size = if r % 20 == 0 { 0 } else { 1 + r % 4 };
+                (size, r / 20 % 3, r / 60 % 2, r / 120 == 0)
+            })
+            .collect();
+        prop::collection::vec(0u32..1000, dims.len()).prop_map(move |keys| {
+            let mut perm: Vec<usize> = (0..keys.len()).collect();
+            perm.sort_by_key(|&i| keys[i]);
+            ViewSpec {
+                dims: dims.clone(),
+                perm,
+            }
+        })
+    })
+}
+
+impl ViewSpec {
+    /// Shape of the dense tensor the view is cut from.
+    fn base_shape(&self) -> Vec<usize> {
+        self.dims
+            .iter()
+            .map(|&(size, lo, hi, expanded)| if expanded { 1 } else { lo + size + hi })
+            .collect()
+    }
+
+    fn base_len(&self) -> usize {
+        self.base_shape().iter().product()
+    }
+
+    /// Narrows, expands and permutes `base` (shaped [`Self::base_shape`]).
+    fn view(&self, base: Tensor) -> Tensor {
+        let mut t = base;
+        for (d, &(size, lo, _, expanded)) in self.dims.iter().enumerate() {
+            if !expanded {
+                t = t.narrow(d, lo, size).unwrap();
+            }
+        }
+        let sizes: Vec<usize> = self.dims.iter().map(|d| d.0).collect();
+        t.expand(&sizes).unwrap().permute(&self.perm).unwrap()
+    }
+}
+
+/// A view of logical `shape` over a dense tensor of the reversed shape,
+/// one larger on every dim: narrowed to start at 1 (offset ≠ 0), then its
+/// axes reversed, so no dim of rank ≥ 2 has unit stride where a dense
+/// tensor would.
+fn reversed_view(shape: &[usize], salt: f32) -> Tensor {
+    let base: Vec<usize> = shape.iter().rev().map(|&d| d + 1).collect();
+    let n: usize = base.iter().product();
+    let mut t = Tensor::from_vec(
+        (0..n).map(|i| (i as f32 * 0.37 + salt).sin()).collect(),
+        &base,
+    )
+    .unwrap();
+    for (d, &size) in shape.iter().rev().enumerate() {
+        t = t.narrow(d, 1, size).unwrap();
+    }
+    let rev: Vec<usize> = (0..shape.len()).rev().collect();
+    t.permute(&rev).unwrap()
+}
+
+proptest! {
+    /// to_vec and contiguous() of every dtype read a random view exactly as
+    /// the nested-index reference does.
+    #[test]
+    fn views_copy_like_the_nested_reference(spec in view_spec()) {
+        let (shape, n) = (spec.base_shape(), spec.base_len());
+        let f = spec.view(Tensor::from_vec((0..n).map(|i| i as f32).collect(), &shape).unwrap());
+        let want: Vec<f32> = indices(f.shape()).iter().map(|ix| f.at(ix).unwrap()).collect();
+        prop_assert_eq!(f.to_vec_f32().unwrap(), want.clone());
+        let c = f.contiguous();
+        prop_assert!(c.is_contiguous());
+        prop_assert_eq!(c.as_slice_f32().unwrap(), want.as_slice());
+
+        let i = spec.view(Tensor::from_i64((0..n as i64).map(|i| 3 * i - 7).collect(), &shape).unwrap());
+        let want: Vec<i64> = indices(i.shape()).iter().map(|ix| i.at_i64(ix).unwrap()).collect();
+        prop_assert_eq!(i.to_vec_i64().unwrap(), want.clone());
+        let c = i.contiguous();
+        prop_assert!(c.is_contiguous());
+        let got: Vec<i64> = indices(c.shape()).iter().map(|ix| c.at_i64(ix).unwrap()).collect();
+        prop_assert_eq!(got, want);
+
+        let b = spec.view(Tensor::from_bool((0..n).map(|i| i % 3 == 0).collect(), &shape).unwrap());
+        let want: Vec<bool> = indices(b.shape()).iter().map(|ix| b.at_bool(ix).unwrap()).collect();
+        prop_assert_eq!(b.to_vec_bool().unwrap(), want.clone());
+        let c = b.contiguous();
+        prop_assert!(c.is_contiguous());
+        let got: Vec<bool> = indices(c.shape()).iter().map(|ix| c.at_bool(ix).unwrap()).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    /// zip_map's general branch with both operands strided: a random view
+    /// against a reversed, narrowed view with random dims broadcast (and
+    /// leading dims dropped), on both sides of a non-commutative closure.
+    #[test]
+    fn zip_map_reads_two_strided_operands(
+        spec in view_spec(),
+        mask in prop::collection::vec(prop::bool::ANY, 6),
+        dropped in 0usize..=2,
+    ) {
+        let (shape, n) = (spec.base_shape(), spec.base_len());
+        let a = spec.view(Tensor::from_vec((0..n).map(|i| i as f32).collect(), &shape).unwrap());
+        let rank = a.rank();
+        let rhs_shape: Vec<usize> = a
+            .shape()
+            .iter()
+            .zip(&mask)
+            .map(|(&d, &keep)| if keep { d } else { 1 })
+            .skip(dropped.min(rank))
+            .collect();
+        let b = reversed_view(&rhs_shape, 0.5);
+        let f = |x: f32, y: f32| x - 2.0 * y;
+        let ab = a.zip_map(&b, f).unwrap();
+        prop_assert_eq!(ab.to_vec_f32().unwrap(), zip_map_reference(&a, &b, f));
+        let ba = b.zip_map(&a, f).unwrap();
+        prop_assert_eq!(ba.to_vec_f32().unwrap(), zip_map_reference(&b, &a, f));
+    }
+
+    /// reduce_dim on a strided view folds every lane in row-major order: a
+    /// non-associative fold is bit-equal to the nested-index reference.
+    #[test]
+    fn reduce_dim_keeps_row_major_fold_order(spec in view_spec(), dim_seed in 0usize..6) {
+        prop_assume!(!spec.dims.is_empty());
+        let (shape, n) = (spec.base_shape(), spec.base_len());
+        let data = (0..n).map(|i| (i as f32 * 0.61).cos()).collect();
+        let t = spec.view(Tensor::from_vec(data, &shape).unwrap());
+        let dim = dim_seed % t.rank();
+        let fold = |a: f32, b: f32| a * 0.5 + b;
+        let mut lanes = t.shape().to_vec();
+        lanes.remove(dim);
+        let want: Vec<u32> = indices(&lanes)
+            .iter()
+            .map(|lane| {
+                (0..t.shape()[dim]).fold(0.25f32, |acc, i| {
+                    let mut ix = lane.clone();
+                    ix.insert(dim, i);
+                    fold(acc, t.at(&ix).unwrap())
+                })
+                .to_bits()
+            })
+            .collect();
+        let got = t.reduce_dim(dim, false, 0.25, fold).unwrap();
+        prop_assert_eq!(got.shape(), lanes.as_slice());
+        let got: Vec<u32> = got.to_vec_f32().unwrap().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got, want);
+    }
 }
 
 proptest! {
@@ -138,13 +314,14 @@ proptest! {
         let n_r: usize = rhs_shape.iter().product();
         let a = Tensor::from_vec((0..n_l).map(|i| i as f32).collect(), &lhs_shape).unwrap();
         let b = Tensor::from_vec((0..n_r).map(|i| (i * 7) as f32).collect(), &rhs_shape).unwrap();
-        let fast = a.zip_map(&b, |x, y| x + y).unwrap();
-        prop_assert_eq!(fast.to_vec_f32().unwrap(), zip_map_reference(&a, &b));
+        let add = |x: f32, y: f32| x + y;
+        let fast = a.zip_map(&b, add).unwrap();
+        prop_assert_eq!(fast.to_vec_f32().unwrap(), zip_map_reference(&a, &b, add));
         // and with a lower-rank rhs (drop leading dims)
         if rhs_shape.len() > 1 && rhs_shape[0] == 1 {
             let b2 = b.reshape(&rhs_shape[1..]).unwrap();
-            let fast2 = a.zip_map(&b2, |x, y| x + y).unwrap();
-            prop_assert_eq!(fast2.to_vec_f32().unwrap(), zip_map_reference(&a, &b2));
+            let fast2 = a.zip_map(&b2, add).unwrap();
+            prop_assert_eq!(fast2.to_vec_f32().unwrap(), zip_map_reference(&a, &b2, add));
         }
     }
 }

@@ -13,7 +13,15 @@
 # The contiguous-ratchet stage pins the declared list of eager
 # .contiguous() call sites in ngb-ops kernels: strided consumption is the
 # default, and a new materialization site fails CI until it is justified
-# and added to the fallback list here.
+# and added to the fallback list here. The same stage keeps IndexIter,
+# which allocates an index per element, out of every strided loop. It is
+# pub(crate), so the compiler already keeps it inside ngb-tensor; there,
+# outside test modules, it may be named only in crates/tensor/src/index.rs
+# (its definition) and crates/tensor/src/view.rs (Tensor::cat's copy loop).
+# Remove view.rs from that list, and the type with it, when cat_copy moves
+# to the strided walker after the benchmark revision (ROADMAP item 9): a
+# faster cat today trips decode_lm's peak_rss_mb bound through the
+# harness's own per-step sample vectors.
 # The one-executor stage pins the run core as the only node walk: outside
 # test modules, the shadow-memory read hook, the contiguous-copy counter
 # read and the parameter fetch — the calls every copy of the
@@ -198,8 +206,16 @@ contiguous_ratchet() {
       violations=1
     fi
   done <<<"$hits"
+  local stray
+  stray=$(non_test_hits 'IndexIter' crates/tensor/src | cut -f1 | sort -u \
+    | grep -vx -e crates/tensor/src/index.rs -e crates/tensor/src/view.rs || true)
+  if [[ -n "$stray" ]]; then
+    echo "error: IndexIter outside its definition and Tensor::cat's copy loop:"
+    echo "$stray"
+    violations=1
+  fi
   [[ $violations -eq 0 ]] || return 1
-  echo "contiguous ratchet: all eager call sites are declared fallbacks"
+  echo "contiguous ratchet: all eager call sites are declared fallbacks, IndexIter only in cat"
 }
 
 # Non-test matches of the extended regex PATTERN in the *.rs files under
