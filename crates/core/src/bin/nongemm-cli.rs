@@ -1,44 +1,45 @@
 //! `nongemm-cli` — command-line front end of the benchmark harness.
 //!
-//! Seven subcommands (run `nongemm-cli --help` for the full flag list):
+//! Seven subcommands:
 //!
-//! * `run` (default) — profile the selected models end-to-end, measured,
-//!   or through the microbench flow;
+//! * `run` (default) — profile the selected models end-to-end, analytically
+//!   or measured on the host, or through the microbench flow;
 //! * `generate` — greedy autoregressive decode with the KV cache:
-//!   prefill a synthetic prompt, then generate `--max-new-tokens`
-//!   tokens one step at a time, optionally with `--quantize int8`
-//!   weight-quantized GEMMs; prints tokens/sec and cache hit rate;
+//!   prefill a synthetic prompt, then generate one token per step,
+//!   optionally with int8 weight-quantized GEMMs; prints tokens/sec and
+//!   cache hit rate;
 //! * `verify` — run the `ngb-analyze` static analyzer; exits 0 when
 //!   every report is clean, 1 when any deny-level diagnostic fires;
 //! * `sanitize` — run the `ngb-sanitize` schedule/memory hazard verifier
-//!   and (unless `--static-only`) execute each clean graph under the
-//!   shadow-memory sanitizer; exits 0 when every report is hazard-free;
+//!   and execute each clean graph under the shadow-memory sanitizer;
+//!   exits 0 when every report is hazard-free;
 //! * `serve` — run the `ngb-serve` inference service: line-delimited
 //!   JSON over TCP, dynamic batching with admission control; blocks
 //!   until a client sends the `shutdown` wire op, then drains and
 //!   prints the final counters (pair with the `loadgen` binary);
 //! * `shard` — partition each model across a simulated multi-device
-//!   roster (`--devices 2xgpu`, `gpu+cpu`, …) with the pipeline- or
-//!   tensor-parallel strategy, execute the plan on per-device threads
-//!   with real collective/transfer kernels, verify bit-identity against
-//!   single-device execution, and report modeled vs executed speedup,
-//!   bubble fraction, and transfer bytes;
-//! * `ci` — the perf-regression gate: `--check` diffs the current tree
-//!   against the committed golden baselines under `baselines/` and exits
-//!   non-zero on any divergence, `--update` regenerates them and
-//!   summarizes what moved.
+//!   roster with the pipeline- or tensor-parallel strategy, execute the
+//!   plan on per-device threads with real collective/transfer kernels,
+//!   verify bit-identity against single-device execution, and report
+//!   modeled vs executed speedup, bubble fraction, and transfer bytes;
+//! * `ci` — the perf-regression gate: diff the current tree against the
+//!   committed golden baselines under `baselines/` and exit non-zero on
+//!   any divergence, or regenerate them and summarize what moved.
 //!
-//! Shared conventions: `--opt-level` selects the `ngb-opt` graph-rewrite
-//! level (default 0), `--threads` the execution parallelism (default 1);
-//! every setting is a flag, none is read from the environment; usage
-//! errors exit 2 with a one-line usage string on stderr; `--help` prints
-//! the full help on stdout and exits 0.
+//! Every flag is one row of [`FLAGS`], which both parses the command line
+//! and renders `nongemm-cli --help`; no setting is read from the
+//! environment. Usage errors exit 2 with a one-line reason and the usage
+//! string on stderr.
 
 use std::process::ExitCode;
+use std::time::Duration;
 
+use nongemm::ops::Quant;
 use nongemm::profiler::report::{csv_header, PerformanceReport};
 use nongemm::profiler::trace::to_chrome_trace;
 use nongemm::regress;
+use nongemm::serve::ServeConfig;
+use nongemm::shard::{DeviceSpec, Strategy};
 use nongemm::{BenchConfig, Flow, ModelId, NonGemmBench, OptLevel, Platform, Scale};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,542 +49,340 @@ enum Format {
     Json,
 }
 
-/// The flags subcommands share. Each `parse_*_args` names the subset its
-/// subcommand accepts and offers every argument to [`Common::take`] first.
-#[derive(Debug)]
-struct Common {
-    /// Subcommand name for `--format` diagnostics (`""` for `run`, the
-    /// only one that also accepts `csv`).
-    cmd: &'static str,
-    accepts: &'static [&'static str],
-    models: Vec<String>,
-    batch: usize,
-    tiny: bool,
-    threads: usize,
-    opt_level: OptLevel,
-    intra_op: bool,
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cmd {
+    Run,
+    Generate,
+    Verify,
+    Sanitize,
+    Serve,
+    Shard,
+    Ci,
+}
+use Cmd::*;
+
+/// Each subcommand's name and HELP summary, in HELP order.
+#[rustfmt::skip]
+const CMDS: [(Cmd, &str, &str); 7] = [
+    (Run, "run", "profile models (default subcommand)"),
+    (Generate, "generate", "greedy autoregressive decode (KV cache)"),
+    (Verify, "verify", "static graph analysis + lints"),
+    (Sanitize, "sanitize", "schedule/memory hazard verifier + sanitizer"),
+    (Serve, "serve", "inference service with dynamic batching"),
+    (Shard, "shard", "multi-device sharding: partition, place, execute"),
+    (Ci, "ci", "perf-regression gate over golden baselines"),
+];
+
+/// A parsed command line. Model selection and engine settings go straight
+/// into the [`BenchConfig`] the harness consumes and the serve knobs into
+/// the [`ServeConfig`]; every other field belongs to one subcommand.
+struct Opts {
+    cmd: Cmd,
+    /// `--help` came before any error: print HELP and run nothing.
+    help: bool,
+    bench: BenchConfig,
+    serve: ServeConfig,
     format: Format,
-}
-
-impl Common {
-    fn new(cmd: &'static str, accepts: &'static [&'static str]) -> Common {
-        Common {
-            cmd,
-            accepts,
-            models: Vec::new(),
-            batch: 1,
-            tiny: false,
-            threads: 1,
-            opt_level: OptLevel::O0,
-            intra_op: true,
-            format: Format::Text,
-        }
-    }
-
-    /// Consumes `arg` (and its value) when it is `--help` or a shared flag
-    /// this subcommand accepts; `false` leaves it to the caller.
-    fn take(&mut self, arg: &str, it: &mut std::slice::Iter<'_, String>) -> bool {
-        if matches!(arg, "--help" | "-h") {
-            print!("{HELP}");
-            std::process::exit(0);
-        }
-        if !self.accepts.contains(&arg) {
-            return false;
-        }
-        match arg {
-            "--model" => self.models.push(take_value(it, "--model")),
-            "--batch" => self.batch = parse_positive(&take_value(it, "--batch"), "--batch"),
-            "--tiny" => self.tiny = true,
-            "--threads" => self.threads = parse_positive(&take_value(it, "--threads"), "--threads"),
-            "--opt-level" => self.opt_level = parse_opt_level(&take_value(it, "--opt-level")),
-            "--intra-op" => self.intra_op = parse_intra_op(&take_value(it, "--intra-op")),
-            "--format" => {
-                self.format = match (take_value(it, "--format").as_str(), self.cmd) {
-                    ("text", _) => Format::Text,
-                    ("json", _) => Format::Json,
-                    ("csv", "") => Format::Csv,
-                    (other, "") => {
-                        eprintln!("unknown format '{other}'");
-                        usage()
-                    }
-                    (other, cmd) => {
-                        eprintln!("{cmd} supports --format text|json, not '{other}'");
-                        usage()
-                    }
-                }
-            }
-            _ => return false,
-        }
-        true
-    }
-
-    /// The harness inputs these flags select; callers add what only their
-    /// subcommand knows. `NonGemmBench::interpreter` turns the engine
-    /// settings into the `Interpreter`.
-    fn bench_config(&self) -> BenchConfig {
-        BenchConfig {
-            models: self.models.clone(),
-            batch: self.batch,
-            scale: if self.tiny { Scale::Tiny } else { Scale::Full },
-            threads: self.threads,
-            opt_level: self.opt_level,
-            intra_op: self.intra_op,
-            ..BenchConfig::default()
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Args {
-    common: Common,
-    platform: Platform,
-    flow: Flow,
-    cpu_only: bool,
     measured: bool,
     microbench: bool,
-    sanitize: bool,
     trace: Option<String>,
-}
-
-#[derive(Debug)]
-struct VerifyArgs {
-    common: Common,
-    all: bool,
-}
-
-#[derive(Debug)]
-struct SanitizeArgs {
-    common: Common,
-    static_only: bool,
-}
-
-#[derive(Debug)]
-struct GenerateArgs {
-    common: Common,
     prompt_len: usize,
-    max_new: usize,
-    quantize: Option<nongemm::ops::Quant>,
-}
-
-#[derive(Debug)]
-struct ShardArgs {
-    common: Common,
-    devices: String,
-    strategy: nongemm::shard::Strategy,
+    max_new_tokens: usize,
+    quantize: Quant,
+    all: bool,
+    static_only: bool,
+    devices: DeviceSpec,
+    strategy: Strategy,
     microbatches: usize,
-}
-
-#[derive(Debug)]
-struct CiArgs {
-    common: Common,
-    dir: String,
+    check: bool,
     update: bool,
+    dir: String,
 }
 
-const HELP: &str = "\
-nongemm-cli — NonGEMM Bench profiling harness
-
-USAGE:
-  nongemm-cli [run] [OPTIONS]     profile models (default subcommand)
-  nongemm-cli generate [OPTIONS]  greedy autoregressive decode (KV cache)
-  nongemm-cli verify [OPTIONS]    static graph analysis + lints
-  nongemm-cli sanitize [OPTIONS]  schedule/memory hazard verifier + sanitizer
-  nongemm-cli serve [OPTIONS]     inference service with dynamic batching
-  nongemm-cli shard [OPTIONS]     multi-device sharding: partition, place, execute
-  nongemm-cli ci [OPTIONS]        perf-regression gate over golden baselines
-  nongemm-cli help | --help | -h  print this help
-
-RUN OPTIONS:
-  --model <alias>       model alias (repeatable; default: all 18)
-  --platform <p>        mobile | workstation | datacenter (default: datacenter)
-  --flow <f>            eager | torchscript | dynamo | ort (default: eager)
-  --batch <n>           batch size (default: 1)
-  --cpu-only            drop the GPU from the platform
-  --tiny                use the executable tiny presets
-  --measured            execute on the host instead of the analytic models
-  --microbench          run the microbench flow instead of end-to-end
-  --threads <n>         worker threads for --measured (default: 1)
-  --opt-level <0|1|2>   graph-rewrite level (default: 0)
-  --intra-op <on|off>   intra-op data parallelism for --measured (default: on)
-  --sanitize            run --measured under the shadow-memory sanitizer
-  --format <fmt>        text | csv | json (default: text)
-  --trace <path>        also write a Chrome trace JSON per model
-
-GENERATE OPTIONS:
-  --model <alias>       autoregressive LM alias (repeatable; default:
-                        gpt2 and llama2 — other aliases are rejected)
-  --tiny                use the executable tiny presets
-  --prompt-len <n>      synthetic prompt length (default: 4)
-  --max-new-tokens <n>  tokens to generate greedily (default: 16)
-  --quantize <q>        none | int8 weight-quantized GEMMs (default: none)
-  --threads <n>         worker threads (default: 1)
-
-VERIFY OPTIONS:
-  --model <alias>       model alias (repeatable; default: all 18)
-  --batch <n>           batch size (default: 1)
-  --tiny                use the executable tiny presets
-  --threads <n>         analyze models concurrently (default: 1)
-  --opt-level <0|1|2>   analyze the rewritten graphs (default: 0)
-  --format <fmt>        text | json (default: text)
-  --all                 include allow-level findings in text output
-
-SANITIZE OPTIONS:
-  --model <alias>       model alias (repeatable; default: all 18)
-  --batch <n>           batch size (default: 1)
-  --tiny                use the executable tiny presets
-  --threads <n>         engine for the sanitized execution pass (default: 1)
-  --opt-level <0|1|2>   sanitize the rewritten graphs (default: 0)
-  --intra-op <on|off>   intra-op parallelism for the execution pass
-                        (default: on)
-  --static-only         skip the shadow-memory execution pass
-  --format <fmt>        text | json (default: text)
-
-SERVE OPTIONS:
-  --addr <host:port>    listen address (default: 127.0.0.1:0 — port 0
-                        picks an ephemeral port, printed on startup)
-  --max-batch <n>       largest dynamic batch (default: 8; batch-opaque
-                        models always execute at 1)
-  --batch-wait-us <n>   ceiling on holding a request for companions,
-                        applied only while arrivals are denser than it
-                        (default: 2000)
-  --queue-cap <n>       per-model admission queue bound; 0 rejects all
-                        (default: 64)
-  --threads <n>         executor worker threads (default: 1)
-  --opt-level <0|1|2>   graph-rewrite level for served graphs (default: 0)
-  --intra-op <on|off>   intra-op data parallelism (default: on)
-  --tiny                serve the executable tiny presets
-
-SHARD OPTIONS:
-  --model <alias>       model alias (repeatable; default: all 18)
-  --devices <spec>      device roster: kind names cpu|gpu|npu joined by '+',
-                        with optional <n>x repeat — 2xgpu, gpu+cpu, 4xgpu,
-                        2xgpu+npu (default: 2xgpu)
-  --strategy <s>        pipeline | tensor (default: pipeline)
-  --microbatches <n>    pipeline microbatches / replays (default: 4)
-  --batch <n>           batch size (default: 1)
-  --tiny                use the executable tiny presets (execution always
-                        runs the real kernels; full scale is slow)
-  --opt-level <0|1|2>   rewrite level before partitioning (default: 0;
-                        tensor splits apply to primitive Linear nodes)
-  --format <fmt>        text | json (default: text)
-
-CI OPTIONS:
-  --check               diff current state against baselines (default)
-  --update              regenerate the baselines
-  --model <alias>       gate only these models (repeatable; default: all 18)
-  --dir <path>          baseline directory (default: baselines)
-  --format <fmt>        text | json (default: text)
-
-EXIT CODES:
-  0  success / clean    1  failure or regression    2  usage error
-";
-
-fn print_help() -> ExitCode {
-    print!("{HELP}");
-    ExitCode::SUCCESS
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: nongemm-cli [run|generate|verify|sanitize|serve|shard|ci] [OPTIONS]\n\
-         \x20      (see `nongemm-cli --help` for the full option list)"
-    );
-    std::process::exit(2);
-}
-
-/// Pops the next value for a `--flag <value>` option or dies with usage.
-fn take_value(it: &mut std::slice::Iter<'_, String>, name: &str) -> String {
-    it.next().cloned().unwrap_or_else(|| {
-        eprintln!("{name} requires a value");
-        usage()
-    })
-}
-
-fn parse_positive(v: &str, name: &str) -> usize {
-    match v.parse() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("{name} requires a positive integer");
-            usage()
+impl Opts {
+    fn new(cmd: Cmd) -> Opts {
+        Opts {
+            cmd,
+            help: false,
+            bench: BenchConfig::default(),
+            serve: ServeConfig::default(),
+            format: Format::Text,
+            measured: false,
+            microbench: false,
+            trace: None,
+            prompt_len: 4,
+            max_new_tokens: 16,
+            quantize: Quant::None,
+            all: false,
+            static_only: false,
+            devices: DeviceSpec::parse("2xgpu").expect("the default roster parses"),
+            strategy: Strategy::Pipeline,
+            microbatches: nongemm::shard::DEFAULT_MICROBATCHES,
+            check: false,
+            update: false,
+            dir: "baselines".to_string(),
         }
     }
 }
 
-fn parse_opt_level(v: &str) -> OptLevel {
-    OptLevel::parse(v).unwrap_or_else(|| {
-        eprintln!("--opt-level requires 0, 1, or 2");
-        usage()
-    })
+/// One flag: the only place it is named, parsed and documented.
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in HELP; empty for a switch, which takes none.
+    metavar: &'static str,
+    /// One HELP line, ending with the default when there is one.
+    help: &'static str,
+    /// The subcommands that accept the flag.
+    cmds: &'static [Cmd],
+    /// Stores the value (`""` for a switch), or says why it is invalid.
+    set: fn(&mut Opts, &str) -> Result<(), String>,
 }
 
-fn parse_intra_op(v: &str) -> bool {
-    match v {
-        "on" => true,
-        "off" => false,
-        other => {
-            eprintln!("--intra-op requires on or off, not '{other}'");
-            usage()
-        }
-    }
+/// `parsed`, or the error saying `v` is not `what` the flag expects.
+fn valid<T>(parsed: Option<T>, what: &str, v: &str) -> Result<T, String> {
+    parsed.ok_or_else(|| format!("expected {what}, got '{v}'"))
 }
 
-/// The shared flags of the subcommands that build and may execute graphs.
-const ENGINE_FLAGS: &[&str] = &[
-    "--model",
-    "--batch",
-    "--tiny",
-    "--threads",
-    "--opt-level",
-    "--intra-op",
-    "--format",
+fn positive(v: &str) -> Result<usize, String> {
+    valid(v.parse().ok().filter(|&n| n >= 1), "a positive integer", v)
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--model", metavar: "<alias>", cmds: &[Run, Generate, Verify, Sanitize, Shard, Ci],
+        help: "model alias, repeatable (default: all 18; generate: gpt2 and llama2)",
+        set: |o, v| match ModelId::parse(v) {
+            Some(_) => { o.bench.models.push(v.to_string()); Ok(()) }
+            None => Err(format!("unknown model '{v}'")),
+        } },
+    Flag { name: "--batch", metavar: "<n>", cmds: &[Run, Verify, Sanitize, Shard],
+        help: "batch size (default: 1)",
+        set: |o, v| positive(v).map(|n| o.bench.batch = n) },
+    Flag { name: "--tiny", metavar: "", cmds: &[Run, Generate, Verify, Sanitize, Serve, Shard],
+        help: "use the executable tiny presets",
+        set: |o, _| { o.bench.scale = Scale::Tiny; Ok(()) } },
+    Flag { name: "--threads", metavar: "<n>", cmds: &[Run, Generate, Verify, Sanitize, Serve],
+        help: "worker threads; verify analyzes models concurrently (default: 1)",
+        set: |o, v| positive(v).map(|n| o.bench.threads = n) },
+    Flag { name: "--opt-level", metavar: "<0|1|2>", cmds: &[Run, Verify, Sanitize, Serve, Shard],
+        help: "graph-rewrite level of every built graph (default: 0)",
+        set: |o, v| valid(OptLevel::parse(v), "0, 1 or 2", v).map(|l| o.bench.opt_level = l) },
+    Flag { name: "--intra-op", metavar: "<on|off>", cmds: &[Run, Sanitize, Serve],
+        help: "intra-op data parallelism of executed kernels (default: on)",
+        set: |o, v| {
+            let on = match v { "on" => Some(true), "off" => Some(false), _ => None };
+            valid(on, "on or off", v).map(|on| o.bench.intra_op = on)
+        } },
+    Flag { name: "--format", metavar: "<fmt>", cmds: &[Run, Verify, Sanitize, Shard, Ci],
+        help: "text | json, or csv for run (default: text)",
+        set: |o, v| {
+            let format = match (v, o.cmd) {
+                ("text", _) => Some(Format::Text),
+                ("json", _) => Some(Format::Json),
+                ("csv", Run) => Some(Format::Csv),
+                _ => None,
+            };
+            let what = if o.cmd == Run { "text, csv or json" } else { "text or json" };
+            valid(format, what, v).map(|f| o.format = f)
+        } },
+    Flag { name: "--platform", metavar: "<p>", cmds: &[Run],
+        help: "mobile | workstation | datacenter (default: datacenter)",
+        set: |o, v| {
+            let platform = match v {
+                "mobile" => Some(Platform::mobile()),
+                "workstation" => Some(Platform::workstation()),
+                "datacenter" | "data-center" => Some(Platform::data_center()),
+                _ => None,
+            };
+            valid(platform, "mobile, workstation or datacenter", v).map(|p| o.bench.platform = p)
+        } },
+    Flag { name: "--flow", metavar: "<f>", cmds: &[Run],
+        help: "eager | torchscript | dynamo | ort (default: eager)",
+        set: |o, v| {
+            let flow = match v {
+                "eager" => Some(Flow::Eager),
+                "torchscript" => Some(Flow::TorchScript),
+                "dynamo" => Some(Flow::Dynamo),
+                "ort" => Some(Flow::Ort),
+                _ => None,
+            };
+            valid(flow, "eager, torchscript, dynamo or ort", v).map(|f| o.bench.flow = f)
+        } },
+    Flag { name: "--cpu-only", metavar: "", cmds: &[Run],
+        help: "drop the GPU from the platform",
+        set: |o, _| { o.bench.use_gpu = false; Ok(()) } },
+    Flag { name: "--measured", metavar: "", cmds: &[Run],
+        help: "execute on the host instead of the analytic models",
+        set: |o, _| { o.measured = true; Ok(()) } },
+    Flag { name: "--microbench", metavar: "", cmds: &[Run],
+        help: "run the microbench flow instead of end-to-end",
+        set: |o, _| { o.microbench = true; Ok(()) } },
+    Flag { name: "--sanitize", metavar: "", cmds: &[Run],
+        help: "run --measured under the shadow-memory sanitizer",
+        set: |o, _| { o.bench.sanitize = true; Ok(()) } },
+    Flag { name: "--trace", metavar: "<dir>", cmds: &[Run],
+        help: "also write <dir>/<model>.trace.json (Chrome trace) per model",
+        set: |o, v| { o.trace = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--prompt-len", metavar: "<n>", cmds: &[Generate],
+        help: "synthetic prompt length (default: 4)",
+        set: |o, v| positive(v).map(|n| o.prompt_len = n) },
+    Flag { name: "--max-new-tokens", metavar: "<n>", cmds: &[Generate],
+        help: "tokens to generate greedily (default: 16)",
+        set: |o, v| positive(v).map(|n| o.max_new_tokens = n) },
+    Flag { name: "--quantize", metavar: "<q>", cmds: &[Generate],
+        help: "none | int8 weight-quantized GEMMs (default: none)",
+        set: |o, v| valid(Quant::parse(v), "none or int8", v).map(|q| o.quantize = q) },
+    Flag { name: "--all", metavar: "", cmds: &[Verify],
+        help: "include allow-level findings in text output",
+        set: |o, _| { o.all = true; Ok(()) } },
+    Flag { name: "--static-only", metavar: "", cmds: &[Sanitize],
+        help: "skip the shadow-memory execution pass",
+        set: |o, _| { o.static_only = true; Ok(()) } },
+    Flag { name: "--addr", metavar: "<host:port>", cmds: &[Serve],
+        help: "listen address; port 0 picks one, printed on startup (default: 127.0.0.1:0)",
+        set: |o, v| { o.serve.addr = v.to_string(); Ok(()) } },
+    Flag { name: "--max-batch", metavar: "<n>", cmds: &[Serve],
+        help: "largest dynamic batch; batch-opaque models run at 1 (default: 8)",
+        set: |o, v| positive(v).map(|n| o.serve.max_batch = n) },
+    Flag { name: "--batch-wait-us", metavar: "<n>", cmds: &[Serve],
+        help: "longest hold for companions, while arrivals are denser (default: 2000)",
+        set: |o, v| valid(v.parse().ok(), "a non-negative integer", v)
+            .map(|us| o.serve.batch_wait = Duration::from_micros(us)) },
+    // 0 is a legal cap (reject everything): a bound, not a count
+    Flag { name: "--queue-cap", metavar: "<n>", cmds: &[Serve],
+        help: "per-model admission queue bound; 0 rejects all (default: 64)",
+        set: |o, v| valid(v.parse().ok(), "a non-negative integer", v).map(|n| o.serve.queue_cap = n) },
+    Flag { name: "--devices", metavar: "<spec>", cmds: &[Shard],
+        help: "cpu|gpu|npu joined by '+', <n>x repeats: 2xgpu, gpu+cpu (default: 2xgpu)",
+        set: |o, v| valid(DeviceSpec::parse(v), "a roster such as 2xgpu or gpu+cpu", v)
+            .map(|d| o.devices = d) },
+    Flag { name: "--strategy", metavar: "<s>", cmds: &[Shard],
+        help: "pipeline | tensor (default: pipeline)",
+        set: |o, v| valid(Strategy::parse(v), "pipeline or tensor", v).map(|s| o.strategy = s) },
+    Flag { name: "--microbatches", metavar: "<n>", cmds: &[Shard],
+        help: "pipeline microbatches / replays (default: 4)",
+        set: |o, v| positive(v).map(|n| o.microbatches = n) },
+    Flag { name: "--check", metavar: "", cmds: &[Ci],
+        help: "diff the current state against the baselines (default)",
+        set: |o, _| { o.check = true; Ok(()) } },
+    Flag { name: "--update", metavar: "", cmds: &[Ci],
+        help: "regenerate the baselines",
+        set: |o, _| { o.update = true; Ok(()) } },
+    Flag { name: "--dir", metavar: "<path>", cmds: &[Ci],
+        help: "baseline directory (default: baselines)",
+        set: |o, v| { o.dir = v.to_string(); Ok(()) } },
 ];
 
-/// `verify` analyzes statically, so it has no `--intra-op`.
-const VERIFY_FLAGS: &[&str] = &[
-    "--model",
-    "--batch",
-    "--tiny",
-    "--threads",
-    "--opt-level",
-    "--format",
-];
-
-fn unknown_argument(arg: &str) -> ! {
-    eprintln!("unknown argument '{arg}'");
-    usage()
-}
-
-fn parse_run_args(argv: &[String]) -> Args {
-    let mut args = Args {
-        common: Common::new("", ENGINE_FLAGS),
-        platform: Platform::data_center(),
-        flow: Flow::Eager,
-        cpu_only: false,
-        measured: false,
-        microbench: false,
-        sanitize: false,
-        trace: None,
-    };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        if args.common.take(arg, &mut it) {
-            continue;
+/// Parses the arguments after the subcommand against [`FLAGS`], stopping
+/// at `--help`/`-h`.
+fn parse(cmd: Cmd, argv: &[String]) -> Result<Opts, String> {
+    let mut o = Opts::new(cmd);
+    let mut args = argv.iter();
+    while let Some(arg) = args.next() {
+        if matches!(arg.as_str(), "--help" | "-h") {
+            o.help = true;
+            return Ok(o);
         }
-        match arg.as_str() {
-            "--platform" => {
-                args.platform = match take_value(&mut it, "--platform").as_str() {
-                    "mobile" => Platform::mobile(),
-                    "workstation" => Platform::workstation(),
-                    "datacenter" | "data-center" => Platform::data_center(),
-                    other => {
-                        eprintln!("unknown platform '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--flow" => {
-                args.flow = match take_value(&mut it, "--flow").as_str() {
-                    "eager" => Flow::Eager,
-                    "torchscript" => Flow::TorchScript,
-                    "dynamo" => Flow::Dynamo,
-                    "ort" => Flow::Ort,
-                    other => {
-                        eprintln!("unknown flow '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--cpu-only" => args.cpu_only = true,
-            "--measured" => args.measured = true,
-            "--microbench" => args.microbench = true,
-            "--sanitize" => args.sanitize = true,
-            "--trace" => args.trace = Some(take_value(&mut it, "--trace")),
-            other => unknown_argument(other),
-        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg && f.cmds.contains(&cmd))
+            .ok_or_else(|| format!("unknown argument '{arg}'"))?;
+        let value = match flag.metavar {
+            "" => "",
+            _ => args
+                .next()
+                .ok_or_else(|| format!("{} requires a value", flag.name))?,
+        };
+        (flag.set)(&mut o, value).map_err(|e| format!("{}: {e}", flag.name))?;
     }
-    args
-}
-
-fn parse_verify_args(argv: &[String]) -> VerifyArgs {
-    let mut args = VerifyArgs {
-        common: Common::new("verify", VERIFY_FLAGS),
-        all: false,
+    // combinations in which one flag would be silently ignored
+    let refused = match cmd {
+        Run if o.microbench && o.measured => "--microbench executes nothing for --measured to time",
+        Run if o.microbench && o.trace.is_some() => "--microbench profiles no graph for --trace",
+        Run if o.bench.sanitize && !o.measured => "--sanitize arms host execution: add --measured",
+        Ci if o.check && o.update => "--check and --update are mutually exclusive",
+        _ => return Ok(o),
     };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        if args.common.take(arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--all" => args.all = true,
-            other => unknown_argument(other),
-        }
-    }
-    args
+    Err(refused.to_string())
 }
 
-fn parse_sanitize_args(argv: &[String]) -> SanitizeArgs {
-    let mut args = SanitizeArgs {
-        common: Common::new("sanitize", ENGINE_FLAGS),
-        static_only: false,
-    };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        if args.common.take(arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--static-only" => args.static_only = true,
-            other => unknown_argument(other),
-        }
+/// The `--help` text, rendered from [`CMDS`] and [`FLAGS`].
+fn help() -> String {
+    let mut out = String::from("nongemm-cli — NonGEMM Bench profiling harness\n\nUSAGE:\n");
+    for (cmd, name, about) in CMDS {
+        let name = if cmd == Run { "[run]" } else { name };
+        out += &format!("  {:<32}{about}\n", format!("nongemm-cli {name} [OPTIONS]"));
     }
-    args
-}
-
-/// Builds a [`nongemm::serve::ServeConfig`] from the command line on top
-/// of its defaults.
-fn parse_serve_args(argv: &[String]) -> nongemm::serve::ServeConfig {
-    let mut config = nongemm::serve::ServeConfig::default();
-    let mut common = Common::new(
-        "serve",
-        &["--tiny", "--threads", "--opt-level", "--intra-op"],
+    out += &format!(
+        "  {:<32}print this help\n",
+        "nongemm-cli help | --help | -h"
     );
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        if common.take(arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--addr" => config.addr = take_value(&mut it, "--addr"),
-            "--max-batch" => {
-                config.max_batch =
-                    parse_positive(&take_value(&mut it, "--max-batch"), "--max-batch")
-            }
-            "--batch-wait-us" => {
-                let v = take_value(&mut it, "--batch-wait-us");
-                config.batch_wait = match v.parse::<u64>() {
-                    Ok(us) => std::time::Duration::from_micros(us),
-                    Err(_) => {
-                        eprintln!("--batch-wait-us requires a non-negative integer");
-                        usage()
-                    }
-                }
-            }
-            // 0 is a legal cap (reject everything) — unlike the other
-            // numeric flags this one is a bound, not a count
-            "--queue-cap" => {
-                let v = take_value(&mut it, "--queue-cap");
-                config.queue_cap = match v.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("--queue-cap requires a non-negative integer");
-                        usage()
-                    }
-                }
-            }
-            other => unknown_argument(other),
+    for (cmd, name, _) in CMDS {
+        out += &format!("\n{} OPTIONS:\n", name.to_uppercase());
+        for f in FLAGS.iter().filter(|f| f.cmds.contains(&cmd)) {
+            let usage = format!("{} {}", f.name, f.metavar);
+            out += &format!("  {:<22}{}\n", usage.trim_end(), f.help);
         }
     }
-    if common.tiny {
-        config.scale = Scale::Tiny;
-    }
-    config.threads = common.threads;
-    config.opt_level = common.opt_level;
-    config.intra_op = Some(common.intra_op);
-    config
+    out + "\nEXIT CODES:\n  0  success / clean    1  failure or regression    2  usage error\n"
 }
 
-fn parse_ci_args(argv: &[String]) -> CiArgs {
-    let mut args = CiArgs {
-        common: Common::new("ci", &["--model", "--format"]),
-        dir: "baselines".to_string(),
-        update: false,
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = match argv.first().map(String::as_str) {
+        Some(name) if !name.starts_with('-') => match CMDS.iter().find(|c| c.1 == name) {
+            Some(&(cmd, ..)) => parse(cmd, &argv[1..]),
+            None if name == "help" => Ok(Opts {
+                help: true,
+                ..Opts::new(Run)
+            }),
+            None => Err(format!("unknown subcommand '{name}'")),
+        },
+        _ => parse(Run, &argv),
     };
-    let mut explicit_check = false;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        if args.common.take(arg, &mut it) {
-            continue;
+    let opts = match parsed {
+        Ok(opts) if opts.help => {
+            print!("{}", help());
+            return ExitCode::SUCCESS;
         }
-        match arg.as_str() {
-            "--dir" => args.dir = take_value(&mut it, "--dir"),
-            "--check" => explicit_check = true,
-            "--update" => args.update = true,
-            other => unknown_argument(other),
+        Ok(opts) => opts,
+        Err(reason) => {
+            eprintln!(
+                "{reason}\nusage: nongemm-cli [{}] [OPTIONS]\n\
+                 \x20      (see `nongemm-cli --help` for the full option list)",
+                CMDS.map(|c| c.1).join("|")
+            );
+            return ExitCode::from(2);
         }
-    }
-    if args.update && explicit_check {
-        eprintln!("--check and --update are mutually exclusive");
-        usage()
-    }
-    args
-}
-
-fn parse_shard_args(argv: &[String]) -> ShardArgs {
-    let mut args = ShardArgs {
-        common: Common::new(
-            "shard",
-            &["--model", "--batch", "--tiny", "--opt-level", "--format"],
-        ),
-        devices: "2xgpu".to_string(),
-        strategy: nongemm::shard::Strategy::Pipeline,
-        microbatches: nongemm::shard::DEFAULT_MICROBATCHES,
     };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        if args.common.take(arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--devices" => args.devices = take_value(&mut it, "--devices"),
-            "--strategy" => {
-                let v = take_value(&mut it, "--strategy");
-                args.strategy = nongemm::shard::Strategy::parse(&v).unwrap_or_else(|| {
-                    eprintln!("--strategy requires pipeline or tensor, not '{v}'");
-                    usage()
-                })
-            }
-            "--microbatches" => {
-                args.microbatches =
-                    parse_positive(&take_value(&mut it, "--microbatches"), "--microbatches")
-            }
-            other => unknown_argument(other),
-        }
+    match opts.cmd {
+        Run => run_bench(opts),
+        Generate => run_generate(opts),
+        Verify => run_verify(opts),
+        Sanitize => run_sanitize(opts),
+        Serve => run_serve(opts),
+        Shard => run_shard(opts),
+        Ci => run_ci(opts),
     }
-    args
 }
 
-fn run_shard(argv: &[String]) -> ExitCode {
-    use nongemm::shard::{self, DeviceSpec, ShardOptions};
-    let args = parse_shard_args(argv);
-    let spec = DeviceSpec::parse(&args.devices).unwrap_or_else(|| {
-        eprintln!(
-            "--devices '{}' is not a valid roster (try 2xgpu or gpu+cpu)",
-            args.devices
-        );
-        usage()
-    });
-    let devices = spec.roster();
-    let bench = NonGemmBench::new(args.common.bench_config());
-    let graphs = match bench.build_graphs() {
+fn run_shard(o: Opts) -> ExitCode {
+    use nongemm::shard::{self, ShardOptions};
+    let devices = o.devices.roster();
+    let graphs = match NonGemmBench::new(o.bench).build_graphs() {
         Ok(g) => g,
         Err(e) => {
             eprintln!("shard failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if graphs.is_empty() {
-        eprintln!("no models matched the selection");
-        return ExitCode::FAILURE;
-    }
     let mut failures = 0usize;
     for g in &graphs {
         let outcome = (|| -> Result<String, String> {
-            let plan = shard::partition(g, &devices, args.strategy, &ShardOptions::default())
+            let plan = shard::partition(g, &devices, o.strategy, &ShardOptions::default())
                 .map_err(|e| e.to_string())?;
-            let est = plan.modeled(args.microbatches);
-            let run =
-                shard::execute(&plan, 0x5eed, args.microbatches).map_err(|e| e.to_string())?;
+            let est = plan.modeled(o.microbatches);
+            let run = shard::execute(&plan, 0x5eed, o.microbatches).map_err(|e| e.to_string())?;
             let reference = nongemm::Interpreter::default()
                 .run(g)
                 .map_err(|e| e.to_string())?;
@@ -598,7 +397,7 @@ fn run_shard(argv: &[String]) -> ExitCode {
             if !identical {
                 return Err("sharded outputs diverge from single-device execution".into());
             }
-            Ok(match args.common.format {
+            Ok(match o.format {
                 Format::Json => format!(
                     "{{\"model\":\"{}\",\"devices\":\"{}\",\"strategy\":\"{}\",\
                      \"microbatches\":{},\"splits\":{},\"bit_identical\":true,\
@@ -606,8 +405,8 @@ fn run_shard(argv: &[String]) -> ExitCode {
                      \"executed_wall_s\":{:.6},\"executed_bubble\":{:.4},\
                      \"transfer_bytes\":{}}}",
                     g.name,
-                    spec.label(),
-                    args.strategy,
+                    o.devices.label(),
+                    o.strategy,
                     run.microbatches,
                     plan.splits,
                     est.speedup,
@@ -621,8 +420,8 @@ fn run_shard(argv: &[String]) -> ExitCode {
                      modeled speedup {:.2}x (bubble {:.0}%)  executed wall {:.1} ms \
                      (bubble {:.0}%)  moved {} B",
                     g.name,
-                    spec.label(),
-                    args.strategy,
+                    o.devices.label(),
+                    o.strategy,
                     run.microbatches,
                     plan.splits,
                     est.speedup,
@@ -649,93 +448,50 @@ fn run_shard(argv: &[String]) -> ExitCode {
     }
 }
 
-fn parse_generate_args(argv: &[String]) -> GenerateArgs {
-    let mut args = GenerateArgs {
-        common: Common::new("generate", &["--model", "--tiny", "--threads"]),
-        prompt_len: 4,
-        max_new: 16,
-        quantize: None,
-    };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        if args.common.take(arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--prompt-len" => {
-                args.prompt_len =
-                    parse_positive(&take_value(&mut it, "--prompt-len"), "--prompt-len")
-            }
-            "--max-new-tokens" => {
-                args.max_new =
-                    parse_positive(&take_value(&mut it, "--max-new-tokens"), "--max-new-tokens")
-            }
-            "--quantize" => {
-                let v = take_value(&mut it, "--quantize");
-                args.quantize = match nongemm::ops::Quant::parse(&v) {
-                    Some(q) => Some(q),
-                    None => {
-                        eprintln!("--quantize requires none or int8, not '{v}'");
-                        usage()
-                    }
-                }
-            }
-            other => unknown_argument(other),
-        }
-    }
-    if args.common.models.is_empty() {
-        args.common.models = vec!["gpt2".to_string(), "llama2".to_string()];
-    }
-    args
-}
-
-fn run_generate(argv: &[String]) -> ExitCode {
+fn run_generate(o: Opts) -> ExitCode {
     use nongemm::runtime::{greedy_decode, synth_prompt, DecodeSession};
 
-    let args = parse_generate_args(argv);
-    let scale = if args.common.tiny {
-        Scale::Tiny
+    let models: Vec<ModelId> = if o.bench.models.is_empty() {
+        vec![ModelId::Gpt2, ModelId::Llama2_7b]
     } else {
-        Scale::Full
-    };
-    let mut interp = NonGemmBench::new(args.common.bench_config()).interpreter();
-    if let Some(q) = args.quantize {
-        interp = interp.quantize(q);
-    }
-    let total = args.prompt_len + args.max_new;
-
-    for alias in &args.common.models {
-        let Some(id) = ModelId::all()
+        o.bench
+            .models
             .iter()
-            .copied()
-            .find(|m| m.spec().alias == *alias)
-        else {
-            eprintln!("unknown model '{alias}'");
-            return ExitCode::FAILURE;
-        };
+            .map(|alias| ModelId::parse(alias).expect("--model admits registry aliases only"))
+            .collect()
+    };
+    let scale = o.bench.scale;
+    let interp = NonGemmBench::new(o.bench)
+        .interpreter()
+        .quantize(o.quantize);
+    let total = o.prompt_len + o.max_new_tokens;
+
+    for id in models {
         let Some(bundle) = nongemm::models::decode_bundle(id, scale, 1, total) else {
-            eprintln!("{alias} is not an autoregressive LM; generate supports the GPT-2 family and llama2");
+            eprintln!(
+                "{id} is not an autoregressive LM; generate supports the GPT-2 family and llama2"
+            );
             return ExitCode::FAILURE;
         };
         let result = bundle.map_err(|e| e.to_string()).and_then(|bundle| {
-            let prompt = synth_prompt(interp.seed(), &bundle.reference, args.prompt_len)
+            let prompt = synth_prompt(interp.seed(), &bundle.reference, o.prompt_len)
                 .map_err(|e| e.to_string())?;
             let mut session = DecodeSession::new(bundle.decode, &bundle.reference, interp.clone())
                 .map_err(|e| e.to_string())?;
             let start = std::time::Instant::now();
-            let report =
-                greedy_decode(&mut session, &prompt, args.max_new).map_err(|e| e.to_string())?;
+            let report = greedy_decode(&mut session, &prompt, o.max_new_tokens)
+                .map_err(|e| e.to_string())?;
             Ok((report, start.elapsed().as_secs_f64(), prompt))
         });
         match result {
             Ok((report, wall_s, prompt)) => {
                 let tok_s = if wall_s > 0.0 {
-                    args.max_new as f64 / wall_s
+                    o.max_new_tokens as f64 / wall_s
                 } else {
                     0.0
                 };
                 println!(
-                    "{alias} ({}, quant {}): prompt {:?} -> {:?}",
+                    "{id} ({}, quant {}): prompt {:?} -> {:?}",
                     scale.name(),
                     interp.quant().label(),
                     prompt[0],
@@ -743,14 +499,14 @@ fn run_generate(argv: &[String]) -> ExitCode {
                 );
                 println!(
                     "  {} tokens in {:.3}s ({:.0} tok/s), cache hit rate {:.1}%",
-                    args.max_new,
+                    o.max_new_tokens,
                     wall_s,
                     tok_s,
                     report.cache.hit_rate() * 100.0
                 );
             }
             Err(e) => {
-                eprintln!("generate failed for {alias}: {e}");
+                eprintln!("generate failed for {id}: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -758,45 +514,20 @@ fn run_generate(argv: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("generate") => run_generate(&argv[1..]),
-        Some("verify") => run_verify(&argv[1..]),
-        Some("sanitize") => run_sanitize(&argv[1..]),
-        Some("serve") => run_serve(&argv[1..]),
-        Some("shard") => run_shard(&argv[1..]),
-        Some("run") => run_bench(&argv[1..]),
-        Some("ci") => run_ci(&argv[1..]),
-        Some("help") => print_help(),
-        Some(cmd) if !cmd.starts_with('-') => {
-            eprintln!("unknown subcommand '{cmd}'");
-            usage()
-        }
-        _ => run_bench(&argv),
-    }
-}
-
-fn run_verify(argv: &[String]) -> ExitCode {
-    let args = parse_verify_args(argv);
-    let bench = NonGemmBench::new(args.common.bench_config());
-    let reports = match bench.verify() {
+fn run_verify(o: Opts) -> ExitCode {
+    let reports = match NonGemmBench::new(o.bench).verify() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("verify failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if reports.is_empty() {
-        eprintln!("no models matched the selection");
-        return ExitCode::FAILURE;
-    }
     let mut denied = 0usize;
     for report in &reports {
         denied += report.deny_count();
-        match args.common.format {
+        match o.format {
             Format::Json => println!("{}", report.to_json()),
-            _ => println!("{}", report.to_text(args.all)),
+            _ => println!("{}", report.to_text(o.all)),
         }
     }
     if denied > 0 {
@@ -810,24 +541,18 @@ fn run_verify(argv: &[String]) -> ExitCode {
     }
 }
 
-fn run_sanitize(argv: &[String]) -> ExitCode {
-    let args = parse_sanitize_args(argv);
-    let bench = NonGemmBench::new(args.common.bench_config());
-    let reports = match bench.sanitize(!args.static_only) {
+fn run_sanitize(o: Opts) -> ExitCode {
+    let reports = match NonGemmBench::new(o.bench).sanitize(!o.static_only) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sanitize failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if reports.is_empty() {
-        eprintln!("no models matched the selection");
-        return ExitCode::FAILURE;
-    }
     let mut hazards = 0usize;
     for report in &reports {
         hazards += report.hazards.len();
-        match args.common.format {
+        match o.format {
             Format::Json => println!("{}", report.to_json()),
             _ => println!("{}", report.to_text()),
         }
@@ -843,41 +568,21 @@ fn run_sanitize(argv: &[String]) -> ExitCode {
     }
 }
 
-/// Resolves `--model` selections against the registry, exiting like the
-/// other subcommands when nothing matches.
-fn select_models(names: &[String]) -> Vec<ModelId> {
-    let selected: Vec<ModelId> = if names.is_empty() {
-        ModelId::all().to_vec()
-    } else {
-        ModelId::all()
-            .iter()
-            .copied()
-            .filter(|m| names.iter().any(|n| n == m.spec().alias))
-            .collect()
-    };
-    if selected.is_empty() {
-        eprintln!("no models matched the selection");
-        std::process::exit(1);
-    }
-    selected
-}
-
-fn run_ci(argv: &[String]) -> ExitCode {
-    let args = parse_ci_args(argv);
+fn run_ci(o: Opts) -> ExitCode {
     let cfg = regress::GateConfig {
-        dir: std::path::PathBuf::from(&args.dir),
-        models: select_models(&args.common.models),
+        dir: std::path::PathBuf::from(&o.dir),
+        models: NonGemmBench::new(o.bench).selected_models(),
     };
 
-    if args.update {
+    if o.update {
         let outcome = match regress::update(&cfg) {
-            Ok(o) => o,
+            Ok(outcome) => outcome,
             Err(e) => {
                 eprintln!("ci --update failed: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        match args.common.format {
+        match o.format {
             Format::Text => print!("{}", outcome.to_text()),
             _ => println!(
                 "{}",
@@ -888,13 +593,13 @@ fn run_ci(argv: &[String]) -> ExitCode {
     }
 
     let outcome = match regress::check(&cfg) {
-        Ok(o) => o,
+        Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("ci --check failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    match args.common.format {
+    match o.format {
         Format::Text => print!("{}", outcome.to_text()),
         _ => println!("{}", outcome.to_json()),
     }
@@ -905,8 +610,14 @@ fn run_ci(argv: &[String]) -> ExitCode {
     }
 }
 
-fn run_serve(argv: &[String]) -> ExitCode {
-    let config = parse_serve_args(argv);
+fn run_serve(o: Opts) -> ExitCode {
+    let config = ServeConfig {
+        scale: o.bench.scale,
+        threads: o.bench.threads,
+        opt_level: o.bench.opt_level,
+        intra_op: Some(o.bench.intra_op),
+        ..o.serve
+    };
     let handle = match nongemm::serve::Server::start(config) {
         Ok(h) => h,
         Err(e) => {
@@ -937,28 +648,17 @@ fn run_serve(argv: &[String]) -> ExitCode {
     }
 }
 
-fn run_bench(argv: &[String]) -> ExitCode {
-    let args = parse_run_args(argv);
-    let platform = if args.cpu_only {
-        args.platform.clone().cpu_only()
-    } else {
-        args.platform.clone()
-    };
-    let format = args.common.format;
-    let bench = NonGemmBench::new(BenchConfig {
-        platform,
-        use_gpu: !args.cpu_only,
-        flow: args.flow,
-        iterations: 3,
-        sanitize: args.sanitize,
-        ..args.common.bench_config()
-    });
+fn run_bench(mut o: Opts) -> ExitCode {
+    if !o.bench.use_gpu {
+        o.bench.platform = o.bench.platform.cpu_only();
+    }
+    let bench = NonGemmBench::new(o.bench);
 
-    if args.microbench {
-        return run_microbench(&bench, format);
+    if o.microbench {
+        return run_microbench(&bench, o.format);
     }
 
-    let profiles = if args.measured {
+    let profiles = if o.measured {
         bench.run_measured()
     } else {
         bench.run_end_to_end()
@@ -971,12 +671,12 @@ fn run_bench(argv: &[String]) -> ExitCode {
         }
     };
 
-    if format == Format::Csv {
+    if o.format == Format::Csv {
         println!("{}", csv_header());
     }
     for profile in &profiles {
         let report = PerformanceReport::from_profile(profile);
-        match format {
+        match o.format {
             Format::Text => println!("{}", report.to_text()),
             Format::Csv => println!("{}", report.to_csv_row()),
             Format::Json => println!(
@@ -984,7 +684,7 @@ fn run_bench(argv: &[String]) -> ExitCode {
                 serde_json::to_string(&report).expect("reports serialize")
             ),
         }
-        if let Some(dir) = &args.trace {
+        if let Some(dir) = &o.trace {
             let path = format!("{dir}/{}.trace.json", profile.model);
             if let Err(e) = std::fs::write(&path, to_chrome_trace(profile)) {
                 eprintln!("failed to write {path}: {e}");
@@ -1031,4 +731,71 @@ fn run_microbench(bench: &NonGemmBench, format: Format) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A value the flag's setter accepts, by its metavar.
+    fn sample(flag: &Flag) -> Vec<String> {
+        let value = match flag.metavar {
+            "" => return vec![flag.name.to_string()],
+            "<alias>" => "gpt2",
+            "<n>" => "3",
+            "<0|1|2>" => "2",
+            "<on|off>" => "off",
+            "<fmt>" => "json",
+            "<p>" => "mobile",
+            "<f>" => "ort",
+            "<q>" => "int8",
+            "<host:port>" => "127.0.0.1:0",
+            "<spec>" => "gpu+cpu",
+            "<s>" => "tensor",
+            "<dir>" | "<path>" => "out",
+            other => panic!("{}: no sample value for {other}", flag.name),
+        };
+        vec![flag.name.to_string(), value.to_string()]
+    }
+
+    #[test]
+    fn every_row_parses_under_its_subcommands_and_only_there() {
+        for flag in FLAGS {
+            let mut args = sample(flag);
+            // refused alone, as a flag that would be ignored
+            if flag.name == "--sanitize" {
+                args.push("--measured".to_string());
+            }
+            for (cmd, name, _) in CMDS {
+                let parsed = parse(cmd, &args);
+                if flag.cmds.contains(&cmd) {
+                    assert!(parsed.is_ok(), "{name} {args:?}: {:?}", parsed.err());
+                } else {
+                    let err = parsed.err().unwrap_or_default();
+                    let unknown = format!("unknown argument '{}'", flag.name);
+                    assert_eq!(err, unknown, "{name} {args:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn help_sections_name_exactly_the_accepted_rows() {
+        let text = help();
+        for (cmd, name, _) in CMDS {
+            let header = format!("{} OPTIONS:\n", name.to_uppercase());
+            let start = text.find(&header).expect("section present") + header.len();
+            let section = text[start..].split("\n\n").next().unwrap();
+            let listed: Vec<&str> = section
+                .lines()
+                .map(|l| l.split_whitespace().next().unwrap())
+                .collect();
+            let accepted: Vec<&str> = FLAGS
+                .iter()
+                .filter(|f| f.cmds.contains(&cmd))
+                .map(|f| f.name)
+                .collect();
+            assert_eq!(listed, accepted, "{name}");
+        }
+    }
 }

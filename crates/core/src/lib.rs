@@ -151,17 +151,15 @@ impl NonGemmBench {
         &self.config
     }
 
-    /// Models selected by the configuration.
+    /// Models selected by the configuration, in registry order; an alias
+    /// that names no model selects nothing.
     pub fn selected_models(&self) -> Vec<ModelId> {
-        if self.config.models.is_empty() {
-            ModelId::all().to_vec()
-        } else {
-            ModelId::all()
-                .iter()
-                .copied()
-                .filter(|m| self.config.models.iter().any(|n| n == m.spec().alias))
-                .collect()
-        }
+        let models = &self.config.models;
+        ModelId::all()
+            .iter()
+            .copied()
+            .filter(|&m| models.is_empty() || models.iter().any(|a| ModelId::parse(a) == Some(m)))
+            .collect()
     }
 
     /// Builds the operator graphs for the selected models, rewritten at

@@ -148,6 +148,14 @@ impl ModelId {
         ]
     }
 
+    /// The model whose [`ModelSpec::alias`] is `alias`.
+    pub fn parse(alias: &str) -> Option<ModelId> {
+        ModelId::all()
+            .iter()
+            .copied()
+            .find(|m| m.spec().alias == alias)
+    }
+
     /// This model's Table 1 row.
     pub fn spec(self) -> ModelSpec {
         use ModelId::*;
@@ -346,6 +354,14 @@ mod tests {
                 m.spec().alias
             );
         }
+    }
+
+    #[test]
+    fn alias_lookup_round_trips() {
+        for &m in ModelId::all() {
+            assert_eq!(ModelId::parse(m.spec().alias), Some(m));
+        }
+        assert_eq!(ModelId::parse("nonesuch"), None);
     }
 
     #[test]

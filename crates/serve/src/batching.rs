@@ -100,14 +100,6 @@ pub fn split_output(out: &Tensor, batch: usize) -> Result<Vec<Tensor>, TensorErr
         .collect()
 }
 
-/// Looks up a model by its registry alias.
-pub fn model_by_alias(alias: &str) -> Option<ModelId> {
-    ModelId::all()
-        .iter()
-        .copied()
-        .find(|m| m.spec().alias == alias)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,14 +111,6 @@ mod tests {
         assert_eq!(effective_max_batch(ModelId::Gpt2, 8), 1);
         assert_eq!(effective_max_batch(ModelId::FasterRcnn, 8), 1);
         assert_eq!(effective_max_batch(ModelId::Bert, 0), 1);
-    }
-
-    #[test]
-    fn alias_lookup_round_trips() {
-        for &m in ModelId::all() {
-            assert_eq!(model_by_alias(m.spec().alias), Some(m));
-        }
-        assert_eq!(model_by_alias("nonesuch"), None);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use ngb_models::ModelId;
 use ngb_runtime::{GraphCache, GraphKey};
 use serde_json::Value;
 
-use crate::batching::{batched_inputs, effective_max_batch, model_by_alias, split_output};
+use crate::batching::{batched_inputs, effective_max_batch, split_output};
 use crate::protocol::{error_response, obj, ok_response, tensor_digest, Request};
 use crate::ServeConfig;
 
@@ -432,7 +432,7 @@ fn handle_request(shared: &Arc<Shared>, responder: &Responder, req: Request) {
 /// per-model queue bound, and either enqueue or reject with an explicit
 /// error response.
 fn admit(shared: &Arc<Shared>, responder: &Responder, id: String, model: &str, seed: u64) {
-    let Some(model_id) = model_by_alias(model) else {
+    let Some(model_id) = ModelId::parse(model) else {
         lock(&shared.stats).errors += 1;
         responder.send(&error_response(
             &id,

@@ -29,7 +29,10 @@
 # file of the executing crates, and no setting is read from the
 # environment: outside test modules env::var("NGB_ appears nowhere under
 # crates/. A second loop or any NGB_* reader fails CI until it is
-# justified here.
+# justified here. The same stage keeps nongemm-cli's FLAGS table the only
+# place a flag is named: outside its test module, each "--flag" string
+# literal appears at most once in crates/core/src/bin/nongemm-cli.rs, so a
+# hand-written match arm beside the table fails CI.
 # The sanitize stage audits that unsafe code stays confined to ngb-ops
 # and ngb-exec, lints the verifier crate at -D warnings, and runs the
 # 18-model hazard sweep (static verifier + shadow-memory execution) on a
@@ -225,7 +228,7 @@ contiguous_ratchet() {
 non_test_hits() {
   local pattern="$1" f lineno hit test_start
   shift
-  { grep -rnoE --include='*.rs' -e "$pattern" "$@" || true; } \
+  { grep -rnoHE --include='*.rs' -e "$pattern" "$@" || true; } \
     | while IFS=: read -r f lineno hit; do
         test_start=$(grep -n 'mod tests' "$f" | head -n1 | cut -d: -f1 || true)
         [[ -n "$test_start" && "$lineno" -gt "$test_start" ]] && continue
@@ -255,8 +258,16 @@ one_executor() {
     diff <(echo "$ENV_READERS") <(echo "$readers") || true
     violations=1
   fi
+  local repeated
+  repeated=$(non_test_hits '"--[a-z][a-z0-9-]*"' crates/core/src/bin/nongemm-cli.rs \
+    | cut -f2 | sort | uniq -d)
+  if [[ -n "$repeated" ]]; then
+    echo "error: flags named outside nongemm-cli's FLAGS table:"
+    echo "$repeated"
+    violations=1
+  fi
   [[ $violations -eq 0 ]] || return 1
-  echo "one executor: one gather/execute/finish core, no NGB_* reader"
+  echo "one executor: one gather/execute/finish core, no NGB_* reader, one flag table"
 }
 
 run_stage fmt           cargo fmt --all -- --check

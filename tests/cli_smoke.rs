@@ -67,6 +67,12 @@ fn help_exits_zero_and_documents_every_flag() {
             "--quantize",
             "--max-new-tokens",
             "--prompt-len",
+            "shard",
+            "--devices",
+            "--strategy",
+            "--microbatches",
+            "--static-only",
+            "--sanitize",
         ] {
             assert!(text.contains(needle), "{args:?} help lacks '{needle}'");
         }
@@ -133,6 +139,14 @@ fn unknown_flags_and_subcommands_exit_two_with_usage() {
         &["generate", "--quantize", "int4"],
         &["generate", "--max-new-tokens", "0"],
         &["generate", "--prompt-len"], // missing value
+        &["run", "--model", "gtp2"],
+        &["run", "--model", "gpt2", "--model", "gtp2"],
+        &["verify", "--model", "gtp2"],
+        &["ci", "--model", "gtp2"],
+        &["generate", "--model", "gtp2"],
+        &["run", "--microbench", "--measured"],
+        &["run", "--microbench", "--trace", "out"],
+        &["run", "--sanitize"],
     ];
     for args in cases {
         let out = cli().args(*args).output().expect("spawn cli");
