@@ -1,6 +1,6 @@
 //! `nongemm-cli` — command-line front end of the benchmark harness.
 //!
-//! Seven subcommands:
+//! Six subcommands:
 //!
 //! * `run` (default) — profile the selected models end-to-end, analytically
 //!   or measured on the host, or through the microbench flow;
@@ -21,10 +21,7 @@
 //!   roster with the pipeline- or tensor-parallel strategy, execute the
 //!   plan on per-device threads with real collective/transfer kernels,
 //!   verify bit-identity against single-device execution, and report
-//!   modeled vs executed speedup, bubble fraction, and transfer bytes;
-//! * `ci` — the perf-regression gate: diff the current tree against the
-//!   committed golden baselines under `baselines/` and exit non-zero on
-//!   any divergence, or regenerate them and summarize what moved.
+//!   modeled vs executed speedup, bubble fraction, and transfer bytes.
 //!
 //! Every flag is one row of [`FLAGS`], which both parses the command line
 //! and renders `nongemm-cli --help`; no setting is read from the
@@ -37,7 +34,6 @@ use std::time::Duration;
 use nongemm::ops::Quant;
 use nongemm::profiler::report::{csv_header, PerformanceReport};
 use nongemm::profiler::trace::to_chrome_trace;
-use nongemm::regress;
 use nongemm::serve::ServeConfig;
 use nongemm::shard::{DeviceSpec, Strategy};
 use nongemm::{BenchConfig, Flow, ModelId, NonGemmBench, OptLevel, Platform, Scale};
@@ -57,20 +53,18 @@ enum Cmd {
     Sanitize,
     Serve,
     Shard,
-    Ci,
 }
 use Cmd::*;
 
 /// Each subcommand's name and HELP summary, in HELP order.
 #[rustfmt::skip]
-const CMDS: [(Cmd, &str, &str); 7] = [
+const CMDS: [(Cmd, &str, &str); 6] = [
     (Run, "run", "profile models (default subcommand)"),
     (Generate, "generate", "greedy autoregressive decode (KV cache)"),
     (Verify, "verify", "static graph analysis + lints"),
     (Sanitize, "sanitize", "schedule/memory hazard verifier + sanitizer"),
     (Serve, "serve", "inference service with dynamic batching"),
     (Shard, "shard", "multi-device sharding: partition, place, execute"),
-    (Ci, "ci", "perf-regression gate over golden baselines"),
 ];
 
 /// A parsed command line. Model selection and engine settings go straight
@@ -94,9 +88,6 @@ struct Opts {
     devices: DeviceSpec,
     strategy: Strategy,
     microbatches: usize,
-    check: bool,
-    update: bool,
-    dir: String,
 }
 
 impl Opts {
@@ -118,9 +109,6 @@ impl Opts {
             devices: DeviceSpec::parse("2xgpu").expect("the default roster parses"),
             strategy: Strategy::Pipeline,
             microbatches: nongemm::shard::DEFAULT_MICROBATCHES,
-            check: false,
-            update: false,
-            dir: "baselines".to_string(),
         }
     }
 }
@@ -149,7 +137,7 @@ fn positive(v: &str) -> Result<usize, String> {
 
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
-    Flag { name: "--model", metavar: "<alias>", cmds: &[Run, Generate, Verify, Sanitize, Shard, Ci],
+    Flag { name: "--model", metavar: "<alias>", cmds: &[Run, Generate, Verify, Sanitize, Shard],
         help: "model alias, repeatable (default: all 18; generate: gpt2 and llama2)",
         set: |o, v| match ModelId::parse(v) {
             Some(_) => { o.bench.models.push(v.to_string()); Ok(()) }
@@ -173,7 +161,7 @@ const FLAGS: &[Flag] = &[
             let on = match v { "on" => Some(true), "off" => Some(false), _ => None };
             valid(on, "on or off", v).map(|on| o.bench.intra_op = on)
         } },
-    Flag { name: "--format", metavar: "<fmt>", cmds: &[Run, Verify, Sanitize, Shard, Ci],
+    Flag { name: "--format", metavar: "<fmt>", cmds: &[Run, Verify, Sanitize, Shard],
         help: "text | json, or csv for run (default: text)",
         set: |o, v| {
             let format = match (v, o.cmd) {
@@ -262,15 +250,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--microbatches", metavar: "<n>", cmds: &[Shard],
         help: "pipeline microbatches / replays (default: 4)",
         set: |o, v| positive(v).map(|n| o.microbatches = n) },
-    Flag { name: "--check", metavar: "", cmds: &[Ci],
-        help: "diff the current state against the baselines (default)",
-        set: |o, _| { o.check = true; Ok(()) } },
-    Flag { name: "--update", metavar: "", cmds: &[Ci],
-        help: "regenerate the baselines",
-        set: |o, _| { o.update = true; Ok(()) } },
-    Flag { name: "--dir", metavar: "<path>", cmds: &[Ci],
-        help: "baseline directory (default: baselines)",
-        set: |o, v| { o.dir = v.to_string(); Ok(()) } },
 ];
 
 /// Parses the arguments after the subcommand against [`FLAGS`], stopping
@@ -300,7 +279,6 @@ fn parse(cmd: Cmd, argv: &[String]) -> Result<Opts, String> {
         Run if o.microbench && o.measured => "--microbench executes nothing for --measured to time",
         Run if o.microbench && o.trace.is_some() => "--microbench profiles no graph for --trace",
         Run if o.bench.sanitize && !o.measured => "--sanitize arms host execution: add --measured",
-        Ci if o.check && o.update => "--check and --update are mutually exclusive",
         _ => return Ok(o),
     };
     Err(refused.to_string())
@@ -324,7 +302,7 @@ fn help() -> String {
             out += &format!("  {:<22}{}\n", usage.trim_end(), f.help);
         }
     }
-    out + "\nEXIT CODES:\n  0  success / clean    1  failure or regression    2  usage error\n"
+    out + "\nEXIT CODES:\n  0  success / clean    1  failure    2  usage error\n"
 }
 
 fn main() -> ExitCode {
@@ -362,7 +340,6 @@ fn main() -> ExitCode {
         Sanitize => run_sanitize(opts),
         Serve => run_serve(opts),
         Shard => run_shard(opts),
-        Ci => run_ci(opts),
     }
 }
 
@@ -568,48 +545,6 @@ fn run_sanitize(o: Opts) -> ExitCode {
     }
 }
 
-fn run_ci(o: Opts) -> ExitCode {
-    let cfg = regress::GateConfig {
-        dir: std::path::PathBuf::from(&o.dir),
-        models: NonGemmBench::new(o.bench).selected_models(),
-    };
-
-    if o.update {
-        let outcome = match regress::update(&cfg) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                eprintln!("ci --update failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match o.format {
-            Format::Text => print!("{}", outcome.to_text()),
-            _ => println!(
-                "{}",
-                serde_json::to_string_pretty(&outcome).expect("outcomes serialize")
-            ),
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let outcome = match regress::check(&cfg) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("ci --check failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match o.format {
-        Format::Text => print!("{}", outcome.to_text()),
-        _ => println!("{}", outcome.to_json()),
-    }
-    if outcome.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn run_serve(o: Opts) -> ExitCode {
     let config = ServeConfig {
         scale: o.bench.scale,
@@ -752,7 +687,7 @@ mod tests {
             "<host:port>" => "127.0.0.1:0",
             "<spec>" => "gpu+cpu",
             "<s>" => "tensor",
-            "<dir>" | "<path>" => "out",
+            "<dir>" => "out",
             other => panic!("{}: no sample value for {other}", flag.name),
         };
         vec![flag.name.to_string(), value.to_string()]

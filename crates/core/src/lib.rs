@@ -25,7 +25,7 @@
 //! | [`platform`] | `ngb-platform` | Table 3 device roofline models |
 //! | [`runtime`] | `ngb-runtime` | deployment flows (eager/TS/Dynamo/ORT) |
 //! | [`profiler`] | `ngb-profiler` | end-to-end profiling + reports |
-//! | [`regress`] | `ngb-regress` | perf-regression gate + golden baselines |
+//! | [`regress`] | `ngb-regress` | renderer of the committed `baselines/` |
 //! | [`shard`] | `ngb-shard` | multi-device partitioner + executed collectives |
 //! | [`microbench`] | `ngb-microbench` | harvested non-GEMM op registry |
 //! | [`data`] | `ngb-data` | synthetic ImageNet/COCO/wikitext |
@@ -76,7 +76,6 @@ pub use ngb_opt::{optimize, optimize_with, OptLevel, OptReport};
 pub use ngb_platform::{DeviceModel, HardwareClass, Platform};
 pub use ngb_profiler::report::{NonGemmReport, PerformanceReport, WorkloadReport};
 pub use ngb_profiler::{Breakdown, ModelProfile};
-pub use ngb_regress::{CheckOutcome, GateConfig, ModelBaseline, UpdateOutcome};
 pub use ngb_runtime::Flow;
 pub use ngb_sanitize::{Hazard, HazardKind, SanitizeReport};
 

@@ -56,22 +56,13 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Stable lowercase name (`"full"` / `"tiny"`), used as a baseline
-    /// key by `ngb-regress` — changing these strings invalidates every
-    /// committed baseline file.
+    /// Stable lowercase name (`"full"` / `"tiny"`), recorded in every
+    /// committed baseline by `ngb-regress` — changing these strings
+    /// rewrites every baseline file.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Full => "full",
             Scale::Tiny => "tiny",
-        }
-    }
-
-    /// Inverse of [`Scale::name`].
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "full" => Some(Scale::Full),
-            "tiny" => Some(Scale::Tiny),
-            _ => None,
         }
     }
 }

@@ -145,8 +145,8 @@ impl OptReport {
 
     /// Per-rewrite counters as stable `(label, count)` pairs — the
     /// extractor the `ngb-regress` baseline snapshots record. The labels
-    /// are part of the baseline schema; renaming one invalidates every
-    /// committed baseline file.
+    /// are keys of every committed baseline file; renaming one rewrites
+    /// them all.
     pub fn counters(&self) -> [(&'static str, usize); 6] {
         [
             ("conv_bn_act", self.conv_bn_act),

@@ -219,13 +219,6 @@ impl ModelProfile {
         self.nodes.iter().map(|n| n.energy_j).sum()
     }
 
-    /// Total bytes copied into fresh dense buffers across the run
-    /// (kernel-internal `contiguous()` materializations). 0 when every
-    /// kernel consumed its operands in place, and for analytic profiles.
-    pub fn total_bytes_materialized(&self) -> u64 {
-        self.nodes.iter().map(|n| n.bytes_materialized).sum()
-    }
-
     /// Aggregates node latencies into the paper's breakdown. Transfer time
     /// is charged to the node that caused it (so ORT's fallen-back memory
     /// ops carry their PCIe cost, as in §4.2). Fused nodes split their
@@ -689,7 +682,6 @@ mod tests {
         let contig = p.nodes.iter().find(|n| n.name == "contig").unwrap();
         // the transposed view is non-dense, so Contiguous copies 8*16 f32s
         assert_eq!(contig.bytes_materialized, 8 * 16 * 4);
-        assert_eq!(p.total_bytes_materialized(), 8 * 16 * 4);
         // every other kernel consumes its operand in place
         assert!(p
             .nodes
@@ -698,7 +690,7 @@ mod tests {
             .all(|n| n.bytes_materialized == 0));
         // analytic profiles execute nothing
         let a = profile_analytic(&g, &Platform::data_center(), Flow::Eager, true, 1);
-        assert_eq!(a.total_bytes_materialized(), 0);
+        assert!(a.nodes.iter().all(|n| n.bytes_materialized == 0));
     }
 
     #[test]

@@ -11,22 +11,7 @@ use ngb_platform::Platform;
 use ngb_profiler::profile_analytic;
 use ngb_runtime::Flow;
 use ngb_tensor::TensorError;
-use serde::{Deserialize, Serialize};
-
-/// Version of the on-disk baseline layout. Bump whenever a metric is
-/// added, removed, or renamed; readers refuse mismatched files with a
-/// "regenerate with `--update`" error instead of mis-diffing them.
-///
-/// v2: added `graph.bytes_materialized` and the `contiguous_elided`
-/// rewrite counter.
-/// v3: added the `decode` channel (decode-step graph census and
-/// prefill-vs-decode stage cost split) for autoregressive LM models.
-/// v4: the taxonomy census gained the `Collective` group (all-reduce /
-/// all-gather / transfer nodes inserted by `ngb-shard` count there
-/// instead of `Other`), so every census vector grew one entry.
-/// v5: the measured wall-clock block is gone; a baseline is a pure
-/// function of the code.
-pub const SCHEMA_VERSION: u64 = 5;
+use serde::Serialize;
 
 /// Total positions (prompt + generated) the decode-channel graphs are
 /// built for, per scale. Fixed so the census is deterministic.
@@ -45,7 +30,7 @@ pub const SCALES: [Scale; 2] = [Scale::Tiny, Scale::Full];
 pub const OPT_LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
 
 /// Graph-structure invariants (the taxonomy census of the paper's §2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GraphMetrics {
     /// Total node count, including inputs.
     pub nodes: usize,
@@ -72,7 +57,7 @@ pub struct GraphMetrics {
 /// Analytic cost-model invariants on the reference configuration
 /// (data-center platform, eager flow, GPU on, batch 1). These are pure
 /// f64 arithmetic — bit-stable across runs, hosts, and thread counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CostMetrics {
     /// End-to-end latency, microseconds.
     pub total_us: f64,
@@ -90,7 +75,7 @@ pub struct CostMetrics {
 }
 
 /// Wavefront-schedule invariants (what the parallel executor sees).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScheduleMetrics {
     /// Number of Kahn wavefronts (DAG depth).
     pub wavefronts: usize,
@@ -103,7 +88,7 @@ pub struct ScheduleMetrics {
 }
 
 /// Lint census from the `ngb-analyze` passes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LintMetrics {
     /// Deny-level findings (0 for every committed preset).
     pub deny: usize,
@@ -114,7 +99,7 @@ pub struct LintMetrics {
 }
 
 /// What the graph rewriter did at this snapshot's level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OptMetrics {
     /// Node count before rewriting.
     pub nodes_before: usize,
@@ -145,7 +130,7 @@ impl From<&OptReport> for OptMetrics {
 /// single-token decode-step graph (KV-cache attention) and the analytic
 /// prefill-vs-decode stage split. `None` for models without a decode
 /// path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecodeMetrics {
     /// Node count of the decode-step graph (after this cell's opt level).
     pub nodes: usize,
@@ -166,7 +151,7 @@ pub struct DecodeMetrics {
 
 /// One cell of the snapshot matrix: all deterministic invariants of a
 /// (model × scale × opt-level) configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Snapshot {
     /// Model scale ([`Scale::name`]).
     pub scale: String,
@@ -182,25 +167,16 @@ pub struct Snapshot {
     pub lints: LintMetrics,
     /// Optimizer deltas.
     pub opt: OptMetrics,
-    /// Decode-step channel (autoregressive LMs only). Absent in the
-    /// serialized form for non-LM models and in pre-v3 baselines.
+    /// Decode-step channel (autoregressive LMs only). Serialized as
+    /// `"decode": null` for every other model.
     pub decode: Option<DecodeMetrics>,
-}
-
-impl Snapshot {
-    /// `"tiny/O1"`-style key used in diff reports.
-    pub fn key(&self) -> String {
-        format!("{}/{}", self.scale, self.opt_level)
-    }
 }
 
 /// Everything `ngb-regress` pins down about one model: the full
 /// scale × opt-level snapshot matrix. This is the unit of storage — one
 /// JSON file per model under `baselines/`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelBaseline {
-    /// On-disk layout version ([`SCHEMA_VERSION`]).
-    pub schema: u64,
     /// Model alias (Table 4 naming, also the file stem).
     pub model: String,
     /// The snapshot matrix, in [`SCALES`] × [`OPT_LEVELS`] order.
@@ -208,11 +184,10 @@ pub struct ModelBaseline {
 }
 
 impl ModelBaseline {
-    /// The snapshot for `(scale, opt_level)`, if present.
-    pub fn snapshot(&self, scale: &str, opt_level: OptLevel) -> Option<&Snapshot> {
-        self.snapshots
-            .iter()
-            .find(|s| s.scale == scale && s.opt_level == opt_level)
+    /// The committed file `baselines/<model>.json`: pretty-printed JSON
+    /// with a trailing newline.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("baselines serialize") + "\n"
     }
 }
 
@@ -319,7 +294,6 @@ pub fn model_baseline(id: ModelId) -> Result<ModelBaseline, TensorError> {
         }
     }
     Ok(ModelBaseline {
-        schema: SCHEMA_VERSION,
         model: id.spec().alias.to_string(),
         snapshots,
     })
@@ -338,7 +312,7 @@ mod tests {
         assert!(a.cost.total_us > 0.0);
         assert!(a.schedule.complete);
         assert_eq!(a.lints.deny, 0, "presets are deny-clean");
-        assert_eq!(a.key(), "tiny/O1");
+        assert_eq!((a.scale.as_str(), a.opt_level), ("tiny", OptLevel::O1));
     }
 
     #[test]
@@ -354,11 +328,14 @@ mod tests {
     #[test]
     fn model_baseline_covers_the_matrix() {
         let b = model_baseline(ModelId::Bert).unwrap();
-        assert_eq!(b.schema, SCHEMA_VERSION);
         assert_eq!(b.model, "bert");
-        assert_eq!(b.snapshots.len(), 6);
-        assert!(b.snapshot("tiny", OptLevel::O2).is_some());
-        assert!(b.snapshot("full", OptLevel::O0).is_some());
-        assert!(b.snapshot("huge", OptLevel::O0).is_none());
+        let cells: Vec<(&str, OptLevel)> = b
+            .snapshots
+            .iter()
+            .map(|s| (s.scale.as_str(), s.opt_level))
+            .collect();
+        let tiny = OPT_LEVELS.map(|l| ("tiny", l));
+        let full = OPT_LEVELS.map(|l| ("full", l));
+        assert_eq!(cells, [tiny, full].concat());
     }
 }

@@ -48,6 +48,10 @@
 # The benchmark stage runs benchmark/check.sh as it stands: the standalone
 # benchmark crate is outside this workspace, so no other stage compiles it
 # against the ngb-exec surface it builds on (Interpreter, ExecutionTrace).
+# First it fails when the workspace no longer matches the read-only
+# benchmark/Cargo.lock: a plain `cargo metadata` rewrites the lockfile to
+# fit (`--locked` does not catch a dependency that was only removed), and
+# `git diff` then sees the change.
 # Each run ends with a per-stage timing table, also appended to
 # $GITHUB_STEP_SUMMARY when set (the workflow's job summary).
 set -euo pipefail
@@ -270,6 +274,13 @@ one_executor() {
   echo "one executor: one gather/execute/finish core, no NGB_* reader, one flag table"
 }
 
+benchmark_gate() {
+  cargo metadata --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
+  git diff --exit-code -- benchmark/Cargo.lock \
+    || { echo "error: the workspace no longer matches the read-only benchmark/Cargo.lock; only the benchmark revision (ROADMAP item 1) may refresh it"; return 1; }
+  benchmark/check.sh
+}
+
 run_stage fmt           cargo fmt --all -- --check
 run_stage clippy        cargo clippy --all-targets -- -D warnings
 run_stage test          cargo test -q
@@ -277,7 +288,7 @@ run_stage sanitize      sanitize_gate
 run_stage serve         serve_gate
 run_stage contiguous-ratchet contiguous_ratchet
 run_stage one-executor  one_executor
-run_stage benchmark     benchmark/check.sh
+run_stage benchmark     benchmark_gate
 
 print_summary
 echo "==> ok (stages: $STAGES, total ${SECONDS}s)"

@@ -1,21 +1,10 @@
-//! CLI smoke tests: help coverage, exit-code conventions, and the
-//! `ci` gate driven through the real binary.
+//! CLI smoke tests: help coverage, exit-code conventions, and each
+//! subcommand driven through the real binary.
 
-use std::path::PathBuf;
 use std::process::Command;
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_nongemm-cli"))
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock after epoch")
-        .subsec_nanos();
-    let dir = std::env::temp_dir().join(format!("ngb-cli-{tag}-{}-{nanos}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create tmpdir");
-    dir
 }
 
 #[test]
@@ -42,7 +31,6 @@ fn help_exits_zero_and_documents_every_flag() {
             "verify",
             "sanitize",
             "serve",
-            "ci",
             "--model",
             "--platform",
             "--flow",
@@ -56,9 +44,6 @@ fn help_exits_zero_and_documents_every_flag() {
             "--format",
             "--trace",
             "--all",
-            "--check",
-            "--update",
-            "--dir",
             "--intra-op",
             "--addr",
             "--max-batch",
@@ -116,17 +101,11 @@ fn unknown_flags_and_subcommands_exit_two_with_usage() {
         &["--bogus"],
         &["run", "--bogus"],
         &["verify", "--bogus"],
-        &["ci", "--bogus"],
+        &["ci"],
         &["frobnicate"],
         &["run", "--threads", "0"],
         &["run", "--opt-level", "9"],
         &["verify", "--format", "csv"],
-        &["ci", "--format", "csv"],
-        &["ci", "--check", "--update"],
-        &["ci", "--no-wallclock"],
-        &["ci", "--wallclock-iters", "3"],
-        &["ci", "--bench", "x"],
-        &["ci", "--report", "x"],
         &["run", "--model"], // missing value
         &["run", "--intra-op", "maybe"],
         &["verify", "--intra-op", "2"],
@@ -142,7 +121,6 @@ fn unknown_flags_and_subcommands_exit_two_with_usage() {
         &["run", "--model", "gtp2"],
         &["run", "--model", "gpt2", "--model", "gtp2"],
         &["verify", "--model", "gtp2"],
-        &["ci", "--model", "gtp2"],
         &["generate", "--model", "gtp2"],
         &["run", "--microbench", "--measured"],
         &["run", "--microbench", "--trace", "out"],
@@ -162,91 +140,6 @@ fn unknown_flags_and_subcommands_exit_two_with_usage() {
             "{args:?} stderr lacks the usage string: {err}"
         );
     }
-}
-
-#[test]
-fn ci_update_then_check_round_trips_through_the_binary() {
-    let dir = tmpdir("gate");
-    let baselines = dir.join("baselines");
-    let common = [
-        "ci",
-        "--model",
-        "gpt2",
-        "--dir",
-        baselines.to_str().unwrap(),
-    ];
-
-    // a check before any baselines exist must fail and point at --update
-    let out = cli().args(common).output().expect("spawn cli");
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("--update"), "{text}");
-
-    let out = cli()
-        .args(common)
-        .arg("--update")
-        .current_dir(&dir)
-        .output()
-        .expect("spawn cli");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("new  gpt2"), "{text}");
-    assert!(baselines.join("gpt2.json").is_file());
-    // run from `dir`, so a file written beside the baselines (a seed at a
-    // relative default path) would land here
-    let written: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name())
-        .collect();
-    assert_eq!(written, ["baselines"], "--update writes only the baselines");
-
-    let out = cli()
-        .args(common)
-        .arg("--check")
-        .output()
-        .expect("spawn cli");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("ok   gpt2"), "{text}");
-    assert!(text.contains("result: PASS"), "{text}");
-    let out = cli()
-        .args(common)
-        .args(["--check", "--format", "json"])
-        .output()
-        .expect("spawn cli");
-    assert!(out.status.success());
-    let v: serde_json::Value =
-        serde_json::from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
-    assert_eq!(v["clean"], true);
-    assert_eq!(v["models_checked"], 1.0);
-
-    // perturb the committed baseline; the check must name model + metric
-    let path = baselines.join("gpt2.json");
-    let mangled = std::fs::read_to_string(&path)
-        .unwrap()
-        .replacen("\"gemm\": ", "\"gemm\": 1", 1); // prepends a digit: count changes
-    std::fs::write(&path, mangled).unwrap();
-    let out = cli()
-        .args(common)
-        .args(["--format", "json"])
-        .output()
-        .expect("spawn cli");
-    assert_eq!(out.status.code(), Some(1));
-    let v: serde_json::Value =
-        serde_json::from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
-    assert_eq!(v["clean"], false);
-    assert_eq!(v["models_failed"][0], "gpt2");
-    assert_eq!(v["diffs"][0]["metric"], "graph.gemm");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
