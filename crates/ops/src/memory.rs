@@ -7,9 +7,9 @@
 //! distinction is exactly what changes between deployment flows: ORT's CPU
 //! fallback turns cheap layout ops into device transfers (§4.2).
 
-use ngb_tensor::Tensor;
+use ngb_tensor::{contiguous_strides, num_elements, DType, LaneMap, Tensor};
 
-use crate::{OpCost, Result};
+use crate::{parallel, OpCost, Result};
 
 /// Reshape that preserves PyTorch semantics: views when contiguous, copies
 /// otherwise (re-exported here so callers see the whole memory-op family in
@@ -102,9 +102,16 @@ pub fn cat(xs: &[Tensor], dim: usize) -> Result<Tensor> {
 /// Cyclically rolls the tensor by `shift` positions along `dim`
 /// (`torch.roll`) — the memory operator behind Swin's shifted windows.
 ///
+/// The result is dense. With `inner` the product of the dims after `dim`,
+/// output row `(o, i)` of `inner` elements is input row
+/// `(o, (i + d - s) mod d)`: one slice copy when the input is dense, a
+/// strided read in place otherwise. f32 rows fan out through
+/// [`parallel::par_rows_out`]; i64 and bool inputs are read out in logical
+/// order and rolled by the same row body serially.
+///
 /// # Errors
 ///
-/// Fails when `dim` is out of range or the input is not f32.
+/// Fails when `dim` is out of range.
 pub fn roll(x: &Tensor, shift: isize, dim: usize) -> Result<Tensor> {
     if dim >= x.rank() {
         return Err(ngb_tensor::TensorError::InvalidDim {
@@ -112,18 +119,97 @@ pub fn roll(x: &Tensor, shift: isize, dim: usize) -> Result<Tensor> {
             rank: x.rank(),
         });
     }
-    let d = x.shape()[dim];
-    if d == 0 {
-        return Ok(x.clone());
+    let shape = x.shape();
+    match x.dtype() {
+        DType::F32 => {
+            let src = x.storage_f32().expect("f32 storage");
+            let (strides, offset) = (x.strides(), x.storage_offset());
+            let rows = RollRows::new(shape, strides, offset, x.is_contiguous(), dim, shift);
+            let mut out = vec![0.0f32; x.numel()];
+            parallel::par_rows_out(&mut out, rows.count, rows.inner, |first, win| {
+                rows.copy(src, first, win)
+            });
+            Tensor::from_vec(out, shape)
+        }
+        DType::I64 => Tensor::from_i64(roll_dense(&x.to_vec_i64()?, shape, dim, shift), shape),
+        DType::Bool => Tensor::from_bool(roll_dense(&x.to_vec_bool()?, shape, dim, shift), shape),
     }
-    let s = shift.rem_euclid(d as isize) as usize;
-    if s == 0 {
-        return Ok(x.contiguous());
+}
+
+/// Serial [`roll`] of a dense row-major buffer of any element type.
+fn roll_dense<T: Copy>(src: &[T], shape: &[usize], dim: usize, shift: isize) -> Vec<T> {
+    let mut out = src.to_vec();
+    RollRows::new(shape, &contiguous_strides(shape), 0, true, dim, shift).copy(src, 0, &mut out);
+    out
+}
+
+/// Row geometry of a [`roll`] along `dim` of size `d` by `s`: output row
+/// `r = o * d + i` (`inner` elements) reads input row
+/// `(o, (i + d - s) mod d)`.
+struct RollRows {
+    count: usize,
+    d: usize,
+    s: usize,
+    inner: usize,
+    /// Storage offset of the first element when the input is dense.
+    dense_base: Option<usize>,
+    /// Lanes along `dim`, to read a strided input in place.
+    map: LaneMap,
+    /// Size and storage stride of the innermost dim after `dim` (1 and 0
+    /// when `dim` is innermost): a strided row is read in runs of `tail`.
+    tail: usize,
+    tail_stride: isize,
+}
+
+impl RollRows {
+    fn new(
+        shape: &[usize],
+        strides: &[isize],
+        offset: usize,
+        dense: bool,
+        dim: usize,
+        shift: isize,
+    ) -> Self {
+        let d = shape[dim];
+        let inner: usize = shape[dim + 1..].iter().product();
+        let last = shape.len() - 1;
+        let (tail, tail_stride) = if dim < last {
+            (shape[last], strides[last])
+        } else {
+            (1, 0)
+        };
+        RollRows {
+            count: num_elements(shape) / inner.max(1),
+            d,
+            s: shift.rem_euclid(d.max(1) as isize) as usize,
+            inner,
+            dense_base: dense.then_some(offset),
+            map: LaneMap::new(shape, strides, offset, dim),
+            tail,
+            tail_stride,
+        }
     }
-    // roll = cat(tail, head) along dim
-    let head = x.narrow(dim, 0, d - s)?;
-    let tail = x.narrow(dim, d - s, s)?;
-    Tensor::cat(&[tail, head], dim)
+
+    /// Writes output rows `first_row..` into `out`, a whole number of rows.
+    fn copy<T: Copy>(&self, src: &[T], first_row: usize, out: &mut [T]) {
+        let (d, inner) = (self.d, self.inner);
+        for (r, orow) in out.chunks_exact_mut(inner.max(1)).enumerate() {
+            let (o, i) = ((first_row + r) / d, (first_row + r) % d);
+            let si = (i + d - self.s) % d;
+            if let Some(base) = self.dense_base {
+                let start = base + (o * d + si) * inner;
+                orow.copy_from_slice(&src[start..start + inner]);
+                continue;
+            }
+            let step = si as isize * self.map.step();
+            for (k, run) in orow.chunks_exact_mut(self.tail).enumerate() {
+                let base = self.map.lane_base(o, k * self.tail) as isize + step;
+                for (t, v) in run.iter_mut().enumerate() {
+                    *v = src[(base + t as isize * self.tail_stride) as usize];
+                }
+            }
+        }
+    }
 }
 
 /// Cost of [`roll`] on `shape`: a full copy (one kernel).
@@ -162,6 +248,92 @@ pub fn cat_cost(out_elems: usize) -> OpCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::test_runner::with_test_runner;
+    use crate::parallel::GRAIN_ELEMS;
+    use ngb_tensor::random::TensorRng;
+
+    /// The pre-kernel formulation: `cat(tail, head)` along `dim`, and a
+    /// dense copy for a whole-period shift.
+    fn cat_roll(x: &Tensor, shift: isize, dim: usize) -> Tensor {
+        let d = x.shape()[dim];
+        let s = shift.rem_euclid(d as isize) as usize;
+        if s == 0 {
+            return x.contiguous();
+        }
+        let head = x.narrow(dim, 0, d - s).unwrap();
+        let tail = x.narrow(dim, d - s, s).unwrap();
+        Tensor::cat(&[tail, head], dim).unwrap()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec_f32()
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn roll_matches_cat_formulation_bitwise() {
+        let mut rng = TensorRng::seed(7);
+        // [3, 4, 48, 60] is past one grain, so every dim's rows split
+        // into several chunks
+        let large = [3, 4, 48, 60];
+        assert!(large.iter().product::<usize>() > GRAIN_ELEMS);
+        let inputs = [
+            rng.normal(&[2, 3, 4, 5]),
+            rng.normal(&[5, 2, 4, 3]).permute(&[1, 3, 2, 0]).unwrap(),
+            rng.normal(&[3, 6, 5, 7])
+                .narrow(1, 2, 3)
+                .unwrap()
+                .narrow(3, 1, 5)
+                .unwrap(),
+            rng.normal(&large),
+            rng.normal(&[60, 4, 3, 48]).permute(&[2, 1, 3, 0]).unwrap(),
+            rng.normal(&[3, 6, 50, 60])
+                .narrow(1, 1, 4)
+                .unwrap()
+                .narrow(2, 2, 48)
+                .unwrap(),
+        ];
+        for x in &inputs {
+            for dim in 0..4 {
+                let d = x.shape()[dim] as isize;
+                for shift in [-d - 1, -1, 0, 1, d, d + 1] {
+                    let want = bits(&cat_roll(x, shift, dim));
+                    for threads in [1, 2, 8] {
+                        let got = with_test_runner(threads, || roll(x, shift, dim).unwrap());
+                        assert_eq!(got.shape(), x.shape());
+                        assert!(
+                            bits(&got) == want,
+                            "shape {:?} strides {:?} dim {dim} shift {shift} threads {threads}",
+                            x.shape(),
+                            x.strides()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn roll_keeps_i64_and_bool() {
+        let ids = Tensor::from_i64((0..12).collect(), &[3, 4]).unwrap();
+        let r = roll(&ids.permute(&[1, 0]).unwrap(), 1, 1).unwrap();
+        assert_eq!(r.dtype(), DType::I64);
+        assert_eq!(
+            r.to_vec_i64().unwrap(),
+            vec![8, 0, 4, 9, 1, 5, 10, 2, 6, 11, 3, 7]
+        );
+        let mask = Tensor::from_bool(vec![true, false, false, true, true, false], &[2, 3]).unwrap();
+        let r = roll(&mask, -1, 0).unwrap();
+        assert_eq!(r.dtype(), DType::Bool);
+        assert_eq!(
+            r.to_vec_bool().unwrap(),
+            vec![true, true, false, true, false, false]
+        );
+        assert_eq!(roll(&mask, 2, 1).unwrap(), cat_roll(&mask, 2, 1));
+    }
 
     #[test]
     fn wrappers_delegate() {

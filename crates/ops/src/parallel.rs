@@ -310,14 +310,16 @@ pub fn binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Res
     a.zip_map(b, f)
 }
 
+/// Test-only scoped runner on raw `std::thread::scope` threads, so the
+/// ops crate's kernel tests exercise multi-thread dispatch without
+/// depending on `ngb-exec`.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod test_runner {
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
-    /// Test-only scoped runner on raw `std::thread::scope` threads, so the
-    /// ops crate exercises multi-thread dispatch without depending on
-    /// `ngb-exec`.
+    use super::{with_runner, IntraOpRunner};
+
     struct ScopedTestRunner {
         threads: usize,
     }
@@ -348,9 +350,16 @@ mod tests {
         }
     }
 
-    fn with_test_runner<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    /// Runs `f` with a `threads`-thread scoped runner installed.
+    pub(crate) fn with_test_runner<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         with_runner(Arc::new(ScopedTestRunner { threads }), f)
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_runner::with_test_runner;
+    use super::*;
 
     #[test]
     fn element_partition_is_exact_and_disjoint() {

@@ -234,13 +234,18 @@ proptest! {
         }
     }
 
-    /// Roll composes additively: roll(roll(x, a), b) == roll(x, a + b).
+    /// Roll composes additively: roll(roll(x, a), b) == roll(x, a + b),
+    /// on a dense input and on a permuted view of the same shape.
     #[test]
     fn roll_composes(seed in 0u64..100, a in -5isize..5, b2 in -5isize..5) {
-        let x = ngb_tensor::random::TensorRng::seed(seed).normal(&[3, 7]);
-        let twice = ngb_ops::memory::roll(&ngb_ops::memory::roll(&x, a, 1).unwrap(), b2, 1).unwrap();
-        let once = ngb_ops::memory::roll(&x, a + b2, 1).unwrap();
-        prop_assert_eq!(twice.to_vec_f32().unwrap(), once.to_vec_f32().unwrap());
+        let mut rng = ngb_tensor::random::TensorRng::seed(seed);
+        let dense = rng.normal(&[3, 7]);
+        let permuted = rng.normal(&[7, 3]).permute(&[1, 0]).unwrap();
+        for x in [dense, permuted] {
+            let twice = ngb_ops::memory::roll(&ngb_ops::memory::roll(&x, a, 1).unwrap(), b2, 1).unwrap();
+            let once = ngb_ops::memory::roll(&x, a + b2, 1).unwrap();
+            prop_assert_eq!(twice.to_vec_f32().unwrap(), once.to_vec_f32().unwrap());
+        }
     }
 }
 

@@ -5,9 +5,9 @@
 //! argument rests entirely on the chunk decomposition being a pairwise-
 //! disjoint, exact cover of the output. This module re-derives every
 //! decomposition an operator can dispatch for its static output shape —
-//! flat element chunks, row chunks, and the GEMM register-tile row
-//! blocks — and symbolically checks the cover, per node, for the shapes
-//! actually present in the graph.
+//! flat element chunks, row chunks, `roll`'s rows split at the rolled dim,
+//! and the GEMM register-tile row blocks — and symbolically checks the
+//! cover, per node, for the shapes actually present in the graph.
 
 use std::ops::Range;
 
@@ -106,6 +106,25 @@ pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
                 verify_ranges(
                     "row",
                     &parallel::row_partition(rows, row_len),
+                    rows,
+                    node.id,
+                    report,
+                );
+            }
+        }
+        // `roll` splits its rows at the rolled dim: `inner` elements per
+        // row, the product of the dims after it
+        if let OpKind::Roll { dim, .. } = node.op {
+            let inner: usize = node
+                .out_shape
+                .get(dim + 1..)
+                .unwrap_or(&[])
+                .iter()
+                .product();
+            if let Some(rows) = numel.checked_div(inner) {
+                verify_ranges(
+                    "roll-row",
+                    &parallel::row_partition(rows, inner),
                     rows,
                     node.id,
                     report,
@@ -248,5 +267,28 @@ mod tests {
         assert!(report.is_clean(), "{}", report.to_text());
         assert!(report.stats.partitions_checked >= 6);
         assert!(report.stats.chunks_checked > report.stats.partitions_checked);
+    }
+
+    #[test]
+    fn roll_rows_split_at_the_rolled_dim_are_certified() {
+        // a copy of the same shape, with and without roll's own split
+        let stats = |op: OpKind| {
+            let mut b = GraphBuilder::new("shift");
+            let x = b.input(&[1, 56, 56, 96]);
+            b.push(op, &[x], "copy").unwrap();
+            let g = b.finish();
+            let mut report = SanitizeReport::new(&g.name);
+            verify_partitions(&g, &mut report);
+            assert!(report.is_clean(), "{}", report.to_text());
+            report.stats
+        };
+        let copy = stats(OpKind::Contiguous);
+        let roll = stats(OpKind::Roll { shift: -3, dim: 1 });
+        // a dim-1 roll dispatches 56 rows of 56 * 96 elements, not the
+        // (numel / last, last) rows every node is certified for
+        let rows = parallel::row_partition(56, 56 * 96).len();
+        assert!(rows > 1);
+        assert_eq!(roll.partitions_checked, copy.partitions_checked + 1);
+        assert_eq!(roll.chunks_checked, copy.chunks_checked + rows);
     }
 }

@@ -19,9 +19,11 @@
 # outside test modules, it may be named only in crates/tensor/src/index.rs
 # (its definition) and crates/tensor/src/view.rs (Tensor::cat's copy loop).
 # Remove view.rs from that list, and the type with it, when cat_copy moves
-# to the strided walker after the benchmark revision (ROADMAP item 9): a
-# faster cat today trips decode_lm's peak_rss_mb bound through the
-# harness's own per-step sample vectors.
+# to the strided walker after the benchmark revision (ROADMAP items 1(a)
+# and 2): a faster cat today trips decode_lm's peak_rss_mb bound through
+# the harness's own per-step sample vectors. roll has its own row kernel
+# and reads strided input in place, so the body of fn roll in
+# crates/ops/src/memory.rs may name neither .contiguous() nor Tensor::cat.
 # The one-executor stage pins the run core as the only node walk: outside
 # test modules, the shadow-memory read hook, the contiguous-copy counter
 # read and the parameter fetch — the calls every copy of the
@@ -185,7 +187,7 @@ serve_gate() {
 CONTIGUOUS_ALLOWLIST=(
   "src/embedding.rs:row gather needs a dense table"
   "src/gemm.rs:conv2d weight repack fallback"
-  "src/memory.rs:the contiguous/roll ops are defined as copies"
+  "src/memory.rs:the contiguous op is defined as a copy"
 )
 
 contiguous_ratchet() {
@@ -221,8 +223,18 @@ contiguous_ratchet() {
     echo "$stray"
     violations=1
   fi
+  local roll_body
+  roll_body=$(awk '/^pub fn roll\(/ { on = 1 } on { print } on && /^}/ { exit }' \
+    crates/ops/src/memory.rs)
+  if [[ -z "$roll_body" ]]; then
+    echo "error: fn roll not found in crates/ops/src/memory.rs"
+    violations=1
+  elif grep -nE '\.contiguous\(\)|Tensor::cat' <<<"$roll_body"; then
+    echo "error: fn roll materializes or concatenates instead of copying rows"
+    violations=1
+  fi
   [[ $violations -eq 0 ]] || return 1
-  echo "contiguous ratchet: all eager call sites are declared fallbacks, IndexIter only in cat"
+  echo "contiguous ratchet: all eager call sites are declared fallbacks, IndexIter only in cat, roll copies rows"
 }
 
 # Non-test matches of the extended regex PATTERN in the *.rs files under
