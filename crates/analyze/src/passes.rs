@@ -9,7 +9,10 @@
 
 use std::collections::BTreeMap;
 
-use ngb_graph::{infer_shape, Graph, Node, NodeId, NonGemmGroup, OpClass, OpKind, StructuralIssue};
+use ngb_graph::{
+    attention_prologue, conv_bn, infer_shape, Graph, Node, NodeId, NonGemmGroup, OpClass, OpKind,
+    StructuralIssue,
+};
 use ngb_tensor::num_elements;
 
 use crate::diag::{Diagnostic, Lint, LintConfig};
@@ -36,27 +39,17 @@ struct Ctx<'g> {
 
 impl<'g> Ctx<'g> {
     fn new(graph: &'g Graph, config: &'g LintConfig) -> Ctx<'g> {
-        let len = graph.len();
-        let mut consumers = vec![0usize; len];
-        let mut sound = vec![true; len];
-        for (i, node) in graph.iter().enumerate() {
-            for &inp in &node.inputs {
-                if inp.0 < len {
-                    consumers[inp.0] += 1;
-                } else {
-                    sound[i] = false;
-                }
-                // a forward reference makes the node's semantics undefined;
-                // the structural pass owns that finding
-                if inp.0 >= i {
-                    sound[i] = false;
-                }
-            }
-        }
+        // an out-of-range or forward input makes the node's semantics
+        // undefined; the structural pass owns that finding
+        let sound = graph
+            .iter()
+            .enumerate()
+            .map(|(i, node)| node.inputs.iter().all(|inp| inp.0 < i))
+            .collect();
         Ctx {
             graph,
             config,
-            consumers,
+            consumers: graph.consumer_counts(),
             sound,
             diagnostics: Vec::new(),
         }
@@ -364,7 +357,9 @@ fn cost_pass(ctx: &mut Ctx) {
     }
 }
 
-/// Pass 5: fusion-opportunity patterns. All three lints default to
+/// Pass 5: fusion-opportunity patterns. The attention and Conv→BN chains
+/// are [`attention_prologue`] and [`conv_bn`], the matchers `ngb-opt`
+/// rewrites with. All three lints default to
 /// [`crate::diag::Severity::Allow`]: they flag optimization candidates,
 /// not defects.
 fn fusion_pass(ctx: &mut Ctx) {
@@ -397,44 +392,33 @@ fn fusion_pass(ctx: &mut Ctx) {
                 }
             }
         }
-        // MatMul -> scale -> (mask) -> Softmax attention prologue,
-        // anchored at the softmax (walked backwards, single-consumer links).
-        if let OpKind::Softmax { .. } = node.op {
-            if let Some(chain) = match_attention(ctx, node) {
-                found.push((
-                    Lint::FuseAttention,
-                    node.id,
-                    format!(
-                        "attention prologue {} ending at '{}'; FlashAttention-style \
-                         fusion candidate",
-                        chain, node.name
-                    ),
-                ));
-            }
+        if let Some(m) = attention_prologue(g, &ctx.consumers, node.id) {
+            let chain: Vec<&str> = m.nodes().map(|id| g.node(id).op.name()).collect();
+            found.push((
+                Lint::FuseAttention,
+                node.id,
+                format!(
+                    "attention prologue {} ending at '{}'; FlashAttention-style \
+                     fusion candidate",
+                    chain.join(" -> "),
+                    node.name
+                ),
+            ));
         }
         // Conv2d -> BatchNorm -> ReLU: BN folds into the conv at inference.
         if matches!(node.op, OpKind::Relu | OpKind::Relu6) {
-            if let Some(bn_id) = single_input(node) {
-                let bn = g.node(bn_id);
-                let is_bn = matches!(
-                    bn.op,
-                    OpKind::BatchNorm2d { .. } | OpKind::FrozenBatchNorm2d { .. }
-                );
-                if is_bn && ctx.consumers[bn_id.0] == 1 {
-                    if let Some(conv_id) = single_input(bn) {
-                        let conv = g.node(conv_id);
-                        if matches!(conv.op, OpKind::Conv2d { .. }) && ctx.consumers[conv_id.0] == 1
-                        {
-                            found.push((
-                                Lint::FuseConvBnRelu,
-                                node.id,
-                                format!(
-                                    "'{}' -> '{}' -> '{}' folds into a single conv kernel",
-                                    conv.name, bn.name, node.name
-                                ),
-                            ));
-                        }
-                    }
+            if let Some(bn_id) = single_input(node).filter(|b| ctx.consumers[b.0] == 1) {
+                if let Some(conv_id) = conv_bn(g, &ctx.consumers, bn_id) {
+                    found.push((
+                        Lint::FuseConvBnRelu,
+                        node.id,
+                        format!(
+                            "'{}' -> '{}' -> '{}' folds into a single conv kernel",
+                            g.node(conv_id).name,
+                            g.node(bn_id).name,
+                            node.name
+                        ),
+                    ));
                 }
             }
         }
@@ -656,32 +640,4 @@ fn shard_pass(ctx: &mut Ctx) {
             ),
         );
     }
-}
-
-/// Matches the attention prologue backwards from a softmax node:
-/// `Matmul/Bmm -> {Div,Mul}Scalar -> [CausalMask | Add] -> Softmax`,
-/// every interior link single-consumer. Returns a rendered chain.
-fn match_attention(ctx: &Ctx, softmax: &Node) -> Option<String> {
-    let g = ctx.graph;
-    let len = g.len();
-    let step = |id: NodeId| -> Option<&Node> {
-        (id.0 < len && ctx.consumers[id.0] == 1).then(|| g.node(id))
-    };
-    let mut cur = step(*softmax.inputs.first()?)?;
-    let mut names = vec![softmax.op.name()];
-    if matches!(cur.op, OpKind::CausalMask | OpKind::Add) {
-        names.push(cur.op.name());
-        cur = step(*cur.inputs.first()?)?;
-    }
-    if !matches!(cur.op, OpKind::DivScalar(_) | OpKind::MulScalar(_)) {
-        return None;
-    }
-    names.push(cur.op.name());
-    cur = step(*cur.inputs.first()?)?;
-    if !matches!(cur.op, OpKind::Matmul | OpKind::Bmm) {
-        return None;
-    }
-    names.push(cur.op.name());
-    names.reverse();
-    Some(names.join(" -> "))
 }

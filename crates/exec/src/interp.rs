@@ -508,13 +508,10 @@ pub(crate) fn execute_op(
             ngb_ops::normalization::group_norm(arg(0)?, *groups, param(0)?, param(1)?, 1e-5)
         }
 
-        OpKind::Reshape { shape } => arg(0)?.reshape(&resolve(shape, arg(0)?.numel())),
-        OpKind::View { shape } => {
-            // views on non-contiguous values fall back to reshape; real
-            // models insert `.contiguous()` where PyTorch requires it,
-            // and the runtime cost model charges that there.
-            arg(0)?.reshape(&resolve(shape, arg(0)?.numel()))
-        }
+        // views on non-contiguous values fall back to reshape; real models
+        // insert `.contiguous()` where PyTorch requires it, and the runtime
+        // cost model charges that there
+        OpKind::Reshape { shape } | OpKind::View { shape } => arg(0)?.reshape(shape),
         OpKind::Permute { perm } => arg(0)?.permute(perm),
         OpKind::Transpose { d0, d1 } => arg(0)?.transpose(*d0 as isize, *d1 as isize),
         OpKind::Contiguous => Ok(arg(0)?.contiguous()),
@@ -638,24 +635,6 @@ pub(crate) fn execute_op(
             "node {} ({}) nests a fused op inside a fused stage",
             node.id, node.name
         ))),
-    }
-}
-
-fn resolve(shape: &[usize], numel: usize) -> Vec<usize> {
-    if shape.contains(&usize::MAX) {
-        let known: usize = shape.iter().filter(|&&d| d != usize::MAX).product();
-        shape
-            .iter()
-            .map(|&d| {
-                if d == usize::MAX {
-                    numel / known.max(1)
-                } else {
-                    d
-                }
-            })
-            .collect()
-    } else {
-        shape.to_vec()
     }
 }
 

@@ -1,7 +1,7 @@
 //! Static shape inference and cost dispatch for every [`OpKind`].
 
 use ngb_ops::OpCost;
-use ngb_tensor::{broadcast_shapes, num_elements, TensorError};
+use ngb_tensor::{broadcast_shapes, num_elements, resolve_reshape, TensorError};
 
 use crate::op::{FusedOp, FusedStage, OpClass, OpKind};
 
@@ -90,39 +90,6 @@ fn one(inputs: &[Vec<usize>], op: &'static str) -> Result<Vec<usize>> {
         .first()
         .cloned()
         .ok_or_else(|| TensorError::InvalidArgument(format!("{op} requires at least one input")))
-}
-
-fn resolve_target(numel: usize, target: &[usize]) -> Result<Vec<usize>> {
-    // reuse tensor reshape resolution through a throwaway computation
-    let wild = target.iter().filter(|&&d| d == usize::MAX).count();
-    if wild > 1 {
-        return Err(TensorError::InvalidArgument(
-            "at most one inferred dim".into(),
-        ));
-    }
-    let mut out = target.to_vec();
-    if wild == 1 {
-        let known: usize = target.iter().filter(|&&d| d != usize::MAX).product();
-        if known == 0 || !numel.is_multiple_of(known) {
-            return Err(TensorError::ShapeMismatch {
-                expected: vec![numel],
-                actual: target.to_vec(),
-                op: "reshape",
-            });
-        }
-        for d in out.iter_mut() {
-            if *d == usize::MAX {
-                *d = numel / known;
-            }
-        }
-    } else if num_elements(&out) != numel {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![numel],
-            actual: out,
-            op: "reshape",
-        });
-    }
-    Ok(out)
 }
 
 /// Infers the output shape of `op` given its input shapes.
@@ -249,7 +216,7 @@ pub fn infer_shape(op: &OpKind, inputs: &[Vec<usize>]) -> Result<Vec<usize>> {
 
         OpKind::Reshape { shape } | OpKind::View { shape } => {
             let s = one(inputs, "reshape")?;
-            resolve_target(num_elements(&s), shape)
+            resolve_reshape(num_elements(&s), shape)
         }
         OpKind::Permute { perm } => {
             let s = one(inputs, "permute")?;

@@ -9,10 +9,13 @@
 //!   §2.1 taxonomy),
 //! * **costed** — [`Graph::node_cost`] returns the device-independent
 //!   FLOPs/traffic/kernel-count descriptor used by the analytic platform
-//!   models, and
+//!   models,
 //! * **executed** — the `ngb-exec` crate runs the graph on real tensors
 //!   with reproducible synthetic weights, sequentially or on a worker
-//!   pool, timing every node (the host-measured profiling mode).
+//!   pool, timing every node (the host-measured profiling mode), and
+//! * **matched** — [`attention_prologue`] and [`conv_bn`] are the one
+//!   definition of the fusion patterns that `ngb-opt` rewrites,
+//!   `ngb-analyze` lints and `ngb-runtime` prices.
 //!
 //! # Examples
 //!
@@ -35,10 +38,12 @@
 
 #![forbid(unsafe_code)]
 
+mod fusion;
 mod graph;
 mod infer;
 mod op;
 
+pub use fusion::{attention_prologue, conv_bn, AttentionMatch};
 pub use graph::{Graph, GraphBuilder, Node, NodeId, StructuralIssue};
 pub use infer::{fused_attribution, infer_shape, op_cost, walk_fused};
 pub use op::{shard_span, FusedKind, FusedOp, FusedStage, NonGemmGroup, OpClass, OpKind};

@@ -455,7 +455,8 @@ pub enum FusedKind {
     /// pass over the data.
     ElementwiseChain,
     /// `Matmul/Bmm → scale [→ mask/add] → Softmax`: the attention-score
-    /// prologue flagged by `ngb-analyze`'s `FuseAttention` lint.
+    /// prologue matched by [`crate::attention_prologue`], which also drives
+    /// `ngb-analyze`'s `FuseAttention` lint.
     AttentionPrologue,
 }
 

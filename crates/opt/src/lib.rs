@@ -16,8 +16,9 @@
 //!   ops collapse into one loop ([`FusedKind::ElementwiseChain`]).
 //!   Bit-identical.
 //! * **Attention prologues** — `MatMul/Bmm → scale → (mask) → Softmax`
-//!   becomes one node ([`FusedKind::AttentionPrologue`]), mirroring the
-//!   analyzer's `fuse-attention` matcher exactly. Bit-identical.
+//!   becomes one node ([`FusedKind::AttentionPrologue`]). The chain is
+//!   [`ngb_graph::attention_prologue`], the same matcher behind the
+//!   analyzer's `fuse-attention` lint. Bit-identical.
 //! * **Layout coalescing** — adjacent `Transpose`/`Permute`/`Reshape`/
 //!   `View`/`Contiguous` pairs cancel or compose. Bit-identical.
 //! * **Contiguous elision** — a `Contiguous` node is dropped when static
@@ -27,6 +28,11 @@
 //!   strides (checked with [`ngb_tensor::reshape_strides`]). The strided
 //!   kernels are bit-identical to their contiguous fast paths, so elision
 //!   never changes results; [`optimize_with`] can pin it off.
+//!
+//! A graph with [`Graph::structural_issues`] (a dangling or forward input,
+//! a misplaced id) is returned unchanged with a zero-rewrite report:
+//! `ngb-analyze` owns reporting those defects, and no rewrite is defined
+//! on them.
 //!
 //! Passes run to a fixpoint; every rewrite strictly shrinks the graph, so
 //! the loop terminates. Rewritten nodes carry `seed_hint` (and fused
@@ -57,8 +63,12 @@
 
 #![forbid(unsafe_code)]
 
-use ngb_graph::{FusedKind, FusedOp, FusedStage, Graph, Node, NodeId, OpKind};
-use ngb_tensor::{contiguous_strides, num_elements, reshape_strides};
+use ngb_graph::{
+    attention_prologue, conv_bn, FusedKind, FusedOp, FusedStage, Graph, Node, NodeId, OpKind,
+};
+use ngb_tensor::{
+    contiguous_strides, expand_strides, is_contiguous, num_elements, reshape_strides,
+};
 use serde::{Deserialize, Serialize};
 
 /// How aggressively [`optimize`] rewrites a graph.
@@ -160,8 +170,9 @@ impl OptReport {
 }
 
 /// Rewrites `graph` at `level`, returning the optimized graph and a
-/// report of what changed. At [`OptLevel::O0`] the graph is returned
-/// unchanged (a plain clone); at `O1+` contiguous elision is on.
+/// report of what changed. At [`OptLevel::O0`], and for a graph with any
+/// [`Graph::structural_issues`], the graph is returned unchanged (a plain
+/// clone) with a zero-rewrite report; at `O1+` contiguous elision is on.
 pub fn optimize(graph: &Graph, level: OptLevel) -> (Graph, OptReport) {
     optimize_with(graph, level, true)
 }
@@ -174,7 +185,7 @@ pub fn optimize_with(graph: &Graph, level: OptLevel, elide: bool) -> (Graph, Opt
         nodes_after: graph.len(),
         ..OptReport::default()
     };
-    if level == OptLevel::O0 {
+    if level == OptLevel::O0 || !graph.structural_issues().is_empty() {
         return (graph.clone(), report);
     }
     let mut g = graph.clone();
@@ -242,17 +253,6 @@ fn primitive_stage(n: &Node) -> FusedStage {
         seed_id: seed_of(n),
         extra_inputs: n.inputs.len(),
     }
-}
-
-/// How many nodes consume each node (counting repeated edges).
-fn consumer_counts(g: &Graph) -> Vec<usize> {
-    let mut counts = vec![0usize; g.len()];
-    for n in g.iter() {
-        for &i in &n.inputs {
-            counts[i.0] += 1;
-        }
-    }
-    counts
 }
 
 /// One non-overlapping batch of rewrites over a graph.
@@ -341,23 +341,16 @@ impl Sweep {
 /// absorbed later by [`absorb_pass`], which appends to existing fused
 /// GEMM-classified nodes.
 fn conv_bn_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
-    let consumers = consumer_counts(g);
+    let consumers = g.consumer_counts();
     let mut sw = Sweep::new(g.len());
     for n in g.iter() {
-        if !matches!(
-            n.op,
-            OpKind::BatchNorm2d { .. } | OpKind::FrozenBatchNorm2d { .. }
-        ) {
+        let Some(pid) = conv_bn(g, &consumers, n.id) else {
+            continue;
+        };
+        if !sw.free(&[pid, n.id]) {
             continue;
         }
-        let [pid] = n.inputs.as_slice() else { continue };
         let p = &g.nodes[pid.0];
-        if !matches!(p.op, OpKind::Conv2d { .. })
-            || consumers[pid.0] != 1
-            || !sw.free(&[*pid, n.id])
-        {
-            continue;
-        }
         let fused = FusedOp {
             kind: FusedKind::ConvBnAct,
             stages: vec![
@@ -369,8 +362,8 @@ fn conv_bn_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
                 },
             ],
         };
-        sw.claim(&[*pid, n.id]);
-        sw.drop_node(*pid, p.inputs[0]);
+        sw.claim(&[pid, n.id]);
+        sw.drop_node(pid, p.inputs[0]);
         sw.replace(n.id, OpKind::Fused(fused), p.inputs.clone());
         report.conv_bn_act += 1;
         report.intermediate_bytes_saved += 4 * num_elements(&p.out_shape);
@@ -378,43 +371,19 @@ fn conv_bn_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
     sw.finish(g)
 }
 
-/// `MatMul/Bmm → Div/MulScalar → (CausalMask | Add mask) → Softmax`, the
-/// analyzer's `fuse-attention` pattern verbatim: the chain always runs
-/// through `inputs[0]` and every interior link has exactly one consumer.
+/// Every [`attention_prologue`] becomes one
+/// [`FusedKind::AttentionPrologue`] node at the softmax's position.
 fn attention_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
-    let consumers = consumer_counts(g);
+    let consumers = g.consumer_counts();
     let mut sw = Sweep::new(g.len());
     for n in g.iter() {
-        if !matches!(n.op, OpKind::Softmax { .. }) {
-            continue;
-        }
-        let step = |id: NodeId| (consumers[id.0] == 1).then(|| &g.nodes[id.0]);
-        let Some(mut cur) = n.inputs.first().and_then(|&i| step(i)) else {
+        let Some(m) = attention_prologue(g, &consumers, n.id) else {
             continue;
         };
-        let mut mask: Option<&Node> = None;
-        if matches!(cur.op, OpKind::CausalMask | OpKind::Add) {
-            mask = Some(cur);
-            match cur.inputs.first().and_then(|&i| step(i)) {
-                Some(next) => cur = next,
-                None => continue,
-            }
-        }
-        if !matches!(cur.op, OpKind::DivScalar(_) | OpKind::MulScalar(_)) {
-            continue;
-        }
-        let scale = cur;
-        let Some(head) = scale.inputs.first().and_then(|&i| step(i)) else {
-            continue;
-        };
-        if !matches!(head.op, OpKind::Matmul | OpKind::Bmm) {
-            continue;
-        }
+        let (head, scale) = (&g.nodes[m.head.0], &g.nodes[m.scale.0]);
+        let mask = m.mask.map(|id| &g.nodes[id.0]);
 
-        let mut involved = vec![head.id, scale.id, n.id];
-        if let Some(m) = mask {
-            involved.push(m.id);
-        }
+        let involved: Vec<NodeId> = m.nodes().collect();
         if !sw.free(&involved) {
             continue;
         }
@@ -452,16 +421,16 @@ fn attention_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
             extra_inputs: 0,
         });
 
-        let saved: usize = involved
-            .iter()
-            .filter(|&&i| i != n.id)
-            .map(|&i| num_elements(&g.nodes[i.0].out_shape))
-            .sum();
+        let interior = || {
+            involved
+                .iter()
+                .filter(|&&i| i != n.id)
+                .map(|i| &g.nodes[i.0])
+        };
+        let saved: usize = interior().map(|p| num_elements(&p.out_shape)).sum();
         sw.claim(&involved);
-        sw.drop_node(head.id, head.inputs[0]);
-        sw.drop_node(scale.id, scale.inputs[0]);
-        if let Some(m) = mask {
-            sw.drop_node(m.id, m.inputs[0]);
+        for p in interior() {
+            sw.drop_node(p.id, p.inputs[0]);
         }
         let fused = FusedOp {
             kind: FusedKind::AttentionPrologue,
@@ -512,7 +481,7 @@ fn shard_frozen(op: &OpKind) -> bool {
 /// against fused nodes); a pointwise producer yields an element-wise
 /// chain.
 fn absorb_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
-    let consumers = consumer_counts(g);
+    let consumers = g.consumer_counts();
     let mut sw = Sweep::new(g.len());
     for n in g.iter() {
         let Some(tail) = epilogue_stages(n) else {
@@ -559,7 +528,7 @@ fn absorb_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
 /// exactly one consumer; pairs whose removal would delete a graph output
 /// are left alone.
 fn layout_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
-    let consumers = consumer_counts(g);
+    let consumers = g.consumer_counts();
     let mut sw = Sweep::new(g.len());
     for n in g.iter() {
         let [pid] = n.inputs.as_slice() else { continue };
@@ -626,35 +595,6 @@ fn layout_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
 
 // ------------------------------------------------------- contiguous elision
 
-/// `strides` describe a dense row-major layout of `shape` (size-1 dims'
-/// strides are irrelevant, mirroring `Tensor::is_contiguous`).
-fn is_contig(shape: &[usize], strides: &[isize]) -> bool {
-    let mut acc = 1isize;
-    for (&dim, &stride) in shape.iter().zip(strides).rev() {
-        if dim == 1 {
-            continue;
-        }
-        if stride != acc {
-            return false;
-        }
-        acc *= dim as isize;
-    }
-    true
-}
-
-/// Output strides of `Expand` from (`in_shape`, `in_strides`) to
-/// `out_shape`, mirroring `Tensor::expand`: broadcast dims get stride 0.
-fn expand_strides(in_shape: &[usize], in_strides: &[isize], out_shape: &[usize]) -> Vec<isize> {
-    let pad = out_shape.len().saturating_sub(in_shape.len());
-    let mut strides = vec![0isize; out_shape.len()];
-    for i in 0..in_shape.len() {
-        if in_shape[i] == out_shape[pad + i] {
-            strides[pad + i] = in_strides[i];
-        }
-    }
-    strides
-}
-
 /// Statically-propagated output strides per node: compute ops and copying
 /// layout ops produce dense outputs; metadata ops transform their
 /// producer's layout by the same rules the `ngb_tensor` view methods use
@@ -688,6 +628,7 @@ fn static_strides(g: &Graph) -> Vec<Vec<isize>> {
             (OpKind::Slice { .. }, Some(pid)) => out[pid.0].clone(),
             (OpKind::Expand { .. }, Some(pid)) => {
                 expand_strides(&g.nodes[pid.0].out_shape, &out[pid.0], &n.out_shape)
+                    .unwrap_or_else(dense)
             }
             (OpKind::Reshape { .. } | OpKind::View { .. }, Some(pid)) => {
                 reshape_strides(&g.nodes[pid.0].out_shape, &out[pid.0], &n.out_shape)
@@ -711,7 +652,7 @@ fn accepts(
     shape: &[usize],
     strides: &[isize],
 ) -> bool {
-    if is_contig(shape, strides) {
+    if is_contiguous(shape, strides) {
         return true;
     }
     let forward = |ns: Vec<isize>| {
@@ -750,7 +691,10 @@ fn accepts(
             forward(ns)
         }
         OpKind::Slice { .. } => forward(strides.to_vec()),
-        OpKind::Expand { .. } => forward(expand_strides(shape, strides, &c.out_shape)),
+        OpKind::Expand { .. } => match expand_strides(shape, strides, &c.out_shape) {
+            Some(ns) => forward(ns),
+            None => false,
+        },
         // Guarded arms above fell through on malformed attributes: refuse
         // rather than trusting the blanket capability bit.
         OpKind::Permute { .. } | OpKind::Transpose { .. } | OpKind::Squeeze { .. } => false,
@@ -787,7 +731,7 @@ fn elide_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
         }
         let pshape = &g.nodes[pid.0].out_shape;
         let pstrides = &strides[pid.0];
-        let dense_already = is_contig(pshape, pstrides);
+        let dense_already = is_contiguous(pshape, pstrides);
         if !dense_already
             && !consumers_of[n.id.0]
                 .iter()
@@ -842,6 +786,25 @@ mod tests {
         assert_eq!(og.len(), g.len());
         assert_eq!(report.rewrites(), 0);
         assert_eq!(report.nodes_before, report.nodes_after);
+    }
+
+    #[test]
+    fn structurally_broken_graphs_are_returned_unchanged() {
+        // a dangling input, and a forward input (the Gelu reads itself)
+        for bad in [NodeId(42), NodeId(2)] {
+            let mut b = GraphBuilder::new("g");
+            let x = b.input(&[1, 4]);
+            let h = b.push(linear(4, 4), &[x], "fc").unwrap();
+            b.push(OpKind::Gelu, &[h], "act").unwrap();
+            let mut g = b.finish();
+            g.nodes[2].inputs.push(bad);
+            for level in [OptLevel::O1, OptLevel::O2] {
+                let (og, report) = optimize(&g, level);
+                assert_eq!(og.nodes, g.nodes, "{bad} at {level}");
+                assert_eq!(report.rewrites(), 0);
+                assert_eq!(report.nodes_after, report.nodes_before);
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use decode::{
     KvCacheStats,
 };
 
-use ngb_graph::{Graph, NodeId, NonGemmGroup, OpClass, OpKind};
+use ngb_graph::{attention_prologue, Graph, NodeId, NonGemmGroup, OpClass, OpKind};
 use ngb_ops::OpCost;
 
 /// A deployment software flow (paper Figure 4 "Deployment Flow" input).
@@ -209,70 +209,44 @@ pub fn plan_with_options(
     exec_plan
 }
 
-/// Pattern-matches attention blocks and rewrites their plan entries into a
-/// single fused kernel (see [`RuntimeOptions::fuse_attention`]).
+/// Rewrites the plan entries of every attention block into a single fused
+/// kernel (see [`RuntimeOptions::fuse_attention`]). A block is an
+/// [`attention_prologue`] with a `Bmm` head and a `CausalMask` or no mask,
+/// whose softmax feeds only the `inputs[0]` of a second `Bmm`.
 ///
 /// The head `Bmm` keeps the combined FLOPs of both matmuls plus the softmax
 /// chain, reads only q/k/v, and writes only the context; the interior nodes
 /// become free fused continuations.
 fn fuse_attention(graph: &Graph, exec_plan: &mut ExecutionPlan) {
-    // single-consumer map so we only fuse linear chains
-    let mut consumers = vec![0usize; graph.len()];
-    for node in graph.iter() {
-        for &i in &node.inputs {
-            consumers[i.0] += 1;
-        }
-    }
-    let single = |id: NodeId| consumers[id.0] == 1;
-    let feeds = |a: NodeId, b: &ngb_graph::Node| b.inputs.first() == Some(&a);
-
-    for start in graph.iter() {
-        if start.op != OpKind::Bmm {
-            continue;
-        }
-        // walk: scale -> optional mask -> softmax -> bmm
-        let mut chain = vec![start.id];
-        let mut cur = start.id;
-        let next = |cur: NodeId| graph.iter().find(|n| feeds(cur, n)).map(|n| n.id);
-        let Some(scale) = next(cur).filter(|&id| {
-            matches!(
-                graph.node(id).op,
-                OpKind::DivScalar(_) | OpKind::MulScalar(_)
-            ) && single(cur)
-        }) else {
+    let consumers = graph.consumer_counts();
+    for bmm2 in graph.iter().filter(|n| n.op == OpKind::Bmm) {
+        let Some(m) = bmm2
+            .inputs
+            .first()
+            .and_then(|&softmax| attention_prologue(graph, &consumers, softmax))
+        else {
             continue;
         };
-        chain.push(scale);
-        cur = scale;
-        if let Some(mask) =
-            next(cur).filter(|&id| graph.node(id).op == OpKind::CausalMask && single(cur))
+        let start = graph.node(m.head);
+        if consumers[m.softmax.0] != 1
+            || start.op != OpKind::Bmm
+            || m.mask
+                .is_some_and(|id| graph.node(id).op != OpKind::CausalMask)
         {
-            chain.push(mask);
-            cur = mask;
+            continue;
         }
-        let Some(softmax) = next(cur)
-            .filter(|&id| matches!(graph.node(id).op, OpKind::Softmax { .. }) && single(cur))
-        else {
-            continue;
-        };
-        chain.push(softmax);
-        cur = softmax;
-        let Some(bmm2) = next(cur).filter(|&id| graph.node(id).op == OpKind::Bmm && single(cur))
-        else {
-            continue;
-        };
-        chain.push(bmm2);
+        let chain: Vec<NodeId> = m.nodes().chain([bmm2.id]).collect();
 
         // rewrite: head gets everything, interior nodes become free
         let combined: OpCost = chain.iter().map(|&id| exec_plan.nodes[id.0].cost).sum();
         let qkv_bytes: f64 = start
             .inputs
             .iter()
-            .chain(graph.node(bmm2).inputs.get(1))
+            .chain(bmm2.inputs.get(1))
             .map(|&i| ngb_tensor_bytes(&graph.node(i).out_shape))
             .sum();
-        let out_bytes = ngb_tensor_bytes(&graph.node(bmm2).out_shape);
-        let head = &mut exec_plan.nodes[start.id.0];
+        let out_bytes = ngb_tensor_bytes(&bmm2.out_shape);
+        let head = &mut exec_plan.nodes[m.head.0];
         head.cost = OpCost {
             flops: combined.flops,
             bytes_read: qkv_bytes,
@@ -555,6 +529,52 @@ mod tests {
             },
         );
         assert_eq!(base.total_kernels(), opt.total_kernels());
+    }
+
+    /// `bmm(q, k) → scale → mask → softmax → bmm(·, v)`; an `Add` mask
+    /// takes its tensor at `inputs[1]`.
+    fn attention_block(mask: OpKind) -> Graph {
+        let mut b = GraphBuilder::new("attn");
+        let q = b.input(&[2, 4, 8]);
+        let k = b.input(&[2, 8, 4]);
+        let v = b.input(&[2, 4, 8]);
+        let bias = b.input(&[2, 4, 4]);
+        let s = b.push(OpKind::Bmm, &[q, k], "scores").unwrap();
+        let sc = b.push(OpKind::DivScalar(2.83), &[s], "scale").unwrap();
+        let m = match mask {
+            OpKind::Add => b.push(OpKind::Add, &[sc, bias], "mask"),
+            op => b.push(op, &[sc], "mask"),
+        }
+        .unwrap();
+        let p = b.push(OpKind::Softmax { dim: 2 }, &[m], "softmax").unwrap();
+        b.push(OpKind::Bmm, &[p, v], "context").unwrap();
+        b.finish()
+    }
+
+    #[test]
+    fn attention_fusion_leaves_add_masks_and_matmul_heads_unfused() {
+        // prologues the shared matcher accepts but the analytic kernel does
+        // not model: an additive mask, and a Matmul head (no rank-2 Matmul
+        // can feed a Bmm shape-correctly, so its op is swapped in after
+        // building; the analytic plan only reads the op and shapes)
+        let add_masked = attention_block(OpKind::Add);
+        let mut matmul_headed = attention_block(OpKind::CausalMask);
+        matmul_headed.nodes[4].op = OpKind::Matmul;
+        for g in [add_masked, matmul_headed] {
+            let softmax = NodeId(g.len() - 2);
+            assert!(attention_prologue(&g, &g.consumer_counts(), softmax).is_some());
+            let base = plan(&g, Flow::Eager, true);
+            let opt = plan_with_options(
+                &g,
+                Flow::Eager,
+                true,
+                RuntimeOptions {
+                    fuse_attention: true,
+                },
+            );
+            assert_eq!(base.total_kernels(), opt.total_kernels());
+            assert!(!opt.nodes.iter().any(|n| n.fused_into_prev));
+        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! The analyzer's fusion-opportunity lints and the runtime's optimization
-//! passes look for the same patterns; these tests pin them together so the
-//! two implementations cannot drift apart silently.
+//! The analyzer's `fuse-attention` lint and the runtime's analytic
+//! attention fusion both start from `ngb_graph::attention_prologue`; the
+//! runtime then keeps only blocks its fused kernel models (a `Bmm` head, a
+//! causal or no mask, a second `Bmm` after the softmax). These tests pin
+//! that every registry model's attention blocks are of that kind, so the
+//! lint sites and the fused heads coincide.
 
 use ngb_analyze::{Analyzer, Lint};
 use ngb_graph::{Graph, GraphBuilder, OpKind};
@@ -72,31 +75,38 @@ fn non_matching_chain_fires_neither() {
 
 #[test]
 fn gpt2_lint_count_matches_runtime_fusion_sites() {
-    // every per-layer attention block should be seen by both systems
-    let g = ModelId::Gpt2.build(1, Scale::Tiny).unwrap();
-    let lint_sites = Analyzer::new()
-        .analyze(&g)
-        .findings(Lint::FuseAttention)
-        .len();
-    assert!(lint_sites > 0);
+    // every per-layer attention block should be seen by both systems, in
+    // gpt2 and in every other registry model
+    for &m in ModelId::all() {
+        let g = m.build(1, Scale::Tiny).unwrap();
+        let lint_sites = Analyzer::new()
+            .analyze(&g)
+            .findings(Lint::FuseAttention)
+            .len();
+        if m == ModelId::Gpt2 {
+            assert!(lint_sites > 0);
+        }
 
-    let base = plan(&g, Flow::Eager, true);
-    let fused = plan_with_options(
-        &g,
-        Flow::Eager,
-        true,
-        RuntimeOptions {
-            fuse_attention: true,
-        },
-    );
-    let heads = fused
-        .nodes
-        .iter()
-        .zip(&base.nodes)
-        .filter(|(f, b)| f.cost.kernels == 1 && f.cost.flops > b.cost.flops)
-        .count();
-    assert_eq!(
-        lint_sites, heads,
-        "lint sites and fused attention heads must agree"
-    );
+        let base = plan(&g, Flow::Eager, true);
+        let fused = plan_with_options(
+            &g,
+            Flow::Eager,
+            true,
+            RuntimeOptions {
+                fuse_attention: true,
+            },
+        );
+        let heads = fused
+            .nodes
+            .iter()
+            .zip(&base.nodes)
+            .filter(|(f, b)| f.cost.kernels == 1 && f.cost.flops > b.cost.flops)
+            .count();
+        assert_eq!(
+            lint_sites,
+            heads,
+            "{}: lint sites and fused attention heads must agree",
+            m.spec().alias
+        );
+    }
 }

@@ -47,7 +47,10 @@ pub mod telemetry;
 pub use compare::{bit_equal, max_abs_err, max_rel_err, Tolerance};
 pub use error::TensorError;
 pub use index::{offset_of, LaneMap};
-pub use shape::{broadcast_shapes, contiguous_strides, num_elements, reshape_strides};
+pub use shape::{
+    broadcast_shapes, contiguous_strides, expand_strides, is_contiguous, num_elements,
+    reshape_strides, resolve_reshape,
+};
 pub use storage::{DType, Storage};
 pub use tensor::Tensor;
 

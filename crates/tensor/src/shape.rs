@@ -99,12 +99,22 @@ pub(crate) fn broadcast_strides(
 /// Resolves one `-1`-style wildcard in a reshape target.
 ///
 /// `target` entries are `usize::MAX` for the inferred dimension. Returns the
-/// fully resolved shape.
+/// fully resolved shape. [`Tensor::reshape`](crate::Tensor::reshape),
+/// [`Tensor::view`](crate::Tensor::view) and graph shape inference all
+/// resolve targets here.
 ///
 /// # Errors
 ///
 /// Fails if more than one wildcard is present or element counts do not match.
-pub(crate) fn resolve_reshape(numel: usize, target: &[usize]) -> Result<Vec<usize>, TensorError> {
+///
+/// # Examples
+///
+/// ```
+/// use ngb_tensor::resolve_reshape;
+/// assert_eq!(resolve_reshape(12, &[3, usize::MAX]).unwrap(), vec![3, 4]);
+/// assert!(resolve_reshape(12, &[5, usize::MAX]).is_err());
+/// ```
+pub fn resolve_reshape(numel: usize, target: &[usize]) -> Result<Vec<usize>, TensorError> {
     let wildcards = target.iter().filter(|&&d| d == usize::MAX).count();
     if wildcards > 1 {
         return Err(TensorError::InvalidArgument(
@@ -138,6 +148,58 @@ pub(crate) fn resolve_reshape(numel: usize, target: &[usize]) -> Result<Vec<usiz
         });
     }
     Ok(out)
+}
+
+/// Whether `strides` lay `shape` out densely in row-major order. A size-1
+/// dim's stride is irrelevant, so it never breaks density.
+///
+/// # Examples
+///
+/// ```
+/// use ngb_tensor::is_contiguous;
+/// assert!(is_contiguous(&[2, 1, 3], &[3, 99, 1]));
+/// assert!(!is_contiguous(&[2, 3], &[1, 2]));
+/// ```
+#[inline]
+pub fn is_contiguous(shape: &[usize], strides: &[isize]) -> bool {
+    let mut acc = 1isize;
+    for (&dim, &stride) in shape.iter().zip(strides).rev() {
+        if dim == 1 {
+            continue;
+        }
+        if stride != acc {
+            return false;
+        }
+        acc *= dim as isize;
+    }
+    true
+}
+
+/// Strides that view a tensor of `shape`/`strides` expanded to `target`
+/// without copying (`torch.expand`): leading new dims and size-1 dims that
+/// grow get stride 0, equal dims keep theirs. `None` when `target` has
+/// fewer dims than `shape` or a dim of `shape` is neither 1 nor equal to
+/// its target dim.
+///
+/// # Examples
+///
+/// ```
+/// use ngb_tensor::expand_strides;
+/// assert_eq!(expand_strides(&[3, 1], &[1, 1], &[2, 3, 4]), Some(vec![0, 1, 0]));
+/// assert_eq!(expand_strides(&[3], &[1], &[4]), None);
+/// ```
+#[inline]
+pub fn expand_strides(shape: &[usize], strides: &[isize], target: &[usize]) -> Option<Vec<isize>> {
+    let pad = target.len().checked_sub(shape.len())?;
+    let mut out = vec![0isize; target.len()];
+    for i in 0..shape.len() {
+        if shape[i] == target[pad + i] {
+            out[pad + i] = strides[i];
+        } else if shape[i] != 1 {
+            return None;
+        }
+    }
+    Some(out)
 }
 
 /// Computes strides that let a view of `target` alias the same storage as a

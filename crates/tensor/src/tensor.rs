@@ -3,7 +3,9 @@
 use std::sync::Arc;
 
 use crate::index::{dense_copy, for_each_run, offset_of};
-use crate::shape::{broadcast_shapes, broadcast_strides, contiguous_strides, num_elements};
+use crate::shape::{
+    broadcast_shapes, broadcast_strides, contiguous_strides, is_contiguous, num_elements,
+};
 use crate::storage::{DType, Storage};
 use crate::{Result, TensorError};
 
@@ -165,18 +167,9 @@ impl Tensor {
     /// Whether this view is dense row-major over its storage region.
     ///
     /// Size-0 and size-1 tensors are trivially contiguous.
+    #[inline]
     pub fn is_contiguous(&self) -> bool {
-        let mut acc = 1isize;
-        for (&dim, &stride) in self.shape.iter().zip(&self.strides).rev() {
-            if dim == 1 {
-                continue; // stride of a size-1 dim is irrelevant
-            }
-            if stride != acc {
-                return false;
-            }
-            acc *= dim as isize;
-        }
-        true
+        is_contiguous(&self.shape, &self.strides)
     }
 
     /// Attempts to reclaim this tensor's f32 heap buffer for reuse.

@@ -7,7 +7,8 @@
 
 use crate::index::{offset_of, IndexIter};
 use crate::shape::{
-    contiguous_strides, normalize_dim, num_elements, reshape_strides, resolve_reshape,
+    contiguous_strides, expand_strides, normalize_dim, num_elements, reshape_strides,
+    resolve_reshape,
 };
 use crate::storage::{DType, Storage};
 use crate::tensor::Tensor;
@@ -159,29 +160,13 @@ impl Tensor {
     /// Fails when a non-1 dim differs from the target or ranks mismatch
     /// (after implicit left-padding).
     pub fn expand(&self, shape: &[usize]) -> Result<Tensor> {
-        if shape.len() < self.rank() {
-            return Err(TensorError::ShapeMismatch {
+        let strides = expand_strides(&self.shape, &self.strides, shape).ok_or_else(|| {
+            TensorError::ShapeMismatch {
                 expected: self.shape.clone(),
                 actual: shape.to_vec(),
                 op: "expand",
-            });
-        }
-        let pad = shape.len() - self.rank();
-        let mut strides = vec![0isize; shape.len()];
-        for i in 0..self.rank() {
-            let (own, tgt) = (self.shape[i], shape[pad + i]);
-            if own == tgt {
-                strides[pad + i] = self.strides[i];
-            } else if own == 1 {
-                strides[pad + i] = 0;
-            } else {
-                return Err(TensorError::ShapeMismatch {
-                    expected: self.shape.clone(),
-                    actual: shape.to_vec(),
-                    op: "expand",
-                });
             }
-        }
+        })?;
         Ok(Tensor {
             storage: self.storage.clone(),
             shape: shape.to_vec(),

@@ -34,7 +34,13 @@
 # justified here. The same stage keeps nongemm-cli's FLAGS table the only
 # place a flag is named: outside its test module, each "--flag" string
 # literal appears at most once in crates/core/src/bin/nongemm-cli.rs, so a
-# hand-written match arm beside the table fails CI.
+# hand-written match arm beside the table fails CI. It also pins two single
+# owners under crates/*/src, outside test modules: the attention scale link
+# `DivScalar(_) | OpKind::MulScalar(_)` is matched only in
+# crates/graph/src/fusion.rs, the one fusion matcher that ngb-opt,
+# ngb-analyze and ngb-runtime share; and the reshape wildcard test
+# `== usize::MAX` appears only in crates/tensor/src/shape.rs, whose
+# resolve_reshape serves Tensor::reshape/view and graph shape inference.
 # The sanitize stage audits that unsafe code stays confined to ngb-ops
 # and ngb-exec, lints the verifier crate at -D warnings, and runs the
 # 18-model hazard sweep (static verifier + shadow-memory execution) on a
@@ -282,8 +288,19 @@ one_executor() {
     echo "$repeated"
     violations=1
   fi
+  local owner rule
+  for rule in 'DivScalar\(_\) \| OpKind::MulScalar\(_\)	crates/graph/src/fusion.rs' \
+    '== usize::MAX	crates/tensor/src/shape.rs'; do
+    IFS=$'\t' read -r pattern owner <<<"$rule"
+    files=$(non_test_hits "$pattern" crates/*/src | cut -f1 | sort -u)
+    if [[ "$files" != "$owner" ]]; then
+      echo "error: '$pattern' must appear only in $owner, found:"
+      echo "${files:-  (none)}"
+      violations=1
+    fi
+  done
   [[ $violations -eq 0 ]] || return 1
-  echo "one executor: one gather/execute/finish core, no NGB_* reader, one flag table"
+  echo "one executor: one gather/execute/finish core, no NGB_* reader, one flag table, one fusion matcher, one reshape resolver"
 }
 
 benchmark_gate() {
