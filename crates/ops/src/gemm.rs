@@ -3,8 +3,32 @@
 //! These are the operators the paper classifies as *GEMM operators*
 //! (§2.1.1): each reduces to a perfectly nested multiply–accumulate loop
 //! and is the target of GPU tensor-core acceleration. `conv2d` is lowered
-//! through `im2col` exactly as the cuDNN lineage does, and the direct
-//! (sliding-window) implementation is kept as a cross-check oracle.
+//! through `im2col` exactly as the cuDNN lineage does, except depthwise
+//! convolutions, which run a direct row kernel; the sliding-window
+//! [`conv2d_direct`] is kept as a cross-check oracle.
+//!
+//! Blocking, from the inside out:
+//!
+//! * **Tile.** B is packed into `[panel][k][NR]` lanes (tails zero-padded)
+//!   and an `MR x NR = 4 x 16` tile computes four output rows against one
+//!   panel. On AVX2+FMA hosts the tile keeps eight YMM accumulators: two B
+//!   loads and four A broadcasts per `k`.
+//! * **Panel groups.** The output is walked in units of *(panel group x
+//!   row block)*. A panel group is as many panels as fit in
+//!   [`PANEL_GROUP_BYTES`]; units are ordered group-major, so consecutive
+//!   units of one group read panels that are already in L2 instead of
+//!   streaming all of B once per row block.
+//! * **Convolution.** One image at a time, im2col writes straight into the
+//!   panel layout and the GEMM writes straight into the output; the bias
+//!   is one in-place row pass.
+//!
+//! Every output element is one accumulator summed over ascending `k`: a
+//! fused multiply-add on AVX2+FMA hosts, a multiply then an add elsewhere.
+//! Which path runs depends only on the host CPU, and the partition only on
+//! the shape, so results are bit-identical across thread counts, intra-op
+//! modes, engines, batch sizes and operand layouts.
+
+use std::ops::Range;
 
 use ngb_tensor::{Tensor, TensorError};
 
@@ -14,11 +38,53 @@ use crate::{OpCost, Result, F32_BYTES};
 /// Register-block height: rows of C computed together by the micro-kernel.
 const MR: usize = 4;
 /// Register-block width: one packed B panel is `NR` output columns.
-const NR: usize = 8;
+const NR: usize = 16;
+/// Packed-B bytes one panel group may hold: small enough to stay in a
+/// core's L2 beside the A rows of a block, large enough that a group
+/// amortizes re-reading A.
+const PANEL_GROUP_BYTES: usize = 256 * 1024;
+
+/// The packed-panel layout of a `[k, n]` B operand: `(panels, panel_len)`,
+/// `n / NR` panels (rounded up) of `k * NR` elements. Packing — and
+/// im2col, which packs as it gathers — fills panels chunk-parallel over
+/// this partition; exposed so `ngb-sanitize` can certify it.
+pub fn packed_panels(k: usize, n: usize) -> (usize, usize) {
+    (n.div_ceil(NR), k * NR)
+}
 
 /// Length of the packed-panel buffer for a `[k, n]` B operand.
 fn packed_len(k: usize, n: usize) -> usize {
-    n.div_ceil(NR) * k * NR
+    let (panels, panel_len) = packed_panels(k, n);
+    panels * panel_len
+}
+
+/// Fills the packed panels of a `[k, n]` B operand chunk-parallel:
+/// `fill(j0, panel)` writes the `[k][NR]` panel of columns `j0..j0 + NR`.
+fn fill_panels(k: usize, n: usize, packed: &mut [f32], fill: impl Fn(usize, &mut [f32]) + Sync) {
+    let (panels, panel_len) = packed_panels(k, n);
+    debug_assert_eq!(packed.len(), panels * panel_len);
+    if panel_len == 0 {
+        return;
+    }
+    parallel::par_rows_out(packed, panels, panel_len, |p0, win| {
+        for (p, panel) in win.chunks_exact_mut(panel_len).enumerate() {
+            fill((p0 + p) * NR, panel);
+        }
+    });
+}
+
+/// The f32 storage of a GEMM operand, or a typed error naming `op`.
+fn f32_storage<'a>(t: &'a Tensor, op: &'static str) -> Result<&'a [f32]> {
+    t.storage_f32().ok_or(TensorError::DTypeMismatch {
+        expected: "f32",
+        actual: t.dtype().name(),
+        op,
+    })
+}
+
+/// Rejects a non-f32 tensor with a typed error naming `op`.
+fn require_f32(t: &Tensor, op: &'static str) -> Result<()> {
+    f32_storage(t, op).map(|_| ())
 }
 
 /// A rank-2 operand as (full storage, base offset, row stride, col stride):
@@ -34,16 +100,15 @@ struct Mat<'a> {
 }
 
 impl<'a> Mat<'a> {
-    /// Views a rank-2 f32 tensor. Panics on non-f32 storage (the same
-    /// contract the dense path had).
-    fn of(t: &'a Tensor) -> Mat<'a> {
+    /// Views a rank-2 f32 tensor.
+    fn of(t: &'a Tensor, op: &'static str) -> Result<Mat<'a>> {
         debug_assert_eq!(t.rank(), 2);
-        Mat {
-            data: t.storage_f32().expect("f32 gemm operand"),
+        Ok(Mat {
+            data: f32_storage(t, op)?,
             base: t.storage_offset(),
             rs: t.strides()[0],
             cs: t.strides()[1],
-        }
+        })
     }
 
     /// Storage offset of element `(i, j)`.
@@ -62,32 +127,27 @@ impl<'a> Mat<'a> {
 /// permuted bmm operand — is gathered element-wise in a cache-friendly
 /// order without ever materializing the view.
 fn pack_b_mat(b: Mat<'_>, k: usize, n: usize, packed: &mut [f32]) {
-    debug_assert_eq!(packed.len(), packed_len(k, n));
-    let panels = n.div_ceil(NR);
-    for p in 0..panels {
-        let j0 = p * NR;
+    fill_panels(k, n, packed, |j0, dst| {
         let w = NR.min(n - j0);
-        let dst = &mut packed[p * k * NR..(p + 1) * k * NR];
+        if w < NR {
+            dst.fill(0.0);
+        }
         if b.cs == 1 && b.rs >= 0 {
-            for kk in 0..k {
+            for (kk, lane) in dst.chunks_exact_mut(NR).enumerate() {
                 let row = b.at(kk, j0);
-                let lane = &mut dst[kk * NR..(kk + 1) * NR];
                 lane[..w].copy_from_slice(&b.data[row..row + w]);
-                lane[w..].fill(0.0);
             }
         } else {
-            if w < NR {
-                dst.fill(0.0);
-            }
-            // column-outer order: for B = w^T this walks each weight row
-            // sequentially, matching the old dedicated transpose packer
-            for jj in 0..w {
-                for kk in 0..k {
-                    dst[kk * NR + jj] = b.data[b.at(kk, j0 + jj)];
+            // k-outer order: the panel is written sequentially while each
+            // of its NR columns is read as its own forward stream — for
+            // B = w^T, one weight row per column
+            for (kk, lane) in dst.chunks_exact_mut(NR).enumerate() {
+                for (jj, d) in lane[..w].iter_mut().enumerate() {
+                    *d = b.data[b.at(kk, j0 + jj)];
                 }
             }
         }
-    }
+    });
 }
 
 /// Whether the AVX2+FMA micro-kernel can run on this host. Detection is
@@ -105,40 +165,89 @@ fn fma_tile_available() -> bool {
     }
 }
 
-/// Full `MR x NR` tile against one packed panel: each of the `MR` rows
-/// accumulates in one YMM register via fused multiply-add over ascending
-/// `kk`. FMA rounds once per multiply-add (vs twice in the portable
-/// loop), so absolute values differ across hosts — but every element is
-/// computed by exactly one deterministic path, keeping results
-/// bit-stable across runs, thread counts, and intra-op modes.
+/// Where a tile's `MR x NR` accumulators land.
+#[cfg(target_arch = "x86_64")]
+enum TileOut<'a> {
+    /// `MR` full rows of C starting at `c`, `ldc` elements apart, each
+    /// plus `bias[..NR]` when given.
+    Direct {
+        c: *mut f32,
+        ldc: usize,
+        bias: Option<&'a [f32]>,
+    },
+    /// A scratch tile, for partial row blocks and tail panels.
+    Scratch(&'a mut [[f32; NR]; MR]),
+}
+
+/// Full `MR x NR` tile against one packed panel: each output element
+/// accumulates in one YMM lane via fused multiply-add over ascending
+/// `kk` (eight accumulators, two B loads and four A broadcasts per `kk`).
+/// FMA rounds once per multiply-add (vs twice in the portable loop), so
+/// absolute values differ across hosts — but every element is computed by
+/// exactly one deterministic path, keeping results bit-stable across runs,
+/// thread counts, and intra-op modes. A bias is added to the finished
+/// accumulator, as the scalar write-back does.
 ///
 /// # Safety
 ///
 /// Caller must check [`fma_tile_available`]; `arows` must hold `MR` full
 /// k-contiguous rows spaced `stride` elements apart starting at
 /// `arows[0]` (i.e. `arows.len() >= (MR - 1) * stride + k`), `panel` must
-/// be `k * NR` long.
+/// be `k * NR` long, and a [`TileOut::Direct`] target must be `MR` rows of
+/// `NR` writable elements no other thread touches, with `bias` at least
+/// `NR` long.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tile_fma(
-    arows: &[f32],
-    stride: usize,
-    k: usize,
-    panel: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
+unsafe fn tile_fma(arows: &[f32], stride: usize, k: usize, panel: &[f32], out: TileOut<'_>) {
     use std::arch::x86_64::*;
     debug_assert!(arows.len() >= (MR - 1) * stride + k && panel.len() == k * NR);
-    let mut c = [_mm256_setzero_ps(); MR];
+    let a = arows.as_ptr();
+    let (a0, a1, a2, a3) = (a, a.add(stride), a.add(2 * stride), a.add(3 * stride));
+    let mut bp = panel.as_ptr();
+    let mut c00 = _mm256_setzero_ps();
+    let mut c01 = _mm256_setzero_ps();
+    let mut c10 = _mm256_setzero_ps();
+    let mut c11 = _mm256_setzero_ps();
+    let mut c20 = _mm256_setzero_ps();
+    let mut c21 = _mm256_setzero_ps();
+    let mut c30 = _mm256_setzero_ps();
+    let mut c31 = _mm256_setzero_ps();
     for kk in 0..k {
-        let b = _mm256_loadu_ps(panel.as_ptr().add(kk * NR));
-        for (ii, cr) in c.iter_mut().enumerate() {
-            let a = _mm256_set1_ps(*arows.get_unchecked(ii * stride + kk));
-            *cr = _mm256_fmadd_ps(a, b, *cr);
-        }
+        let b0 = _mm256_loadu_ps(bp);
+        let b1 = _mm256_loadu_ps(bp.add(8));
+        let x = _mm256_set1_ps(*a0.add(kk));
+        c00 = _mm256_fmadd_ps(x, b0, c00);
+        c01 = _mm256_fmadd_ps(x, b1, c01);
+        let x = _mm256_set1_ps(*a1.add(kk));
+        c10 = _mm256_fmadd_ps(x, b0, c10);
+        c11 = _mm256_fmadd_ps(x, b1, c11);
+        let x = _mm256_set1_ps(*a2.add(kk));
+        c20 = _mm256_fmadd_ps(x, b0, c20);
+        c21 = _mm256_fmadd_ps(x, b1, c21);
+        let x = _mm256_set1_ps(*a3.add(kk));
+        c30 = _mm256_fmadd_ps(x, b0, c30);
+        c31 = _mm256_fmadd_ps(x, b1, c31);
+        bp = bp.add(NR);
     }
-    for (dst, cr) in acc.iter_mut().zip(c) {
-        _mm256_storeu_ps(dst.as_mut_ptr(), cr);
+    let rows = [(c00, c01), (c10, c11), (c20, c21), (c30, c31)];
+    match out {
+        TileOut::Direct { c, ldc, bias } => {
+            for (ii, (mut lo, mut hi)) in rows.into_iter().enumerate() {
+                if let Some(bs) = bias {
+                    lo = _mm256_add_ps(lo, _mm256_loadu_ps(bs.as_ptr()));
+                    hi = _mm256_add_ps(hi, _mm256_loadu_ps(bs.as_ptr().add(8)));
+                }
+                let row = c.add(ii * ldc);
+                _mm256_storeu_ps(row, lo);
+                _mm256_storeu_ps(row.add(8), hi);
+            }
+        }
+        TileOut::Scratch(acc) => {
+            for (row, (lo, hi)) in acc.iter_mut().zip(rows) {
+                _mm256_storeu_ps(row.as_mut_ptr(), lo);
+                _mm256_storeu_ps(row.as_mut_ptr().add(8), hi);
+            }
+        }
     }
 }
 
@@ -165,31 +274,74 @@ fn tile_portable(
     }
 }
 
-/// The row blocks `gemm_into` assigns to the micro-kernel for an
-/// `m`-row output: block `ib` covers rows `ib*MR .. min(ib*MR+MR, m)`.
-/// Exposed so `ngb-sanitize` can certify the blocks are a pairwise-
-/// disjoint exact cover of `0..m` for every suite shape.
-pub fn tile_row_blocks(m: usize) -> Vec<std::ops::Range<usize>> {
-    (0..m.div_ceil(MR))
-        .map(|ib| ib * MR..(ib * MR + MR).min(m))
-        .collect()
+/// How `gemm_into` walks an `[m, n]` output with reduction length `k`:
+/// units of *(panel group x row block)*, group-major, so consecutive
+/// units of one group reuse the group's panels from L2. A pure function
+/// of `(m, k, n)`, never of threads or layout.
+#[derive(Clone, Copy)]
+struct Tiling {
+    m: usize,
+    n: usize,
+    blocks: usize,
+    group_cols: usize,
 }
 
-/// The `(rows, row_len)` pair `gemm_into` hands to `par_rows` for an
-/// `[m, n]` output: row blocks as work units, each `MR * n` elements
-/// heavy. Chunk-level disjointness over these units composes with
-/// [`tile_row_blocks`] to cover the whole output.
-pub fn tile_chunk_grain(m: usize, n: usize) -> (usize, usize) {
-    (m.div_ceil(MR), MR * n)
+impl Tiling {
+    fn new(m: usize, k: usize, n: usize) -> Tiling {
+        let panel_bytes = k.max(1) * NR * std::mem::size_of::<f32>();
+        let group_panels = (PANEL_GROUP_BYTES / panel_bytes).max(1);
+        Tiling {
+            m,
+            n,
+            blocks: m.div_ceil(MR),
+            group_cols: group_panels * NR,
+        }
+    }
+
+    fn units(&self) -> usize {
+        self.blocks * self.n.div_ceil(self.group_cols)
+    }
+
+    /// Output elements of a full unit: the weight `par_rows` groups
+    /// units by.
+    fn unit_len(&self) -> usize {
+        MR * self.group_cols
+    }
+
+    /// Output rows and columns of unit `u`.
+    fn unit(&self, u: usize) -> TileUnit {
+        let (g, ib) = (u / self.blocks, u % self.blocks);
+        let (i0, j0) = (ib * MR, g * self.group_cols);
+        (
+            i0..(i0 + MR).min(self.m),
+            j0..(j0 + self.group_cols).min(self.n),
+        )
+    }
+}
+
+/// One GEMM work unit: the `(rows, cols)` rectangle of the output it
+/// writes.
+pub type TileUnit = (Range<usize>, Range<usize>);
+
+/// The work units `gemm_into` dispatches for `[m, k] @ [k, n]`: each
+/// unit's `(rows, cols)` rectangle of the output, in unit order, and the
+/// element weight of one unit, which `par_rows` uses to group consecutive
+/// units into chunks. Exposed so `ngb-sanitize` can certify that the units
+/// are a pairwise-disjoint exact cover of the `[m, n]` output and that the
+/// chunks cover the units.
+pub fn tile_units(m: usize, k: usize, n: usize) -> (Vec<TileUnit>, usize) {
+    let t = Tiling::new(m, k, n);
+    ((0..t.units()).map(|u| t.unit(u)).collect(), t.unit_len())
 }
 
 /// `C[m, n] = A[m, k] @ packed_B (+ bias)` with `MR x NR` register
-/// blocking; row blocks fan out across intra-op chunks.
+/// blocking over [`Tiling`]'s units; chunks of units fan out across
+/// intra-op threads.
 ///
 /// Every output element is one private accumulator summed over `kk` in
-/// ascending order, so results are bit-identical regardless of how row
-/// blocks are chunked across threads (kernel selection depends only on
-/// host CPU features, never on the chunking).
+/// ascending order, so results are bit-identical regardless of how units
+/// are chunked across threads (kernel selection depends only on host CPU
+/// features, never on the chunking).
 ///
 /// The previous i-k-j loop skipped `aik == 0.0` terms. That branch only
 /// pays off on sparse inputs; every workload in this suite is dense,
@@ -215,35 +367,20 @@ fn gemm_into(
         }
         return;
     }
-    let blocks = m.div_ceil(MR);
     let fma = fma_tile_available();
     // Rows already k-contiguous (dense, or a row-major view with padded
-    // row stride) feed the tiles in place; otherwise each block's rows
-    // are gathered into a small pack buffer — either way the tile (and
-    // its FMA selection) sees identical values in identical order, so
-    // results stay bit-identical across layouts.
+    // row stride) feed the tiles in place; otherwise the block's rows are
+    // gathered into a small buffer — either way the tile (and its FMA
+    // selection) sees identical values in identical order, so results
+    // stay bit-identical across layouts.
     let a_direct = a.cs == 1 && a.rs >= 0;
+    let t = Tiling::new(m, k, n);
     let ptr = SendPtr(out.as_mut_ptr());
-    parallel::par_rows(blocks, MR * n, |block_range| {
+    parallel::par_rows(t.units(), t.unit_len(), |units| {
         let mut abuf: Vec<f32> = Vec::new();
-        let mut padbuf: Vec<f32> = Vec::new();
-        for ib in block_range {
-            let i0 = ib * MR;
-            let mr = MR.min(m - i0);
-            // SAFETY: row blocks are disjoint; the scoped join keeps
-            // `out` borrowed until every chunk returns.
-            let crows = unsafe { ptr.slice(i0 * n..(i0 + mr) * n) };
-            let (mut av, mut abase, mut astride) = if a_direct {
-                (a.data, a.at(i0, 0), a.rs as usize)
-            } else {
-                abuf.resize(mr * k, 0.0);
-                for ii in 0..mr {
-                    for (kk, dst) in abuf[ii * k..(ii + 1) * k].iter_mut().enumerate() {
-                        *dst = a.data[a.at(i0 + ii, kk)];
-                    }
-                }
-                (abuf.as_slice(), 0, k)
-            };
+        for u in units {
+            let (rows, cols) = t.unit(u);
+            let (i0, mr) = (rows.start, rows.len());
             // Partial tail blocks (mr < MR) are zero-padded up to MR rows
             // so the FMA tile handles them too. Without this, a row's
             // rounding path would depend on whether it lands in a full or
@@ -254,32 +391,57 @@ fn gemm_into(
             // M-independent; the padded rows' accumulators are discarded
             // by the `take(mr)` write-back below.
             let padded = fma && mr < MR;
-            if padded {
-                padbuf.clear();
-                padbuf.resize(MR * k, 0.0);
-                for ii in 0..mr {
-                    padbuf[ii * k..(ii + 1) * k]
-                        .copy_from_slice(&av[abase + ii * astride..abase + ii * astride + k]);
+            let (av, abase, astride) = if a_direct && !padded {
+                (a.data, a.at(i0, 0), a.rs as usize)
+            } else {
+                abuf.clear();
+                abuf.resize(if fma { MR } else { mr } * k, 0.0);
+                for (ii, dst) in abuf.chunks_exact_mut(k).take(mr).enumerate() {
+                    if a_direct {
+                        let src = a.at(i0 + ii, 0);
+                        dst.copy_from_slice(&a.data[src..src + k]);
+                    } else {
+                        for (kk, d) in dst.iter_mut().enumerate() {
+                            *d = a.data[a.at(i0 + ii, kk)];
+                        }
+                    }
                 }
-                (av, abase, astride) = (padbuf.as_slice(), 0, k);
-            }
-            for (p, panel) in packed.chunks_exact(k * NR).enumerate() {
+                (abuf.as_slice(), 0, k)
+            };
+            for p in cols.start / NR..cols.end.div_ceil(NR) {
+                let panel = &packed[p * k * NR..(p + 1) * k * NR];
                 let j0 = p * NR;
                 let w = NR.min(n - j0);
+                // SAFETY (every tile_fma call): feature bits checked by
+                // fma_tile_available; a full (or zero-padded) block has MR
+                // complete k-contiguous A rows spaced astride apart
+                // starting at av[abase]. A full tile's MR x NR window of
+                // `out` lies inside this unit, which no other chunk
+                // writes, and the scoped join keeps `out` borrowed until
+                // every chunk returns.
+                #[cfg(target_arch = "x86_64")]
+                if fma && mr == MR && w == NR {
+                    let out = TileOut::Direct {
+                        c: unsafe { ptr.0.add(i0 * n + j0) },
+                        ldc: n,
+                        bias: bias.map(|bs| &bs[j0..j0 + NR]),
+                    };
+                    unsafe { tile_fma(&av[abase..], astride, k, panel, out) };
+                    continue;
+                }
                 let mut acc = [[0.0f32; NR]; MR];
                 match () {
-                    // SAFETY: feature bits checked by fma_tile_available;
-                    // a full (or zero-padded) block has MR complete
-                    // k-contiguous A rows spaced astride apart starting
-                    // at av[abase].
                     #[cfg(target_arch = "x86_64")]
-                    () if fma && (mr == MR || padded) => unsafe {
-                        tile_fma(&av[abase..], astride, k, panel, &mut acc)
+                    () if fma => unsafe {
+                        tile_fma(&av[abase..], astride, k, panel, TileOut::Scratch(&mut acc))
                     },
                     _ => tile_portable(av, abase, astride, mr, k, panel, &mut acc),
                 }
                 for (ii, accr) in acc.iter().enumerate().take(mr) {
-                    let dst = &mut crows[ii * n + j0..ii * n + j0 + w];
+                    // SAFETY: units are disjoint rectangles of the
+                    // output; the scoped join keeps `out` borrowed until
+                    // every chunk returns.
+                    let dst = unsafe { ptr.slice((i0 + ii) * n + j0..(i0 + ii) * n + j0 + w) };
                     match bias {
                         Some(bs) => {
                             for (d, (&a, &b)) in
@@ -330,10 +492,11 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             op: "matmul",
         });
     }
+    let (am, bm) = (Mat::of(a, "matmul")?, Mat::of(b, "matmul")?);
     let mut packed = vec![0.0f32; packed_len(k, n)];
-    pack_b_mat(Mat::of(b), k, n, &mut packed);
+    pack_b_mat(bm, k, n, &mut packed);
     let mut out = vec![0.0f32; m * n];
-    gemm_into(Mat::of(a), m, k, n, &packed, None, &mut out);
+    gemm_into(am, m, k, n, &packed, None, &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -370,8 +533,8 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             op: "matmul",
         });
     }
-    let av = a.storage_f32().expect("f32 gemm operand");
-    let bv = b.storage_f32().expect("f32 gemm operand");
+    let av = f32_storage(a, "bmm")?;
+    let bv = f32_storage(b, "bmm")?;
     // one packed-panel buffer reused across the batch, one flat output:
     // no per-batch select/unsqueeze/cat traffic. Batch slices are plain
     // stride walks, so attention's `bmm(q, k^T)` on permuted views packs
@@ -467,8 +630,10 @@ pub(crate) fn linear_impl(
                 op: "linear",
             });
         }
+        require_f32(b, "linear")?;
     }
-    let rows = x.numel() / x_in;
+    require_f32(x, "linear")?;
+    let rows: usize = x.shape()[..x.rank() - 1].iter().product();
     // Flatten leading dims into a rank-2 view: stride-compatible layouts
     // (including the contiguous case and attention's permuted prologues at
     // batch 1) stay zero-copy; only genuinely incompatible layouts fall
@@ -477,7 +642,7 @@ pub(crate) fn linear_impl(
     // B is `w` (GPT-2's [in, out]) or `w^T` ([out, in]); either is just a
     // stride assignment over the same storage — no transpose copy, and a
     // permuted weight view packs directly too.
-    let wv = w.storage_f32().expect("f32 linear weight");
+    let wv = f32_storage(w, "linear")?;
     let (brs, bcs) = if w_in_out {
         (w.strides()[0], w.strides()[1])
     } else {
@@ -500,7 +665,15 @@ pub(crate) fn linear_impl(
         None => None,
     };
     let mut out = vec![0.0f32; rows * out_f];
-    gemm_into(Mat::of(&x2), rows, in_f, out_f, &packed, bs, &mut out);
+    gemm_into(
+        Mat::of(&x2, "linear")?,
+        rows,
+        in_f,
+        out_f,
+        &packed,
+        bs,
+        &mut out,
+    );
     let mut out_shape = x.shape().to_vec();
     *out_shape.last_mut().expect("nonempty") = out_f;
     Tensor::from_vec(out, &out_shape)
@@ -527,24 +700,14 @@ pub fn conv1d_gpt2(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Result<Tens
     linear_impl(x, w, bias, true)
 }
 
-/// 2-D convolution on NCHW input via im2col + GEMM.
-///
-/// `x: [N, C, H, W]`, `w: [F, C/groups, KH, KW]`, optional `bias: [F]`.
-/// Supports stride, zero padding, and grouped convolution (depthwise when
-/// `groups == C`).
-///
-/// # Errors
-///
-/// Fails on rank or channel mismatches, zero stride, or when `groups` does
-/// not divide both `C` and `F`.
-pub fn conv2d(
+/// Validates a conv2d's operand shapes and returns its output `(oh, ow)`.
+fn conv2d_out_hw(
     x: &Tensor,
     w: &Tensor,
-    bias: Option<&Tensor>,
     stride: usize,
     padding: usize,
     groups: usize,
-) -> Result<Tensor> {
+) -> Result<(usize, usize)> {
     if x.rank() != 4 || w.rank() != 4 {
         return Err(TensorError::InvalidArgument(
             "conv2d requires NCHW x and FCHW w".into(),
@@ -555,120 +718,342 @@ pub fn conv2d(
             "conv2d stride/groups must be nonzero".into(),
         ));
     }
-    let (n, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (c, h, wd) = (x.shape()[1], x.shape()[2], x.shape()[3]);
     let (f, cg, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
     if c % groups != 0 || f % groups != 0 || cg != c / groups {
         return Err(TensorError::ShapeMismatch {
-            expected: vec![f, c / groups.max(1), kh, kw],
+            expected: vec![f, c / groups, kh, kw],
             actual: w.shape().to_vec(),
             op: "conv2d",
         });
     }
-    let oh = (h + 2 * padding)
-        .checked_sub(kh)
-        .map(|v| v / stride + 1)
-        .ok_or_else(|| {
-            TensorError::InvalidArgument("conv2d kernel larger than padded input".into())
-        })?;
-    let ow = (wd + 2 * padding)
-        .checked_sub(kw)
-        .map(|v| v / stride + 1)
-        .ok_or_else(|| {
-            TensorError::InvalidArgument("conv2d kernel larger than padded input".into())
-        })?;
+    let out_dim = |input: usize, kernel: usize| {
+        (input + 2 * padding)
+            .checked_sub(kernel)
+            .map(|v| v / stride + 1)
+            .ok_or_else(|| {
+                TensorError::InvalidArgument("conv2d kernel larger than padded input".into())
+            })
+    };
+    Ok((out_dim(h, kh)?, out_dim(wd, kw)?))
+}
 
-    // im2col gathers element-wise anyway, so it reads the input through
-    // its strides directly — a sliced/permuted NCHW view never
-    // materializes. (Weights keep a declared contiguous() fallback: they
-    // are dense in every flow, making it a free clone.)
-    let xs = x.storage_f32().expect("f32 conv2d input");
-    let xbase = x.storage_offset() as isize;
-    let (xs0, xs1, xs2, xs3) = (
-        x.strides()[0],
-        x.strides()[1],
-        x.strides()[2],
-        x.strides()[3],
-    );
-    let wc = w.contiguous();
-    let wv = wc.as_slice_f32().expect("contiguous f32");
-    let fg = f / groups;
-    let cols_rows = cg * kh * kw;
-    let cols_cols = n * oh * ow;
-    let mut out = vec![0.0f32; n * f * oh * ow];
+/// How [`conv2d`] lowers a convolution, a pure function of its shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConvLowering {
+    /// One input and one output channel per group: the direct row kernel
+    /// over the output rows of [`conv2d_rows`].
+    Depthwise,
+    /// Per image and group: im2col into the packed panels of a `[k, n]` B
+    /// operand ([`packed_panels`]), then a `[m, k] @ [k, n]` GEMM writing
+    /// that image's output channels of the group.
+    Im2col {
+        /// Output channels per group.
+        m: usize,
+        /// Reduction length: input channels per group × kernel taps.
+        k: usize,
+        /// Output columns: `oh·ow`.
+        n: usize,
+    },
+}
 
-    // im2col, packed-panel, and GEMM-output buffers are allocated once
-    // and reused across groups; the im2col pass writes every element
-    // (padding positions included), so no re-zeroing is needed.
-    let mut cols = vec![0.0f32; cols_rows * cols_cols];
-    let mut packed = vec![0.0f32; packed_len(cols_rows, cols_cols)];
-    let mut y = vec![0.0f32; fg * cols_cols];
-    for g in 0..groups {
-        // im2col for this group: [cg*kh*kw, N*oh*ow], chunk-parallel by
-        // row (each row is one (channel, ky, kx) tap — disjoint writes)
-        parallel::par_rows_out(&mut cols, cols_rows, cols_cols, |first_row, win| {
-            for (r, rowbuf) in win.chunks_exact_mut(cols_cols.max(1)).enumerate() {
-                let row = first_row + r;
-                let kx = row % kw;
-                let ky = (row / kw) % kh;
-                let cc = row / (kh * kw);
-                let ch = g * cg + cc;
-                for b in 0..n {
-                    for oy in 0..oh {
-                        let dst = &mut rowbuf[(b * oh + oy) * ow..(b * oh + oy + 1) * ow];
-                        let iy = oy * stride + ky;
-                        if iy < padding || iy >= h + padding {
-                            dst.fill(0.0);
-                            continue;
-                        }
-                        let iy = iy - padding;
-                        let row = xbase + b as isize * xs0 + ch as isize * xs1 + iy as isize * xs2;
-                        if xs3 == 1 {
-                            let src = &xs[row as usize..row as usize + wd];
-                            for (ox, d) in dst.iter_mut().enumerate() {
-                                let ix = ox * stride + kx;
-                                *d = if ix < padding || ix >= wd + padding {
-                                    0.0
-                                } else {
-                                    src[ix - padding]
-                                };
-                            }
-                        } else {
-                            for (ox, d) in dst.iter_mut().enumerate() {
-                                let ix = ox * stride + kx;
-                                *d = if ix < padding || ix >= wd + padding {
-                                    0.0
-                                } else {
-                                    xs[(row + (ix - padding) as isize * xs3) as usize]
-                                };
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        // weights for this group are a contiguous [fg, cg*kh*kw] slice
-        let wg = Mat {
-            data: wv,
-            base: g * fg * cols_rows,
-            rs: cols_rows as isize,
-            cs: 1,
-        };
-        let colm = Mat {
-            data: &cols,
-            base: 0,
-            rs: cols_cols as isize,
-            cs: 1,
-        };
-        pack_b_mat(colm, cols_rows, cols_cols, &mut packed);
-        gemm_into(wg, fg, cols_rows, cols_cols, &packed, None, &mut y); // [fg, N*oh*ow]
-        for ff in 0..fg {
-            for b in 0..n {
-                let src = &y[ff * cols_cols + b * oh * ow..ff * cols_cols + (b + 1) * oh * ow];
-                out[((b * f + g * fg + ff) * oh * ow)..][..oh * ow].copy_from_slice(src);
+/// The lowering [`conv2d`] dispatches for output `[N, F, oh, ow]`, weight
+/// `[F, C/groups, KH, KW]` and `groups`. Exposed so `ngb-sanitize` can
+/// certify the partitions of the path `conv2d` actually takes.
+pub fn conv2d_lowering(out: [usize; 4], w: [usize; 4], groups: usize) -> ConvLowering {
+    let [_, f, oh, ow] = out;
+    let [_, cg, kh, kw] = w;
+    if cg == 1 && f == groups {
+        ConvLowering::Depthwise
+    } else {
+        ConvLowering::Im2col {
+            m: f / groups.max(1),
+            k: cg * kh * kw,
+            n: oh * ow,
+        }
+    }
+}
+
+/// The `(rows, row_len)` split the depthwise kernel and the bias pass fan
+/// out over for a conv2d output `[N, F, oh, ow]`: `N·F·oh` rows of `ow`.
+/// Exposed so `ngb-sanitize` can certify it.
+pub fn conv2d_rows(out: [usize; 4]) -> (usize, usize) {
+    let [n, f, oh, ow] = out;
+    (n * f * oh, ow)
+}
+
+/// An NCHW f32 input view and the convolution window slid over it.
+struct ConvInput<'a> {
+    xs: &'a [f32],
+    base: isize,
+    strides: [isize; 4],
+    c: usize,
+    h: usize,
+    w: usize,
+    stride: usize,
+    pad: usize,
+    kh: usize,
+    kw: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl ConvInput<'_> {
+    /// Storage offset of input row `iy` of channel `ch` in image `b`.
+    fn row(&self, b: usize, ch: usize, iy: usize) -> isize {
+        let [s0, s1, s2, _] = self.strides;
+        self.base + b as isize * s0 + ch as isize * s1 + iy as isize * s2
+    }
+
+    /// Writes `dst.len()` input elements of one row, starting at input
+    /// column `ix0` and stepping `step` columns, as a copy when both the
+    /// step and the row are unit-stride.
+    fn copy_row(&self, row: isize, ix0: usize, step: usize, dst: &mut [f32]) {
+        let s3 = self.strides[3];
+        if step == 1 && s3 == 1 {
+            let start = (row + ix0 as isize) as usize;
+            dst.copy_from_slice(&self.xs[start..start + dst.len()]);
+        } else {
+            for (t, d) in dst.iter_mut().enumerate() {
+                *d = self.xs[(row + (ix0 + t * step) as isize * s3) as usize];
             }
         }
     }
-    let mut y = Tensor::from_vec(out, &[n, f, oh, ow])?;
+
+    /// Fills one packed panel — output columns `j0..j0 + NR` of the
+    /// `[cg·kh·kw, oh·ow]` im2col matrix of channels `ch0..ch0 + cg` in
+    /// image `b` — in `[k][NR]` order. The panel's columns split into runs
+    /// that lie in one output row; each tap copies whole runs, with zeros
+    /// where the window hangs over the padding and in lanes past the last
+    /// column.
+    fn fill_panel(&self, b: usize, ch0: usize, j0: usize, dst: &mut [f32]) {
+        let (s, pad, ow) = (self.stride, self.pad, self.ow);
+        let w = NR.min(self.oh * ow - j0);
+        // (first lane, output row, first output column, length)
+        let mut runs = [(0usize, 0usize, 0usize, 0usize); NR];
+        let mut nruns = 0;
+        let mut j = j0;
+        while j < j0 + w {
+            let (oy, ox) = (j / ow, j % ow);
+            let len = (ow - ox).min(j0 + w - j);
+            runs[nruns] = (j - j0, oy, ox, len);
+            nruns += 1;
+            j += len;
+        }
+        let channels = dst.len() / (NR * self.kh * self.kw);
+        let mut lanes = dst.chunks_exact_mut(NR);
+        for ch in ch0..ch0 + channels {
+            for ky in 0..self.kh {
+                for kx in 0..self.kw {
+                    let Some(lane) = lanes.next() else { return };
+                    // output columns whose tap lands inside the input row
+                    let ox_lo = pad.saturating_sub(kx).div_ceil(s);
+                    let ox_hi = (self.w + pad)
+                        .checked_sub(kx + 1)
+                        .map_or(0, |v| v / s + 1)
+                        .min(ow);
+                    for &(l, oy, ox, len) in &runs[..nruns] {
+                        let seg = &mut lane[l..l + len];
+                        let iy = oy * s + ky;
+                        if iy < pad || iy >= self.h + pad {
+                            seg.fill(0.0);
+                            continue;
+                        }
+                        let lo = ox_lo.clamp(ox, ox + len);
+                        let hi = ox_hi.clamp(lo, ox + len);
+                        let (head, rest) = seg.split_at_mut(lo - ox);
+                        let (mid, tail) = rest.split_at_mut(hi - lo);
+                        head.fill(0.0);
+                        tail.fill(0.0);
+                        if !mid.is_empty() {
+                            self.copy_row(self.row(b, ch, iy - pad), lo * s + kx - pad, s, mid);
+                        }
+                    }
+                    lane[w..].fill(0.0);
+                }
+            }
+        }
+    }
+
+    /// Writes `nrows` zero-padded input rows of channel `ch` in image `b`,
+    /// starting at padded row `pr0`, into `buf`. Each padded row is stored
+    /// as `stride` phases of `phase_len` elements (phase `q` holds padded
+    /// columns `q, q + stride, …`), so every tap of a strided window reads
+    /// a unit-stride run.
+    fn fill_window(
+        &self,
+        b: usize,
+        ch: usize,
+        pr0: usize,
+        nrows: usize,
+        phase_len: usize,
+        buf: &mut Vec<f32>,
+    ) {
+        let (s, pad) = (self.stride, self.pad);
+        let row_len = s * phase_len;
+        buf.resize(nrows * row_len, 0.0);
+        for (r, dst) in buf.chunks_exact_mut(row_len).enumerate() {
+            let pr = pr0 + r;
+            if pr < pad || pr >= self.h + pad {
+                dst.fill(0.0);
+                continue;
+            }
+            let row = self.row(b, ch, pr - pad);
+            for (q, phase) in dst.chunks_exact_mut(phase_len).enumerate() {
+                // padded columns q + t*s: zeros left of the input, the
+                // input row, zeros right of it
+                let lo = pad.saturating_sub(q).div_ceil(s).min(phase_len);
+                let hi = (self.w + pad)
+                    .checked_sub(q + 1)
+                    .map_or(0, |v| v / s + 1)
+                    .clamp(lo, phase_len);
+                phase[..lo].fill(0.0);
+                phase[hi..].fill(0.0);
+                if hi > lo {
+                    self.copy_row(row, lo * s + q - pad, s, &mut phase[lo..hi]);
+                }
+            }
+        }
+    }
+}
+
+/// One depthwise output row: `out[ox]` accumulates `w[t] * x_t[ox]` over
+/// ascending taps `t`, where `x_t` starts at `base[offs[t]]` — the same
+/// single accumulator, in the same order and with the same zero-padding
+/// terms, as the im2col GEMM it replaces.
+fn depthwise_row(base: &[f32], offs: &[usize], wt: &[f32], out: &mut [f32]) {
+    assert!(offs.iter().all(|&o| o + out.len() <= base.len()));
+    #[cfg(target_arch = "x86_64")]
+    if fma_tile_available() {
+        // SAFETY: feature bits checked by fma_tile_available; every tap's
+        // run is in bounds (asserted above).
+        unsafe { depthwise_row_fma(base, offs, wt, out) };
+        return;
+    }
+    out.fill(0.0);
+    let ow = out.len();
+    for (&o, &wk) in offs.iter().zip(wt) {
+        for (d, &v) in out.iter_mut().zip(&base[o..o + ow]) {
+            *d += wk * v;
+        }
+    }
+}
+
+/// AVX2+FMA body of [`depthwise_row`]: 32 lanes in four YMM accumulators,
+/// then 8 lanes, then a scalar fused multiply-add tail.
+///
+/// # Safety
+///
+/// Caller must check [`fma_tile_available`] and that
+/// `offs[t] + out.len() <= base.len()` for every tap `t`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn depthwise_row_fma(base: &[f32], offs: &[usize], wt: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let (bp, op, ow) = (base.as_ptr(), out.as_mut_ptr(), out.len());
+    let mut ox = 0;
+    while ox + 32 <= ow {
+        let mut c0 = _mm256_setzero_ps();
+        let mut c1 = _mm256_setzero_ps();
+        let mut c2 = _mm256_setzero_ps();
+        let mut c3 = _mm256_setzero_ps();
+        for (&o, &wk) in offs.iter().zip(wt) {
+            let (wv, p) = (_mm256_set1_ps(wk), bp.add(o + ox));
+            c0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(p), c0);
+            c1 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(p.add(8)), c1);
+            c2 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(p.add(16)), c2);
+            c3 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(p.add(24)), c3);
+        }
+        _mm256_storeu_ps(op.add(ox), c0);
+        _mm256_storeu_ps(op.add(ox + 8), c1);
+        _mm256_storeu_ps(op.add(ox + 16), c2);
+        _mm256_storeu_ps(op.add(ox + 24), c3);
+        ox += 32;
+    }
+    while ox + 8 <= ow {
+        let mut c0 = _mm256_setzero_ps();
+        for (&o, &wk) in offs.iter().zip(wt) {
+            c0 = _mm256_fmadd_ps(_mm256_set1_ps(wk), _mm256_loadu_ps(bp.add(o + ox)), c0);
+        }
+        _mm256_storeu_ps(op.add(ox), c0);
+        ox += 8;
+    }
+    for ox in ox..ow {
+        let mut acc = 0.0f32;
+        for (&o, &wk) in offs.iter().zip(wt) {
+            acc = wk.mul_add(*bp.add(o + ox), acc);
+        }
+        *op.add(ox) = acc;
+    }
+}
+
+/// Depthwise convolution (one input and one output channel per group):
+/// output rows fan out across chunks; each chunk copies the zero-padded
+/// input window of a plane once and runs [`depthwise_row`] per output row.
+fn conv2d_depthwise(x: &ConvInput<'_>, n: usize, wv: &[f32], out: &mut [f32]) {
+    let (s, kh, kw, oh, ow) = (x.stride, x.kh, x.kw, x.oh, x.ow);
+    let taps = kh * kw;
+    let phase_len = (x.w + 2 * x.pad).div_ceil(s);
+    // tap (ky, kx) reads phase kx % s of padded row oy*s + ky, from
+    // element ox + kx / s on
+    let offs: Vec<usize> = (0..taps)
+        .map(|t| {
+            let (ky, kx) = (t / kw, t % kw);
+            (ky * s + kx % s) * phase_len + kx / s
+        })
+        .collect();
+    let (rows, row_len) = conv2d_rows([n, x.c, oh, ow]);
+    parallel::par_rows_out(out, rows, row_len, |r0, win| {
+        let mut buf = Vec::new();
+        let rows = win.len() / ow;
+        let mut done = 0;
+        while done < rows {
+            let (plane, oy0) = ((r0 + done) / oh, (r0 + done) % oh);
+            let cnt = (oh - oy0).min(rows - done);
+            let ch = plane % x.c;
+            x.fill_window(
+                plane / x.c,
+                ch,
+                oy0 * s,
+                (cnt - 1) * s + kh,
+                phase_len,
+                &mut buf,
+            );
+            let wt = &wv[ch * taps..(ch + 1) * taps];
+            let orows = win[done * ow..(done + cnt) * ow].chunks_exact_mut(ow);
+            for (i, orow) in orows.enumerate() {
+                depthwise_row(&buf[i * s * s * phase_len..], &offs, wt, orow);
+            }
+            done += cnt;
+        }
+    });
+}
+
+/// 2-D convolution on NCHW input via im2col + GEMM, or a direct row
+/// kernel for depthwise convolutions ([`conv2d_lowering`]).
+///
+/// `x: [N, C, H, W]`, `w: [F, C/groups, KH, KW]`, optional `bias: [F]`.
+/// Supports stride, zero padding, and grouped convolution (depthwise when
+/// `groups == C == F`). Every output element is one accumulator over
+/// ascending `(channel, ky, kx)`, so both lowerings are bit-identical to
+/// `matmul(w_g, im2col(x))`.
+///
+/// # Errors
+///
+/// Fails on rank or channel mismatches, zero stride, a kernel larger than
+/// the padded input, a bias that is not `[F]`, non-f32 operands, or when
+/// `groups` does not divide both `C` and `F`.
+pub fn conv2d(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    stride: usize,
+    padding: usize,
+    groups: usize,
+) -> Result<Tensor> {
+    let (oh, ow) = conv2d_out_hw(x, w, stride, padding, groups)?;
+    let (n, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (f, cg, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
     if let Some(bt) = bias {
         if bt.shape() != [f] {
             return Err(TensorError::ShapeMismatch {
@@ -677,10 +1062,71 @@ pub fn conv2d(
                 op: "conv2d",
             });
         }
-        let b4 = bt.reshape(&[1, f, 1, 1])?;
-        y = y.zip_map(&b4, |a, c| a + c)?;
+        require_f32(bt, "conv2d")?;
     }
-    Ok(y)
+    require_f32(w, "conv2d")?;
+    // The input is read through its strides, so a sliced/permuted NCHW
+    // view never materializes. (Weights keep a declared contiguous()
+    // fallback: they are dense in every flow, making it a free clone.)
+    let st = x.strides();
+    let input = ConvInput {
+        xs: f32_storage(x, "conv2d")?,
+        base: x.storage_offset() as isize,
+        strides: [st[0], st[1], st[2], st[3]],
+        c,
+        h,
+        w: wd,
+        stride,
+        pad: padding,
+        kh,
+        kw,
+        oh,
+        ow,
+    };
+    let wc = w.contiguous();
+    let wv = &f32_storage(&wc, "conv2d")?[wc.storage_offset()..];
+    let mut out = vec![0.0f32; n * f * oh * ow];
+
+    match conv2d_lowering([n, f, oh, ow], [f, cg, kh, kw], groups) {
+        ConvLowering::Depthwise => conv2d_depthwise(&input, n, wv, &mut out),
+        ConvLowering::Im2col { m: fg, k, n: cols } => {
+            // The packed panels are allocated once and reused; im2col
+            // writes every lane, padding and tails included. Output
+            // channels g·fg.. of image b are the [fg, oh·ow] rows its
+            // GEMM computes, contiguous in `out`.
+            let mut packed = vec![0.0f32; packed_len(k, cols)];
+            for b in 0..n {
+                for g in 0..groups {
+                    fill_panels(k, cols, &mut packed, |j0, dst| {
+                        input.fill_panel(b, g * cg, j0, dst)
+                    });
+                    // weights for this group are a contiguous [fg, k] slice
+                    let wg = Mat {
+                        data: wv,
+                        base: g * fg * k,
+                        rs: k as isize,
+                        cs: 1,
+                    };
+                    let c0 = (b * f + g * fg) * cols;
+                    let gout = &mut out[c0..c0 + fg * cols];
+                    gemm_into(wg, fg, k, cols, &packed, None, gout);
+                }
+            }
+        }
+    }
+    if let Some(bt) = bias {
+        let bs = crate::param_f32(bt);
+        let (rows, row_len) = conv2d_rows([n, f, oh, ow]);
+        parallel::par_rows_out(&mut out, rows, row_len, |r0, win| {
+            for (i, row) in win.chunks_exact_mut(ow).enumerate() {
+                let b = bs[(r0 + i) / oh % f];
+                for v in row {
+                    *v += b;
+                }
+            }
+        });
+    }
+    Tensor::from_vec(out, &[n, f, oh, ow])
 }
 
 /// Direct (sliding-window) conv2d used as a numerical oracle for the
@@ -697,15 +1143,9 @@ pub fn conv2d_direct(
     padding: usize,
     groups: usize,
 ) -> Result<Tensor> {
-    let (n, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (oh, ow) = conv2d_out_hw(x, w, stride, padding, groups)?;
+    let (n, h, wd) = (x.shape()[0], x.shape()[2], x.shape()[3]);
     let (f, cg, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-    if stride == 0 || groups == 0 || c % groups != 0 || f % groups != 0 || cg != c / groups {
-        return Err(TensorError::InvalidArgument(
-            "conv2d_direct invalid configuration".into(),
-        ));
-    }
-    let oh = (h + 2 * padding - kh) / stride + 1;
-    let ow = (wd + 2 * padding - kw) / stride + 1;
     let fg = f / groups;
     let mut out = Tensor::zeros(&[n, f, oh, ow]);
     for b in 0..n {
@@ -889,6 +1329,236 @@ mod tests {
         assert!(conv2d(&x, &w, None, 0, 0, 1).is_err());
         assert!(conv2d(&x, &Tensor::zeros(&[4, 2, 3, 3]), None, 1, 0, 1).is_err());
         assert!(conv2d(&x, &w, Some(&Tensor::zeros(&[5])), 1, 0, 1).is_err());
+    }
+
+    /// The bits of `c = a @ b` under the accumulation contract: one
+    /// accumulator per element over ascending `k`, fused multiply-add
+    /// where the host's tile uses it.
+    fn reference_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<u32> {
+        let fma = fma_tile_available();
+        let mut c = Vec::with_capacity(m * n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    let (x, y) = (a[i * k + kk], b[kk * n + j]);
+                    acc = if fma { x.mul_add(y, acc) } else { acc + x * y };
+                }
+                c.push(acc.to_bits());
+            }
+        }
+        c
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec_f32()
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// `conv2d` through `matmul(w_g, im2col_g(x))` per group, with a
+    /// test-local im2col, then `+ bias` as its own pass.
+    fn conv2d_via_matmul(
+        x: &Tensor,
+        w: &Tensor,
+        bias: Option<&Tensor>,
+        stride: usize,
+        padding: usize,
+        groups: usize,
+    ) -> Vec<u32> {
+        let [n, c, h, wd] = x.shape()[..] else {
+            panic!("NCHW")
+        };
+        let [f, cg, kh, kw] = w.shape()[..] else {
+            panic!("FCHW")
+        };
+        let (oh, ow) = (
+            conv_out_dim(h, kh, stride, padding),
+            conv_out_dim(wd, kw, stride, padding),
+        );
+        let (fg, k, cols) = (f / groups, cg * kh * kw, n * oh * ow);
+        assert_eq!(c, cg * groups);
+        let mut out = vec![0.0f32; n * f * oh * ow];
+        for g in 0..groups {
+            let mut col = vec![0.0f32; k * cols];
+            for cc in 0..cg {
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        let row = (cc * kh + ky) * kw + kx;
+                        for b in 0..n {
+                            for oy in 0..oh {
+                                for ox in 0..ow {
+                                    let (iy, ix) = (oy * stride + ky, ox * stride + kx);
+                                    if iy < padding || ix < padding {
+                                        continue;
+                                    }
+                                    let (iy, ix) = (iy - padding, ix - padding);
+                                    if iy < h && ix < wd {
+                                        col[row * cols + (b * oh + oy) * ow + ox] =
+                                            x.at(&[b, g * cg + cc, iy, ix]).unwrap();
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let wg = w
+                .narrow(0, g * fg, fg)
+                .unwrap()
+                .contiguous()
+                .reshape(&[fg, k])
+                .unwrap();
+            let y = matmul(&wg, &Tensor::from_vec(col, &[k, cols]).unwrap()).unwrap();
+            let yv = y.to_vec_f32().unwrap();
+            for ff in 0..fg {
+                for b in 0..n {
+                    let bv = bias.map_or(0.0, |bt| bt.at(&[g * fg + ff]).unwrap());
+                    for p in 0..oh * ow {
+                        let v = yv[ff * cols + b * oh * ow + p];
+                        out[(b * f + g * fg + ff) * oh * ow + p] =
+                            if bias.is_some() { v + bv } else { v };
+                    }
+                }
+            }
+        }
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn conv2d_is_bit_identical_to_im2col_matmul() {
+        let mut rng = TensorRng::seed(11);
+        // (x shape, w shape, stride, padding, groups, bias, permuted x)
+        type Case = ([usize; 4], [usize; 4], usize, usize, usize, bool, bool);
+        let cases: &[Case] = &[
+            ([1, 8, 5, 6], [12, 8, 1, 1], 1, 0, 1, true, false), // 1x1, ow < NR
+            ([1, 6, 9, 37], [8, 6, 3, 3], 1, 1, 1, true, false), // 3x3 s1 p1, ow > NR
+            ([1, 5, 11, 9], [7, 5, 3, 3], 2, 0, 1, false, false), // 3x3 s2
+            ([1, 5, 12, 40], [6, 5, 3, 3], 2, 1, 1, true, false), // 3x3 s2 p1
+            ([1, 3, 20, 21], [8, 3, 7, 7], 2, 3, 1, true, false), // 7x7 s2 p3
+            ([1, 6, 9, 45], [6, 1, 3, 3], 1, 1, 6, false, false), // depthwise
+            ([1, 6, 9, 45], [6, 1, 3, 3], 1, 1, 6, true, false), // depthwise + bias
+            ([1, 4, 13, 70], [4, 1, 3, 3], 2, 1, 4, true, false), // depthwise s2
+            ([1, 8, 7, 7], [6, 4, 3, 3], 1, 1, 2, true, false),  // groups = 2
+            ([2, 4, 7, 7], [6, 4, 3, 3], 1, 1, 1, true, false),  // batch 2
+            ([2, 4, 7, 19], [4, 1, 3, 3], 1, 1, 4, true, false), // batch 2 depthwise
+            ([1, 6, 9, 10], [8, 6, 3, 3], 1, 1, 1, true, true),  // permuted x
+            ([1, 6, 9, 40], [6, 1, 3, 3], 2, 1, 6, false, true), // permuted x, depthwise
+            ([1, 16, 64, 64], [16, 16, 3, 3], 1, 1, 1, true, false), // many chunks
+            ([1, 16, 64, 64], [16, 1, 3, 3], 1, 1, 16, true, false), // many chunks
+        ];
+        for &(xs, ws, stride, padding, groups, with_bias, permuted) in cases {
+            let x = if permuted {
+                // a [N, H, C, W] tensor viewed as NCHW, with W as the
+                // innermost dim of neither the storage nor the view
+                rng.normal(&[xs[0], xs[3], xs[1], xs[2]])
+                    .permute(&[0, 2, 3, 1])
+                    .unwrap()
+            } else {
+                rng.normal(&xs)
+            };
+            assert_eq!(x.shape(), xs);
+            let w = rng.normal(&ws);
+            let b = rng.normal(&[ws[0]]);
+            let bias = with_bias.then_some(&b);
+            let want = conv2d_via_matmul(&x, &w, bias, stride, padding, groups);
+            let serial = conv2d(&x, &w, bias, stride, padding, groups).unwrap();
+            let chunked = parallel::test_runner::with_test_runner(2, || {
+                conv2d(&x, &w, bias, stride, padding, groups).unwrap()
+            });
+            let case = format!("x {xs:?} w {ws:?} s{stride} p{padding} g{groups}");
+            assert!(bits(&serial) == want, "serial conv2d differs: {case}");
+            assert!(bits(&chunked) == want, "chunked conv2d differs: {case}");
+        }
+    }
+
+    #[test]
+    fn matmul_ragged_tiles_are_bit_identical_to_the_reference() {
+        let mut rng = TensorRng::seed(12);
+        // m % 4 != 0 and n % 16 != 0; then several chunks of one panel
+        // group, and several chunks over five panel groups
+        for (m, k, n) in [(7, 33, 45), (1, 5, 3), (1_001, 33, 45), (258, 1_500, 150)] {
+            let a = rng.normal(&[m, k]);
+            let b = rng.normal(&[k, n]);
+            let want =
+                reference_matmul(&a.to_vec_f32().unwrap(), &b.to_vec_f32().unwrap(), m, k, n);
+            let serial = matmul(&a, &b).unwrap();
+            let chunked = parallel::test_runner::with_test_runner(2, || matmul(&a, &b).unwrap());
+            assert!(bits(&serial) == want, "serial {m}x{k}x{n}");
+            assert!(bits(&chunked) == want, "chunked {m}x{k}x{n}");
+            // a Linear adds its bias to the finished accumulator, in full
+            // tiles and partial ones alike
+            let w = b.transpose(0, 1).unwrap().contiguous();
+            let bias = rng.normal(&[n]);
+            let bv = bias.to_vec_f32().unwrap();
+            let want: Vec<u32> = want
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (f32::from_bits(c) + bv[i % n]).to_bits())
+                .collect();
+            let y = linear(&a, &w, Some(&bias)).unwrap();
+            assert!(bits(&y) == want, "linear {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn gemm_entry_points_reject_non_f32_operands() {
+        let f = Tensor::zeros(&[2, 2]);
+        let i = Tensor::from_i64(vec![1, 2, 3, 4], &[2, 2]).unwrap();
+        let dtype = |r: Result<Tensor>| matches!(r, Err(TensorError::DTypeMismatch { .. }));
+        assert!(dtype(matmul(&i, &f)));
+        assert!(dtype(matmul(&f, &i)));
+        let (f3, i3) = (
+            f.reshape(&[1, 2, 2]).unwrap(),
+            i.reshape(&[1, 2, 2]).unwrap(),
+        );
+        assert!(dtype(bmm(&i3, &f3)));
+        assert!(dtype(bmm(&f3, &i3)));
+        assert!(dtype(linear(&i, &f, None)));
+        assert!(dtype(linear(&f, &i, None)));
+        let ib = Tensor::from_i64(vec![1, 2], &[2]).unwrap();
+        assert!(dtype(linear(&f, &f, Some(&ib))));
+        assert!(dtype(conv1d_gpt2(&i, &f, None)));
+        let (x, w) = (Tensor::zeros(&[1, 2, 3, 3]), Tensor::zeros(&[2, 2, 1, 1]));
+        let ix = Tensor::from_i64(vec![0; 18], &[1, 2, 3, 3]).unwrap();
+        let iw = Tensor::from_i64(vec![0; 4], &[2, 2, 1, 1]).unwrap();
+        assert!(dtype(conv2d(&ix, &w, None, 1, 0, 1)));
+        assert!(dtype(conv2d(&x, &iw, None, 1, 0, 1)));
+        assert!(dtype(conv2d(&x, &w, Some(&ib), 1, 0, 1)));
+    }
+
+    #[test]
+    fn conv2d_rejects_a_bad_bias_before_convolving() {
+        // the input is not even f32: only a check made before the
+        // convolution reads it can report the bias
+        let ix = Tensor::from_i64(vec![0; 18], &[1, 2, 3, 3]).unwrap();
+        let w = Tensor::zeros(&[4, 2, 3, 3]);
+        let err = conv2d(&ix, &w, Some(&Tensor::zeros(&[5])), 1, 1, 1).unwrap_err();
+        assert!(
+            matches!(&err, TensorError::ShapeMismatch { expected, actual, op: "conv2d" }
+                if expected == &[4] && actual == &[5]),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn conv2d_direct_rejects_kernel_larger_than_padded_input() {
+        let x = Tensor::zeros(&[1, 1, 2, 2]);
+        let w = Tensor::zeros(&[1, 1, 5, 5]);
+        for r in [
+            conv2d_direct(&x, &w, None, 1, 0, 1),
+            conv2d(&x, &w, None, 1, 0, 1),
+        ] {
+            assert!(
+                matches!(&r, Err(TensorError::InvalidArgument(msg)) if msg == "conv2d kernel larger than padded input"),
+                "{r:?}"
+            );
+        }
+        // one pixel of padding on each side still leaves 4 < 5
+        assert!(conv2d_direct(&x, &w, None, 1, 1, 1).is_err());
+        assert!(conv2d_direct(&x, &w, None, 1, 2, 1).is_ok());
     }
 
     #[test]

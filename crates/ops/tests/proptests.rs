@@ -310,26 +310,24 @@ proptest! {
         }
     }
 
-    /// GEMM register-tile row blocks exactly cover the output rows, and
-    /// the chunk-level grain composes with the blocks to cover every row.
+    /// GEMM work units — (panel group x row block) rectangles — cover the
+    /// `[m, n]` output exactly once, and the chunks `par_rows` forms over
+    /// them cover every unit exactly once.
     #[test]
-    fn gemm_tile_blocks_are_exact_cover(m in 1usize..2_000, n in 1usize..300) {
-        let blocks = gemm::tile_row_blocks(m);
-        assert_exact_cover(&blocks, m)?;
-
-        let (units, unit_len) = gemm::tile_chunk_grain(m, n);
-        prop_assert_eq!(units, blocks.len());
-        prop_assert!(unit_len >= n);
-        // chunk-of-blocks → rows: expanding each chunk's blocks must
-        // re-cover 0..m exactly
-        let mut rows_covered = 0usize;
-        for chunk in parallel::row_partition(units, unit_len) {
-            for ib in chunk {
-                prop_assert_eq!(blocks[ib].start, rows_covered);
-                rows_covered = blocks[ib].end;
+    fn gemm_tile_blocks_are_exact_cover(m in 1usize..2_000, k in 1usize..6_000, n in 1usize..300) {
+        let (units, unit_len) = gemm::tile_units(m, k, n);
+        prop_assert!(unit_len >= 1);
+        assert_exact_cover(&parallel::row_partition(units.len(), unit_len), units.len())?;
+        let mut hits = vec![0u8; m * n];
+        for (rows, cols) in &units {
+            prop_assert!(rows.end <= m && cols.end <= n, "unit {rows:?} x {cols:?} out of bounds");
+            for i in rows.clone() {
+                for h in &mut hits[i * n + cols.start..i * n + cols.end] {
+                    *h += 1;
+                }
             }
         }
-        prop_assert_eq!(rows_covered, m);
+        prop_assert!(hits.iter().all(|&h| h == 1), "some output element is not covered exactly once");
     }
 }
 

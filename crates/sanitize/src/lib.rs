@@ -14,8 +14,8 @@
 //!    live values ever share one without a happens-before edge.
 //! 3. **Partition disjointness** — every intra-op chunk decomposition an
 //!    operator can dispatch for its static shape (element chunks, row
-//!    chunks, GEMM register-tile blocks) is a pairwise-disjoint exact
-//!    cover of its output.
+//!    chunks, GEMM work units, convolution rows and panels) is a
+//!    pairwise-disjoint exact cover of its output.
 //!
 //! The dynamic counterpart is the shadow-memory sanitizer in `ngb-exec`
 //! ([`ngb_exec::ShadowMemory`], `--sanitize`); the [`faults`] module

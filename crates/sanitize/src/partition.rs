@@ -6,12 +6,14 @@
 //! disjoint, exact cover of the output. This module re-derives every
 //! decomposition an operator can dispatch for its static output shape —
 //! flat element chunks, row chunks, `roll`'s rows split at the rolled dim,
-//! and the GEMM register-tile row blocks — and symbolically checks the
-//! cover, per node, for the shapes actually present in the graph.
+//! the GEMM's (panel group x row block) units, and a convolution's
+//! output rows (depthwise kernel, bias pass) and per-image im2col panels
+//! and GEMM units — and symbolically checks the cover,
+//! per node, for the shapes actually present in the graph.
 
 use std::ops::Range;
 
-use ngb_graph::{Graph, NodeId, OpKind};
+use ngb_graph::{FusedKind, Graph, Node, NodeId, OpKind};
 use ngb_ops::{gemm, parallel};
 
 use crate::hazard::{HazardKind, SanitizeReport};
@@ -131,83 +133,128 @@ pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
                 );
             }
         }
-        if let Some((m, n)) = gemm_dims(node.op.clone(), &node.out_shape) {
-            verify_gemm_tiles(m, n, node.id, report);
+        // a Conv+BN fusion runs its convolution through the same kernel,
+        // with the folded bias
+        let conv = match &node.op {
+            OpKind::Fused(f) if f.kind == FusedKind::ConvBnAct => {
+                f.stages.first().map(|s| (&s.op, true))
+            }
+            op => Some((op, matches!(op, OpKind::Conv2d { bias: true, .. }))),
+        };
+        if let Some((
+            &OpKind::Conv2d {
+                in_c,
+                out_c,
+                kernel,
+                groups,
+                ..
+            },
+            bias,
+        )) = conv
+        {
+            if let [n, f, oh, ow] = node.out_shape[..] {
+                let w = [out_c, in_c / groups.max(1), kernel, kernel];
+                verify_conv([n, f, oh, ow], w, groups, bias, node.id, report);
+            }
+        }
+        if let Some((m, k, n)) = gemm_dims(graph, node) {
+            verify_gemm_tiles(m, k, n, node.id, report);
         }
     }
 }
 
-/// The `(m, n)` of the `gemm_into` call(s) a node dispatches, from its
-/// static output shape; `None` for non-GEMM operators.
-fn gemm_dims(op: OpKind, out_shape: &[usize]) -> Option<(usize, usize)> {
-    let numel = ngb_tensor::num_elements(out_shape);
-    match op {
-        OpKind::Matmul if out_shape.len() == 2 => Some((out_shape[0], out_shape[1])),
-        // bmm runs one gemm per batch, all with the same (m, n)
-        OpKind::Bmm if out_shape.len() == 3 => Some((out_shape[1], out_shape[2])),
-        OpKind::Linear { out_f, .. } | OpKind::Conv1dGpt2 { out_f, .. } if out_f > 0 => {
-            Some((numel / out_f, out_f))
+/// The `(m, k, n)` of the `gemm_into` call(s) a matmul, bmm, linear or
+/// Conv1D node dispatches, from the static shapes; `None` for every
+/// other operator (convolutions go through [`verify_conv`]).
+fn gemm_dims(graph: &Graph, node: &Node) -> Option<(usize, usize, usize)> {
+    let numel = ngb_tensor::num_elements(&node.out_shape);
+    // a dangling input id is the structural pass's finding, not a panic here
+    let lhs = node
+        .inputs
+        .first()
+        .and_then(|id| graph.iter().as_slice().get(id.0))
+        .map(|n| &n.out_shape[..]);
+    match (&node.op, &node.out_shape[..], lhs) {
+        (OpKind::Matmul, &[m, n], Some(&[_, k])) => Some((m, k, n)),
+        // bmm runs one gemm per batch, all with the same (m, k, n)
+        (OpKind::Bmm, &[_, m, n], Some(&[_, _, k])) => Some((m, k, n)),
+        (&OpKind::Linear { in_f, out_f, .. } | &OpKind::Conv1dGpt2 { in_f, out_f, .. }, _, _)
+            if out_f > 0 =>
+        {
+            Some((numel / out_f, in_f, out_f))
         }
         _ => None,
     }
 }
 
-/// Checks the GEMM register-tile decomposition for an `[m, n]` output:
-/// row blocks must exactly cover `0..m`, and the chunk-level grain must
-/// compose with the blocks to re-cover every row.
-fn verify_gemm_tiles(m: usize, n: usize, node: NodeId, report: &mut SanitizeReport) {
+/// Checks the partitions a convolution with output `out` and weight `w`
+/// dispatches: the output rows the depthwise kernel and the bias pass
+/// split, and for an im2col lowering the per-image GEMM's (im2col fills
+/// its packed panels).
+fn verify_conv(
+    out: [usize; 4],
+    w: [usize; 4],
+    groups: usize,
+    bias: bool,
+    node: NodeId,
+    report: &mut SanitizeReport,
+) {
+    let lowering = gemm::conv2d_lowering(out, w, groups);
+    if bias || lowering == gemm::ConvLowering::Depthwise {
+        let (rows, row_len) = gemm::conv2d_rows(out);
+        verify_ranges(
+            "conv-row",
+            &parallel::row_partition(rows, row_len),
+            rows,
+            node,
+            report,
+        );
+    }
+    if let gemm::ConvLowering::Im2col { m, k, n } = lowering {
+        verify_gemm_tiles(m, k, n, node, report);
+    }
+}
+
+/// Checks the partitions of a `[m, k] @ [k, n]` GEMM: the chunks that
+/// fill B's packed panels must cover the panels, the chunks of work units
+/// must cover the units, and the units — rectangles of the `[m, n]`
+/// output — must tile it exactly: their column ranges form an exact cover
+/// of `0..n`, and within each column band the row ranges form an exact
+/// cover of `0..m`.
+fn verify_gemm_tiles(m: usize, k: usize, n: usize, node: NodeId, report: &mut SanitizeReport) {
+    let (panels, panel_len) = gemm::packed_panels(k, n);
+    if panel_len > 0 {
+        verify_ranges(
+            "gemm-pack",
+            &parallel::row_partition(panels, panel_len),
+            panels,
+            node,
+            report,
+        );
+    }
     if m == 0 || n == 0 {
         return;
     }
-    let blocks = gemm::tile_row_blocks(m);
-    if !verify_ranges("gemm-tile", &blocks, m, node, report) {
+    let (mut units, unit_len) = gemm::tile_units(m, k, n);
+    if !verify_ranges(
+        "gemm-chunk",
+        &parallel::row_partition(units.len(), unit_len),
+        units.len(),
+        node,
+        report,
+    ) {
         return;
     }
-    let (units, unit_len) = gemm::tile_chunk_grain(m, n);
-    if units != blocks.len() {
-        report.push(
-            HazardKind::PartitionGap,
-            vec![node],
-            format!(
-                "node %{}: gemm dispatches {units} tile units but has {} row \
-                 blocks",
-                node.0,
-                blocks.len()
-            ),
-        );
-        return;
-    }
-    // expanding each chunk's blocks must re-cover 0..m in order
-    report.stats.partitions_checked += 1;
-    let mut covered = 0usize;
-    for chunk in parallel::row_partition(units, unit_len) {
-        report.stats.chunks_checked += 1;
-        for ib in chunk {
-            if blocks[ib].start != covered {
-                report.push(
-                    HazardKind::PartitionGap,
-                    vec![node],
-                    format!(
-                        "node %{}: gemm chunk composition breaks at row block \
-                         {ib} (rows {:?}, expected start {covered})",
-                        node.0, blocks[ib]
-                    ),
-                );
-                return;
-            }
-            covered = blocks[ib].end;
+    units.sort_by_key(|(rows, cols)| (cols.start, cols.end, rows.start));
+    let mut bands: Vec<Range<usize>> = Vec::new();
+    for band in units.chunk_by(|a, b| a.1 == b.1) {
+        let rows: Vec<Range<usize>> = band.iter().map(|(rows, _)| rows.clone()).collect();
+        if !verify_ranges("gemm-tile-rows", &rows, m, node, report) {
+            return;
         }
+        bands.push(band[0].1.clone());
     }
-    if covered != m {
-        report.push(
-            HazardKind::PartitionGap,
-            vec![node],
-            format!(
-                "node %{}: gemm chunk composition covers 0..{covered} of 0..{m}",
-                node.0
-            ),
-        );
-    }
+    verify_ranges("gemm-tile-cols", &bands, n, node, report);
 }
 
 #[cfg(test)]
@@ -267,6 +314,55 @@ mod tests {
         assert!(report.is_clean(), "{}", report.to_text());
         assert!(report.stats.partitions_checked >= 6);
         assert!(report.stats.chunks_checked > report.stats.partitions_checked);
+    }
+
+    #[test]
+    fn conv_partitions_follow_the_lowering() {
+        // a copy of the conv's output shape, and the conv itself
+        let stats = |op: OpKind| {
+            let mut b = GraphBuilder::new("conv");
+            let x = b.input(&[2, 64, 56, 56]);
+            b.push(op, &[x], "conv").unwrap();
+            let g = b.finish();
+            let mut report = SanitizeReport::new(&g.name);
+            verify_partitions(&g, &mut report);
+            assert!(report.is_clean(), "{}", report.to_text());
+            report.stats
+        };
+        let conv = |groups, bias| OpKind::Conv2d {
+            in_c: 64,
+            out_c: 64,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+            groups,
+            bias,
+        };
+        let copy = stats(OpKind::Contiguous);
+        // the N·C·oh output rows of ow that the depthwise kernel and the
+        // bias pass split: checked once whether or not both run
+        let rows = parallel::row_partition(2 * 64 * 56, 56).len();
+        assert!(rows > 1);
+        for bias in [false, true] {
+            let depthwise = stats(conv(64, bias));
+            assert_eq!(depthwise.partitions_checked, copy.partitions_checked + 1);
+            assert_eq!(depthwise.chunks_checked, copy.chunks_checked + rows);
+        }
+        // dense, one image at a time: the im2col-filled panels, the GEMM's
+        // chunks, each column band's row blocks and the bands themselves,
+        // and the output rows when a bias pass runs
+        let (units, unit_len) = gemm::tile_units(64, 64 * 9, 56 * 56);
+        let bands = units.iter().filter(|(rows, _)| rows.start == 0).count();
+        assert!(parallel::row_partition(units.len(), unit_len).len() > 1 && bands > 1);
+        let gemm_partitions = 3 + bands;
+        assert_eq!(
+            stats(conv(1, false)).partitions_checked,
+            copy.partitions_checked + gemm_partitions
+        );
+        assert_eq!(
+            stats(conv(1, true)).partitions_checked,
+            copy.partitions_checked + gemm_partitions + 1
+        );
     }
 
     #[test]

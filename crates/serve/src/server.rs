@@ -231,13 +231,18 @@ struct Shared {
 }
 
 impl Shared {
-    fn begin_shutdown(&self) {
+    /// Sets the drain flag, then runs `ack`. Both happen under `conns`,
+    /// which the scheduler takes to close every connection once the drain
+    /// is done, so a `shutdown` acknowledgement always reaches its client
+    /// and any request read after it gets a 503.
+    fn begin_shutdown(&self, ack: impl FnOnce()) {
         {
-            let mut q = lock(&self.queues);
-            if q.draining {
+            let _conns = lock(&self.conns);
+            let was_draining = std::mem::replace(&mut lock(&self.queues).draining, true);
+            ack();
+            if was_draining {
                 return;
             }
-            q.draining = true;
         }
         self.work.notify_all();
         // wake the accept loop so it observes the drain flag
@@ -324,7 +329,7 @@ impl ServerHandle {
 
     /// Initiates graceful drain (same as the wire `shutdown` op).
     pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
+        self.shared.begin_shutdown(|| ());
     }
 
     /// Waits for the drain to finish and returns the final counters.
@@ -421,10 +426,8 @@ fn handle_request(shared: &Arc<Shared>, responder: &Responder, req: Request) {
             shared.work.notify_all();
             responder.send(&ok_response(vec![("paused", Value::Bool(false))]));
         }
-        Request::Shutdown => {
-            shared.begin_shutdown();
-            responder.send(&ok_response(vec![("draining", Value::Bool(true))]));
-        }
+        Request::Shutdown => shared
+            .begin_shutdown(|| responder.send(&ok_response(vec![("draining", Value::Bool(true))]))),
     }
 }
 

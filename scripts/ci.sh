@@ -44,7 +44,10 @@
 # The sanitize stage audits that unsafe code stays confined to ngb-ops
 # and ngb-exec, lints the verifier crate at -D warnings, and runs the
 # 18-model hazard sweep (static verifier + shadow-memory execution) on a
-# multi-threaded engine with intra-op parallelism on.
+# multi-threaded engine with intra-op parallelism on. Tiny GEMMs fall under
+# one intra-op grain and run as a single chunk, so it also runs the static
+# verifier alone on the four full-scale graph_full models, whose GEMM and
+# convolution partitions really split.
 # The serve stage boots the inference service on a tiny model, fires a
 # short open-loop loadgen burst, and asserts completions > 0 with zero
 # failures and a clean drain; the sweep summary lands in
@@ -143,6 +146,8 @@ sanitize_gate() {
   cargo clippy -q -p ngb-sanitize --all-targets -- -D warnings
   cargo build --release -q --bin nongemm-cli
   ./target/release/nongemm-cli sanitize --tiny --threads 4 --intra-op on
+  ./target/release/nongemm-cli sanitize --static-only --model mobilenet_v2 \
+    --model resnet50 --model sw-t --model segformer
 }
 
 serve_gate() {
