@@ -514,7 +514,7 @@ pub(crate) fn execute_op(
         OpKind::Reshape { shape } | OpKind::View { shape } => arg(0)?.reshape(shape),
         OpKind::Permute { perm } => arg(0)?.permute(perm),
         OpKind::Transpose { d0, d1 } => arg(0)?.transpose(*d0 as isize, *d1 as isize),
-        OpKind::Contiguous => Ok(arg(0)?.contiguous()),
+        OpKind::Contiguous => Ok(ngb_ops::memory::contiguous(arg(0)?)),
         OpKind::Expand { shape } => arg(0)?.expand(shape),
         OpKind::Squeeze { dim } => arg(0)?.squeeze(*dim as isize),
         OpKind::Unsqueeze { dim } => arg(0)?.unsqueeze(*dim),

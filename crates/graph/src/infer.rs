@@ -1,8 +1,12 @@
 //! Static shape inference and cost dispatch for every [`OpKind`].
 
 use ngb_ops::OpCost;
-use ngb_tensor::{broadcast_shapes, num_elements, resolve_reshape, TensorError};
+use ngb_tensor::{
+    broadcast_shapes, contiguous_strides, expand_strides, num_elements, reshape_strides,
+    resolve_reshape, TensorError,
+};
 
+use crate::graph::Graph;
 use crate::op::{FusedOp, FusedStage, OpClass, OpKind};
 
 type Result<T> = std::result::Result<T, TensorError>;
@@ -679,9 +683,83 @@ pub fn op_cost(op: &OpKind, inputs: &[Vec<usize>], output: &[usize]) -> OpCost {
     }
 }
 
+/// Statically-propagated output strides per node: compute ops and copying
+/// layout ops produce dense outputs; metadata ops transform their
+/// producer's layout by the same rules the `ngb_tensor` view methods use
+/// at runtime. A `Reshape`/`View` that cannot stay zero-copy falls back to
+/// dense (that is exactly what `Tensor::reshape` materializes).
+///
+/// `ngb-opt`'s contiguous elision and `ngb-sanitize`'s partition check of
+/// layout-dependent splits both read it.
+pub fn static_strides(g: &Graph) -> Vec<Vec<isize>> {
+    let mut out: Vec<Vec<isize>> = Vec::with_capacity(g.len());
+    for n in g.iter() {
+        let dense = || contiguous_strides(&n.out_shape);
+        // the producer's shape and strides; a dangling or forward input
+        // (the structural pass's finding) reads as a dense producer-less node
+        let producer = n
+            .inputs
+            .first()
+            .and_then(|pid| Some((&g.nodes.get(pid.0)?.out_shape, out.get(pid.0)?.clone())));
+        let s = match (&n.op, producer) {
+            (OpKind::Permute { perm }, Some((_, p))) if perm.len() == p.len() => {
+                perm.iter().map(|&i| p[i]).collect()
+            }
+            (OpKind::Transpose { d0, d1 }, Some((_, mut p))) if *d0 < p.len() && *d1 < p.len() => {
+                p.swap(*d0, *d1);
+                p
+            }
+            (OpKind::Squeeze { dim }, Some((_, mut p))) if *dim < p.len() => {
+                p.remove(*dim);
+                p
+            }
+            (OpKind::Unsqueeze { dim }, Some((_, mut p))) => {
+                p.insert((*dim).min(p.len()), 0);
+                p
+            }
+            (OpKind::Slice { .. }, Some((_, p))) => p,
+            (OpKind::Expand { .. }, Some((shape, p))) => {
+                expand_strides(shape, &p, &n.out_shape).unwrap_or_else(dense)
+            }
+            (OpKind::Reshape { .. } | OpKind::View { .. }, Some((shape, p))) => {
+                reshape_strides(shape, &p, &n.out_shape).unwrap_or_else(dense)
+            }
+            _ => dense(),
+        };
+        out.push(s);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{GraphBuilder, NodeId};
+
+    #[test]
+    fn static_strides_follow_views_and_survive_dangling_inputs() {
+        let mut b = GraphBuilder::new("views");
+        let x = b.input(&[2, 3, 4]);
+        let p = b
+            .push(
+                OpKind::Permute {
+                    perm: vec![2, 0, 1],
+                },
+                &[x],
+                "p",
+            )
+            .unwrap();
+        b.push(OpKind::Contiguous, &[p], "c").unwrap();
+        let mut g = b.finish();
+        assert_eq!(
+            static_strides(&g),
+            vec![vec![12, 4, 1], vec![1, 12, 4], vec![6, 3, 1]]
+        );
+        // a self-reference or a dangling input is read as dense
+        g.nodes[1].inputs = vec![NodeId(1)];
+        g.nodes[2].inputs = vec![NodeId(99)];
+        assert_eq!(static_strides(&g)[1], vec![6, 3, 1]);
+    }
 
     #[test]
     fn linear_shape() {

@@ -45,5 +45,5 @@ mod op;
 
 pub use fusion::{attention_prologue, conv_bn, AttentionMatch};
 pub use graph::{Graph, GraphBuilder, Node, NodeId, StructuralIssue};
-pub use infer::{fused_attribution, infer_shape, op_cost, walk_fused};
+pub use infer::{fused_attribution, infer_shape, op_cost, static_strides, walk_fused};
 pub use op::{shard_span, FusedKind, FusedOp, FusedStage, NonGemmGroup, OpClass, OpKind};

@@ -7,7 +7,10 @@
 //! distinction is exactly what changes between deployment flows: ORT's CPU
 //! fallback turns cheap layout ops into device transfers (§4.2).
 
-use ngb_tensor::{contiguous_strides, num_elements, DType, LaneMap, Tensor};
+use ngb_tensor::telemetry::note_materialized;
+use ngb_tensor::{
+    contiguous_strides, num_elements, transposed_rows, DType, LaneMap, Tensor, TILE_ROWS,
+};
 
 use crate::{parallel, OpCost, Result};
 
@@ -50,8 +53,36 @@ pub fn transpose(x: &Tensor, d0: isize, d1: isize) -> Result<Tensor> {
 }
 
 /// Materializes a dense row-major copy.
+///
+/// A transpose-shaped f32 view (its unit-stride dim is not the innermost)
+/// of at least one [`parallel::GRAIN_ELEMS`] is copied in transpose tiles,
+/// its output rows split into [`contiguous_blocks`] blocks of
+/// [`TILE_ROWS`] rows through [`parallel::par_blocks_out`]. Every other
+/// view, and every smaller copy, is [`Tensor::contiguous`]. Either way the
+/// materialized bytes are counted once, on the calling thread.
 pub fn contiguous(x: &Tensor) -> Tensor {
-    x.contiguous()
+    let (Some((rows, cols)), DType::F32) = (contiguous_blocks(x.shape(), x.strides()), x.dtype())
+    else {
+        return x.contiguous();
+    };
+    note_materialized(x.size_bytes());
+    let mut out = vec![0.0f32; rows * cols];
+    parallel::par_blocks_out(&mut out, rows, cols, TILE_ROWS, |r, win| {
+        x.copy_transposed_rows(r, win)
+            .expect("rows of the view's own transposed layout");
+    });
+    Tensor::from_vec(out, x.shape()).expect("numel preserved")
+}
+
+/// `(rows, cols)` of the tiled split [`contiguous`] dispatches for a view
+/// of `shape`/`strides`: the coalesced transpose's rows, in blocks of
+/// [`TILE_ROWS`]. `None` below one grain or when the view is not
+/// transpose-shaped (the copy then runs serially).
+pub fn contiguous_blocks(shape: &[usize], strides: &[isize]) -> Option<(usize, usize)> {
+    if num_elements(shape) < parallel::GRAIN_ELEMS {
+        return None;
+    }
+    transposed_rows(shape, strides)
 }
 
 /// Zero-copy broadcast expansion.
@@ -314,6 +345,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-element copy: every logical index odometer-walked and read
+    /// through the view's strides.
+    fn gather_per_element(x: &Tensor) -> Vec<u32> {
+        let src = x.storage_f32().unwrap();
+        let shape = x.shape();
+        let mut ix = vec![0usize; shape.len()];
+        let mut out = Vec::with_capacity(x.numel());
+        for _ in 0..x.numel() {
+            out.push(src[ngb_tensor::offset_of(&ix, x.strides(), x.storage_offset())].to_bits());
+            for d in (0..shape.len()).rev() {
+                ix[d] += 1;
+                if ix[d] < shape[d] {
+                    break;
+                }
+                ix[d] = 0;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn tiled_contiguous_matches_the_per_element_copy() {
+        let mut rng = TensorRng::seed(41);
+        let inputs = [
+            // segformer's token-to-map transpose
+            rng.normal(&[1, 16384, 256]).permute(&[0, 2, 1]).unwrap(),
+            // NHWC -> NCHW with rows (C = 19) that leave a short tile
+            rng.normal(&[2, 37, 41, 19]).permute(&[0, 3, 1, 2]).unwrap(),
+            // a sliced transpose: narrowed rows and columns, storage offset
+            rng.normal(&[300, 257])
+                .narrow(0, 5, 290)
+                .unwrap()
+                .narrow(1, 3, 250)
+                .unwrap()
+                .permute(&[1, 0])
+                .unwrap(),
+            // dense and a non-transposed slice keep the serial copy
+            rng.normal(&[3, 200, 100]),
+            rng.normal(&[3, 200, 100]).narrow(2, 10, 80).unwrap(),
+        ];
+        for (i, x) in inputs.iter().enumerate() {
+            let blocks = contiguous_blocks(x.shape(), x.strides());
+            assert_eq!(blocks.is_some(), i < 3, "input {i}");
+            if let Some((rows, cols)) = blocks {
+                assert_eq!(rows * cols, x.numel());
+                assert!(parallel::block_partition(rows, cols, TILE_ROWS).len() > 1);
+            }
+            let want = gather_per_element(x);
+            let run = || contiguous(x);
+            for got in [run()]
+                .into_iter()
+                .chain([1, 2, 8].map(|t| with_test_runner(t, run)))
+            {
+                assert!(got.is_contiguous() && got.shape() == x.shape());
+                assert!(bits(&got) == want, "input {i}: strides {:?}", x.strides());
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_contiguous_counts_the_bytes_it_copies() {
+        let x = TensorRng::seed(3)
+            .normal(&[1, 4096, 64])
+            .permute(&[0, 2, 1])
+            .unwrap();
+        assert!(contiguous_blocks(x.shape(), x.strides()).is_some());
+        ngb_tensor::telemetry::reset_bytes_materialized();
+        with_test_runner(2, || contiguous(&x));
+        assert_eq!(
+            ngb_tensor::telemetry::take_bytes_materialized(),
+            x.size_bytes() as u64
+        );
+        // the tensor-level tiles take over at the same size as the split
+        assert_eq!(ngb_tensor::TILED_COPY_MIN_ELEMS, GRAIN_ELEMS);
     }
 
     #[test]

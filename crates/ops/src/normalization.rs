@@ -12,14 +12,55 @@ use ngb_tensor::{LaneMap, Tensor, TensorError};
 use crate::parallel;
 use crate::{OpCost, Result, F32_BYTES};
 
-/// Storage offset of logical row-major element `i` of a strided view, via a
-/// [`LaneMap`] built over the **last** dim (`last` = that dim's size). The
-/// strided branches of the map-wide kernels use this to walk any layout in
-/// logical order — same element order as the contiguous fast path, so
-/// results stay bit-identical.
-#[inline]
-fn elem_offset(map: &LaneMap, last: usize, i: usize) -> usize {
-    (map.lane_base(i / last, 0) as isize + (i % last) as isize * map.step()) as usize
+/// `(planes, plane)` of an NCHW map: the `N·C` planes of `H·W` elements
+/// the batch-norm kernels split their output into, one channel's
+/// constants per plane.
+pub fn batch_norm_planes(shape: &[usize]) -> (usize, usize) {
+    match shape {
+        [n, c, h, w] => (n * c, h * w),
+        _ => (0, 0),
+    }
+}
+
+/// Copies logical rows `first_row..` (each `w` long, `buf.len() / w` of
+/// them) of a strided rank-4 view into `buf`, one lane of `map` — built
+/// over the last dim — at a time.
+fn gather_rows(xs: &[f32], map: &LaneMap, first_row: usize, w: usize, buf: &mut [f32]) {
+    let step = map.step();
+    for (r, row) in buf.chunks_exact_mut(w.max(1)).enumerate() {
+        let base = map.lane_base(first_row + r, 0) as isize;
+        for (t, v) in row.iter_mut().enumerate() {
+            *v = xs[(base + t as isize * step) as usize];
+        }
+    }
+}
+
+/// Runs `body(channel, src, dst)` over every `H·W` plane of the NCHW map
+/// `x`, chunk-parallel over [`batch_norm_planes`]: `src` is the plane in
+/// logical order — borrowed when `x` is dense, gathered lane by lane into
+/// a per-chunk scratch plane otherwise — and `dst` its window of `out`.
+fn per_plane(x: &Tensor, out: &mut [f32], body: impl Fn(usize, &[f32], &mut [f32]) + Sync) {
+    let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (planes, plane) = batch_norm_planes(x.shape());
+    if let Some(xs) = x.as_slice_f32() {
+        parallel::par_rows_out(out, planes, plane, |first, win| {
+            for (p, dst) in win.chunks_exact_mut(plane.max(1)).enumerate() {
+                let i = first + p;
+                body(i % c, &xs[i * plane..(i + 1) * plane], dst);
+            }
+        });
+    } else {
+        let xs = x.storage_f32().expect("f32 NCHW input");
+        let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), 3);
+        parallel::par_rows_out(out, planes, plane, |first, win| {
+            let mut buf = vec![0.0f32; plane];
+            for (p, dst) in win.chunks_exact_mut(plane.max(1)).enumerate() {
+                let i = first + p;
+                gather_rows(xs, &map, i * h, w, &mut buf);
+                body(i % c, &buf, dst);
+            }
+        });
+    }
 }
 
 /// Layer normalization over the last dimension:
@@ -238,32 +279,17 @@ pub fn batch_norm2d(
     let mp = crate::param_f32(running_mean);
     let vp = crate::param_f32(running_var);
     let (gs, bs, ms, vs) = (&*gp, &*bp, &*mp, &*vp);
-    let plane = x.shape()[2] * x.shape()[3];
+    // `sqrt(var + eps)` once per channel; per element the expression and
+    // its order stay those of the broadcast chain (sub, div-sqrt, mul,
+    // add), bit for bit
+    let sd: Vec<f32> = vs.iter().map(|v| (v + eps).sqrt()).collect();
     let mut out = vec![0.0f32; x.numel()];
-    // single chunk-parallel pass; the per-element operation order matches
-    // the broadcast chain (sub, div-sqrt, mul, add) bit for bit
-    if let Some(xs) = x.as_slice_f32() {
-        parallel::par_for_out(&mut out, |start, win| {
-            for (j, o) in win.iter_mut().enumerate() {
-                let i = start + j;
-                let ch = (i / plane.max(1)) % c;
-                let a = xs[i];
-                *o = (a - ms[ch]) / (vs[ch] + eps).sqrt() * gs[ch] + bs[ch];
-            }
-        });
-    } else {
-        let xs = x.storage_f32().expect("f32 batch_norm2d input");
-        let last = x.shape()[3].max(1);
-        let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), 3);
-        parallel::par_for_out(&mut out, |start, win| {
-            for (j, o) in win.iter_mut().enumerate() {
-                let i = start + j;
-                let ch = (i / plane.max(1)) % c;
-                let a = xs[elem_offset(&map, last, i)];
-                *o = (a - ms[ch]) / (vs[ch] + eps).sqrt() * gs[ch] + bs[ch];
-            }
-        });
-    }
+    per_plane(x, &mut out, |ch, src, dst| {
+        let (m, s, g, b) = (ms[ch], sd[ch], gs[ch], bs[ch]);
+        for (o, &a) in dst.iter_mut().zip(src) {
+            *o = (a - m) / s * g + b;
+        }
+    });
     Tensor::from_vec(out, x.shape())
 }
 
@@ -295,37 +321,21 @@ pub fn frozen_batch_norm2d(
             "frozen_batch_norm2d requires NCHW input".into(),
         ));
     }
-    let c = x.shape()[1];
     // scale = gamma * rsqrt(var + eps); shift = beta - mean * scale
     let scale = gamma.zip_map(running_var, move |g, v| g / (v + eps).sqrt())?;
     let shift = beta.zip_map(&running_mean.zip_map(&scale, |m, s| m * s)?, |b, ms| b - ms)?;
     // zip_map outputs are freshly contiguous, so these are plain borrows
     let ss = scale.as_slice_f32().expect("scale is contiguous f32");
     let shs = shift.as_slice_f32().expect("shift is contiguous f32");
-    let plane = x.shape()[2] * x.shape()[3];
     let mut out = vec![0.0f32; x.numel()];
-    // the scale-then-shift broadcasts collapse into one chunk-parallel
+    // the scale-then-shift broadcasts collapse into one plane-parallel
     // pass; per element this is exactly `x * s` then `+ shift`
-    if let Some(xs) = x.as_slice_f32() {
-        parallel::par_for_out(&mut out, |start, win| {
-            for (j, o) in win.iter_mut().enumerate() {
-                let i = start + j;
-                let ch = (i / plane.max(1)) % c;
-                *o = xs[i] * ss[ch] + shs[ch];
-            }
-        });
-    } else {
-        let xs = x.storage_f32().expect("f32 frozen_batch_norm2d input");
-        let last = x.shape()[3].max(1);
-        let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), 3);
-        parallel::par_for_out(&mut out, |start, win| {
-            for (j, o) in win.iter_mut().enumerate() {
-                let i = start + j;
-                let ch = (i / plane.max(1)) % c;
-                *o = xs[elem_offset(&map, last, i)] * ss[ch] + shs[ch];
-            }
-        });
-    }
+    per_plane(x, &mut out, |ch, src, dst| {
+        let (sc, sh) = (ss[ch], shs[ch]);
+        for (o, &a) in dst.iter_mut().zip(src) {
+            *o = a * sc + sh;
+        }
+    });
     Tensor::from_vec(out, x.shape())
 }
 
@@ -361,7 +371,7 @@ pub fn group_norm(
             "group_norm requires NCHW input".into(),
         ));
     }
-    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
     if groups == 0 || c % groups != 0 {
         return Err(TensorError::InvalidArgument(format!(
             "group_norm: {groups} groups do not divide {c} channels"
@@ -378,23 +388,25 @@ pub fn group_norm(
     let (gs, bs) = (&*gp, &*bp);
     let mut out = vec![0.0f32; x.numel()];
     let plane = h * w;
-    let seg_len = cg * plane;
+    let (segments, seg_len) = group_norm_segments(x.shape(), groups);
     let gn_seg = |g: usize, seg: &[f32], oseg: &mut [f32]| {
         let mean: f32 = seg.iter().sum::<f32>() / seg_len as f32;
         let var: f32 = seg.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / seg_len as f32;
         let inv = 1.0 / (var + eps).sqrt();
-        for cc in 0..cg {
-            let ch = g * cg + cc;
-            for p in 0..plane {
-                let i = cc * plane + p;
-                oseg[i] = (seg[i] - mean) * inv * gs[ch] + bs[ch];
+        let planes = seg
+            .chunks_exact(plane.max(1))
+            .zip(oseg.chunks_exact_mut(plane.max(1)));
+        for (cc, (src, dst)) in planes.enumerate() {
+            let (gc, bc) = (gs[g * cg + cc], bs[g * cg + cc]);
+            for (o, &a) in dst.iter_mut().zip(src) {
+                *o = (a - mean) * inv * gc + bc;
             }
         }
     };
     // segment-parallel: one (batch, group) segment per work unit, its
     // statistics and normalize serial within the segment
     if let Some(xs) = x.as_slice_f32() {
-        parallel::par_rows_out(&mut out, n * groups, seg_len, |first_seg, win| {
+        parallel::par_rows_out(&mut out, segments, seg_len, |first_seg, win| {
             for (s, oseg) in win.chunks_exact_mut(seg_len.max(1)).enumerate() {
                 let seg_idx = first_seg + s;
                 let start = seg_idx * seg_len;
@@ -403,25 +415,32 @@ pub fn group_norm(
         });
     } else {
         // strided path: gather each segment (a row-major-contiguous run of
-        // the logical NCHW order) into a per-chunk scratch buffer, then
-        // run the identical stats/normalize — bit-identical, and never
-        // materializes more than one segment per worker
+        // the logical NCHW order, `cg * h` rows of `w`) lane by lane into a
+        // per-chunk scratch buffer, then run the identical stats/normalize
+        // — bit-identical, and never materializes more than one segment
+        // per worker
         let xs = x.storage_f32().expect("f32 group_norm input");
-        let last = w.max(1);
         let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), 3);
-        parallel::par_rows_out(&mut out, n * groups, seg_len, |first_seg, win| {
+        parallel::par_rows_out(&mut out, segments, seg_len, |first_seg, win| {
             let mut buf = vec![0.0f32; seg_len];
             for (s, oseg) in win.chunks_exact_mut(seg_len.max(1)).enumerate() {
                 let seg_idx = first_seg + s;
-                let start = seg_idx * seg_len;
-                for (t, v) in buf.iter_mut().enumerate() {
-                    *v = xs[elem_offset(&map, last, start + t)];
-                }
+                gather_rows(xs, &map, seg_idx * cg * h, w, &mut buf);
                 gn_seg(seg_idx % groups, &buf, oseg);
             }
         });
     }
     Tensor::from_vec(out, x.shape())
+}
+
+/// `(segments, seg_len)` of an NCHW map under `groups` channel groups:
+/// the `N·groups` segments of `C / groups · H·W` elements [`group_norm`]
+/// splits its output into, each normalized serially.
+pub fn group_norm_segments(shape: &[usize], groups: usize) -> (usize, usize) {
+    match shape {
+        [n, c, h, w] if groups > 0 => (n * groups, c / groups * h * w),
+        _ => (0, 0),
+    }
 }
 
 /// Cost of [`group_norm`] on `shape`.
@@ -439,7 +458,154 @@ pub fn group_norm_cost(shape: &[usize]) -> OpCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::test_runner::with_test_runner;
+    use crate::parallel::GRAIN_ELEMS;
     use ngb_tensor::random::TensorRng;
+
+    /// Storage offset of logical row-major element `i` of a strided view,
+    /// via a [`LaneMap`] built over the **last** dim (`last` = its size):
+    /// the per-element walk the kernels ran before they went plane by
+    /// plane.
+    fn elem_offset(map: &LaneMap, last: usize, i: usize) -> usize {
+        (map.lane_base(i / last, 0) as isize + (i % last) as isize * map.step()) as usize
+    }
+
+    /// `x`'s values in logical order, one [`elem_offset`] per element.
+    fn logical(x: &Tensor) -> Vec<f32> {
+        let xs = x.storage_f32().unwrap();
+        let last = x.shape()[3].max(1);
+        let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), 3);
+        (0..x.numel())
+            .map(|i| xs[elem_offset(&map, last, i)])
+            .collect()
+    }
+
+    /// The per-element batch norm: channel recovered from the flat index,
+    /// `sqrt(var + eps)` per element.
+    fn batch_norm_per_element(x: &Tensor, p: [&Tensor; 4], eps: f32) -> Vec<f32> {
+        let [gs, bs, ms, vs] = p.map(|t| t.to_vec_f32().unwrap());
+        let (c, plane) = (x.shape()[1], x.shape()[2] * x.shape()[3]);
+        let xs = logical(x);
+        (0..xs.len())
+            .map(|i| {
+                let ch = (i / plane.max(1)) % c;
+                (xs[i] - ms[ch]) / (vs[ch] + eps).sqrt() * gs[ch] + bs[ch]
+            })
+            .collect()
+    }
+
+    /// The per-element frozen batch norm, on the same scale and shift.
+    fn frozen_per_element(x: &Tensor, p: [&Tensor; 4], eps: f32) -> Vec<f32> {
+        let [g, b, m, v] = p;
+        let scale = g.zip_map(v, move |g, v| g / (v + eps).sqrt()).unwrap();
+        let shift = b
+            .zip_map(&m.zip_map(&scale, |m, s| m * s).unwrap(), |b, ms| b - ms)
+            .unwrap();
+        let (ss, shs) = (scale.to_vec_f32().unwrap(), shift.to_vec_f32().unwrap());
+        let (c, plane) = (x.shape()[1], x.shape()[2] * x.shape()[3]);
+        let xs = logical(x);
+        (0..xs.len())
+            .map(|i| {
+                let ch = (i / plane.max(1)) % c;
+                xs[i] * ss[ch] + shs[ch]
+            })
+            .collect()
+    }
+
+    /// The per-element group norm: each segment gathered one
+    /// [`elem_offset`] at a time, then the per-element normalize loop.
+    fn group_norm_per_element(x: &Tensor, groups: usize, g: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (gs, bs) = (g.to_vec_f32().unwrap(), b.to_vec_f32().unwrap());
+        let (c, plane) = (x.shape()[1], x.shape()[2] * x.shape()[3]);
+        let cg = c / groups;
+        let seg_len = cg * plane;
+        let xs = logical(x);
+        let mut out = vec![0.0f32; xs.len()];
+        for (s, (seg, oseg)) in xs
+            .chunks_exact(seg_len)
+            .zip(out.chunks_exact_mut(seg_len))
+            .enumerate()
+        {
+            let mean: f32 = seg.iter().sum::<f32>() / seg_len as f32;
+            let var: f32 =
+                seg.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / seg_len as f32;
+            let inv = 1.0 / (var + 1e-5).sqrt();
+            for cc in 0..cg {
+                let ch = (s % groups) * cg + cc;
+                for p in 0..plane {
+                    let i = cc * plane + p;
+                    oseg[i] = (seg[i] - mean) * inv * gs[ch] + bs[ch];
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `[2, 5, 97, 131]` dense, permuted from NHWC and sliced: several
+    /// grains whose plane (12 707) does not divide `GRAIN_ELEMS`.
+    fn multi_grain_maps(rng: &mut TensorRng) -> Vec<Tensor> {
+        let maps = vec![
+            rng.normal(&[2, 5, 97, 131]),
+            rng.normal(&[2, 97, 131, 5]).permute(&[0, 3, 1, 2]).unwrap(),
+            rng.normal(&[2, 7, 99, 140])
+                .narrow(1, 1, 5)
+                .unwrap()
+                .narrow(2, 2, 97)
+                .unwrap()
+                .narrow(3, 4, 131)
+                .unwrap(),
+        ];
+        for x in &maps {
+            assert_eq!(x.shape(), [2, 5, 97, 131]);
+            assert!(x.numel() > 3 * GRAIN_ELEMS && !GRAIN_ELEMS.is_multiple_of(97 * 131));
+        }
+        assert!(!maps[1].is_contiguous() && !maps[2].is_contiguous());
+        maps
+    }
+
+    #[test]
+    fn batch_norm_family_matches_the_per_element_loops_across_chunks() {
+        let mut rng = TensorRng::seed(31);
+        let g = rng.uniform(&[5], 0.5, 1.5);
+        let b = rng.normal(&[5]);
+        let m = rng.normal(&[5]);
+        let v = rng.uniform(&[5], 0.5, 2.0);
+        let (gg, gb) = (rng.uniform(&[5], 0.5, 1.5), rng.normal(&[5]));
+        for x in multi_grain_maps(&mut rng) {
+            let want_bn = bits(&batch_norm_per_element(&x, [&g, &b, &m, &v], 1e-5));
+            let want_frozen = bits(&frozen_per_element(&x, [&g, &b, &m, &v], 1e-5));
+            let want_gn = bits(&group_norm_per_element(&x, 5, &gg, &gb));
+            let run = || {
+                [
+                    batch_norm2d(&x, &g, &b, &m, &v, 1e-5).unwrap(),
+                    frozen_batch_norm2d(&x, &g, &b, &m, &v, 1e-5).unwrap(),
+                    group_norm(&x, 5, &gg, &gb, 1e-5).unwrap(),
+                ]
+                .map(|t| bits(&t.to_vec_f32().unwrap()))
+            };
+            let serial = run();
+            for got in [serial]
+                .into_iter()
+                .chain([1, 2, 8].map(|t| with_test_runner(t, run)))
+            {
+                let label = format!("strides {:?}", x.strides());
+                assert!(got[0] == want_bn, "batch_norm2d, {label}");
+                assert!(got[1] == want_frozen, "frozen_batch_norm2d, {label}");
+                assert!(got[2] == want_gn, "group_norm, {label}");
+            }
+        }
+    }
+
+    #[test]
+    fn plane_and_segment_splits_follow_the_shape() {
+        assert_eq!(batch_norm_planes(&[2, 5, 97, 131]), (10, 97 * 131));
+        assert_eq!(group_norm_segments(&[2, 6, 4, 4], 3), (6, 2 * 16));
+        assert_eq!(batch_norm_planes(&[2, 5]), (0, 0));
+    }
 
     fn mean_var(v: &[f32]) -> (f32, f32) {
         let mean = v.iter().sum::<f32>() / v.len() as f32;

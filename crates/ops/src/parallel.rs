@@ -97,6 +97,19 @@ pub fn row_partition(rows: usize, row_len: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// The row ranges [`par_blocks_out`] dispatches for `rows` rows of
+/// `row_len` elements grouped in blocks of `block_rows` rows: the
+/// [`row_partition`] of the blocks (a block of `block_rows * row_len`
+/// elements being the work unit), each clipped to `0..rows`. Same
+/// exact-cover contract as [`element_partition`] over `0..rows`.
+pub fn block_partition(rows: usize, row_len: usize, block_rows: usize) -> Vec<Range<usize>> {
+    let block_rows = block_rows.max(1);
+    row_partition(rows.div_ceil(block_rows), block_rows * row_len)
+        .into_iter()
+        .map(|b| b.start * block_rows..(b.end * block_rows).min(rows))
+        .collect()
+}
+
 // ----------------------------------------------------------------------
 // Runner plumbing
 // ----------------------------------------------------------------------
@@ -202,22 +215,27 @@ pub fn par_rows(rows: usize, row_len: usize, job: impl Fn(Range<usize>) + Sync) 
 // ----------------------------------------------------------------------
 
 /// Raw pointer wrapper for handing an output buffer to chunk jobs that
-/// write disjoint regions. Confined to this module; the scoped-join
+/// write disjoint regions. Confined to this crate; the scoped-join
 /// guarantee of [`IntraOpRunner::run`] keeps the borrow alive for every
 /// dereference.
-#[derive(Clone, Copy)]
-pub(crate) struct SendPtr(pub(crate) *mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+impl<T> Clone for SendPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for SendPtr<T> {}
+unsafe impl<T: Send> Send for SendPtr<T> {}
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-impl SendPtr {
+impl<T> SendPtr<T> {
     /// Mutable sub-slice `range` of the wrapped buffer.
     ///
     /// # Safety
     ///
     /// `range` must be in bounds and disjoint from every other range
     /// sliced out while the buffer is shared across chunk jobs.
-    pub(crate) unsafe fn slice(self, range: Range<usize>) -> &'static mut [f32] {
+    pub(crate) unsafe fn slice<'a>(self, range: Range<usize>) -> &'a mut [T] {
         std::slice::from_raw_parts_mut(self.0.add(range.start), range.len())
     }
 }
@@ -225,7 +243,7 @@ impl SendPtr {
 /// Element-chunked variant of [`par_for`] that splits `out` into disjoint
 /// slices: `job(start, slice)` receives the chunk's first element index
 /// and its mutable window of `out`.
-pub fn par_for_out(out: &mut [f32], job: impl Fn(usize, &mut [f32]) + Sync) {
+pub fn par_for_out<T: Send>(out: &mut [T], job: impl Fn(usize, &mut [T]) + Sync) {
     let total = out.len();
     let ptr = SendPtr(out.as_mut_ptr());
     par_for(total, |r| {
@@ -238,11 +256,11 @@ pub fn par_for_out(out: &mut [f32], job: impl Fn(usize, &mut [f32]) + Sync) {
 
 /// Row-chunked variant of [`par_rows`] that splits `out` (of length
 /// `rows * row_len`) into disjoint row windows: `job(first_row, slice)`.
-pub fn par_rows_out(
-    out: &mut [f32],
+pub fn par_rows_out<T: Send>(
+    out: &mut [T],
     rows: usize,
     row_len: usize,
-    job: impl Fn(usize, &mut [f32]) + Sync,
+    job: impl Fn(usize, &mut [T]) + Sync,
 ) {
     debug_assert_eq!(out.len(), rows * row_len);
     let ptr = SendPtr(out.as_mut_ptr());
@@ -251,6 +269,49 @@ pub fn par_rows_out(
         // SAFETY: row ranges partition 0..rows disjointly, so element
         // windows are disjoint; the scoped join outlives every job.
         job(r.start, unsafe { ptr.slice(elems) });
+    });
+}
+
+/// Dispatch for kernels that write one output element per work unit of
+/// `unit_len` input elements (a reduction lane): the units are split as
+/// [`par_rows`] splits `out.len()` rows of `unit_len`, and
+/// `job(first_unit, slice)` receives the chunk's first unit and its window
+/// of `out`.
+pub fn par_units_out<T: Send>(
+    out: &mut [T],
+    unit_len: usize,
+    job: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let ptr = SendPtr(out.as_mut_ptr());
+    par_rows(out.len(), unit_len, |r| {
+        let first = r.start;
+        // SAFETY: row ranges partition 0..out.len() disjointly; the scoped
+        // join outlives every job.
+        job(first, unsafe { ptr.slice(r) });
+    });
+}
+
+/// Row-chunked dispatch over `out` (of length `rows * row_len`) whose
+/// chunks hold whole blocks of `block_rows` rows, the last block possibly
+/// short: `job(rows, slice)` receives the chunk's row range (one of
+/// [`block_partition`]'s) and its window of `out`.
+pub fn par_blocks_out<T: Send>(
+    out: &mut [T],
+    rows: usize,
+    row_len: usize,
+    block_rows: usize,
+    job: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
+    debug_assert_eq!(out.len(), rows * row_len);
+    let block_rows = block_rows.max(1);
+    let ptr = SendPtr(out.as_mut_ptr());
+    par_rows(rows.div_ceil(block_rows), block_rows * row_len, |b| {
+        let r = b.start * block_rows..(b.end * block_rows).min(rows);
+        let elems = r.start * row_len..r.end * row_len;
+        // SAFETY: block ranges partition the blocks disjointly and the
+        // clip to `rows` keeps the last window in bounds; the scoped join
+        // outlives every job.
+        job(r, unsafe { ptr.slice(elems) });
     });
 }
 

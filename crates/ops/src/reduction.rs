@@ -1,32 +1,114 @@
 //! Index-producing reductions: argmax, top-k, and whole-tensor max/sum —
 //! the output heads of classifiers and the proposal filters of detectors.
 
+use std::cmp::Ordering;
+
 use ngb_tensor::{Tensor, TensorError};
 
-use crate::{OpCost, Result, F32_BYTES};
+use crate::{parallel, OpCost, Result, F32_BYTES};
 
 /// Argmax along `dim` (indices as i64, dim removed). Ties go to the lowest
 /// index, a lane with no value above `-inf` answers 0, and NaN never wins.
+///
+/// A dense input is split over its output positions ([`argmax_lanes`]).
+/// A chunk keeps a running best value and index per position and sweeps
+/// the lanes' values one contiguous row (fixed `t`, consecutive
+/// positions) at a time, `t` ascending, with the strict `v > best` test of
+/// the per-lane fold — so every position sees its values in the same order
+/// and answers the same index. A strided input folds each lane through
+/// [`Tensor::fold_dim`].
 ///
 /// # Errors
 ///
 /// Fails when `dim` is out of range or input is not f32.
 pub fn argmax(x: &Tensor, dim: usize) -> Result<Tensor> {
-    // (best value, its index, values seen so far = the next value's index)
-    let lanes = x.fold_dim(dim, (f32::NEG_INFINITY, 0, 0), |(best, at, t), v| {
-        if v > best {
-            (v, t, t + 1)
-        } else {
-            (best, at, t + 1)
-        }
-    })?;
+    let (outer, d, inner) = x.lane_dims(dim)?;
     let mut out_shape: Vec<usize> = x.shape().to_vec();
     out_shape.remove(dim);
-    Tensor::from_i64(lanes.into_iter().map(|(_, at, _)| at).collect(), &out_shape)
+    let Some(xs) = x.as_slice_f32() else {
+        // (best value, its index, values seen so far = the next value's index)
+        let lanes = x.fold_dim(dim, (f32::NEG_INFINITY, 0, 0), |(best, at, t), v| {
+            if v > best {
+                (v, t, t + 1)
+            } else {
+                (best, at, t + 1)
+            }
+        })?;
+        return Tensor::from_i64(lanes.into_iter().map(|(_, at, _)| at).collect(), &out_shape);
+    };
+    let mut out = vec![0i64; outer * inner];
+    let (_, unit) = argmax_lanes(x.shape(), dim);
+    parallel::par_units_out(&mut out, unit, |first, win| {
+        if inner == 1 {
+            // each lane is one contiguous run: scan it in place
+            for (p, at) in win.iter_mut().enumerate() {
+                let mut best = f32::NEG_INFINITY;
+                for (t, &v) in xs[(first + p) * d..(first + p + 1) * d].iter().enumerate() {
+                    if v > best {
+                        best = v;
+                        *at = t as i64;
+                    }
+                }
+            }
+            return;
+        }
+        let mut best = Vec::new();
+        let mut done = 0;
+        while done < win.len() {
+            // positions `l0..l0 + len` of outer index `o`
+            let (o, l0) = ((first + done) / inner, (first + done) % inner);
+            let len = (inner - l0).min(win.len() - done);
+            let at = &mut win[done..done + len];
+            best.clear();
+            best.resize(len, f32::NEG_INFINITY);
+            for t in 0..d {
+                let row = &xs[(o * d + t) * inner + l0..][..len];
+                for ((b, a), &v) in best.iter_mut().zip(at.iter_mut()).zip(row) {
+                    if v > *b {
+                        *b = v;
+                        *a = t as i64;
+                    }
+                }
+            }
+            done += len;
+        }
+    });
+    Tensor::from_i64(out, &out_shape)
 }
 
-/// Top-k along the **last** dimension, descending; returns
-/// `(values, indices)` each shaped `[..., k]`.
+/// Grains of input one dense [`argmax`] chunk sweeps: its output is one
+/// index per lane, so a one-grain chunk would stream rows only
+/// `GRAIN_ELEMS / d` positions long.
+const ARGMAX_GRAINS: usize = 16;
+
+/// `(positions, unit)` of the split [`argmax`] dispatches on a dense input
+/// of `shape` along `dim`: one output position per lane, the positions
+/// split as [`parallel::par_rows`] splits rows of `unit` elements. A lane
+/// of `d` values weighs `d / 16`, so a chunk sweeps rows of `16 ·
+/// GRAIN_ELEMS / d` consecutive positions.
+pub fn argmax_lanes(shape: &[usize], dim: usize) -> (usize, usize) {
+    let positions = shape
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != dim)
+        .map(|(_, &n)| n)
+        .product();
+    let d = shape.get(dim).copied().unwrap_or(0);
+    (positions, d.div_ceil(ARGMAX_GRAINS))
+}
+
+/// Descending score order with NaN after every number: a total order, so
+/// `sort_by` never sees an inconsistent comparison, and on NaN-free input
+/// exactly `partial_cmp` reversed (±0 tie, a stable sort keeps index order).
+pub(crate) fn descending_nan_last(a: f32, b: f32) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => b.partial_cmp(&a).expect("neither is NaN"),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
+}
+
+/// Top-k along the **last** dimension, descending with NaN last and ties
+/// in index order; returns `(values, indices)` each shaped `[..., k]`.
 ///
 /// # Errors
 ///
@@ -47,11 +129,7 @@ pub fn topk(x: &Tensor, k: usize) -> Result<(Tensor, Tensor)> {
     for r in 0..rows {
         let row = &v[r * d..(r + 1) * d];
         let mut order: Vec<usize> = (0..d).collect();
-        order.sort_by(|&a, &b| {
-            row[b]
-                .partial_cmp(&row[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|&a, &b| descending_nan_last(row[a], row[b]));
         for &i in order.iter().take(k) {
             vals.push(row[i]);
             ids.push(i as i64);
@@ -110,6 +188,77 @@ pub fn topk_cost(shape: &[usize], k: usize) -> OpCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::test_runner::with_test_runner;
+    use crate::parallel::GRAIN_ELEMS;
+    use ngb_tensor::random::TensorRng;
+
+    /// The per-lane fold argmax ran on every input before the lane-parallel
+    /// sweep: the oracle the new kernel is held to.
+    fn argmax_fold(x: &Tensor, dim: usize) -> Vec<i64> {
+        let lanes = x
+            .fold_dim(dim, (f32::NEG_INFINITY, 0, 0), |(best, at, t), v| {
+                if v > best {
+                    (v, t, t + 1)
+                } else {
+                    (best, at, t + 1)
+                }
+            })
+            .unwrap();
+        lanes.into_iter().map(|(_, at, _)| at as i64).collect()
+    }
+
+    /// `[20, 40, 700]` (several chunks along every dim) of half-integers, so
+    /// ties are common, with scattered NaN and `-inf`, whole NaN and
+    /// `-inf` lanes along every dim.
+    fn tricky(rng: &mut TensorRng) -> Tensor {
+        let (a, b, c) = (20, 40, 700);
+        let mut v: Vec<f32> = rng
+            .normal(&[a, b, c])
+            .to_vec_f32()
+            .unwrap()
+            .iter()
+            .map(|x| (x * 2.0).round() / 2.0)
+            .collect();
+        for (i, x) in v.iter_mut().enumerate() {
+            let (row, k) = (i / c, i % c);
+            if row == 5 || (row != 3 && (k == 11 || i % 97 == 0)) {
+                *x = f32::NAN;
+            } else if row == 3 || k == 7 || i % 89 == 0 {
+                *x = f32::NEG_INFINITY;
+            }
+        }
+        // last-dim lanes 5 and 3 are all NaN and all `-inf`; the lanes
+        // through last index 11 and 7 are NaN and `-inf` along dims 0 and 1
+        assert!(v[5 * c..6 * c].iter().all(|x| x.is_nan()));
+        assert!(v[3 * c..4 * c].iter().all(|&x| x == f32::NEG_INFINITY));
+        Tensor::from_vec(v, &[a, b, c]).unwrap()
+    }
+
+    #[test]
+    fn argmax_matches_the_lane_fold_across_chunks() {
+        let x = tricky(&mut TensorRng::seed(17));
+        // the same values dense in another order, and strided
+        let inputs = [
+            x.clone(),
+            x.permute(&[2, 0, 1]).unwrap().contiguous(),
+            x.permute(&[1, 2, 0]).unwrap(),
+        ];
+        for x in &inputs {
+            for dim in 0..3 {
+                let (positions, unit) = argmax_lanes(x.shape(), dim);
+                assert_eq!(positions * x.shape()[dim], x.numel());
+                assert!(crate::parallel::row_chunks(positions, unit) > 1);
+                let want = argmax_fold(x, dim);
+                let run = || argmax(x, dim).unwrap().to_vec_i64().unwrap();
+                assert_eq!(run(), want, "serial, dim {dim}, strides {:?}", x.strides());
+                for threads in [1, 2, 8] {
+                    let got = with_test_runner(threads, run);
+                    assert_eq!(got, want, "{threads} threads, dim {dim}");
+                }
+            }
+        }
+        assert!(inputs[0].numel() > 2 * GRAIN_ELEMS);
+    }
 
     #[test]
     fn argmax_rows() {
@@ -149,6 +298,29 @@ mod tests {
         let nan = f32::NAN;
         let x = transposed(&[[nan, 3.0, nan, 7.0], [1.0, nan, nan, nan], [nan; 4]]);
         assert_eq!(argmax(&x, 0).unwrap().to_vec_i64().unwrap(), vec![3, 0, 0]);
+    }
+
+    #[test]
+    fn nan_scores_sort_last_without_panicking() {
+        let nan = f32::NAN;
+        // a row with NaNs scattered through it used to trip sort_by's
+        // total-order check
+        let mut row: Vec<f32> = (0..64).map(|i| ((i * 37) % 64) as f32).collect();
+        for i in [0, 5, 9, 33, 63] {
+            row[i] = nan;
+        }
+        let x = Tensor::from_vec(row.clone(), &[1, 64]).unwrap();
+        let (v, i) = topk(&x, 64).unwrap();
+        let (v, i) = (v.to_vec_f32().unwrap(), i.to_vec_i64().unwrap());
+        assert!(v[..59].windows(2).all(|w| w[0] >= w[1]));
+        assert!(v[59..].iter().all(|x| x.is_nan()));
+        // NaNs keep index order, like every tie
+        assert_eq!(&i[59..], &[0, 5, 9, 33, 63]);
+        // ±0 tie too, in index order
+        let z = Tensor::from_vec(vec![0.0, -0.0, 1.0, nan, 0.0], &[5]).unwrap();
+        let (_, zi) = topk(&z, 5).unwrap();
+        assert_eq!(zi.to_vec_i64().unwrap(), vec![2, 0, 1, 4, 3]);
+        assert_eq!(descending_nan_last(nan, nan), std::cmp::Ordering::Equal);
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub fn box_iou(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// operator, Figure 2 (a)).
 ///
 /// `boxes: [N, 4]` corner format, `scores: [N]`. Returns the **indices of
-/// kept boxes** (i64, descending score order): greedy NMS identical to
-/// `torchvision.ops.nms`.
+/// kept boxes** (i64, descending score order, NaN scores last): greedy NMS
+/// identical to `torchvision.ops.nms`.
 ///
 /// # Errors
 ///
@@ -69,11 +69,7 @@ pub fn nms(boxes: &Tensor, scores: &Tensor, iou_threshold: f32) -> Result<Tensor
     let bv = boxes.to_vec_f32()?;
     let sv = scores.to_vec_f32()?;
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        sv[b]
-            .partial_cmp(&sv[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    order.sort_by(|&a, &b| crate::reduction::descending_nan_last(sv[a], sv[b]));
     let area = |i: usize| {
         let b = &bv[i * 4..i * 4 + 4];
         ((b[2] - b[0]).max(0.0)) * ((b[3] - b[1]).max(0.0))
@@ -306,6 +302,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn nms_visits_nan_scores_last_without_panicking() {
+        // 64 disjoint boxes, NaN scores scattered through them: the old
+        // comparator tripped sort_by's total-order check
+        let v: Vec<f32> = (0..64)
+            .flat_map(|i| {
+                let x = 2.0 * i as f32;
+                [x, 0.0, x + 1.0, 1.0]
+            })
+            .collect();
+        let b = Tensor::from_vec(v, &[64, 4]).unwrap();
+        let mut scores: Vec<f32> = (0..64).map(|i| ((i * 37) % 64) as f32).collect();
+        for i in [0, 5, 9, 33, 63] {
+            scores[i] = f32::NAN;
+        }
+        let keep = nms(&b, &Tensor::from_vec(scores.clone(), &[64]).unwrap(), 0.5)
+            .unwrap()
+            .to_vec_i64()
+            .unwrap();
+        assert_eq!(keep.len(), 64, "disjoint boxes all survive");
+        let kept: Vec<f32> = keep.iter().map(|&i| scores[i as usize]).collect();
+        assert!(kept[..59].windows(2).all(|w| w[0] >= w[1]));
+        assert_eq!(&keep[59..], &[0, 5, 9, 33, 63]);
     }
 
     #[test]

@@ -64,11 +64,10 @@
 #![forbid(unsafe_code)]
 
 use ngb_graph::{
-    attention_prologue, conv_bn, FusedKind, FusedOp, FusedStage, Graph, Node, NodeId, OpKind,
+    attention_prologue, conv_bn, static_strides, FusedKind, FusedOp, FusedStage, Graph, Node,
+    NodeId, OpKind,
 };
-use ngb_tensor::{
-    contiguous_strides, expand_strides, is_contiguous, num_elements, reshape_strides,
-};
+use ngb_tensor::{expand_strides, is_contiguous, num_elements, reshape_strides};
 use serde::{Deserialize, Serialize};
 
 /// How aggressively [`optimize`] rewrites a graph.
@@ -594,52 +593,6 @@ fn layout_pass(g: &Graph, report: &mut OptReport) -> Option<Graph> {
 }
 
 // ------------------------------------------------------- contiguous elision
-
-/// Statically-propagated output strides per node: compute ops and copying
-/// layout ops produce dense outputs; metadata ops transform their
-/// producer's layout by the same rules the `ngb_tensor` view methods use
-/// at runtime. A `Reshape`/`View` that cannot stay zero-copy falls back to
-/// dense (that is exactly what `Tensor::reshape` materializes).
-fn static_strides(g: &Graph) -> Vec<Vec<isize>> {
-    let mut out: Vec<Vec<isize>> = Vec::with_capacity(g.len());
-    for n in g.iter() {
-        let dense = || contiguous_strides(&n.out_shape);
-        let s = match (&n.op, n.inputs.first()) {
-            (OpKind::Permute { perm }, Some(pid)) if perm.len() == out[pid.0].len() => {
-                perm.iter().map(|&i| out[pid.0][i]).collect()
-            }
-            (OpKind::Transpose { d0, d1 }, Some(pid))
-                if *d0 < out[pid.0].len() && *d1 < out[pid.0].len() =>
-            {
-                let mut p = out[pid.0].clone();
-                p.swap(*d0, *d1);
-                p
-            }
-            (OpKind::Squeeze { dim }, Some(pid)) if *dim < out[pid.0].len() => {
-                let mut p = out[pid.0].clone();
-                p.remove(*dim);
-                p
-            }
-            (OpKind::Unsqueeze { dim }, Some(pid)) => {
-                let mut p = out[pid.0].clone();
-                p.insert((*dim).min(p.len()), 0);
-                p
-            }
-            (OpKind::Slice { .. }, Some(pid)) => out[pid.0].clone(),
-            (OpKind::Expand { .. }, Some(pid)) => {
-                expand_strides(&g.nodes[pid.0].out_shape, &out[pid.0], &n.out_shape)
-                    .unwrap_or_else(dense)
-            }
-            (OpKind::Reshape { .. } | OpKind::View { .. }, Some(pid)) => {
-                reshape_strides(&g.nodes[pid.0].out_shape, &out[pid.0], &n.out_shape)
-                    .unwrap_or_else(dense)
-            }
-            _ => dense(),
-        };
-        out.push(s);
-    }
-    out
-}
 
 /// Whether consumer `c` can take a view with `strides` over `shape` in
 /// place of a dense copy, recursing through metadata ops (which forward

@@ -6,15 +6,18 @@
 //! disjoint, exact cover of the output. This module re-derives every
 //! decomposition an operator can dispatch for its static output shape —
 //! flat element chunks, row chunks, `roll`'s rows split at the rolled dim,
-//! the GEMM's (panel group x row block) units, and a convolution's
-//! output rows (depthwise kernel, bias pass) and per-image im2col panels
-//! and GEMM units — and symbolically checks the cover,
-//! per node, for the shapes actually present in the graph.
+//! softmax's outer blocks, batch norm's planes, group norm's segments,
+//! argmax's lane positions, a transposing `contiguous`'s tile-row blocks
+//! (from the input's statically propagated strides), the GEMM's (panel
+//! group x row block) units, and a convolution's output rows (depthwise
+//! kernel, bias pass) and per-image im2col panels and GEMM units — and
+//! symbolically checks the cover, per node, for the shapes actually
+//! present in the graph.
 
 use std::ops::Range;
 
-use ngb_graph::{FusedKind, Graph, Node, NodeId, OpKind};
-use ngb_ops::{gemm, parallel};
+use ngb_graph::{static_strides, FusedKind, Graph, Node, NodeId, OpKind};
+use ngb_ops::{gemm, memory, normalization, parallel, reduction};
 
 use crate::hazard::{HazardKind, SanitizeReport};
 
@@ -93,6 +96,7 @@ pub fn verify_ranges(
 /// Symbolically checks every decomposition each node's kernels can
 /// dispatch for the node's static output shape.
 pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
+    let strides = static_strides(graph);
     for node in graph.iter() {
         let numel = ngb_tensor::num_elements(&node.out_shape);
         verify_ranges(
@@ -133,6 +137,7 @@ pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
                 );
             }
         }
+        verify_lane_splits(graph, node, &strides, report);
         // a Conv+BN fusion runs its convolution through the same kernel,
         // with the folded bias
         let conv = match &node.op {
@@ -160,6 +165,69 @@ pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
         if let Some((m, k, n)) = gemm_dims(graph, node) {
             verify_gemm_tiles(m, k, n, node.id, report);
         }
+    }
+}
+
+/// Checks the splits of the kernels whose work unit is not a row of the
+/// output's last dim: softmax's outer blocks (an attention prologue ends in
+/// the same kernel), batch norm's `H·W` planes, group norm's segments,
+/// argmax's lane positions and a transpose-shaped `contiguous`'s tile-row
+/// blocks, the last two sized by the input's shape and static strides.
+fn verify_lane_splits(
+    graph: &Graph,
+    node: &Node,
+    strides: &[Vec<isize>],
+    report: &mut SanitizeReport,
+) {
+    let shape = &node.out_shape[..];
+    let input = node
+        .inputs
+        .first()
+        .map(|id| id.0)
+        .filter(|&i| i < graph.len());
+    let in_shape = |i: usize| &graph.iter().as_slice()[i].out_shape[..];
+    let softmax_dim = |op: &OpKind| match *op {
+        OpKind::Softmax { dim } | OpKind::LogSoftmax { dim } => Some(dim),
+        _ => None,
+    };
+    let softmax = match &node.op {
+        OpKind::Fused(f) if f.kind == FusedKind::AttentionPrologue => {
+            f.stages.iter().find_map(|s| softmax_dim(&s.op))
+        }
+        op => softmax_dim(op),
+    };
+    // (label, (rows, row_len), rows per block): a plain row split is
+    // blocks of one row
+    let split = if let Some(dim) = softmax.filter(|&d| d < shape.len()) {
+        // one block per outer index, holding all of its lanes
+        let (outer, lanes) = shape.split_at(dim);
+        let blocks = (outer.iter().product(), lanes.iter().product());
+        Some(("softmax-block", blocks, 1))
+    } else {
+        match (&node.op, input) {
+            (OpKind::BatchNorm2d { .. } | OpKind::FrozenBatchNorm2d { .. }, _) => {
+                Some(("bn-plane", normalization::batch_norm_planes(shape), 1))
+            }
+            (&OpKind::GroupNorm { groups, .. }, _) => {
+                let segments = normalization::group_norm_segments(shape, groups);
+                Some(("gn-segment", segments, 1))
+            }
+            (&OpKind::Argmax { dim }, Some(i)) if dim < in_shape(i).len() => {
+                Some(("argmax-lane", reduction::argmax_lanes(in_shape(i), dim), 1))
+            }
+            (OpKind::Contiguous, Some(i)) => memory::contiguous_blocks(in_shape(i), &strides[i])
+                .map(|blocks| ("transpose-block", blocks, ngb_tensor::TILE_ROWS)),
+            _ => None,
+        }
+    };
+    if let Some((label, (rows, row_len), block)) = split {
+        verify_ranges(
+            label,
+            &parallel::block_partition(rows, row_len, block),
+            rows,
+            node.id,
+            report,
+        );
     }
 }
 
@@ -363,6 +431,62 @@ mod tests {
             stats(conv(1, true)).partitions_checked,
             copy.partitions_checked + gemm_partitions + 1
         );
+    }
+
+    #[test]
+    fn lane_and_tile_splits_are_certified() {
+        // the one split `op` adds on a `[1, 150, 128, 128]` input, dense or
+        // viewed NHWC through a permute: (partitions, chunks) checked
+        let split = |op: OpKind, nhwc: bool| {
+            let mut b = GraphBuilder::new("lanes");
+            let mut x = b.input(&[1, 150, 128, 128]);
+            if nhwc {
+                let perm = vec![0, 2, 3, 1];
+                x = b.push(OpKind::Permute { perm }, &[x], "nhwc").unwrap();
+            }
+            let y = b.push(op, &[x], "op").unwrap();
+            let g = b.finish();
+            let mut report = SanitizeReport::new(&g.name);
+            verify_lane_splits(&g, &g.nodes[y.0], &static_strides(&g), &mut report);
+            assert!(report.is_clean(), "{}", report.to_text());
+            (report.stats.partitions_checked, report.stats.chunks_checked)
+        };
+        let (positions, unit) = reduction::argmax_lanes(&[1, 150, 128, 128], 1);
+        let cases = [
+            (
+                OpKind::BatchNorm2d { c: 150 },
+                false,
+                parallel::row_partition(150, 16384),
+            ),
+            (
+                OpKind::GroupNorm { groups: 10, c: 150 },
+                false,
+                parallel::row_partition(10, 15 * 16384),
+            ),
+            (
+                OpKind::Softmax { dim: 2 },
+                false,
+                parallel::row_partition(150, 16384),
+            ),
+            (
+                OpKind::Argmax { dim: 1 },
+                false,
+                parallel::row_partition(positions, unit),
+            ),
+            // the NHWC view coalesces to 16384 unit-stride rows of 150
+            (
+                OpKind::Contiguous,
+                true,
+                parallel::block_partition(16384, 150, ngb_tensor::TILE_ROWS),
+            ),
+        ];
+        for (op, nhwc, want) in cases {
+            assert!(want.len() > 1, "{op:?}: the split must really split");
+            assert_eq!(split(op.clone(), nhwc), (1, want.len()), "{op:?}");
+        }
+        // a dense copy runs serially: no split of its own
+        assert_eq!(split(OpKind::Contiguous, false), (0, 0));
+        assert_eq!(split(OpKind::Relu, true), (0, 0));
     }
 
     #[test]

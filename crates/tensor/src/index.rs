@@ -1,6 +1,8 @@
 //! Multi-dimensional index iteration and the strided walker every copy,
 //! broadcast and reduction in this crate runs on.
 
+use std::ops::Range;
+
 /// Dims a [`Coalesced`] layout holds inline; a view with more left after
 /// coalescing is walked one outermost index at a time until the rest fit.
 const INLINE_DIMS: usize = 8;
@@ -105,16 +107,149 @@ fn walk<const N: usize, F: FnMut([usize; N], usize, [isize; N])>(
     }
 }
 
+/// Rows of one transpose tile: 16 source-adjacent rows of f32 are one
+/// 64-byte cache line per output column.
+pub const TILE_ROWS: usize = 16;
+
+/// Elements below which [`dense_copy`] keeps the per-run walk even for a
+/// transpose-shaped view; equal to one `ngb-ops` intra-op grain, so a copy
+/// too small to split is also too small to tile.
+pub const TILED_COPY_MIN_ELEMS: usize = 32 * 1024;
+
+/// A view whose unit-stride dim is not the innermost, after coalescing: a
+/// batch of `[rows, cols]` transposes, where row `i` of a batch starts `i`
+/// elements after the batch's base and column `j` sits `j * col_step`
+/// further on. Its dense copy is `batch * rows` rows of `cols`.
+struct Transposed {
+    /// The coalesced dims before the last two (len, stride), outermost first.
+    batch_len: [usize; INLINE_DIMS],
+    batch_step: [isize; INLINE_DIMS],
+    batch_rank: usize,
+    rows: usize,
+    cols: usize,
+    col_step: isize,
+}
+
+impl Transposed {
+    /// `None` unless the coalesced layout ends in a unit-stride dim followed
+    /// by a non-unit one (and holds no empty dim).
+    fn new(shape: &[usize], strides: &[isize]) -> Option<Transposed> {
+        if shape.contains(&0) {
+            return None;
+        }
+        let c = Coalesced::new(shape, [strides])?;
+        if c.rank < 2 || c.step[c.rank - 2][0] != 1 || c.step[c.rank - 1][0] == 1 {
+            return None;
+        }
+        let batch_rank = c.rank - 2;
+        Some(Transposed {
+            batch_len: c.len,
+            batch_step: c.step.map(|[s]| s),
+            batch_rank,
+            rows: c.len[batch_rank],
+            cols: c.len[batch_rank + 1],
+            col_step: c.step[batch_rank + 1][0],
+        })
+    }
+
+    fn total_rows(&self) -> usize {
+        self.batch_len[..self.batch_rank].iter().product::<usize>() * self.rows
+    }
+
+    /// Storage offset of row 0 of batch `b`, relative to the view's offset.
+    fn batch_base(&self, b: usize) -> isize {
+        unravel_offset(
+            b,
+            &self.batch_len[..self.batch_rank],
+            &self.batch_step[..self.batch_rank],
+        )
+    }
+
+    /// Writes rows `rows` of the dense copy into `out`, `TILE_ROWS` rows
+    /// at a time: for each group of source-adjacent rows (one batch) the
+    /// columns are read as `TILE_ROWS`-wide lines into a square tile and
+    /// written back as `TILE_ROWS`-long runs of each output row.
+    fn copy_rows<T: Copy + Default>(
+        &self,
+        src: &[T],
+        offset: usize,
+        rows: Range<usize>,
+        out: &mut [T],
+    ) {
+        let cols = self.cols;
+        debug_assert_eq!(out.len(), rows.len() * cols);
+        let mut tile = [[T::default(); TILE_ROWS]; TILE_ROWS];
+        let mut r = rows.start;
+        while r < rows.end {
+            // up to TILE_ROWS source-adjacent rows of one batch
+            let (b, i) = (r / self.rows, r % self.rows);
+            let g = TILE_ROWS.min(self.rows - i).min(rows.end - r);
+            let base = offset as isize + self.batch_base(b) + i as isize;
+            let first = (r - rows.start) * cols;
+            let dst = &mut out[first..first + g * cols];
+            for j0 in (0..cols).step_by(TILE_ROWS) {
+                let w = TILE_ROWS.min(cols - j0);
+                for (jj, line) in tile[..w].iter_mut().enumerate() {
+                    let o = (base + (j0 + jj) as isize * self.col_step) as usize;
+                    line[..g].copy_from_slice(&src[o..o + g]);
+                }
+                for (k, row) in dst.chunks_exact_mut(cols).enumerate() {
+                    for (v, line) in row[j0..j0 + w].iter_mut().zip(&tile) {
+                        *v = line[k];
+                    }
+                }
+            }
+            r += g;
+        }
+    }
+}
+
+/// `(rows, cols)` of the tiled copy of a view whose unit-stride dim is not
+/// the innermost after coalescing (see
+/// [`Tensor::copy_transposed_rows`](crate::Tensor::copy_transposed_rows));
+/// `None` for every other layout. A pure function of shape and strides.
+pub fn transposed_rows(shape: &[usize], strides: &[isize]) -> Option<(usize, usize)> {
+    Transposed::new(shape, strides).map(|t| (t.total_rows(), t.cols))
+}
+
+/// Writes rows `rows` of the dense copy of a transpose-shaped view of `src`
+/// into `out`; `None` when the view is not transpose-shaped or `rows`/`out`
+/// do not fit it.
+pub(crate) fn transposed_copy<T: Copy + Default>(
+    src: &[T],
+    shape: &[usize],
+    strides: &[isize],
+    offset: usize,
+    rows: Range<usize>,
+    out: &mut [T],
+) -> Option<()> {
+    let t = Transposed::new(shape, strides)?;
+    if rows.end > t.total_rows() || out.len() != rows.len() * t.cols {
+        return None;
+    }
+    t.copy_rows(src, offset, rows, out);
+    Some(())
+}
+
 /// Copies the view `shape`/`strides`/`offset` of `src` into a new dense
-/// row-major buffer: one `extend_from_slice` per unit-stride run, a stride
-/// loop otherwise.
-pub(crate) fn dense_copy<T: Copy>(
+/// row-major buffer: transpose tiles for a transpose-shaped view of at
+/// least [`TILED_COPY_MIN_ELEMS`], else one `extend_from_slice` per
+/// unit-stride run and a stride loop otherwise.
+pub(crate) fn dense_copy<T: Copy + Default>(
     src: &[T],
     shape: &[usize],
     strides: &[isize],
     offset: usize,
 ) -> Vec<T> {
-    let mut out = Vec::with_capacity(crate::num_elements(shape));
+    let n = crate::num_elements(shape);
+    if n >= TILED_COPY_MIN_ELEMS {
+        if let Some(t) = Transposed::new(shape, strides) {
+            let mut out = vec![T::default(); n];
+            t.copy_rows(src, offset, 0..t.total_rows(), &mut out);
+            return out;
+        }
+    }
+    let mut out = Vec::with_capacity(n);
     for_each_run(shape, [strides], [offset], |[o], len, [s]| {
         if s == 1 {
             out.extend_from_slice(&src[o..o + len]);
@@ -325,6 +460,74 @@ mod tests {
             .map(|i| (i.reverse_bits() >> (usize::BITS - 10)) as isize)
             .collect();
         assert_eq!(seen, want);
+    }
+
+    /// The per-run copy `dense_copy` makes below the tile threshold.
+    fn walk_copy(src: &[i64], shape: &[usize], strides: &[isize], offset: usize) -> Vec<i64> {
+        let mut out = Vec::new();
+        for_each_run(shape, [strides], [offset], |[o], len, [s]| {
+            out.extend((0..len as isize).map(|i| src[(o as isize + i * s) as usize]));
+        });
+        out
+    }
+
+    #[test]
+    fn transpose_tiles_match_the_run_walk_in_any_row_pieces() {
+        let src: Vec<i64> = (0..40_000).collect();
+        // (shape, strides, offset): a plain transpose, a batched NHWC ->
+        // NCHW permute whose 19 rows leave a short tile, a sliced
+        // transpose, and an expanded (stride-0) column
+        let views: [(&[usize], &[isize], usize); 4] = [
+            (&[33, 70], &[1, 33], 0),
+            (&[2, 19, 5, 7], &[665, 1, 133, 19], 3),
+            (&[40, 50], &[1, 301], 17),
+            (&[37, 64], &[1, 0], 5),
+        ];
+        for (shape, strides, offset) in views {
+            let (rows, cols) = transposed_rows(shape, strides).expect("transpose-shaped");
+            assert_eq!(rows * cols, crate::num_elements(shape));
+            let want = walk_copy(&src, shape, strides, offset);
+            // every row split, including pieces that cut a tile or a batch
+            for piece in [1, 5, 16, 17, rows] {
+                let mut got = vec![0i64; rows * cols];
+                for (k, out) in got.chunks_mut(piece * cols).enumerate() {
+                    let r = k * piece..(k * piece + piece).min(rows);
+                    transposed_copy(&src, shape, strides, offset, r, out).unwrap();
+                }
+                assert_eq!(got, want, "{shape:?} {strides:?} in pieces of {piece}");
+            }
+        }
+        // a row range or window that does not fit is refused, not clipped
+        let mut out = vec![0i64; 70];
+        assert!(transposed_copy(&src, &[33, 70], &[1, 33], 0, 33..34, &mut out).is_none());
+        assert!(transposed_copy(&src, &[33, 70], &[1, 33], 0, 0..2, &mut out).is_none());
+    }
+
+    #[test]
+    fn only_a_non_innermost_unit_stride_is_transpose_shaped() {
+        // dense, a row slice, unit stride innermost, empty, no unit stride
+        assert_eq!(transposed_rows(&[4, 5], &[5, 1]), None);
+        assert_eq!(transposed_rows(&[4, 5], &[9, 1]), None);
+        assert_eq!(transposed_rows(&[5, 4, 6], &[6, 30, 1]), None);
+        assert_eq!(transposed_rows(&[0, 5], &[1, 0]), None);
+        assert_eq!(transposed_rows(&[4, 5], &[2, 10]), None);
+        // size-1 dims vanish and composable dims merge first
+        assert_eq!(
+            transposed_rows(&[1, 6, 4, 5], &[99, 1, 30, 6]),
+            Some((6, 20))
+        );
+    }
+
+    #[test]
+    fn dense_copy_tiles_large_transposes_bit_for_bit() {
+        let (r, c) = (160, 300);
+        assert!(r * c >= TILED_COPY_MIN_ELEMS);
+        let src: Vec<i64> = (0..(r * c) as i64).collect();
+        let (shape, strides) = ([c, r], [1isize, c as isize]);
+        assert_eq!(
+            dense_copy(&src, &shape, &strides, 0),
+            walk_copy(&src, &shape, &strides, 0)
+        );
     }
 
     #[test]

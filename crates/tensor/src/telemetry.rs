@@ -5,8 +5,9 @@
 //! stride-incompatible `reshape`) and any kernel fallback that gathers a
 //! strided operand into dense storage. Engines sample the counter around each
 //! node execution to attribute layout copies to the node that incurred them —
-//! the copy always happens on the thread dispatching the node, never inside
-//! intra-op worker chunks, so a thread-local is exact.
+//! a copy is always counted on the thread dispatching the node, never inside
+//! intra-op worker chunks (a tiled copy split across chunks is counted once
+//! by its caller), so a thread-local is exact.
 
 use std::cell::Cell;
 

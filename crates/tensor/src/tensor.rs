@@ -1,8 +1,9 @@
 //! The [`Tensor`] type: shared storage + shape + strides + offset.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::index::{dense_copy, for_each_run, offset_of};
+use crate::index::{dense_copy, for_each_run, offset_of, transposed_copy};
 use crate::shape::{
     broadcast_shapes, broadcast_strides, contiguous_strides, is_contiguous, num_elements,
 };
@@ -338,11 +339,38 @@ impl Tensor {
     /// This view's elements of `src` (its storage) in row-major order. A
     /// dense view is one slice copy: setting up the strided walk would
     /// double the cost of the small dense copies a decode step makes.
-    fn copy_out<T: Copy>(&self, src: &[T]) -> Vec<T> {
+    fn copy_out<T: Copy + Default>(&self, src: &[T]) -> Vec<T> {
         if self.is_contiguous() {
             return src[self.offset..self.offset + self.numel()].to_vec();
         }
         dense_copy(src, &self.shape, &self.strides, self.offset)
+    }
+
+    /// Writes rows `rows` (of [`transposed_rows`](crate::transposed_rows))
+    /// of this f32
+    /// view's dense row-major copy into `out`, which holds exactly those
+    /// rows. The copy reads [`TILE_ROWS`](crate::TILE_ROWS) source-adjacent
+    /// rows per tile, so each output column costs one cache line instead of
+    /// one per row; disjoint row ranges can be filled independently.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the tensor is not f32, the view is not transpose-shaped,
+    /// or `rows`/`out` do not fit it.
+    pub fn copy_transposed_rows(&self, rows: Range<usize>, out: &mut [f32]) -> Result<()> {
+        let src = self.storage.as_f32().ok_or(TensorError::DTypeMismatch {
+            expected: "f32",
+            actual: self.dtype().name(),
+            op: "copy_transposed_rows",
+        })?;
+        transposed_copy(src, &self.shape, &self.strides, self.offset, rows, out).ok_or_else(|| {
+            TensorError::InvalidArgument(format!(
+                "copy_transposed_rows: {} output elements do not fit the transposed view {:?} (strides {:?})",
+                out.len(),
+                self.shape,
+                self.strides
+            ))
+        })
     }
 
     /// Copies the logical contents (row-major) into a `Vec<f32>`.

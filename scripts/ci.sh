@@ -24,6 +24,11 @@
 # the harness's own per-step sample vectors. roll has its own row kernel
 # and reads strided input in place, so the body of fn roll in
 # crates/ops/src/memory.rs may name neither .contiguous() nor Tensor::cat.
+# The batch-norm family walks whole planes with its per-channel constants
+# hoisted, and reads strided maps lane by lane: outside its test module,
+# crates/ops/src/normalization.rs may neither name elem_offset (the
+# per-element strided offset, kept only as the tests' oracle) nor recover
+# a channel from a flat element index with "/ plane ... % c".
 # The one-executor stage pins the run core as the only node walk: outside
 # test modules, the shadow-memory read hook, the contiguous-copy counter
 # read and the parameter fetch — the calls every copy of the
@@ -234,6 +239,14 @@ contiguous_ratchet() {
     echo "$stray"
     violations=1
   fi
+  local per_element
+  per_element=$(non_test_hits 'elem_offset|/ *plane(\.max\(1\))?\)? *% *c\b' \
+    crates/ops/src/normalization.rs)
+  if [[ -n "$per_element" ]]; then
+    echo "error: per-element index arithmetic is back in crates/ops/src/normalization.rs:"
+    echo "$per_element"
+    violations=1
+  fi
   local roll_body
   roll_body=$(awk '/^pub fn roll\(/ { on = 1 } on { print } on && /^}/ { exit }' \
     crates/ops/src/memory.rs)
@@ -245,7 +258,7 @@ contiguous_ratchet() {
     violations=1
   fi
   [[ $violations -eq 0 ]] || return 1
-  echo "contiguous ratchet: all eager call sites are declared fallbacks, IndexIter only in cat, roll copies rows"
+  echo "contiguous ratchet: all eager call sites are declared fallbacks, IndexIter only in cat, roll copies rows, norms walk planes"
 }
 
 # Non-test matches of the extended regex PATTERN in the *.rs files under
