@@ -606,8 +606,13 @@ fn run_bench(mut o: Opts) -> ExitCode {
         }
     };
 
-    if o.format == Format::Csv {
-        println!("{}", csv_header());
+    // measured numbers depend on which GEMM tile body the host ran, so
+    // the text and JSON reports name it; the CSV schema stays fixed
+    let tile = o.measured.then(nongemm::ops::gemm::tile_kind);
+    match (o.format, tile) {
+        (Format::Csv, _) => println!("{}", csv_header()),
+        (Format::Text, Some(tile)) => println!("gemm tile: {tile}\n"),
+        _ => {}
     }
     for profile in &profiles {
         let report = PerformanceReport::from_profile(profile);
@@ -616,7 +621,11 @@ fn run_bench(mut o: Opts) -> ExitCode {
             Format::Csv => println!("{}", report.to_csv_row()),
             Format::Json => println!(
                 "{}",
-                serde_json::to_string(&report).expect("reports serialize")
+                serde_json::to_string(&JsonReport {
+                    report: &report,
+                    gemm_tile: tile
+                })
+                .expect("reports serialize")
             ),
         }
         if let Some(dir) = &o.trace {
@@ -629,6 +638,24 @@ fn run_bench(mut o: Opts) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// One `run --format json` line: the report's object, plus a last
+/// `gemm_tile` key naming the GEMM tile body behind a measured one.
+struct JsonReport<'a> {
+    report: &'a PerformanceReport,
+    gemm_tile: Option<&'static str>,
+}
+
+impl serde::Serialize for JsonReport<'_> {
+    fn to_content(&self) -> serde::Content {
+        let mut object = self.report.to_content();
+        if let (serde::Content::Map(entries), Some(tile)) = (&mut object, self.gemm_tile) {
+            let key = serde::Content::Str("gemm_tile".into());
+            entries.push((key, serde::Content::Str(tile.into())));
+        }
+        object
+    }
 }
 
 fn run_microbench(bench: &NonGemmBench, format: Format) -> ExitCode {

@@ -10,9 +10,12 @@
 //! Blocking, from the inside out:
 //!
 //! * **Tile.** B is packed into `[panel][k][NR]` lanes (tails zero-padded)
-//!   and an `MR x NR = 4 x 16` tile computes four output rows against one
-//!   panel. On AVX2+FMA hosts the tile keeps eight YMM accumulators: two B
-//!   loads and four A broadcasts per `k`.
+//!   and an `MR x NR = 8 x 32` tile computes eight output rows against one
+//!   panel. That layout is the same on every host; only the body that
+//!   computes a tile is chosen at run time ([`tile_kind`]): on AVX-512F
+//!   hosts sixteen ZMM accumulators, two B loads and eight A broadcasts per
+//!   `k`; on AVX2+FMA hosts four `4 x 16` sub-tiles of eight YMM
+//!   accumulators each; elsewhere a portable per-element loop.
 //! * **Panel groups.** The output is walked in units of *(panel group x
 //!   row block)*. A panel group is as many panels as fit in
 //!   [`PANEL_GROUP_BYTES`]; units are ordered group-major, so consecutive
@@ -23,10 +26,12 @@
 //!   is one in-place row pass.
 //!
 //! Every output element is one accumulator summed over ascending `k`: a
-//! fused multiply-add on AVX2+FMA hosts, a multiply then an add elsewhere.
-//! Which path runs depends only on the host CPU, and the partition only on
-//! the shape, so results are bit-identical across thread counts, intra-op
-//! modes, engines, batch sizes and operand layouts.
+//! fused multiply-add on AVX-512F and AVX2+FMA hosts, a multiply then an
+//! add elsewhere. An FMA lane computes the same chain at any vector width,
+//! so the two fused bodies give the same bits. Which body runs depends
+//! only on the host CPU, and the partition only on the shape, so results
+//! are bit-identical across thread counts, intra-op modes, engines, batch
+//! sizes and operand layouts.
 
 use std::ops::Range;
 
@@ -35,10 +40,15 @@ use ngb_tensor::{Tensor, TensorError};
 use crate::parallel::{self, SendPtr};
 use crate::{OpCost, Result, F32_BYTES};
 
-/// Register-block height: rows of C computed together by the micro-kernel.
-const MR: usize = 4;
+/// Register-block height: rows of C computed together by one tile.
+const MR: usize = 8;
 /// Register-block width: one packed B panel is `NR` output columns.
-const NR: usize = 16;
+const NR: usize = 32;
+/// A quarter of the tile, `SUB_MR x SUB_NR`: the AVX2 body's sub-tile,
+/// and the grain at which both fused bodies skip the rows and columns a
+/// partial tile does not read back.
+const SUB_MR: usize = 4;
+const SUB_NR: usize = 16;
 /// Packed-B bytes one panel group may hold: small enough to stay in a
 /// core's L2 beside the A rows of a block, large enough that a group
 /// amortizes re-reading A.
@@ -150,60 +160,198 @@ fn pack_b_mat(b: Mat<'_>, k: usize, n: usize, packed: &mut [f32]) {
     });
 }
 
-/// Whether the AVX2+FMA micro-kernel can run on this host. Detection is
-/// a cached CPUID probe — a pure function of the hardware, never of
-/// thread count or intra-op mode, so kernel selection cannot break the
-/// bit-identity guarantee on a given machine.
-fn fma_tile_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+/// The body that computes an `MR x NR` tile. All three share the packed
+/// layout and the tiling; the two fused ones also share every output bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tile {
+    /// Sixteen ZMM accumulators: AVX-512F (with AVX2 and FMA).
+    Avx512,
+    /// Four `SUB_MR x SUB_NR` sub-tiles of eight YMM accumulators: AVX2
+    /// and FMA.
+    Avx2Fma,
+    /// A per-element multiply then add, on any host.
+    Portable,
+}
+
+impl Tile {
+    /// Whether this host can run the body. Detection is a cached CPUID
+    /// probe — a pure function of the hardware, never of thread count or
+    /// intra-op mode, so kernel selection cannot break the bit-identity
+    /// guarantee on a given machine.
+    fn runs_here(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                Tile::Avx512 => has!("avx512f") && has!("avx2") && has!("fma"),
+                Tile::Avx2Fma => has!("avx2") && has!("fma"),
+                Tile::Portable => true,
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Tile::Portable
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+
+    /// The widest body this host runs.
+    fn host() -> Tile {
+        [Tile::Avx512, Tile::Avx2Fma]
+            .into_iter()
+            .find(|t| t.runs_here())
+            .unwrap_or(Tile::Portable)
+    }
+
+    /// Whether each multiply-add rounds once (fused) rather than twice.
+    fn fused(self) -> bool {
+        self != Tile::Portable
     }
 }
 
-/// Where a tile's `MR x NR` accumulators land.
+/// Which tile body this host's GEMMs and depthwise convolutions run:
+/// `"avx512"`, `"avx2-fma"` or `"portable"`. The two fused bodies give
+/// identical bits; the portable one rounds each multiply-add twice.
+pub fn tile_kind() -> &'static str {
+    match Tile::host() {
+        Tile::Avx512 => "avx512",
+        Tile::Avx2Fma => "avx2-fma",
+        Tile::Portable => "portable",
+    }
+}
+
+/// Where a fused tile's accumulators land: rows of up to `NR` elements
+/// starting at `c`, `ldc` elements apart, each plus the matching prefix of
+/// `bias` when given. A full tile writes straight into C; a partial one into a
+/// scratch tile.
 #[cfg(target_arch = "x86_64")]
-enum TileOut<'a> {
-    /// `MR` full rows of C starting at `c`, `ldc` elements apart, each
-    /// plus `bias[..NR]` when given.
-    Direct {
-        c: *mut f32,
-        ldc: usize,
-        bias: Option<&'a [f32]>,
-    },
-    /// A scratch tile, for partial row blocks and tail panels.
-    Scratch(&'a mut [[f32; NR]; MR]),
+struct TileOut<'a> {
+    c: *mut f32,
+    ldc: usize,
+    bias: Option<&'a [f32]>,
 }
 
-/// Full `MR x NR` tile against one packed panel: each output element
-/// accumulates in one YMM lane via fused multiply-add over ascending
-/// `kk` (eight accumulators, two B loads and four A broadcasts per `kk`).
-/// FMA rounds once per multiply-add (vs twice in the portable loop), so
-/// absolute values differ across hosts — but every element is computed by
-/// exactly one deterministic path, keeping results bit-stable across runs,
-/// thread counts, and intra-op modes. A bias is added to the finished
-/// accumulator, as the scalar write-back does.
+/// Runs the fused body `tile` on one `MR x NR` tile against one packed
+/// panel: each output element accumulates in one vector lane via fused
+/// multiply-add over ascending `kk`, and a bias is added to the finished
+/// accumulator, as the scalar write-back does. FMA rounds once per
+/// multiply-add (vs twice in the portable loop), so absolute values differ
+/// from portable hosts — but both fused bodies run the same chain per lane,
+/// so their bits agree, and results stay bit-stable across runs, thread
+/// counts and intra-op modes.
+///
+/// Only the first `live = (rows, cols)` of the tile are read back, so both
+/// bodies compute just the `SUB_MR x SUB_NR` quarters that meet them: the
+/// AVX2 body runs those sub-tiles, the AVX-512 body a 4- or 8-row, 16- or
+/// 32-wide variant. A decode step's one row then costs a quarter tile, not
+/// a whole one.
 ///
 /// # Safety
 ///
-/// Caller must check [`fma_tile_available`]; `arows` must hold `MR` full
-/// k-contiguous rows spaced `stride` elements apart starting at
-/// `arows[0]` (i.e. `arows.len() >= (MR - 1) * stride + k`), `panel` must
-/// be `k * NR` long, and a [`TileOut::Direct`] target must be `MR` rows of
-/// `NR` writable elements no other thread touches, with `bias` at least
-/// `NR` long.
+/// `tile` must be fused and [`Tile::runs_here`]; `arows` must hold the
+/// `rows = live.0.next_multiple_of(SUB_MR)` full k-contiguous rows spaced
+/// `stride` elements apart starting at `arows[0]` (i.e. `arows.len() >=
+/// (rows - 1) * stride + k`), `panel` must be `k * NR` long, and `out`
+/// must be `rows` rows of `cols = live.1.next_multiple_of(SUB_NR)`
+/// writable elements no other thread touches, with `bias` at least `cols`
+/// long.
+#[cfg(target_arch = "x86_64")]
+unsafe fn tile_fused(
+    tile: Tile,
+    arows: &[f32],
+    stride: usize,
+    k: usize,
+    panel: &[f32],
+    out: TileOut<'_>,
+    live: (usize, usize),
+) {
+    let rows = live.0.next_multiple_of(SUB_MR);
+    debug_assert!(rows <= MR && live.1 <= NR);
+    debug_assert!(arows.len() >= (rows - 1) * stride + k && panel.len() == k * NR);
+    let (a, b) = (arows.as_ptr(), panel.as_ptr());
+    match (tile, rows > SUB_MR, live.1 > SUB_NR) {
+        (Tile::Avx512, true, true) => tile_avx512::<MR, 2>(a, stride, k, b, out),
+        (Tile::Avx512, true, false) => tile_avx512::<MR, 1>(a, stride, k, b, out),
+        (Tile::Avx512, false, true) => tile_avx512::<SUB_MR, 2>(a, stride, k, b, out),
+        (Tile::Avx512, false, false) => tile_avx512::<SUB_MR, 1>(a, stride, k, b, out),
+        (Tile::Avx2Fma, ..) => {
+            for r0 in (0..rows).step_by(SUB_MR) {
+                for c0 in (0..live.1).step_by(SUB_NR) {
+                    let sub = TileOut {
+                        c: out.c.add(r0 * out.ldc + c0),
+                        ldc: out.ldc,
+                        bias: out.bias.map(|bs| &bs[c0..c0 + SUB_NR]),
+                    };
+                    subtile_avx2(a.add(r0 * stride), stride, k, b.add(c0), sub);
+                }
+            }
+        }
+        (Tile::Portable, ..) => unreachable!("the portable tile is not fused"),
+    }
+}
+
+/// AVX-512F body of [`tile_fused`]: the first `R` rows and `16 * H`
+/// columns of the tile in `R * H` ZMM accumulators, `H` B loads and `R` A
+/// broadcasts per `kk` — at full size sixteen accumulators, two loads and
+/// eight broadcasts.
+///
+/// # Safety
+///
+/// As [`tile_fused`] for `R` rows, with `a` and `panel` the starts of
+/// `arows` and the panel.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "fma")]
+unsafe fn tile_avx512<const R: usize, const H: usize>(
+    a: *const f32,
+    stride: usize,
+    k: usize,
+    panel: *const f32,
+    out: TileOut<'_>,
+) {
+    use std::arch::x86_64::*;
+    let rows: [*const f32; R] = std::array::from_fn(|i| a.wrapping_add(i * stride));
+    let mut acc = [[_mm512_setzero_ps(); H]; R];
+    let mut bp = panel;
+    for kk in 0..k {
+        let b: [__m512; H] = std::array::from_fn(|h| _mm512_loadu_ps(bp.add(16 * h)));
+        for (c, row) in acc.iter_mut().zip(rows) {
+            let x = _mm512_set1_ps(*row.add(kk));
+            for (c, &b) in c.iter_mut().zip(&b) {
+                *c = _mm512_fmadd_ps(x, b, *c);
+            }
+        }
+        bp = bp.add(NR);
+    }
+    for (ii, row) in acc.into_iter().enumerate() {
+        let dst = out.c.add(ii * out.ldc);
+        for (h, mut c) in row.into_iter().enumerate() {
+            if let Some(bs) = out.bias {
+                c = _mm512_add_ps(c, _mm512_loadu_ps(bs.as_ptr().add(16 * h)));
+            }
+            _mm512_storeu_ps(dst.add(16 * h), c);
+        }
+    }
+}
+
+/// AVX2+FMA sub-tile of [`tile_fused`]: `SUB_MR x SUB_NR` outputs in eight
+/// YMM accumulators, two B loads and four A broadcasts per `kk`, reading
+/// `SUB_NR` lanes of each `NR`-wide panel row from `panel` on.
+///
+/// # Safety
+///
+/// As [`tile_fused`], for the `SUB_MR` rows at `a` and the `SUB_NR` lanes
+/// at `panel`, with `out.bias` at least `SUB_NR` long.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tile_fma(arows: &[f32], stride: usize, k: usize, panel: &[f32], out: TileOut<'_>) {
+unsafe fn subtile_avx2(
+    a: *const f32,
+    stride: usize,
+    k: usize,
+    panel: *const f32,
+    out: TileOut<'_>,
+) {
     use std::arch::x86_64::*;
-    debug_assert!(arows.len() >= (MR - 1) * stride + k && panel.len() == k * NR);
-    let a = arows.as_ptr();
     let (a0, a1, a2, a3) = (a, a.add(stride), a.add(2 * stride), a.add(3 * stride));
-    let mut bp = panel.as_ptr();
+    let mut bp = panel;
     let mut c00 = _mm256_setzero_ps();
     let mut c01 = _mm256_setzero_ps();
     let mut c10 = _mm256_setzero_ps();
@@ -230,24 +378,14 @@ unsafe fn tile_fma(arows: &[f32], stride: usize, k: usize, panel: &[f32], out: T
         bp = bp.add(NR);
     }
     let rows = [(c00, c01), (c10, c11), (c20, c21), (c30, c31)];
-    match out {
-        TileOut::Direct { c, ldc, bias } => {
-            for (ii, (mut lo, mut hi)) in rows.into_iter().enumerate() {
-                if let Some(bs) = bias {
-                    lo = _mm256_add_ps(lo, _mm256_loadu_ps(bs.as_ptr()));
-                    hi = _mm256_add_ps(hi, _mm256_loadu_ps(bs.as_ptr().add(8)));
-                }
-                let row = c.add(ii * ldc);
-                _mm256_storeu_ps(row, lo);
-                _mm256_storeu_ps(row.add(8), hi);
-            }
+    for (ii, (mut lo, mut hi)) in rows.into_iter().enumerate() {
+        if let Some(bs) = out.bias {
+            lo = _mm256_add_ps(lo, _mm256_loadu_ps(bs.as_ptr()));
+            hi = _mm256_add_ps(hi, _mm256_loadu_ps(bs.as_ptr().add(8)));
         }
-        TileOut::Scratch(acc) => {
-            for (row, (lo, hi)) in acc.iter_mut().zip(rows) {
-                _mm256_storeu_ps(row.as_mut_ptr(), lo);
-                _mm256_storeu_ps(row.as_mut_ptr().add(8), hi);
-            }
-        }
+        let row = out.c.add(ii * out.ldc);
+        _mm256_storeu_ps(row, lo);
+        _mm256_storeu_ps(row.add(8), hi);
     }
 }
 
@@ -335,8 +473,8 @@ pub fn tile_units(m: usize, k: usize, n: usize) -> (Vec<TileUnit>, usize) {
 }
 
 /// `C[m, n] = A[m, k] @ packed_B (+ bias)` with `MR x NR` register
-/// blocking over [`Tiling`]'s units; chunks of units fan out across
-/// intra-op threads.
+/// blocking over [`Tiling`]'s units, on this host's tile body; chunks of
+/// units fan out across intra-op threads.
 ///
 /// Every output element is one private accumulator summed over `kk` in
 /// ascending order, so results are bit-identical regardless of how units
@@ -356,6 +494,22 @@ fn gemm_into(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
+    gemm_tiled(Tile::host(), a, m, k, n, packed, bias, out);
+}
+
+/// [`gemm_into`] on the tile body `tile`, which must run on this host.
+#[allow(clippy::too_many_arguments)]
+fn gemm_tiled(
+    tile: Tile,
+    a: Mat<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+    packed: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    assert!(tile.runs_here(), "{tile:?} tile on a host without it");
     debug_assert_eq!(out.len(), m * n);
     if k == 0 {
         // empty reduction: zeros (+ bias), as the naive loop produced
@@ -367,35 +521,40 @@ fn gemm_into(
         }
         return;
     }
-    let fma = fma_tile_available();
+    let fused = tile.fused();
     // Rows already k-contiguous (dense, or a row-major view with padded
     // row stride) feed the tiles in place; otherwise the block's rows are
-    // gathered into a small buffer — either way the tile (and its FMA
-    // selection) sees identical values in identical order, so results
-    // stay bit-identical across layouts.
+    // gathered into a small buffer — either way the tile sees identical
+    // values in identical order, so results stay bit-identical across
+    // layouts.
     let a_direct = a.cs == 1 && a.rs >= 0;
     let t = Tiling::new(m, k, n);
     let ptr = SendPtr(out.as_mut_ptr());
     parallel::par_rows(t.units(), t.unit_len(), |units| {
         let mut abuf: Vec<f32> = Vec::new();
+        let mut acc = [[0.0f32; NR]; MR];
         for u in units {
             let (rows, cols) = t.unit(u);
             let (i0, mr) = (rows.start, rows.len());
-            // Partial tail blocks (mr < MR) are zero-padded up to MR rows
-            // so the FMA tile handles them too. Without this, a row's
-            // rounding path would depend on whether it lands in a full or
-            // partial block — i.e. on the total row count m — and the same
-            // logical row would produce different bits at different batch
-            // or sequence lengths. Padding keeps every row on the
-            // single-rounding FMA path, making per-row results
+            // Partial tail blocks are zero-padded up to whole SUB_MR-row
+            // quarters so the fused tile handles them too. Without this, a
+            // row's rounding path would depend on whether it lands in a
+            // full or partial block — i.e. on the total row count m — and
+            // the same logical row would produce different bits at
+            // different batch or sequence lengths. Padding keeps every row
+            // on the single-rounding FMA path, making per-row results
             // M-independent; the padded rows' accumulators are discarded
             // by the `take(mr)` write-back below.
-            let padded = fma && mr < MR;
-            let (av, abase, astride) = if a_direct && !padded {
+            let arows = if fused {
+                mr.next_multiple_of(SUB_MR)
+            } else {
+                mr
+            };
+            let (av, abase, astride) = if a_direct && arows == mr {
                 (a.data, a.at(i0, 0), a.rs as usize)
             } else {
                 abuf.clear();
-                abuf.resize(if fma { MR } else { mr } * k, 0.0);
+                abuf.resize(arows * k, 0.0);
                 for (ii, dst) in abuf.chunks_exact_mut(k).take(mr).enumerate() {
                     if a_direct {
                         let src = a.at(i0 + ii, 0);
@@ -412,30 +571,41 @@ fn gemm_into(
                 let panel = &packed[p * k * NR..(p + 1) * k * NR];
                 let j0 = p * NR;
                 let w = NR.min(n - j0);
-                // SAFETY (every tile_fma call): feature bits checked by
-                // fma_tile_available; a full (or zero-padded) block has MR
-                // complete k-contiguous A rows spaced astride apart
-                // starting at av[abase]. A full tile's MR x NR window of
-                // `out` lies inside this unit, which no other chunk
-                // writes, and the scoped join keeps `out` borrowed until
-                // every chunk returns.
-                #[cfg(target_arch = "x86_64")]
-                if fma && mr == MR && w == NR {
-                    let out = TileOut::Direct {
-                        c: unsafe { ptr.0.add(i0 * n + j0) },
-                        ldc: n,
-                        bias: bias.map(|bs| &bs[j0..j0 + NR]),
-                    };
-                    unsafe { tile_fma(&av[abase..], astride, k, panel, out) };
-                    continue;
-                }
-                let mut acc = [[0.0f32; NR]; MR];
-                match () {
+                match tile {
+                    // SAFETY: gemm_tiled's assert checked that the body
+                    // runs here; the block (zero-padded when partial) has
+                    // `arows` complete k-contiguous A rows spaced astride
+                    // apart starting at av[abase]. When the quarters the
+                    // tile computes are exactly its live rows and columns,
+                    // that window of `out` lies inside this unit, which no
+                    // other chunk writes, and the scoped join keeps `out`
+                    // borrowed until every chunk returns; otherwise the
+                    // tile lands in `acc`.
                     #[cfg(target_arch = "x86_64")]
-                    () if fma => unsafe {
-                        tile_fma(&av[abase..], astride, k, panel, TileOut::Scratch(&mut acc))
+                    Tile::Avx512 | Tile::Avx2Fma => unsafe {
+                        let full = arows == mr && w.is_multiple_of(SUB_NR);
+                        let out = if full {
+                            TileOut {
+                                c: ptr.0.add(i0 * n + j0),
+                                ldc: n,
+                                bias: bias.map(|bs| &bs[j0..j0 + w]),
+                            }
+                        } else {
+                            TileOut {
+                                c: acc.as_mut_ptr().cast(),
+                                ldc: NR,
+                                bias: None,
+                            }
+                        };
+                        tile_fused(tile, &av[abase..], astride, k, panel, out, (mr, w));
+                        if full {
+                            continue;
+                        }
                     },
-                    _ => tile_portable(av, abase, astride, mr, k, panel, &mut acc),
+                    _ => {
+                        acc = [[0.0; NR]; MR];
+                        tile_portable(av, abase, astride, mr, k, panel, &mut acc);
+                    }
                 }
                 for (ii, accr) in acc.iter().enumerate().take(mr) {
                     // SAFETY: units are disjoint rectangles of the
@@ -917,38 +1087,85 @@ impl ConvInput<'_> {
     }
 }
 
-/// One depthwise output row: `out[ox]` accumulates `w[t] * x_t[ox]` over
-/// ascending taps `t`, where `x_t` starts at `base[offs[t]]` — the same
-/// single accumulator, in the same order and with the same zero-padding
-/// terms, as the im2col GEMM it replaces.
-fn depthwise_row(base: &[f32], offs: &[usize], wt: &[f32], out: &mut [f32]) {
-    assert!(offs.iter().all(|&o| o + out.len() <= base.len()));
-    #[cfg(target_arch = "x86_64")]
-    if fma_tile_available() {
-        // SAFETY: feature bits checked by fma_tile_available; every tap's
-        // run is in bounds (asserted above).
-        unsafe { depthwise_row_fma(base, offs, wt, out) };
-        return;
-    }
-    out.fill(0.0);
-    let ow = out.len();
-    for (&o, &wk) in offs.iter().zip(wt) {
-        for (d, &v) in out.iter_mut().zip(&base[o..o + ow]) {
-            *d += wk * v;
+/// One depthwise output row on the body of `tile`: `out[ox]` accumulates
+/// `w[t] * x_t[ox]` over ascending taps `t`, where `x_t` starts at
+/// `base[offs[t]]` — the same single accumulator, in the same order and
+/// with the same zero-padding terms, as the im2col GEMM it replaces. Each
+/// lane of either fused body runs the same chain, so they agree bit for
+/// bit.
+fn depthwise_row(tile: Tile, base: &[f32], offs: &[usize], wt: &[f32], out: &mut [f32]) {
+    assert!(tile.runs_here() && offs.iter().all(|&o| o + out.len() <= base.len()));
+    match tile {
+        // SAFETY (both bodies): the body runs here and every tap's run is
+        // in bounds (asserted above).
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx512 => unsafe { depthwise_row_avx512(base, offs, wt, out) },
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx2Fma => unsafe { depthwise_row_avx2(base, offs, wt, out) },
+        _ => {
+            out.fill(0.0);
+            let ow = out.len();
+            for (&o, &wk) in offs.iter().zip(wt) {
+                for (d, &v) in out.iter_mut().zip(&base[o..o + ow]) {
+                    *d += wk * v;
+                }
+            }
         }
     }
 }
 
-/// AVX2+FMA body of [`depthwise_row`]: 32 lanes in four YMM accumulators,
-/// then 8 lanes, then a scalar fused multiply-add tail.
+/// AVX-512F body of [`depthwise_row`]: 64 lanes in four ZMM accumulators,
+/// then 16 lanes, then [`depthwise_tail`].
 ///
 /// # Safety
 ///
-/// Caller must check [`fma_tile_available`] and that
+/// Caller must check [`Tile::Avx512`] runs here and that
+/// `offs[t] + out.len() <= base.len()` for every tap `t`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "fma")]
+unsafe fn depthwise_row_avx512(base: &[f32], offs: &[usize], wt: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let (bp, op, ow) = (base.as_ptr(), out.as_mut_ptr(), out.len());
+    let mut ox = 0;
+    while ox + 64 <= ow {
+        let mut c0 = _mm512_setzero_ps();
+        let mut c1 = _mm512_setzero_ps();
+        let mut c2 = _mm512_setzero_ps();
+        let mut c3 = _mm512_setzero_ps();
+        for (&o, &wk) in offs.iter().zip(wt) {
+            let (wv, p) = (_mm512_set1_ps(wk), bp.add(o + ox));
+            c0 = _mm512_fmadd_ps(wv, _mm512_loadu_ps(p), c0);
+            c1 = _mm512_fmadd_ps(wv, _mm512_loadu_ps(p.add(16)), c1);
+            c2 = _mm512_fmadd_ps(wv, _mm512_loadu_ps(p.add(32)), c2);
+            c3 = _mm512_fmadd_ps(wv, _mm512_loadu_ps(p.add(48)), c3);
+        }
+        _mm512_storeu_ps(op.add(ox), c0);
+        _mm512_storeu_ps(op.add(ox + 16), c1);
+        _mm512_storeu_ps(op.add(ox + 32), c2);
+        _mm512_storeu_ps(op.add(ox + 48), c3);
+        ox += 64;
+    }
+    while ox + 16 <= ow {
+        let mut c0 = _mm512_setzero_ps();
+        for (&o, &wk) in offs.iter().zip(wt) {
+            c0 = _mm512_fmadd_ps(_mm512_set1_ps(wk), _mm512_loadu_ps(bp.add(o + ox)), c0);
+        }
+        _mm512_storeu_ps(op.add(ox), c0);
+        ox += 16;
+    }
+    depthwise_tail(bp, offs, wt, out, ox);
+}
+
+/// AVX2+FMA body of [`depthwise_row`]: 32 lanes in four YMM accumulators,
+/// then 8 lanes, then [`depthwise_tail`].
+///
+/// # Safety
+///
+/// Caller must check [`Tile::Avx2Fma`] runs here and that
 /// `offs[t] + out.len() <= base.len()` for every tap `t`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn depthwise_row_fma(base: &[f32], offs: &[usize], wt: &[f32], out: &mut [f32]) {
+unsafe fn depthwise_row_avx2(base: &[f32], offs: &[usize], wt: &[f32], out: &mut [f32]) {
     use std::arch::x86_64::*;
     let (bp, op, ow) = (base.as_ptr(), out.as_mut_ptr(), out.len());
     let mut ox = 0;
@@ -978,12 +1195,26 @@ unsafe fn depthwise_row_fma(base: &[f32], offs: &[usize], wt: &[f32], out: &mut 
         _mm256_storeu_ps(op.add(ox), c0);
         ox += 8;
     }
-    for ox in ox..ow {
+    depthwise_tail(bp, offs, wt, out, ox);
+}
+
+/// The scalar fused multiply-add tail of both fused [`depthwise_row`]
+/// bodies: lanes `from..out.len()`, one `mul_add` chain each.
+///
+/// # Safety
+///
+/// Caller must check FMA runs here and that `bp` is the start of a `base`
+/// with `offs[t] + out.len() <= base.len()` for every tap `t`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[inline]
+unsafe fn depthwise_tail(bp: *const f32, offs: &[usize], wt: &[f32], out: &mut [f32], from: usize) {
+    for (ox, d) in out.iter_mut().enumerate().skip(from) {
         let mut acc = 0.0f32;
         for (&o, &wk) in offs.iter().zip(wt) {
             acc = wk.mul_add(*bp.add(o + ox), acc);
         }
-        *op.add(ox) = acc;
+        *d = acc;
     }
 }
 
@@ -992,7 +1223,7 @@ unsafe fn depthwise_row_fma(base: &[f32], offs: &[usize], wt: &[f32], out: &mut 
 /// input window of a plane once and runs [`depthwise_row`] per output row.
 fn conv2d_depthwise(x: &ConvInput<'_>, n: usize, wv: &[f32], out: &mut [f32]) {
     let (s, kh, kw, oh, ow) = (x.stride, x.kh, x.kw, x.oh, x.ow);
-    let taps = kh * kw;
+    let (taps, tile) = (kh * kw, Tile::host());
     let phase_len = (x.w + 2 * x.pad).div_ceil(s);
     // tap (ky, kx) reads phase kx % s of padded row oy*s + ky, from
     // element ox + kx / s on
@@ -1022,7 +1253,7 @@ fn conv2d_depthwise(x: &ConvInput<'_>, n: usize, wv: &[f32], out: &mut [f32]) {
             let wt = &wv[ch * taps..(ch + 1) * taps];
             let orows = win[done * ow..(done + cnt) * ow].chunks_exact_mut(ow);
             for (i, orow) in orows.enumerate() {
-                depthwise_row(&buf[i * s * s * phase_len..], &offs, wt, orow);
+                depthwise_row(tile, &buf[i * s * s * phase_len..], &offs, wt, orow);
             }
             done += cnt;
         }
@@ -1335,7 +1566,7 @@ mod tests {
     /// accumulator per element over ascending `k`, fused multiply-add
     /// where the host's tile uses it.
     fn reference_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<u32> {
-        let fma = fma_tile_available();
+        let fma = Tile::host().fused();
         let mut c = Vec::with_capacity(m * n);
         for i in 0..m {
             for j in 0..n {
@@ -1500,6 +1731,112 @@ mod tests {
                 .collect();
             let y = linear(&a, &w, Some(&bias)).unwrap();
             assert!(bits(&y) == want, "linear {m}x{k}x{n}");
+        }
+    }
+
+    /// Both fused bodies, when this host runs both. Otherwise `None`,
+    /// after saying on stderr — past the test harness's capture — that
+    /// `test` skipped, so a host without AVX-512F never passes it
+    /// silently.
+    fn fused_bodies(test: &str) -> Option<[Tile; 2]> {
+        if Tile::Avx512.runs_here() {
+            return Some([Tile::Avx512, Tile::Avx2Fma]);
+        }
+        use std::io::Write;
+        let _ = writeln!(
+            std::io::stderr(),
+            "{test}: SKIPPED, this CPU has no AVX-512F tile to compare (host tile: {})",
+            tile_kind()
+        );
+        None
+    }
+
+    #[test]
+    fn fused_tile_bodies_agree_bit_for_bit() {
+        let Some(bodies) = fused_bodies("fused_tile_bodies_agree_bit_for_bit") else {
+            return;
+        };
+        let mut rng = TensorRng::seed(13);
+        for k in [0, 1, 7, 300] {
+            for n in [1, 15, 16, 17, 31, 32, 33, 69] {
+                let b = rng.normal(&[k, n]);
+                let mut packed = vec![0.0f32; packed_len(k, n)];
+                pack_b_mat(Mat::of(&b, "test").unwrap(), k, n, &mut packed);
+                let bias = rng.normal(&[n]).to_vec_f32().unwrap();
+                for m in 1..=17 {
+                    let a = rng.normal(&[m, k]);
+                    let plain = reference_matmul(
+                        &a.to_vec_f32().unwrap(),
+                        &b.to_vec_f32().unwrap(),
+                        m,
+                        k,
+                        n,
+                    );
+                    let biased: Vec<u32> = plain
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &c)| (f32::from_bits(c) + bias[i % n]).to_bits())
+                        .collect();
+                    // the same values dense, through a padded row stride
+                    // (read in place) and through a transpose (gathered)
+                    let padded = Tensor::cat(&[a.clone(), Tensor::zeros(&[m, 3])], 1)
+                        .unwrap()
+                        .narrow(1, 0, k)
+                        .unwrap();
+                    let transposed = a
+                        .transpose(0, 1)
+                        .unwrap()
+                        .contiguous()
+                        .transpose(0, 1)
+                        .unwrap();
+                    for (layout, view) in [
+                        ("dense", &a),
+                        ("padded", &padded),
+                        ("transposed", &transposed),
+                    ] {
+                        for (bs, want) in [(None, &plain), (Some(&bias[..]), &biased)] {
+                            for tile in bodies {
+                                let mut out = vec![f32::NAN; m * n];
+                                let av = Mat::of(view, "test").unwrap();
+                                gemm_tiled(tile, av, m, k, n, &packed, bs, &mut out);
+                                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                                assert!(
+                                    &got == want,
+                                    "{tile:?} {m}x{k}x{n}, {layout} A, bias {}",
+                                    bs.is_some()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_depthwise_bodies_agree_bit_for_bit() {
+        let Some(bodies) = fused_bodies("fused_depthwise_bodies_agree_bit_for_bit") else {
+            return;
+        };
+        let mut rng = TensorRng::seed(14);
+        // a 3x3 window over rows of 75 elements
+        let offs = [0, 1, 2, 75, 76, 77, 150, 151, 152];
+        let wt = rng.normal(&[9]).to_vec_f32().unwrap();
+        let base = rng.normal(&[152 + 70]).to_vec_f32().unwrap();
+        for ow in 1..=70 {
+            let want: Vec<u32> = (0..ow)
+                .map(|ox| {
+                    let taps = offs.iter().zip(&wt);
+                    taps.fold(0.0f32, |acc, (&o, &w)| w.mul_add(base[o + ox], acc))
+                        .to_bits()
+                })
+                .collect();
+            for tile in bodies {
+                let mut out = vec![f32::NAN; ow];
+                depthwise_row(tile, &base, &offs, &wt, &mut out);
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "{tile:?} ow {ow}");
+            }
         }
     }
 

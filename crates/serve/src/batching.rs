@@ -7,17 +7,20 @@
 //! with the request seed), concatenating them along dim 0, and running the
 //! cached batch-B graph once. Outputs split back with `narrow(0, i, 1)`.
 //!
-//! Not every model is **batch-transparent** (batched row bit-identical to
-//! a solo batch-1 run). Three classes fall out, established empirically by
-//! `tests/serve.rs` and the sweep this table was derived from:
+//! Only **batch-transparent** models (batched row bit-identical to a solo
+//! batch-1 run) are served in batches. Three classes fall out:
 //!
 //! * transparent — convnets/Swin/SegFormer/BERT: reductions and GEMM
-//!   blocking never mix rows, so rows are bit-exact;
-//! * row-mixing numerics — ViT and the GPT/Llama family: results stay
-//!   *correct* but the GEMM micro-kernel's row-block (MR=4) tail handling
-//!   straddles example boundaries at some shapes, so rows are not
-//!   bit-exact. Serving batches anyway would silently break the
-//!   bit-identity contract, so these execute at batch 1;
+//!   blocking never mix rows, so rows are bit-exact; `tests/serve.rs`
+//!   checks every model of [`BATCH_TRANSPARENT`] at batch 2 and 8;
+//! * held at batch 1 by policy — ViT and the GPT/Llama family. The table
+//!   was derived while a GEMM's partial row block took another rounding
+//!   path than a full one, so a row's bits depended on how many rows the
+//!   batch had. Partial blocks are zero-padded now, and these models'
+//!   batched rows are bit-identical to solo runs as well;
+//!   they stay out of the table only because adding them changes which
+//!   requests the server batches, a serving change to be measured on its
+//!   own;
 //! * non-splittable — detection/panoptic models: dynamic ops (NMS) or
 //!   outputs whose leading dim is not the batch make per-request rows
 //!   unrecoverable; always batch 1.

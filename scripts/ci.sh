@@ -6,7 +6,7 @@
 #   CI_STAGES=test,serve scripts/ci.sh
 #
 # Stages: fmt, clippy, test, sanitize, serve, contiguous-ratchet,
-# one-executor, benchmark. The suite runs once: no setting comes from the
+# one-executor, doc-paths, benchmark. The suite runs once: no setting comes from the
 # environment, so engine and opt-level cases are explicit test inputs.
 # Unknown stage names in CI_STAGES exit 2 with the valid list, so a typo
 # never silently skips every gate.
@@ -61,6 +61,10 @@
 # --batch-wait-us: sparser traffic is dispatched at once and need not
 # batch. It also greps that no response or request can leave in two
 # segments (no separate newline write, TCP_NODELAY on both ends).
+# The doc-paths stage fails when a backticked crates/.../*.rs path in
+# DESIGN.md, README.md or ROADMAP.md names no file: a `:line` suffix is
+# dropped, one {a,b} group names each alternative, and a pattern with * or
+# an ellipsis is not a path. A stale path is fixed in the document.
 # The benchmark stage runs benchmark/check.sh as it stands: the standalone
 # benchmark crate is outside this workspace, so no other stage compiles it
 # against the ngb-exec surface it builds on (Interpreter, ExecutionTrace).
@@ -73,7 +77,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES="fmt,clippy,test,sanitize,serve,contiguous-ratchet,one-executor,benchmark"
+ALL_STAGES="fmt,clippy,test,sanitize,serve,contiguous-ratchet,one-executor,doc-paths,benchmark"
 STAGES="${CI_STAGES:-$ALL_STAGES}"
 
 # reject unknown stage names up front: a typo in CI_STAGES must fail
@@ -321,6 +325,29 @@ one_executor() {
   echo "one executor: one gather/execute/finish core, no NGB_* reader, one flag table, one fusion matcher, one reshape resolver"
 }
 
+doc_paths() {
+  local doc token path missing=0
+  local -a paths alts
+  for doc in DESIGN.md README.md ROADMAP.md; do
+    while IFS= read -r token; do
+      path=${token//\`/}
+      path=${path%%:*}
+      [[ $path == *.rs && $path != *'*'* && $path != *…* ]] || continue
+      paths=("$path")
+      if [[ $path =~ ^(.*)\{([^}]*)\}(.*)$ ]]; then
+        IFS=',' read -ra alts <<<"${BASH_REMATCH[2]}"
+        paths=("${alts[@]/#/${BASH_REMATCH[1]}}")
+        paths=("${paths[@]/%/${BASH_REMATCH[3]}}")
+      fi
+      for path in "${paths[@]}"; do
+        [[ -f $path ]] || { echo "error: $doc names $path, which does not exist"; missing=1; }
+      done
+    done < <(grep -oE '`crates/[^` ]+`' "$doc" || true)
+  done
+  [[ $missing -eq 0 ]] || return 1
+  echo "doc paths: every backticked crates/ source path in DESIGN.md, README.md and ROADMAP.md exists"
+}
+
 benchmark_gate() {
   cargo metadata --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
   git diff --exit-code -- benchmark/Cargo.lock \
@@ -335,6 +362,7 @@ run_stage sanitize      sanitize_gate
 run_stage serve         serve_gate
 run_stage contiguous-ratchet contiguous_ratchet
 run_stage one-executor  one_executor
+run_stage doc-paths     doc_paths
 run_stage benchmark     benchmark_gate
 
 print_summary

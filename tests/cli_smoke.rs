@@ -204,6 +204,35 @@ fn shard_reports_bit_identity_in_text_and_json() {
     }
 }
 
+/// Measured text and JSON name the GEMM tile body the host ran; the
+/// analytic reports and the CSV schema do not change.
+#[test]
+fn measured_runs_name_the_gemm_tile() {
+    let tile = nongemm::ops::gemm::tile_kind();
+    assert!(["avx512", "avx2-fma", "portable"].contains(&tile));
+    for (args, named) in [
+        ("run --model bert --tiny --measured", true),
+        ("run --model bert --tiny --measured --format json", true),
+        ("run --model bert --tiny --measured --format csv", false),
+        ("run --model bert --tiny --format json", false),
+    ] {
+        let out = cli().args(args.split(' ')).output().expect("spawn cli");
+        assert!(out.status.success(), "{args}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let needle = if args.contains("json") {
+            format!(",\"gemm_tile\":\"{tile}\"}}")
+        } else {
+            format!("gemm tile: {tile}\n")
+        };
+        assert_eq!(text.contains(&needle), named, "{args}: {text}");
+        assert_eq!(
+            text.contains("gemm_tile") || text.contains("gemm tile"),
+            named,
+            "{args}"
+        );
+    }
+}
+
 #[test]
 fn generate_rejects_non_lm_models() {
     let out = cli()

@@ -86,8 +86,9 @@ fn digest(bits: &[(usize, Vec<usize>, Vec<u64>)]) -> u64 {
 /// sequential engine with default weights: (model, O0, O2). A kernel
 /// rewrite that changes any output bit — even one every engine shares —
 /// fails here; a deliberate numeric change re-pins the table and says so.
-/// The GEMM picks its AVX2+FMA tile per CPU and these are that tile's
-/// digests, so on a CPU without it only the runs themselves are checked.
+/// The GEMM picks its tile body per CPU. These digests hold for both
+/// fused bodies — AVX-512F and AVX2+FMA run the same FMA chain per lane —
+/// so on a CPU with neither only the runs themselves are checked.
 const PINNED: [(&str, u64, u64); 18] = [
     ("resnet50", 0xf254c3c5a8abcd79, 0xca087d659d1da75a),
     ("mobilenet_v2", 0x1da1647c36d28ecb, 0x06e721c7b2a71e19),

@@ -365,11 +365,49 @@ fn concurrent_requests_form_a_batch_bit_identical_to_solo_runs() {
     handle.join();
 }
 
+/// Every model of the batching table, batched 2 and 8 deep through the
+/// server's own input and output helpers, gives each request's rows the
+/// bits of that seed's solo run.
+#[test]
+fn every_transparent_model_batches_bit_identical_to_solo_runs() {
+    for &model in batching::BATCH_TRANSPARENT {
+        let solo = model.build(1, Scale::Tiny).expect("model builds");
+        let (solo, _) = nongemm::opt::optimize(&solo, OptLevel::O0);
+        for batch in [2usize, 8] {
+            let built = model.build(batch, Scale::Tiny).expect("model builds");
+            let (graph, _) = nongemm::opt::optimize(&built, OptLevel::O0);
+            let seeds: Vec<u64> = (0..batch as u64).map(|i| 40 + i).collect();
+            let overrides = batching::batched_inputs(&solo, &seeds).expect("inputs synthesize");
+            let trace = Interpreter::new(0x5eed)
+                .run_with_inputs(&graph, &overrides)
+                .expect("batched run succeeds");
+            assert!(
+                !trace.outputs.is_empty(),
+                "{model} batch {batch}: no outputs"
+            );
+            let mut rows: Vec<HashMap<u64, String>> = vec![HashMap::new(); batch];
+            for (id, t) in &trace.outputs {
+                let split = batching::split_output(t, batch).expect("output splits");
+                for (row, part) in rows.iter_mut().zip(split) {
+                    row.insert(id.0 as u64, tensor_digest(&part));
+                }
+            }
+            for (row, &seed) in rows.iter().zip(&seeds) {
+                assert_eq!(
+                    row,
+                    &solo_digests(model, OptLevel::O0, seed),
+                    "{model} batch {batch}: the row of seed {seed} differs from its solo run"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn non_transparent_models_execute_at_batch_one() {
-    // gpt2 is NOT batch-transparent (GEMM row-block tails mix rows), so
-    // even simultaneous requests must execute as batch-1 dispatches with
-    // rows bit-identical to solo runs
+    // gpt2 is not in the batching table, so even simultaneous requests
+    // must execute as batch-1 dispatches with rows bit-identical to solo
+    // runs
     let handle = start(test_config());
     let mut control = Client::connect(handle.addr()).unwrap();
     assert_eq!(control.request(&Request::Pause).unwrap()["ok"], true);
