@@ -11,13 +11,22 @@ use ngb_tensor::Tensor;
 use crate::parallel;
 use crate::{OpCost, Result};
 
+/// `sqrt(2/pi)`, the tanh-GELU scale.
+pub(crate) const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+
 /// Rectified Linear Unit: `max(0, x)` element-wise.
 ///
 /// # Errors
 ///
 /// Fails when `x` is not f32.
 pub fn relu(x: &Tensor) -> Result<Tensor> {
-    parallel::unary(x, |v| v.max(0.0))
+    parallel::unary(x, relu_elem)
+}
+
+/// [`relu`] of one element.
+#[inline]
+pub(crate) fn relu_elem(v: f32) -> f32 {
+    v.max(0.0)
 }
 
 /// Cost of [`relu`] on `shape`.
@@ -31,7 +40,13 @@ pub fn relu_cost(shape: &[usize]) -> OpCost {
 ///
 /// Fails when `x` is not f32.
 pub fn gelu(x: &Tensor) -> Result<Tensor> {
-    parallel::unary(x, |v| 0.5 * v * (1.0 + erf(v / std::f32::consts::SQRT_2)))
+    parallel::unary(x, gelu_elem)
+}
+
+/// [`gelu`] of one element.
+#[inline]
+pub(crate) fn gelu_elem(v: f32) -> f32 {
+    0.5 * v * (1.0 + erf(v / std::f32::consts::SQRT_2))
 }
 
 /// Cost of the fused [`gelu`] kernel on `shape`.
@@ -45,10 +60,13 @@ pub fn gelu_cost(shape: &[usize]) -> OpCost {
 ///
 /// Fails when `x` is not f32.
 pub fn gelu_tanh(x: &Tensor) -> Result<Tensor> {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    parallel::unary(x, |v| {
-        0.5 * v * (1.0 + (C * (v + 0.044_715 * v * v * v)).tanh())
-    })
+    parallel::unary(x, gelu_tanh_elem)
+}
+
+/// [`gelu_tanh`] of one element.
+#[inline]
+pub(crate) fn gelu_tanh_elem(v: f32) -> f32 {
+    0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh())
 }
 
 /// Cost of the fused [`gelu_tanh`] kernel on `shape`.
@@ -67,11 +85,10 @@ pub fn gelu_tanh_cost(shape: &[usize]) -> OpCost {
 ///
 /// Fails when `x` is not f32.
 pub fn new_gelu(x: &Tensor) -> Result<Tensor> {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
     let x3 = x.map(|v| v * v * v)?; // pow(x, 3)
     let x3s = x3.map(|v| 0.044_715 * v)?; // mul by const
     let inner = x.zip_map(&x3s, |a, b| a + b)?; // add
-    let scaled = inner.map(|v| C * v)?; // mul by const
+    let scaled = inner.map(|v| SQRT_2_OVER_PI * v)?; // mul by const
     let th = scaled.map(f32::tanh)?; // tanh
     let one_p = th.map(|v| 1.0 + v)?; // add const
     let half_x = x.map(|v| 0.5 * v)?; // mul by const
@@ -94,7 +111,13 @@ pub fn new_gelu_cost(shape: &[usize]) -> OpCost {
 ///
 /// Fails when `x` is not f32.
 pub fn silu(x: &Tensor) -> Result<Tensor> {
-    parallel::unary(x, |v| v / (1.0 + (-v).exp()))
+    parallel::unary(x, silu_elem)
+}
+
+/// [`silu`] of one element.
+#[inline]
+pub(crate) fn silu_elem(v: f32) -> f32 {
+    v / (1.0 + (-v).exp())
 }
 
 /// Cost of the fused [`silu`] kernel on `shape`.
@@ -108,7 +131,13 @@ pub fn silu_cost(shape: &[usize]) -> OpCost {
 ///
 /// Fails when `x` is not f32.
 pub fn sigmoid(x: &Tensor) -> Result<Tensor> {
-    parallel::unary(x, |v| 1.0 / (1.0 + (-v).exp()))
+    parallel::unary(x, sigmoid_elem)
+}
+
+/// [`sigmoid`] of one element.
+#[inline]
+pub(crate) fn sigmoid_elem(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
 }
 
 /// Cost of [`sigmoid`] on `shape`.
@@ -122,7 +151,13 @@ pub fn sigmoid_cost(shape: &[usize]) -> OpCost {
 ///
 /// Fails when `x` is not f32.
 pub fn hardswish(x: &Tensor) -> Result<Tensor> {
-    parallel::unary(x, |v| v * ((v + 3.0).clamp(0.0, 6.0)) / 6.0)
+    parallel::unary(x, hardswish_elem)
+}
+
+/// [`hardswish`] of one element.
+#[inline]
+pub(crate) fn hardswish_elem(v: f32) -> f32 {
+    v * ((v + 3.0).clamp(0.0, 6.0)) / 6.0
 }
 
 /// Cost of [`hardswish`] on `shape`.
@@ -136,7 +171,13 @@ pub fn hardswish_cost(shape: &[usize]) -> OpCost {
 ///
 /// Fails when `x` is not f32.
 pub fn relu6(x: &Tensor) -> Result<Tensor> {
-    parallel::unary(x, |v| v.clamp(0.0, 6.0))
+    parallel::unary(x, relu6_elem)
+}
+
+/// [`relu6`] of one element.
+#[inline]
+pub(crate) fn relu6_elem(v: f32) -> f32 {
+    v.clamp(0.0, 6.0)
 }
 
 /// Cost of [`relu6`] on `shape`.
@@ -145,9 +186,8 @@ pub fn relu6_cost(shape: &[usize]) -> OpCost {
 }
 
 /// Abramowitz–Stegun rational approximation of `erf`, accurate to ~1.5e-7 —
-/// ample for f32 activation math. Shared with the fused epilogue kernels so
-/// fused GELU stays bit-identical to the standalone kernel.
-pub(crate) fn erf(x: f32) -> f32 {
+/// ample for f32 activation math.
+fn erf(x: f32) -> f32 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);

@@ -51,7 +51,13 @@ pub fn div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Fails when input is not f32.
 pub fn neg(a: &Tensor) -> Result<Tensor> {
-    parallel::unary(a, |x| -x)
+    parallel::unary(a, neg_elem)
+}
+
+/// [`neg`] of one element.
+#[inline]
+pub(crate) fn neg_elem(x: f32) -> f32 {
+    -x
 }
 
 /// Adds a scalar to every element.
@@ -60,7 +66,13 @@ pub fn neg(a: &Tensor) -> Result<Tensor> {
 ///
 /// Fails when input is not f32.
 pub fn add_scalar(a: &Tensor, s: f32) -> Result<Tensor> {
-    parallel::unary(a, |x| x + s)
+    parallel::unary(a, |x| add_scalar_elem(x, s))
+}
+
+/// [`add_scalar`] of one element.
+#[inline]
+pub(crate) fn add_scalar_elem(x: f32, s: f32) -> f32 {
+    x + s
 }
 
 /// Multiplies every element by a scalar (attention's `1/sqrt(d)` scale).
@@ -69,7 +81,13 @@ pub fn add_scalar(a: &Tensor, s: f32) -> Result<Tensor> {
 ///
 /// Fails when input is not f32.
 pub fn mul_scalar(a: &Tensor, s: f32) -> Result<Tensor> {
-    parallel::unary(a, |x| x * s)
+    parallel::unary(a, |x| mul_scalar_elem(x, s))
+}
+
+/// [`mul_scalar`] of one element.
+#[inline]
+pub(crate) fn mul_scalar_elem(x: f32, s: f32) -> f32 {
+    x * s
 }
 
 /// Divides every element by a scalar.
@@ -83,7 +101,13 @@ pub fn div_scalar(a: &Tensor, s: f32) -> Result<Tensor> {
             "div_scalar by zero".into(),
         ));
     }
-    parallel::unary(a, |x| x / s)
+    parallel::unary(a, |x| div_scalar_elem(x, s))
+}
+
+/// [`div_scalar`] of one element.
+#[inline]
+pub(crate) fn div_scalar_elem(x: f32, s: f32) -> f32 {
+    x / s
 }
 
 /// Element-wise power with scalar exponent.
@@ -92,7 +116,13 @@ pub fn div_scalar(a: &Tensor, s: f32) -> Result<Tensor> {
 ///
 /// Fails when input is not f32.
 pub fn pow_scalar(a: &Tensor, e: f32) -> Result<Tensor> {
-    parallel::unary(a, |x| x.powf(e))
+    parallel::unary(a, |x| pow_scalar_elem(x, e))
+}
+
+/// [`pow_scalar`] of one element.
+#[inline]
+pub(crate) fn pow_scalar_elem(x: f32, e: f32) -> f32 {
+    x.powf(e)
 }
 
 /// Element-wise square root.

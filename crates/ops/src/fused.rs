@@ -14,14 +14,15 @@
 
 use ngb_tensor::Tensor;
 
-use crate::activation::erf;
+use crate::activation::{self as act, SQRT_2_OVER_PI};
+use crate::arithmetic as arith;
 use crate::Result;
 
 /// A unary element-wise stage that can ride in a fused loop.
 ///
 /// Every variant mirrors one executable kernel in [`crate::activation`] or
-/// [`crate::arithmetic`]; [`Pointwise::apply`] is that kernel's per-element
-/// function, verbatim.
+/// [`crate::arithmetic`]; [`Pointwise::apply`] calls the per-element
+/// function that kernel maps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pointwise {
     /// `max(0, x)`.
@@ -57,33 +58,32 @@ pub enum Pointwise {
 impl Pointwise {
     /// The per-element function of the corresponding standalone kernel.
     pub fn apply(self, v: f32) -> f32 {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
         match self {
-            Pointwise::Relu => v.max(0.0),
-            Pointwise::Relu6 => v.clamp(0.0, 6.0),
-            Pointwise::Gelu => 0.5 * v * (1.0 + erf(v / std::f32::consts::SQRT_2)),
-            Pointwise::GeluTanh => 0.5 * v * (1.0 + (C * (v + 0.044_715 * v * v * v)).tanh()),
+            Pointwise::Relu => act::relu_elem(v),
+            Pointwise::Relu6 => act::relu6_elem(v),
+            Pointwise::Gelu => act::gelu_elem(v),
+            Pointwise::GeluTanh => act::gelu_tanh_elem(v),
             Pointwise::NewGelu => {
                 // The decomposed eager chain, stage by stage, so the fused
                 // value tracks the unfused kernel sequence bit-for-bit.
                 let v3 = v * v * v;
                 let v3s = 0.044_715 * v3;
                 let inner = v + v3s;
-                let scaled = C * inner;
+                let scaled = SQRT_2_OVER_PI * inner;
                 let th = scaled.tanh();
                 let one_p = 1.0 + th;
                 let half = 0.5 * v;
                 half * one_p
             }
-            Pointwise::Silu => v / (1.0 + (-v).exp()),
-            Pointwise::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-            Pointwise::Hardswish => v * ((v + 3.0).clamp(0.0, 6.0)) / 6.0,
-            Pointwise::Neg => -v,
-            Pointwise::AddScalar(s) => v + s,
-            Pointwise::MulScalar(s) => v * s,
-            Pointwise::DivScalar(s) => v / s,
-            Pointwise::PowScalar(e) => v.powf(e),
-            Pointwise::Sqrt => v.sqrt(),
+            Pointwise::Silu => act::silu_elem(v),
+            Pointwise::Sigmoid => act::sigmoid_elem(v),
+            Pointwise::Hardswish => act::hardswish_elem(v),
+            Pointwise::Neg => arith::neg_elem(v),
+            Pointwise::AddScalar(s) => arith::add_scalar_elem(v, s),
+            Pointwise::MulScalar(s) => arith::mul_scalar_elem(v, s),
+            Pointwise::DivScalar(s) => arith::div_scalar_elem(v, s),
+            Pointwise::PowScalar(e) => arith::pow_scalar_elem(v, e),
+            Pointwise::Sqrt => f32::sqrt(v),
         }
     }
 }

@@ -25,13 +25,13 @@
 //!   panel layout and the GEMM writes straight into the output; the bias
 //!   is one in-place row pass.
 //!
-//! Every output element is one accumulator summed over ascending `k`: a
-//! fused multiply-add on AVX-512F and AVX2+FMA hosts, a multiply then an
-//! add elsewhere. An FMA lane computes the same chain at any vector width,
-//! so the two fused bodies give the same bits. Which body runs depends
-//! only on the host CPU, and the partition only on the shape, so results
-//! are bit-identical across thread counts, intra-op modes, engines, batch
-//! sizes and operand layouts.
+//! Every output element is one accumulator summed over ascending `k` by
+//! fused multiply-add: AVX-512F or AVX2+FMA lanes, or `f32::mul_add` in
+//! the portable body. A fused multiply-add computes the same chain at any
+//! vector width, so every body gives the same bits. Which body runs
+//! depends only on the host CPU, and the partition only on the shape, so
+//! results are bit-identical across thread counts, intra-op modes,
+//! engines, batch sizes, operand layouts and hosts.
 
 use std::ops::Range;
 
@@ -161,7 +161,7 @@ fn pack_b_mat(b: Mat<'_>, k: usize, n: usize, packed: &mut [f32]) {
 }
 
 /// The body that computes an `MR x NR` tile. All three share the packed
-/// layout and the tiling; the two fused ones also share every output bit.
+/// layout, the tiling and every output bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Tile {
     /// Sixteen ZMM accumulators: AVX-512F (with AVX2 and FMA).
@@ -169,7 +169,7 @@ enum Tile {
     /// Four `SUB_MR x SUB_NR` sub-tiles of eight YMM accumulators: AVX2
     /// and FMA.
     Avx2Fma,
-    /// A per-element multiply then add, on any host.
+    /// A per-element `f32::mul_add`, on any host.
     Portable,
 }
 
@@ -201,16 +201,11 @@ impl Tile {
             .find(|t| t.runs_here())
             .unwrap_or(Tile::Portable)
     }
-
-    /// Whether each multiply-add rounds once (fused) rather than twice.
-    fn fused(self) -> bool {
-        self != Tile::Portable
-    }
 }
 
 /// Which tile body this host's GEMMs and depthwise convolutions run:
-/// `"avx512"`, `"avx2-fma"` or `"portable"`. The two fused bodies give
-/// identical bits; the portable one rounds each multiply-add twice.
+/// `"avx512"`, `"avx2-fma"` or `"portable"`. All three give identical
+/// bits; the portable one is the slowest.
 pub fn tile_kind() -> &'static str {
     match Tile::host() {
         Tile::Avx512 => "avx512",
@@ -233,11 +228,9 @@ struct TileOut<'a> {
 /// Runs the fused body `tile` on one `MR x NR` tile against one packed
 /// panel: each output element accumulates in one vector lane via fused
 /// multiply-add over ascending `kk`, and a bias is added to the finished
-/// accumulator, as the scalar write-back does. FMA rounds once per
-/// multiply-add (vs twice in the portable loop), so absolute values differ
-/// from portable hosts — but both fused bodies run the same chain per lane,
-/// so their bits agree, and results stay bit-stable across runs, thread
-/// counts and intra-op modes.
+/// accumulator, as the scalar write-back does. The portable loop runs the
+/// same `mul_add` chain per element, so all bodies' bits agree, and results
+/// stay bit-stable across runs, thread counts and intra-op modes.
 ///
 /// Only the first `live = (rows, cols)` of the tile are read back, so both
 /// bodies compute just the `SUB_MR x SUB_NR` quarters that meet them: the
@@ -247,7 +240,7 @@ struct TileOut<'a> {
 ///
 /// # Safety
 ///
-/// `tile` must be fused and [`Tile::runs_here`]; `arows` must hold the
+/// `tile` must be a vector body and [`Tile::runs_here`]; `arows` must hold the
 /// `rows = live.0.next_multiple_of(SUB_MR)` full k-contiguous rows spaced
 /// `stride` elements apart starting at `arows[0]` (i.e. `arows.len() >=
 /// (rows - 1) * stride + k`), `panel` must be `k * NR` long, and `out`
@@ -285,7 +278,7 @@ unsafe fn tile_fused(
                 }
             }
         }
-        (Tile::Portable, ..) => unreachable!("the portable tile is not fused"),
+        (Tile::Portable, ..) => unreachable!("the portable tile is not a vector body"),
     }
 }
 
@@ -390,8 +383,9 @@ unsafe fn subtile_avx2(
 }
 
 /// Portable tile: per-element private accumulators summed over ascending
-/// `kk`; handles partial row blocks (`mr < MR`). Rows start at
-/// `av[abase]` and are k-contiguous, spaced `stride` apart.
+/// `kk` by `f32::mul_add`, the vector bodies' chain; handles partial row
+/// blocks (`mr < MR`). Rows start at `av[abase]` and are k-contiguous,
+/// spaced `stride` apart.
 fn tile_portable(
     av: &[f32],
     abase: usize,
@@ -406,7 +400,7 @@ fn tile_portable(
         for (ii, accr) in acc.iter_mut().enumerate().take(mr) {
             let aik = av[abase + ii * stride + kk];
             for (a, &b) in accr.iter_mut().zip(bp) {
-                *a += aik * b;
+                *a = aik.mul_add(b, *a);
             }
         }
     }
@@ -521,7 +515,6 @@ fn gemm_tiled(
         }
         return;
     }
-    let fused = tile.fused();
     // Rows already k-contiguous (dense, or a row-major view with padded
     // row stride) feed the tiles in place; otherwise the block's rows are
     // gathered into a small buffer — either way the tile sees identical
@@ -537,19 +530,12 @@ fn gemm_tiled(
             let (rows, cols) = t.unit(u);
             let (i0, mr) = (rows.start, rows.len());
             // Partial tail blocks are zero-padded up to whole SUB_MR-row
-            // quarters so the fused tile handles them too. Without this, a
-            // row's rounding path would depend on whether it lands in a
-            // full or partial block — i.e. on the total row count m — and
-            // the same logical row would produce different bits at
-            // different batch or sequence lengths. Padding keeps every row
-            // on the single-rounding FMA path, making per-row results
-            // M-independent; the padded rows' accumulators are discarded
-            // by the `take(mr)` write-back below.
-            let arows = if fused {
-                mr.next_multiple_of(SUB_MR)
-            } else {
-                mr
-            };
+            // quarters so the vector bodies handle them too; the padded
+            // rows' accumulators are discarded by the `take(mr)`
+            // write-back below. Every body runs the same chain per row, so
+            // a row's bits do not depend on the block it lands in, i.e. on
+            // the batch or sequence length.
+            let arows = mr.next_multiple_of(SUB_MR);
             let (av, abase, astride) = if a_direct && arows == mr {
                 (a.data, a.at(i0, 0), a.rs as usize)
             } else {
@@ -1091,8 +1077,8 @@ impl ConvInput<'_> {
 /// `w[t] * x_t[ox]` over ascending taps `t`, where `x_t` starts at
 /// `base[offs[t]]` — the same single accumulator, in the same order and
 /// with the same zero-padding terms, as the im2col GEMM it replaces. Each
-/// lane of either fused body runs the same chain, so they agree bit for
-/// bit.
+/// lane of either vector body and each element of the portable loop runs
+/// the same `mul_add` chain, so all three agree bit for bit.
 fn depthwise_row(tile: Tile, base: &[f32], offs: &[usize], wt: &[f32], out: &mut [f32]) {
     assert!(tile.runs_here() && offs.iter().all(|&o| o + out.len() <= base.len()));
     match tile {
@@ -1107,7 +1093,7 @@ fn depthwise_row(tile: Tile, base: &[f32], offs: &[usize], wt: &[f32], out: &mut
             let ow = out.len();
             for (&o, &wk) in offs.iter().zip(wt) {
                 for (d, &v) in out.iter_mut().zip(&base[o..o + ow]) {
-                    *d += wk * v;
+                    *d = wk.mul_add(v, *d);
                 }
             }
         }
@@ -1563,17 +1549,15 @@ mod tests {
     }
 
     /// The bits of `c = a @ b` under the accumulation contract: one
-    /// accumulator per element over ascending `k`, fused multiply-add
-    /// where the host's tile uses it.
+    /// accumulator per element over ascending `k`, by fused multiply-add.
     fn reference_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<u32> {
-        let fma = Tile::host().fused();
         let mut c = Vec::with_capacity(m * n);
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
                 for kk in 0..k {
                     let (x, y) = (a[i * k + kk], b[kk * n + j]);
-                    acc = if fma { x.mul_add(y, acc) } else { acc + x * y };
+                    acc = x.mul_add(y, acc);
                 }
                 c.push(acc.to_bits());
             }
@@ -1734,28 +1718,28 @@ mod tests {
         }
     }
 
-    /// Both fused bodies, when this host runs both. Otherwise `None`,
-    /// after saying on stderr — past the test harness's capture — that
-    /// `test` skipped, so a host without AVX-512F never passes it
-    /// silently.
-    fn fused_bodies(test: &str) -> Option<[Tile; 2]> {
-        if Tile::Avx512.runs_here() {
-            return Some([Tile::Avx512, Tile::Avx2Fma]);
+    /// Every tile body this host runs, the portable one always. A body
+    /// it cannot run is named on stderr — past the test harness's capture —
+    /// as skipped by `test`, so a host without AVX-512F never passes the
+    /// comparison for it silently.
+    fn tile_bodies(test: &str) -> Vec<Tile> {
+        let (here, missing): (Vec<Tile>, Vec<Tile>) = [Tile::Avx512, Tile::Avx2Fma, Tile::Portable]
+            .into_iter()
+            .partition(|t| t.runs_here());
+        if !missing.is_empty() {
+            use std::io::Write;
+            let _ = writeln!(
+                std::io::stderr(),
+                "{test}: SKIPPED {missing:?}, which this CPU cannot run (host tile: {})",
+                tile_kind()
+            );
         }
-        use std::io::Write;
-        let _ = writeln!(
-            std::io::stderr(),
-            "{test}: SKIPPED, this CPU has no AVX-512F tile to compare (host tile: {})",
-            tile_kind()
-        );
-        None
+        here
     }
 
     #[test]
     fn fused_tile_bodies_agree_bit_for_bit() {
-        let Some(bodies) = fused_bodies("fused_tile_bodies_agree_bit_for_bit") else {
-            return;
-        };
+        let bodies = tile_bodies("fused_tile_bodies_agree_bit_for_bit");
         let mut rng = TensorRng::seed(13);
         for k in [0, 1, 7, 300] {
             for n in [1, 15, 16, 17, 31, 32, 33, 69] {
@@ -1795,7 +1779,7 @@ mod tests {
                         ("transposed", &transposed),
                     ] {
                         for (bs, want) in [(None, &plain), (Some(&bias[..]), &biased)] {
-                            for tile in bodies {
+                            for &tile in &bodies {
                                 let mut out = vec![f32::NAN; m * n];
                                 let av = Mat::of(view, "test").unwrap();
                                 gemm_tiled(tile, av, m, k, n, &packed, bs, &mut out);
@@ -1815,9 +1799,7 @@ mod tests {
 
     #[test]
     fn fused_depthwise_bodies_agree_bit_for_bit() {
-        let Some(bodies) = fused_bodies("fused_depthwise_bodies_agree_bit_for_bit") else {
-            return;
-        };
+        let bodies = tile_bodies("fused_depthwise_bodies_agree_bit_for_bit");
         let mut rng = TensorRng::seed(14);
         // a 3x3 window over rows of 75 elements
         let offs = [0, 1, 2, 75, 76, 77, 150, 151, 152];
@@ -1831,7 +1813,7 @@ mod tests {
                         .to_bits()
                 })
                 .collect();
-            for tile in bodies {
+            for &tile in &bodies {
                 let mut out = vec![f32::NAN; ow];
                 depthwise_row(tile, &base, &offs, &wt, &mut out);
                 let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();

@@ -8,111 +8,10 @@
 //! fused kernels are bit-identical to the decomposed
 //! reduce/zip_map/map chain they replaced.
 
-use ngb_tensor::{DType, LaneMap, Tensor};
+use ngb_tensor::{LaneReader, Tensor};
 
 use crate::parallel;
 use crate::{OpCost, Result, F32_BYTES};
-
-/// Strided-lane body: gathers each reduction lane through a [`LaneMap`]
-/// into a per-chunk scratch buffer, then runs the identical per-lane
-/// arithmetic as the contiguous kernel — same values, same fold order,
-/// bit-identical results, no whole-tensor materialization. Chunking stays
-/// `(outer, d * inner)`, so intra-op chunk counts are layout-independent.
-fn fused_lane_softmax_strided(
-    xs: &[f32],
-    map: &LaneMap,
-    outer: usize,
-    d: usize,
-    inner: usize,
-    out: &mut [f32],
-    log: bool,
-) {
-    let blk = d * inner;
-    let step = map.step();
-    parallel::par_rows_out(out, outer, blk, |first_outer, win| {
-        let mut lane = vec![0.0f32; d];
-        for (o, oblk) in win.chunks_exact_mut(blk.max(1)).enumerate() {
-            for l in 0..inner {
-                let base = map.lane_base(first_outer + o, l) as isize;
-                for (t, v) in lane.iter_mut().enumerate() {
-                    *v = xs[(base + t as isize * step) as usize];
-                }
-                let mut mx = f32::NEG_INFINITY;
-                for &v in &lane {
-                    mx = mx.max(v);
-                }
-                if log {
-                    let mut sum = 0.0f32;
-                    for t in 0..d {
-                        let shifted = lane[t] - mx;
-                        oblk[t * inner + l] = shifted;
-                        sum += shifted.exp();
-                    }
-                    let log_sum = sum.ln();
-                    for t in 0..d {
-                        oblk[t * inner + l] -= log_sum;
-                    }
-                } else {
-                    let mut sum = 0.0f32;
-                    for t in 0..d {
-                        let e = (lane[t] - mx).exp();
-                        oblk[t * inner + l] = e;
-                        sum += e;
-                    }
-                    for t in 0..d {
-                        oblk[t * inner + l] /= sum;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Shared fused body: processes each `(outer, inner)` lane serially,
-/// chunk-parallel across outer blocks.
-fn fused_lane_softmax(
-    xs: &[f32],
-    outer: usize,
-    d: usize,
-    inner: usize,
-    out: &mut [f32],
-    log: bool,
-) {
-    let blk = d * inner;
-    parallel::par_rows_out(out, outer, blk, |first_outer, win| {
-        for (o, oblk) in win.chunks_exact_mut(blk.max(1)).enumerate() {
-            let base = (first_outer + o) * blk;
-            for l in 0..inner {
-                let mut mx = f32::NEG_INFINITY;
-                for t in 0..d {
-                    mx = mx.max(xs[base + t * inner + l]);
-                }
-                if log {
-                    let mut sum = 0.0f32;
-                    for t in 0..d {
-                        let shifted = xs[base + t * inner + l] - mx;
-                        oblk[t * inner + l] = shifted;
-                        sum += shifted.exp();
-                    }
-                    let log_sum = sum.ln();
-                    for t in 0..d {
-                        oblk[t * inner + l] -= log_sum;
-                    }
-                } else {
-                    let mut sum = 0.0f32;
-                    for t in 0..d {
-                        let e = (xs[base + t * inner + l] - mx).exp();
-                        oblk[t * inner + l] = e;
-                        sum += e;
-                    }
-                    for t in 0..d {
-                        oblk[t * inner + l] /= sum;
-                    }
-                }
-            }
-        }
-    });
-}
 
 /// Numerically stable softmax over dimension `dim`.
 ///
@@ -133,39 +32,56 @@ fn fused_lane_softmax(
 /// # }
 /// ```
 pub fn softmax(x: &Tensor, dim: usize) -> Result<Tensor> {
-    fused_softmax_entry(x, dim, false)
+    fused_softmax(x, dim, false, "softmax")
 }
 
-/// Dispatch shared by [`softmax`]/[`log_softmax`]: contiguous fast path,
-/// strided-lane path for any other f32 view, decomposed chain for non-f32
-/// (which reports the dtype error).
-fn fused_softmax_entry(x: &Tensor, dim: usize, log: bool) -> Result<Tensor> {
+/// The fused body of [`softmax`] (`log == false`) and [`log_softmax`]:
+/// each `(outer, inner)` lane gets one max pass, one exp-and-sum pass and
+/// one normalize pass, serially; chunk-parallel across the `outer` blocks
+/// of `d * inner` elements, so chunk counts do not depend on the layout. A
+/// chunk reads its lanes with one [`LaneReader`] call: borrowed when they
+/// are a dense view's rows, gathered otherwise.
+fn fused_softmax(x: &Tensor, dim: usize, log: bool, op: &'static str) -> Result<Tensor> {
     let (outer, d, inner) = x.lane_dims(dim)?;
-    if x.dtype() != DType::F32 {
-        return if log {
-            log_softmax_chain(x, dim)
-        } else {
-            softmax_chain(x, dim)
-        };
-    }
+    let lanes = LaneReader::new(x, dim, op)?;
     let mut out = vec![0.0f32; x.numel()];
-    if let Some(xs) = x.as_slice_f32() {
-        fused_lane_softmax(xs, outer, d, inner, &mut out, log);
-    } else {
-        let xs = x.storage_f32().expect("dtype checked");
-        let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), dim);
-        fused_lane_softmax_strided(xs, &map, outer, d, inner, &mut out, log);
-    }
+    let blk = d * inner;
+    parallel::par_rows_out(&mut out, outer, blk, |first_outer, win| {
+        let mut scratch = Vec::new();
+        let window = win.len() / blk.max(1) * inner;
+        let src = lanes.lanes(first_outer * inner, window, &mut scratch);
+        for (o, oblk) in win.chunks_exact_mut(blk.max(1)).enumerate() {
+            for l in 0..inner {
+                let lane = &src[(o * inner + l) * d..][..d];
+                let mut mx = f32::NEG_INFINITY;
+                for &v in lane {
+                    mx = mx.max(v);
+                }
+                let mut sum = 0.0f32;
+                if log {
+                    for (t, &v) in lane.iter().enumerate() {
+                        let shifted = v - mx;
+                        oblk[t * inner + l] = shifted;
+                        sum += shifted.exp();
+                    }
+                    let log_sum = sum.ln();
+                    for t in 0..d {
+                        oblk[t * inner + l] -= log_sum;
+                    }
+                } else {
+                    for (t, &v) in lane.iter().enumerate() {
+                        let e = (v - mx).exp();
+                        oblk[t * inner + l] = e;
+                        sum += e;
+                    }
+                    for t in 0..d {
+                        oblk[t * inner + l] /= sum;
+                    }
+                }
+            }
+        }
+    });
     Tensor::from_vec(out, x.shape())
-}
-
-/// The decomposed reduce/zip_map chain, kept as the non-f32 fallback.
-fn softmax_chain(x: &Tensor, dim: usize) -> Result<Tensor> {
-    let max = x.reduce_dim(dim, true, f32::NEG_INFINITY, f32::max)?;
-    let shifted = x.zip_map(&max, |a, m| a - m)?;
-    let exp = shifted.map(f32::exp)?;
-    let sum = exp.reduce_dim(dim, true, 0.0, |a, v| a + v)?;
-    exp.zip_map(&sum, |e, s| e / s)
 }
 
 /// Numerically stable log-softmax over dimension `dim`.
@@ -174,17 +90,7 @@ fn softmax_chain(x: &Tensor, dim: usize) -> Result<Tensor> {
 ///
 /// Fails when `dim` is out of range or input is not f32.
 pub fn log_softmax(x: &Tensor, dim: usize) -> Result<Tensor> {
-    fused_softmax_entry(x, dim, true)
-}
-
-/// The decomposed reduce/zip_map chain, kept as the non-f32 fallback.
-fn log_softmax_chain(x: &Tensor, dim: usize) -> Result<Tensor> {
-    let max = x.reduce_dim(dim, true, f32::NEG_INFINITY, f32::max)?;
-    let shifted = x.zip_map(&max, |a, m| a - m)?;
-    let exp = shifted.map(f32::exp)?;
-    let sum = exp.reduce_dim(dim, true, 0.0, |a, v| a + v)?;
-    let log_sum = sum.map(f32::ln)?;
-    shifted.zip_map(&log_sum, |a, l| a - l)
+    fused_softmax(x, dim, true, "log_softmax")
 }
 
 /// Cost of a fused [`softmax`] kernel on `shape` (max pass, exp pass,
@@ -211,6 +117,26 @@ pub fn log_softmax_cost(shape: &[usize]) -> OpCost {
 mod tests {
     use super::*;
     use ngb_tensor::random::TensorRng;
+
+    /// The decomposed reduce/zip_map chain the fused [`softmax`] replaced:
+    /// its oracle.
+    fn softmax_chain(x: &Tensor, dim: usize) -> Result<Tensor> {
+        let max = x.reduce_dim(dim, true, f32::NEG_INFINITY, f32::max)?;
+        let shifted = x.zip_map(&max, |a, m| a - m)?;
+        let exp = shifted.map(f32::exp)?;
+        let sum = exp.reduce_dim(dim, true, 0.0, |a, v| a + v)?;
+        exp.zip_map(&sum, |e, s| e / s)
+    }
+
+    /// The decomposed chain of [`log_softmax`]: its oracle.
+    fn log_softmax_chain(x: &Tensor, dim: usize) -> Result<Tensor> {
+        let max = x.reduce_dim(dim, true, f32::NEG_INFINITY, f32::max)?;
+        let shifted = x.zip_map(&max, |a, m| a - m)?;
+        let exp = shifted.map(f32::exp)?;
+        let sum = exp.reduce_dim(dim, true, 0.0, |a, v| a + v)?;
+        let log_sum = sum.map(f32::ln)?;
+        shifted.zip_map(&log_sum, |a, l| a - l)
+    }
 
     #[test]
     fn softmax_rows_sum_to_one() {
@@ -249,6 +175,20 @@ mod tests {
         let p = softmax(&x, 1).unwrap().to_vec_f32().unwrap();
         for (l, q) in ls.iter().zip(&p) {
             assert!((l.exp() - q).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn non_f32_input_is_a_dtype_error_naming_the_kernel() {
+        let x = Tensor::from_i64(vec![1, 2, 3, 4], &[2, 2]).unwrap();
+        for (got, name) in [
+            (softmax(&x, 1), "softmax"),
+            (log_softmax(&x, 1), "log_softmax"),
+        ] {
+            assert!(
+                matches!(&got, Err(ngb_tensor::TensorError::DTypeMismatch { op, .. }) if *op == name),
+                "{got:?}"
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! Llama's `RMSNorm`, whose eager-mode execution decomposes into several
 //! kernels (§4.1.4).
 
-use ngb_tensor::{LaneMap, Tensor, TensorError};
+use ngb_tensor::{LaneReader, Tensor, TensorError};
 
 use crate::parallel;
 use crate::{OpCost, Result, F32_BYTES};
@@ -22,44 +22,58 @@ pub fn batch_norm_planes(shape: &[usize]) -> (usize, usize) {
     }
 }
 
-/// Copies logical rows `first_row..` (each `w` long, `buf.len() / w` of
-/// them) of a strided rank-4 view into `buf`, one lane of `map` — built
-/// over the last dim — at a time.
-fn gather_rows(xs: &[f32], map: &LaneMap, first_row: usize, w: usize, buf: &mut [f32]) {
-    let step = map.step();
-    for (r, row) in buf.chunks_exact_mut(w.max(1)).enumerate() {
-        let base = map.lane_base(first_row + r, 0) as isize;
-        for (t, v) in row.iter_mut().enumerate() {
-            *v = xs[(base + t as isize * step) as usize];
+/// The one body runner of every kernel here: `body(i, src, dst)` for each
+/// work unit `i` of `n` consecutive last-dim rows of `x` — a norm row, a
+/// batch-norm plane, a group-norm segment — chunk-parallel over the units:
+/// `src` is the unit in logical order and `dst` its window of the output.
+/// A chunk reads all its units with one [`LaneReader`] call, so a dense
+/// view costs one borrow per chunk, not one per unit. Fails, naming `op`,
+/// when `x` is not f32.
+fn per_unit(
+    x: &Tensor,
+    op: &'static str,
+    n: usize,
+    body: impl Fn(usize, &[f32], &mut [f32]) + Sync,
+) -> Result<Tensor> {
+    let rows = LaneReader::new(x, x.rank() - 1, op)?;
+    let unit = n * x.shape()[x.rank() - 1];
+    let mut out = vec![0.0f32; x.numel()];
+    parallel::par_rows_out(&mut out, x.numel() / unit.max(1), unit, |first, win| {
+        let mut scratch = Vec::new();
+        let src = rows.lanes(first * n, win.len() / unit.max(1) * n, &mut scratch);
+        let units = src
+            .chunks_exact(unit.max(1))
+            .zip(win.chunks_exact_mut(unit.max(1)));
+        for (u, (src, dst)) in units.enumerate() {
+            body(first + u, src, dst);
         }
+    });
+    Tensor::from_vec(out, x.shape())
+}
+
+/// The last dim `d` of `x`, which every tensor of `params` must match as
+/// `[d]`. Fails, naming `op`, on a rank-0 input or a mismatched parameter.
+fn last_dim(x: &Tensor, params: &[&Tensor], op: &'static str) -> Result<usize> {
+    let d = *x.shape().last().ok_or_else(|| {
+        TensorError::InvalidArgument(format!("{op} input must have at least one dim"))
+    })?;
+    match params.iter().find(|p| p.shape() != [d]) {
+        Some(p) => Err(TensorError::ShapeMismatch {
+            expected: vec![d],
+            actual: p.shape().to_vec(),
+            op,
+        }),
+        None => Ok(d),
     }
 }
 
-/// Runs `body(channel, src, dst)` over every `H·W` plane of the NCHW map
-/// `x`, chunk-parallel over [`batch_norm_planes`]: `src` is the plane in
-/// logical order — borrowed when `x` is dense, gathered lane by lane into
-/// a per-chunk scratch plane otherwise — and `dst` its window of `out`.
-fn per_plane(x: &Tensor, out: &mut [f32], body: impl Fn(usize, &[f32], &mut [f32]) + Sync) {
-    let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (planes, plane) = batch_norm_planes(x.shape());
-    if let Some(xs) = x.as_slice_f32() {
-        parallel::par_rows_out(out, planes, plane, |first, win| {
-            for (p, dst) in win.chunks_exact_mut(plane.max(1)).enumerate() {
-                let i = first + p;
-                body(i % c, &xs[i * plane..(i + 1) * plane], dst);
-            }
-        });
-    } else {
-        let xs = x.storage_f32().expect("f32 NCHW input");
-        let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), 3);
-        parallel::par_rows_out(out, planes, plane, |first, win| {
-            let mut buf = vec![0.0f32; plane];
-            for (p, dst) in win.chunks_exact_mut(plane.max(1)).enumerate() {
-                let i = first + p;
-                gather_rows(xs, &map, i * h, w, &mut buf);
-                body(i % c, &buf, dst);
-            }
-        });
+/// Fails, naming `op`, unless `x` is rank 4 (NCHW).
+fn nchw(x: &Tensor, op: &str) -> Result<()> {
+    match x.rank() {
+        4 => Ok(()),
+        _ => Err(TensorError::InvalidArgument(format!(
+            "{op} requires NCHW input"
+        ))),
     }
 }
 
@@ -72,60 +86,20 @@ fn per_plane(x: &Tensor, out: &mut [f32], body: impl Fn(usize, &[f32], &mut [f32
 ///
 /// Fails when the affine parameter shapes do not match the last dim.
 pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Result<Tensor> {
-    let d = *x.shape().last().ok_or_else(|| {
-        TensorError::InvalidArgument("layer_norm input must have at least one dim".into())
-    })?;
-    if gamma.shape() != [d] || beta.shape() != [d] {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![d],
-            actual: gamma.shape().to_vec(),
-            op: "layer_norm",
-        });
-    }
-    let rows = x.numel() / d;
+    let d = last_dim(x, &[gamma, beta], "layer_norm")?;
     let gp = crate::param_f32(gamma);
     let bp = crate::param_f32(beta);
     let (gs, bs) = (&*gp, &*bp);
-    let ln_row = |row: &[f32], orow: &mut [f32]| {
+    // row-parallel: each row's statistics and normalize stay serial
+    // within the row, so chunking never changes the reduction order
+    per_unit(x, "layer_norm", 1, |_, row, orow| {
         let mean: f32 = row.iter().sum::<f32>() / d as f32;
         let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
         let inv = 1.0 / (var + eps).sqrt();
         for i in 0..d {
             orow[i] = (row[i] - mean) * inv * gs[i] + bs[i];
         }
-    };
-    let mut out = vec![0.0f32; rows * d];
-    // row-parallel: each row's statistics and normalize stay serial
-    // within the row, so chunking never changes the reduction order
-    if let Some(xs) = x.as_slice_f32() {
-        parallel::par_rows_out(&mut out, rows, d, |first_row, win| {
-            for (r, orow) in win.chunks_exact_mut(d.max(1)).enumerate() {
-                ln_row(&xs[(first_row + r) * d..(first_row + r + 1) * d], orow);
-            }
-        });
-    } else {
-        // strided-lane path: rows with unit innermost stride are borrowed
-        // in place; anything else gathers one row at a time into a
-        // per-chunk scratch buffer (never the whole tensor)
-        let xs = x.storage_f32().expect("f32 layer_norm input");
-        let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), x.rank() - 1);
-        let step = map.step();
-        parallel::par_rows_out(&mut out, rows, d, |first_row, win| {
-            let mut buf = vec![0.0f32; d];
-            for (r, orow) in win.chunks_exact_mut(d.max(1)).enumerate() {
-                let base = map.lane_base(first_row + r, 0) as isize;
-                if step == 1 {
-                    ln_row(&xs[base as usize..base as usize + d], orow);
-                } else {
-                    for (t, v) in buf.iter_mut().enumerate() {
-                        *v = xs[(base + t as isize * step) as usize];
-                    }
-                    ln_row(&buf, orow);
-                }
-            }
-        });
-    }
-    Tensor::from_vec(out, x.shape())
+    })
 }
 
 /// Cost of the fused [`layer_norm`] kernel on `shape`.
@@ -148,53 +122,16 @@ pub fn layer_norm_cost(shape: &[usize]) -> OpCost {
 ///
 /// Fails when `gamma` does not match the last dim.
 pub fn rms_norm(x: &Tensor, gamma: &Tensor, eps: f32) -> Result<Tensor> {
-    let d = *x.shape().last().ok_or_else(|| {
-        TensorError::InvalidArgument("rms_norm input must have at least one dim".into())
-    })?;
-    if gamma.shape() != [d] {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![d],
-            actual: gamma.shape().to_vec(),
-            op: "rms_norm",
-        });
-    }
-    let rows = x.numel() / d;
+    let d = last_dim(x, &[gamma], "rms_norm")?;
     let gp = crate::param_f32(gamma);
     let gs = &*gp;
-    let rms_row = |row: &[f32], orow: &mut [f32]| {
+    per_unit(x, "rms_norm", 1, |_, row, orow| {
         let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / d as f32;
         let inv = 1.0 / (ms + eps).sqrt();
         for i in 0..d {
             orow[i] = row[i] * inv * gs[i];
         }
-    };
-    let mut out = vec![0.0f32; rows * d];
-    if let Some(xs) = x.as_slice_f32() {
-        parallel::par_rows_out(&mut out, rows, d, |first_row, win| {
-            for (r, orow) in win.chunks_exact_mut(d.max(1)).enumerate() {
-                rms_row(&xs[(first_row + r) * d..(first_row + r + 1) * d], orow);
-            }
-        });
-    } else {
-        let xs = x.storage_f32().expect("f32 rms_norm input");
-        let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), x.rank() - 1);
-        let step = map.step();
-        parallel::par_rows_out(&mut out, rows, d, |first_row, win| {
-            let mut buf = vec![0.0f32; d];
-            for (r, orow) in win.chunks_exact_mut(d.max(1)).enumerate() {
-                let base = map.lane_base(first_row + r, 0) as isize;
-                if step == 1 {
-                    rms_row(&xs[base as usize..base as usize + d], orow);
-                } else {
-                    for (t, v) in buf.iter_mut().enumerate() {
-                        *v = xs[(base + t as isize * step) as usize];
-                    }
-                    rms_row(&buf, orow);
-                }
-            }
-        });
-    }
-    Tensor::from_vec(out, x.shape())
+    })
 }
 
 /// Cost of the fused [`rms_norm`] kernel on `shape`.
@@ -255,11 +192,7 @@ pub fn batch_norm2d(
     running_var: &Tensor,
     eps: f32,
 ) -> Result<Tensor> {
-    if x.rank() != 4 {
-        return Err(TensorError::InvalidArgument(
-            "batch_norm2d requires NCHW input".into(),
-        ));
-    }
+    nchw(x, "batch_norm2d")?;
     let c = x.shape()[1];
     for (t, name) in [
         (gamma, "gamma"),
@@ -283,14 +216,14 @@ pub fn batch_norm2d(
     // its order stay those of the broadcast chain (sub, div-sqrt, mul,
     // add), bit for bit
     let sd: Vec<f32> = vs.iter().map(|v| (v + eps).sqrt()).collect();
-    let mut out = vec![0.0f32; x.numel()];
-    per_plane(x, &mut out, |ch, src, dst| {
+    // one unit per plane of `H` rows: its channel's constants held for it
+    per_unit(x, "batch_norm2d", x.shape()[2], |i, src, dst| {
+        let ch = i % c;
         let (m, s, g, b) = (ms[ch], sd[ch], gs[ch], bs[ch]);
         for (o, &a) in dst.iter_mut().zip(src) {
             *o = (a - m) / s * g + b;
         }
-    });
-    Tensor::from_vec(out, x.shape())
+    })
 }
 
 /// Cost of a fused inference [`batch_norm2d`] kernel on `shape`.
@@ -316,27 +249,21 @@ pub fn frozen_batch_norm2d(
     running_var: &Tensor,
     eps: f32,
 ) -> Result<Tensor> {
-    if x.rank() != 4 {
-        return Err(TensorError::InvalidArgument(
-            "frozen_batch_norm2d requires NCHW input".into(),
-        ));
-    }
+    nchw(x, "frozen_batch_norm2d")?;
     // scale = gamma * rsqrt(var + eps); shift = beta - mean * scale
     let scale = gamma.zip_map(running_var, move |g, v| g / (v + eps).sqrt())?;
     let shift = beta.zip_map(&running_mean.zip_map(&scale, |m, s| m * s)?, |b, ms| b - ms)?;
     // zip_map outputs are freshly contiguous, so these are plain borrows
-    let ss = scale.as_slice_f32().expect("scale is contiguous f32");
-    let shs = shift.as_slice_f32().expect("shift is contiguous f32");
-    let mut out = vec![0.0f32; x.numel()];
+    let (ss, shs) = (crate::param_f32(&scale), crate::param_f32(&shift));
+    let c = x.shape()[1];
     // the scale-then-shift broadcasts collapse into one plane-parallel
     // pass; per element this is exactly `x * s` then `+ shift`
-    per_plane(x, &mut out, |ch, src, dst| {
-        let (sc, sh) = (ss[ch], shs[ch]);
+    per_unit(x, "frozen_batch_norm2d", x.shape()[2], |i, src, dst| {
+        let (sc, sh) = (ss[i % c], shs[i % c]);
         for (o, &a) in dst.iter_mut().zip(src) {
             *o = a * sc + sh;
         }
-    });
-    Tensor::from_vec(out, x.shape())
+    })
 }
 
 /// Cost of the decomposed [`frozen_batch_norm2d`]: four kernels (scale
@@ -366,11 +293,7 @@ pub fn group_norm(
     beta: &Tensor,
     eps: f32,
 ) -> Result<Tensor> {
-    if x.rank() != 4 {
-        return Err(TensorError::InvalidArgument(
-            "group_norm requires NCHW input".into(),
-        ));
-    }
+    nchw(x, "group_norm")?;
     let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
     if groups == 0 || c % groups != 0 {
         return Err(TensorError::InvalidArgument(format!(
@@ -386,10 +309,11 @@ pub fn group_norm(
     let gp = crate::param_f32(gamma);
     let bp = crate::param_f32(beta);
     let (gs, bs) = (&*gp, &*bp);
-    let mut out = vec![0.0f32; x.numel()];
     let plane = h * w;
-    let (segments, seg_len) = group_norm_segments(x.shape(), groups);
-    let gn_seg = |g: usize, seg: &[f32], oseg: &mut [f32]| {
+    let (_, seg_len) = group_norm_segments(x.shape(), groups);
+    // segment-parallel: one (batch, group) segment of `cg` planes per
+    // unit, its statistics and normalize serial within the segment
+    per_unit(x, "group_norm", cg * h, |seg_idx, seg, oseg| {
         let mean: f32 = seg.iter().sum::<f32>() / seg_len as f32;
         let var: f32 = seg.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / seg_len as f32;
         let inv = 1.0 / (var + eps).sqrt();
@@ -397,40 +321,13 @@ pub fn group_norm(
             .chunks_exact(plane.max(1))
             .zip(oseg.chunks_exact_mut(plane.max(1)));
         for (cc, (src, dst)) in planes.enumerate() {
-            let (gc, bc) = (gs[g * cg + cc], bs[g * cg + cc]);
+            let ch = seg_idx % groups * cg + cc;
+            let (gc, bc) = (gs[ch], bs[ch]);
             for (o, &a) in dst.iter_mut().zip(src) {
                 *o = (a - mean) * inv * gc + bc;
             }
         }
-    };
-    // segment-parallel: one (batch, group) segment per work unit, its
-    // statistics and normalize serial within the segment
-    if let Some(xs) = x.as_slice_f32() {
-        parallel::par_rows_out(&mut out, segments, seg_len, |first_seg, win| {
-            for (s, oseg) in win.chunks_exact_mut(seg_len.max(1)).enumerate() {
-                let seg_idx = first_seg + s;
-                let start = seg_idx * seg_len;
-                gn_seg(seg_idx % groups, &xs[start..start + seg_len], oseg);
-            }
-        });
-    } else {
-        // strided path: gather each segment (a row-major-contiguous run of
-        // the logical NCHW order, `cg * h` rows of `w`) lane by lane into a
-        // per-chunk scratch buffer, then run the identical stats/normalize
-        // — bit-identical, and never materializes more than one segment
-        // per worker
-        let xs = x.storage_f32().expect("f32 group_norm input");
-        let map = LaneMap::new(x.shape(), x.strides(), x.storage_offset(), 3);
-        parallel::par_rows_out(&mut out, segments, seg_len, |first_seg, win| {
-            let mut buf = vec![0.0f32; seg_len];
-            for (s, oseg) in win.chunks_exact_mut(seg_len.max(1)).enumerate() {
-                let seg_idx = first_seg + s;
-                gather_rows(xs, &map, seg_idx * cg * h, w, &mut buf);
-                gn_seg(seg_idx % groups, &buf, oseg);
-            }
-        });
-    }
-    Tensor::from_vec(out, x.shape())
+    })
 }
 
 /// `(segments, seg_len)` of an NCHW map under `groups` channel groups:
@@ -461,6 +358,7 @@ mod tests {
     use crate::parallel::test_runner::with_test_runner;
     use crate::parallel::GRAIN_ELEMS;
     use ngb_tensor::random::TensorRng;
+    use ngb_tensor::LaneMap;
 
     /// Storage offset of logical row-major element `i` of a strided view,
     /// via a [`LaneMap`] built over the **last** dim (`last` = its size):
@@ -737,6 +635,35 @@ mod tests {
         let (m0, v0) = mean_var(&v[0..18]);
         assert!(m0.abs() < 1e-5);
         assert!((v0 - 1.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn empty_rows_normalize_to_an_empty_output() {
+        for shape in [[2, 0], [0, 4]] {
+            let x = Tensor::zeros(&shape);
+            let (g, b) = (Tensor::ones(&[shape[1]]), Tensor::zeros(&[shape[1]]));
+            assert_eq!(layer_norm(&x, &g, &b, 1e-5).unwrap().shape(), shape);
+            assert_eq!(rms_norm(&x, &g, 1e-5).unwrap().shape(), shape);
+        }
+    }
+
+    #[test]
+    fn non_f32_input_is_a_dtype_error_naming_the_kernel() {
+        let x = Tensor::from_i64(vec![0; 16], &[1, 4, 2, 2]).unwrap();
+        let (g, b) = (Tensor::ones(&[4]), Tensor::zeros(&[4]));
+        let (m, v) = (Tensor::zeros(&[4]), Tensor::ones(&[4]));
+        let op = |r: Result<Tensor>| match r {
+            Err(TensorError::DTypeMismatch { op, .. }) => op,
+            other => panic!("{other:?}"),
+        };
+        let x2 = x.reshape(&[8, 2]).unwrap();
+        let (g2, b2) = (Tensor::ones(&[2]), Tensor::zeros(&[2]));
+        assert_eq!(op(layer_norm(&x2, &g2, &b2, 1e-5)), "layer_norm");
+        assert_eq!(op(rms_norm(&x2, &g2, 1e-5)), "rms_norm");
+        assert_eq!(op(batch_norm2d(&x, &g, &b, &m, &v, 1e-5)), "batch_norm2d");
+        let frozen = frozen_batch_norm2d(&x, &g, &b, &m, &v, 1e-5);
+        assert_eq!(op(frozen), "frozen_batch_norm2d");
+        assert_eq!(op(group_norm(&x, 2, &g, &b, 1e-5)), "group_norm");
     }
 
     #[test]

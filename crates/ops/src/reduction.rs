@@ -3,47 +3,45 @@
 
 use std::cmp::Ordering;
 
-use ngb_tensor::{Tensor, TensorError};
+use ngb_tensor::{LaneReader, Tensor, TensorError};
 
 use crate::{parallel, OpCost, Result, F32_BYTES};
 
 /// Argmax along `dim` (indices as i64, dim removed). Ties go to the lowest
 /// index, a lane with no value above `-inf` answers 0, and NaN never wins.
 ///
-/// A dense input is split over its output positions ([`argmax_lanes`]).
-/// A chunk keeps a running best value and index per position and sweeps
+/// The output positions are split as [`argmax_lanes`] says. Each position
+/// folds its lane with the strict `v > best` test, `t` ascending. A lane
+/// along the last dim, or of a strided input, is read whole through a
+/// [`LaneReader`]. A dense input with dims after `dim` is swept instead:
+/// a chunk keeps a running best value and index per position and reads
 /// the lanes' values one contiguous row (fixed `t`, consecutive
-/// positions) at a time, `t` ascending, with the strict `v > best` test of
-/// the per-lane fold — so every position sees its values in the same order
-/// and answers the same index. A strided input folds each lane through
-/// [`Tensor::fold_dim`].
+/// positions) at a time, `t` ascending — so every position sees its values
+/// in the same order and answers the same index.
 ///
 /// # Errors
 ///
-/// Fails when `dim` is out of range or input is not f32.
+/// Fails when `dim` is out of range or empty (no index to answer), or
+/// input is not f32.
 pub fn argmax(x: &Tensor, dim: usize) -> Result<Tensor> {
     let (outer, d, inner) = x.lane_dims(dim)?;
+    if d == 0 {
+        return Err(TensorError::InvalidArgument(format!(
+            "argmax over dim {dim}, which is empty"
+        )));
+    }
     let mut out_shape: Vec<usize> = x.shape().to_vec();
     out_shape.remove(dim);
-    let Some(xs) = x.as_slice_f32() else {
-        // (best value, its index, values seen so far = the next value's index)
-        let lanes = x.fold_dim(dim, (f32::NEG_INFINITY, 0, 0), |(best, at, t), v| {
-            if v > best {
-                (v, t, t + 1)
-            } else {
-                (best, at, t + 1)
-            }
-        })?;
-        return Tensor::from_i64(lanes.into_iter().map(|(_, at, _)| at).collect(), &out_shape);
-    };
+    let lanes = LaneReader::new(x, dim, "argmax")?;
+    let swept = x.as_slice_f32().filter(|_| inner > 1);
     let mut out = vec![0i64; outer * inner];
     let (_, unit) = argmax_lanes(x.shape(), dim);
     parallel::par_units_out(&mut out, unit, |first, win| {
-        if inner == 1 {
-            // each lane is one contiguous run: scan it in place
+        let Some(xs) = swept else {
+            let mut scratch = Vec::new();
             for (p, at) in win.iter_mut().enumerate() {
                 let mut best = f32::NEG_INFINITY;
-                for (t, &v) in xs[(first + p) * d..(first + p + 1) * d].iter().enumerate() {
+                for (t, &v) in lanes.lanes(first + p, 1, &mut scratch).iter().enumerate() {
                     if v > best {
                         best = v;
                         *at = t as i64;
@@ -51,7 +49,7 @@ pub fn argmax(x: &Tensor, dim: usize) -> Result<Tensor> {
                 }
             }
             return;
-        }
+        };
         let mut best = Vec::new();
         let mut done = 0;
         while done < win.len() {
@@ -291,6 +289,17 @@ mod tests {
         let inf = f32::NEG_INFINITY;
         let x = transposed(&[[inf; 4], [inf, inf, inf, 0.0]]);
         assert_eq!(argmax(&x, 0).unwrap().to_vec_i64().unwrap(), vec![0, 3]);
+    }
+
+    #[test]
+    fn argmax_over_an_empty_dim_is_an_error() {
+        let x = Tensor::zeros(&[3, 0]);
+        assert!(matches!(
+            argmax(&x, 1),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        // an empty dim that is not reduced leaves no lane to answer
+        assert_eq!(argmax(&Tensor::zeros(&[0, 4]), 1).unwrap().shape(), [0]);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 
 use std::ops::Range;
 
+use crate::{Result, Tensor, TensorError};
+
 /// Dims a [`Coalesced`] layout holds inline; a view with more left after
 /// coalescing is walked one outermost index at a time until the rest fit.
 const INLINE_DIMS: usize = 8;
@@ -325,8 +327,10 @@ impl ExactSizeIterator for IndexIter {}
 /// kernels consume permuted/narrowed/expanded views without materializing
 /// them first.
 ///
-/// Kernels should keep their contiguous fast path and use `LaneMap` only on
-/// the strided branch: `lane_base` costs one multiply-add per dimension.
+/// `lane_base` costs a divide and a multiply-add per dimension. A kernel
+/// that consumes lanes as slices reads them through [`LaneReader`], which
+/// walks a `LaneMap` only for a strided view and finds a dense view's lanes
+/// with one multiply.
 #[derive(Debug, Clone)]
 pub struct LaneMap {
     base: usize,
@@ -368,6 +372,92 @@ impl LaneMap {
             + unravel_offset(lane, &self.inner_shape, &self.inner_strides);
         debug_assert!(off >= 0, "negative storage offset");
         off as usize
+    }
+}
+
+/// Reads an f32 view's lanes along one dim as slices in logical order: the
+/// one place that decides whether a kernel's unit of work is borrowed from
+/// storage or gathered.
+///
+/// Lanes are numbered row-major over `(outer, lane)` of [`LaneMap`], lane
+/// `o * inner + l` at `(o, l)`, and a unit is a run of consecutive lanes:
+/// rows of the last dim (a chunk's norm rows, batch-norm planes or
+/// group-norm segments) or one lane along `dim` (a softmax lane). A unit
+/// is borrowed when it is contiguous in storage: always when the lanes are
+/// a dense view's rows, whose offset is one multiply, and for any other
+/// view's single lane of unit step. Any other unit is gathered lane by
+/// lane through a `LaneMap` into the caller's scratch, which grows only
+/// when a gather happens.
+#[derive(Debug)]
+pub struct LaneReader<'a> {
+    /// The view's storage; from its first element on when `map` is `None`.
+    src: &'a [f32],
+    len: usize,
+    inner: usize,
+    /// `None` when the lanes are a dense view's rows.
+    map: Option<LaneMap>,
+}
+
+impl<'a> LaneReader<'a> {
+    /// The reader of `x`'s lanes along `dim`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `dim` is out of range, or when `x` is not f32, naming
+    /// `op` as the operation.
+    pub fn new(x: &'a Tensor, dim: usize, op: &'static str) -> Result<Self> {
+        let (_, len, inner) = x.lane_dims(dim)?;
+        let src = x.storage_f32().ok_or(TensorError::DTypeMismatch {
+            expected: "f32",
+            actual: x.dtype().name(),
+            op,
+        })?;
+        let offset = x.storage_offset();
+        let (src, map) = if x.is_contiguous() && inner == 1 {
+            (src.get(offset..).unwrap_or_default(), None)
+        } else {
+            (src, Some(LaneMap::new(x.shape(), x.strides(), offset, dim)))
+        };
+        Ok(LaneReader {
+            src,
+            len,
+            inner,
+            map,
+        })
+    }
+
+    /// Lanes `first..first + n`, `n` times the lane length values in
+    /// logical order: borrowed from storage when contiguous there,
+    /// otherwise gathered into `scratch`.
+    #[inline]
+    pub fn lanes<'s>(&'s self, first: usize, n: usize, scratch: &'s mut Vec<f32>) -> &'s [f32] {
+        match &self.map {
+            None => &self.src[first * self.len..(first + n) * self.len],
+            Some(map) => self.read_strided(map, first, n, scratch),
+        }
+    }
+
+    /// [`LaneReader::lanes`] through `map`, out of line so that a dense
+    /// view's row read inlines into the kernel's loop.
+    fn read_strided<'s>(
+        &'s self,
+        map: &LaneMap,
+        first: usize,
+        n: usize,
+        scratch: &'s mut Vec<f32>,
+    ) -> &'s [f32] {
+        let (len, inner, step) = (self.len, self.inner, map.step());
+        // an empty lane's base may lie past the storage: gather nothing
+        if n == 1 && step == 1 && len > 0 {
+            let base = map.lane_base(first / inner, first % inner);
+            return &self.src[base..base + len];
+        }
+        scratch.clear();
+        for lane in first..first + n {
+            let base = map.lane_base(lane / inner, lane % inner) as isize;
+            scratch.extend((0..len).map(|t| self.src[(base + t as isize * step) as usize]));
+        }
+        scratch
     }
 }
 
@@ -566,6 +656,46 @@ mod tests {
                 assert_eq!(m.lane_base(o, l), o * 12 + l);
             }
         }
+    }
+
+    #[test]
+    fn lane_reader_borrows_contiguous_units_and_gathers_the_rest() {
+        let base = Tensor::arange(0.0, 60.0, 1.0).reshape(&[3, 4, 5]).unwrap();
+        let views = [
+            base.clone(),
+            base.narrow(2, 1, 3).unwrap(),
+            base.permute(&[0, 2, 1]).unwrap(),
+        ];
+        for v in &views {
+            let dense = &v.contiguous().to_vec_f32().unwrap();
+            for dim in 0..3 {
+                let (outer, d, inner) = v.lane_dims(dim).unwrap();
+                let lanes = LaneReader::new(v, dim, "test").unwrap();
+                for first in 0..outer * inner {
+                    for n in 1..=(outer * inner - first).min(3) {
+                        let want: Vec<f32> = (first..first + n)
+                            .flat_map(|i| {
+                                let (o, l) = (i / inner, i % inner);
+                                (0..d).map(move |t| dense[(o * d + t) * inner + l])
+                            })
+                            .collect();
+                        let mut scratch = Vec::new();
+                        let got = lanes.lanes(first, n, &mut scratch).to_vec();
+                        let label = format!("{:?} dim {dim} lanes {first}+{n}", v.strides());
+                        assert_eq!(got, want, "{label}");
+                        let borrowed =
+                            (v.is_contiguous() && inner == 1) || (n == 1 && v.strides()[dim] == 1);
+                        assert_eq!(scratch.capacity() == 0, borrowed, "{label}");
+                    }
+                }
+            }
+        }
+        let ints = Tensor::from_i64(vec![0; 4], &[2, 2]).unwrap();
+        assert!(matches!(
+            LaneReader::new(&ints, 1, "some_op"),
+            Err(TensorError::DTypeMismatch { op: "some_op", .. })
+        ));
+        assert!(LaneReader::new(&base, 3, "test").is_err());
     }
 
     #[test]

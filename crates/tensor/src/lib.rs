@@ -46,7 +46,7 @@ pub mod telemetry;
 
 pub use compare::{bit_equal, max_abs_err, max_rel_err, Tolerance};
 pub use error::TensorError;
-pub use index::{offset_of, transposed_rows, LaneMap, TILED_COPY_MIN_ELEMS, TILE_ROWS};
+pub use index::{offset_of, transposed_rows, LaneMap, LaneReader, TILED_COPY_MIN_ELEMS, TILE_ROWS};
 pub use shape::{
     broadcast_shapes, contiguous_strides, expand_strides, is_contiguous, num_elements,
     reshape_strides, resolve_reshape,

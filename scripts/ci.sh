@@ -29,6 +29,12 @@
 # crates/ops/src/normalization.rs may neither name elem_offset (the
 # per-element strided offset, kept only as the tests' oracle) nor recover
 # a channel from a flat element index with "/ plane ... % c".
+# The norms and softmax read their work units through ngb_tensor's
+# LaneReader, the one owner of the choice between borrowing a unit from
+# storage and gathering it, so each kernel has one body for dense and
+# strided inputs: outside their test modules, crates/ops/src/normalization.rs
+# and crates/ops/src/logit.rs may name neither as_slice_f32 (a dense fast
+# path) nor LaneMap (a strided twin).
 # The one-executor stage pins the run core as the only node walk: outside
 # test modules, the shadow-memory read hook, the contiguous-copy counter
 # read and the parameter fetch — the calls every copy of the
@@ -251,6 +257,14 @@ contiguous_ratchet() {
     echo "$per_element"
     violations=1
   fi
+  local reader_bypass
+  reader_bypass=$(non_test_hits 'as_slice_f32|LaneMap' \
+    crates/ops/src/normalization.rs crates/ops/src/logit.rs)
+  if [[ -n "$reader_bypass" ]]; then
+    echo "error: a norm or softmax kernel picks dense or strided itself instead of using LaneReader:"
+    echo "$reader_bypass"
+    violations=1
+  fi
   local roll_body
   roll_body=$(awk '/^pub fn roll\(/ { on = 1 } on { print } on && /^}/ { exit }' \
     crates/ops/src/memory.rs)
@@ -262,7 +276,7 @@ contiguous_ratchet() {
     violations=1
   fi
   [[ $violations -eq 0 ]] || return 1
-  echo "contiguous ratchet: all eager call sites are declared fallbacks, IndexIter only in cat, roll copies rows, norms walk planes"
+  echo "contiguous ratchet: all eager call sites are declared fallbacks, IndexIter only in cat, roll copies rows, norms walk planes, norms and softmax read through LaneReader"
 }
 
 # Non-test matches of the extended regex PATTERN in the *.rs files under
