@@ -21,8 +21,10 @@ use std::time::{Duration, Instant};
 use ngb_tensor::random::TensorRng;
 use ngb_tensor::{Tensor, TensorError};
 
-use ngb_graph::{Graph, Node, NodeId, OpKind};
-use ngb_ops::Quant;
+use ngb_graph::{FusedKind, Graph, Node, NodeId, OpKind};
+use ngb_ops::gemm::{self, ConvLowering};
+use ngb_ops::parallel::{self as intra, Split};
+use ngb_ops::{interpolate, logit, memory, normalization, reduction, Quant};
 
 use crate::bufplan::BufferPlan;
 use crate::intraop::PoolRunner;
@@ -275,6 +277,7 @@ impl Interpreter {
         ExecCtx {
             seed: self.seed,
             quant: self.quant,
+            sanitize: self.sanitize,
             store: Arc::clone(&self.store),
             runner,
             started_at: Instant::now(),
@@ -635,6 +638,135 @@ pub(crate) fn execute_op(
             "node {} ({}) nests a fused op inside a fused stage",
             node.id, node.name
         ))),
+    }
+}
+
+/// The intra-op splits one node's kernels dispatch: the one declaration
+/// of each, built from the kernels' own split functions.
+/// `ngb-sanitize` certifies every one statically, and the armed execution
+/// sanitizer fails a node whose kernels dispatch a split not declared
+/// here.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeSplits {
+    /// Every split the node's kernels may dispatch, each once.
+    pub splits: Vec<Split>,
+    /// The `(m, k, n)` of each GEMM among them, whose work units must
+    /// also tile the `[m, n]` output.
+    pub gemms: Vec<[usize; 3]>,
+}
+
+impl NodeSplits {
+    fn push(&mut self, split: Split) {
+        if !self.splits.contains(&split) {
+            self.splits.push(split);
+        }
+    }
+
+    /// A `[m, k] @ [k, n]` GEMM: its B-panel packing and its work units.
+    fn gemm(&mut self, m: usize, k: usize, n: usize) {
+        self.push(gemm::packed_panels(k, n));
+        self.push(gemm::tile_units(m, k, n));
+        self.gemms.push([m, k, n]);
+    }
+}
+
+/// The [`NodeSplits`] of a node running `op` on inputs of the given
+/// `(shape, strides)` into an output of shape `out`. A fused node declares
+/// the stages it runs: a Conv+BN fusion its folded conv, which has a bias,
+/// and a pipeline every stage it hands to `execute_op` — not the
+/// pointwise runs it collapses into one serial loop.
+pub fn node_splits(op: &OpKind, inputs: &[(&[usize], &[isize])], out: &[usize]) -> NodeSplits {
+    let mut d = NodeSplits::default();
+    match op {
+        OpKind::Fused(f) if f.kind == FusedKind::ConvBnAct => {
+            if let Some(conv) = f.stages.first() {
+                declare(&conv.op, inputs, out, &mut d);
+                d.push(gemm::conv2d_rows(out));
+            }
+        }
+        OpKind::Fused(f) => {
+            let shapes: Vec<Vec<usize>> = inputs.iter().map(|l| l.0.to_vec()).collect();
+            let (mut k, mut next) = (0, 0);
+            // a malformed pipeline fails to execute; it declares its
+            // stages up to the first that does not re-infer
+            let _ = ngb_graph::walk_fused(f, &shapes, |stage, s_in, s_out| {
+                // a chained value is the previous stage's dense output
+                let chained = (k > 0).then(|| ngb_tensor::contiguous_strides(&s_in[0]));
+                let mut layouts: Vec<(&[usize], &[isize])> = Vec::new();
+                layouts.extend(chained.as_deref().map(|st| (&s_in[0][..], st)));
+                layouts.extend(inputs.iter().skip(next).take(stage.extra_inputs));
+                let collapsed =
+                    stage.op.pointwise().is_some() && stage.extra_inputs == usize::from(k == 0);
+                if !collapsed {
+                    declare(&stage.op, &layouts, s_out, &mut d);
+                }
+                (k, next) = (k + 1, next + stage.extra_inputs);
+            });
+        }
+        op => declare(op, inputs, out, &mut d),
+    }
+    d
+}
+
+/// The splits of one primitive op: the kernel [`execute_op`] runs for it.
+fn declare(op: &OpKind, inputs: &[(&[usize], &[isize])], out: &[usize], d: &mut NodeSplits) {
+    let numel = ngb_tensor::num_elements(out);
+    let (x, x_strides) = inputs.first().copied().unwrap_or_default();
+    match *op {
+        // rows of `k` features in, of `n` out
+        OpKind::Linear { .. } | OpKind::Conv1dGpt2 { .. } | OpKind::LinearShard { .. } => {
+            if let (&[.., k], &[.., n]) = (x, out) {
+                d.gemm(numel / n.max(1), k, n)
+            }
+        }
+        // one `[m, k] @ [k, n]` GEMM per batch
+        OpKind::Matmul | OpKind::Bmm => {
+            if let (&[.., k], &[.., m, n]) = (x, out) {
+                d.gemm(m, k, n)
+            }
+        }
+        OpKind::Conv2d {
+            in_c,
+            out_c,
+            kernel,
+            groups,
+            bias,
+            ..
+        } => {
+            let w = [out_c, in_c / groups.max(1), kernel, kernel];
+            match out
+                .try_into()
+                .map(|out| gemm::conv2d_lowering(out, w, groups))
+            {
+                Ok(ConvLowering::Depthwise) => d.push(gemm::conv2d_rows(out)),
+                Ok(ConvLowering::Im2col { m, k, n }) => d.gemm(m, k, n),
+                Err(_) => {}
+            }
+            if bias {
+                d.push(gemm::conv2d_rows(out));
+            }
+        }
+        OpKind::LayerNorm { .. } | OpKind::RmsNorm { .. } => d.push(normalization::norm_rows(out)),
+        OpKind::BatchNorm2d { .. } | OpKind::FrozenBatchNorm2d { .. } => {
+            d.push(normalization::batch_norm_planes(out))
+        }
+        OpKind::GroupNorm { groups, .. } => d.push(normalization::group_norm_segments(out, groups)),
+        OpKind::Softmax { dim } | OpKind::LogSoftmax { dim } => {
+            d.push(logit::softmax_blocks(out, dim))
+        }
+        OpKind::Argmax { dim } => d.push(reduction::argmax_lanes(x, dim)),
+        OpKind::Contiguous => d.splits.extend(memory::contiguous_blocks(x, x_strides)),
+        OpKind::Roll { dim, .. } => d.push(memory::roll_rows(out, dim)),
+        OpKind::InterpolateNearest { .. } | OpKind::InterpolateBilinear { .. } => {
+            d.push(interpolate::output_rows(out))
+        }
+        // `new_gelu` runs its decomposed chain serially
+        OpKind::NewGelu => {}
+        OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div | OpKind::AllReduce => {
+            d.push(intra::elements(numel))
+        }
+        _ if op.pointwise().is_some() => d.push(intra::elements(numel)),
+        _ => {}
     }
 }
 

@@ -154,9 +154,9 @@ mod tests {
             *v = (i as f32).sqrt();
         }
         with_runner(runner, || {
-            parallel::par_for_out(&mut out, |start, win| {
+            parallel::dispatch_out(parallel::elements(n), &mut out, 1, |r, win| {
                 for (j, v) in win.iter_mut().enumerate() {
-                    *v = ((start + j) as f32).sqrt();
+                    *v = ((r.start + j) as f32).sqrt();
                 }
             });
         });

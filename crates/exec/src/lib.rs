@@ -25,6 +25,9 @@
 //!   partition work into shape-pure chunks (`ngb_ops::parallel`) that fan
 //!   out across idle pool workers, sharing one pool with node-level
 //!   scheduling.
+//! * [`node_splits`] — the one declaration of the intra-op splits each
+//!   node's kernels dispatch, which `ngb-sanitize` certifies and a
+//!   sanitized run holds every dispatch to.
 //!
 //! No setting comes from the environment: [`Interpreter::new`] starts
 //! sequential with intra-op on, the sanitizer off and weights
@@ -63,7 +66,10 @@ mod sanitizer;
 mod schedule;
 
 pub use bufplan::BufferPlan;
-pub use interp::{preflight_check, synth_input, Engine, ExecutionTrace, Interpreter, NodeTiming};
+pub use interp::{
+    node_splits, preflight_check, synth_input, Engine, ExecutionTrace, Interpreter, NodeSplits,
+    NodeTiming,
+};
 pub use ngb_ops::Quant;
 pub use params::{ArenaStats, ParamStore, MAX_RESIDENT_BYTES};
 pub use pool::ThreadPool;

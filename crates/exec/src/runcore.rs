@@ -27,7 +27,7 @@ use ngb_ops::Quant;
 use ngb_tensor::{Tensor, TensorError};
 
 use crate::bufplan::BufferPlan;
-use crate::interp::{execute_node, ExecutionTrace, NodeTiming};
+use crate::interp::{execute_node, node_splits, ExecutionTrace, NodeTiming};
 use crate::params::{FetchTally, ParamStore};
 use crate::sanitizer::ShadowMemory;
 
@@ -93,10 +93,28 @@ pub struct Executed {
     fetched: FetchTally,
 }
 
+/// Fails `node` when its kernels dispatched, on this thread, a split that
+/// is not among its [`crate::NodeSplits`] for `args` and `out`.
+fn check_splits(node: &Node, args: &[Tensor], out: &Tensor) -> Result<(), TensorError> {
+    let dispatched = intra::take_split_log();
+    let inputs: Vec<_> = args.iter().map(|t| (t.shape(), t.strides())).collect();
+    let declared = node_splits(&node.op, &inputs, out.shape()).splits;
+    match dispatched.iter().find(|s| !declared.contains(s)) {
+        None => Ok(()),
+        Some(split) => Err(TensorError::InvalidArgument(format!(
+            "sanitizer: node {} ({}) dispatched {split:?}, which it does not declare \
+             (declared: {declared:?})",
+            node.id, node.name
+        ))),
+    }
+}
+
 /// The immutable half of one run; see [`crate::Interpreter::begin_run`].
 pub struct ExecCtx {
     pub(crate) seed: u64,
     pub(crate) quant: Quant,
+    /// Holds every kernel dispatch to its node's declared splits.
+    pub(crate) sanitize: bool,
     pub(crate) store: Arc<ParamStore>,
     /// Installed around every kernel when intra-op parallelism is on.
     pub(crate) runner: Option<Arc<dyn IntraOpRunner>>,
@@ -107,12 +125,16 @@ impl ExecCtx {
     /// Runs `node` on `args` (dropped before returning, so a last use
     /// frees its storage) as `worker`: parameters are fetched first, then
     /// the kernel runs under the timer with the thread's intra-op and
-    /// contiguous-copy counters bracketing exactly this node.
+    /// contiguous-copy counters bracketing exactly this node. When the run
+    /// sanitizes, the splits the kernel dispatched are then checked
+    /// against the node's declaration.
     ///
     /// # Errors
     ///
     /// Kernel errors; a panic in the weight generator or the kernel comes
-    /// back as a `node … kernel panicked: …` error naming the node.
+    /// back as a `node … kernel panicked: …` error naming the node; when
+    /// sanitizing, a `sanitizer:` error naming the node and a dispatched
+    /// split it does not declare.
     pub fn execute(
         &self,
         node: &Node,
@@ -126,7 +148,8 @@ impl ExecCtx {
             let mut fetched = FetchTally::default();
             let params = self.store.fetch(self.seed, node, &mut fetched)?;
             let started = Instant::now();
-            intra::reset_stats();
+            // the split log rides the counters, armed only to sanitize
+            intra::reset_stats(self.sanitize);
             // contiguous-copy telemetry is thread-local; the node's copies
             // all happen on this thread (intra-op chunk jobs never
             // materialize), so reset/take brackets exactly this node
@@ -148,6 +171,9 @@ impl ExecCtx {
                 intra_participants: stats.max_participants.max(1),
                 bytes_materialized: ngb_tensor::telemetry::take_bytes_materialized(),
             };
+            if self.sanitize {
+                check_splits(node, &args, &out)?;
+            }
             Ok(Executed {
                 out,
                 timing,
@@ -306,5 +332,41 @@ impl RunCore {
             arena: self.fetched.stats(store),
             param_synthesis: self.fetched.synthesis(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ngb_graph::{NodeId, OpKind};
+
+    #[test]
+    fn an_undeclared_split_fails_the_node_that_dispatched_it() {
+        // a node declaring a relu whose kernel dispatched a roll's rows:
+        // the mirror of a wrong declaration in the split map
+        let x = Tensor::from_vec((0..24).map(|i| i as f32).collect(), &[2, 3, 4]).unwrap();
+        let node = Node {
+            id: NodeId(7),
+            op: OpKind::Relu,
+            inputs: vec![NodeId(0)],
+            out_shape: vec![2, 3, 4],
+            name: "act".into(),
+            seed_hint: None,
+        };
+        intra::reset_stats(true);
+        let out = ngb_ops::memory::roll(&x, 1, 1).unwrap();
+        let err = check_splits(&node, std::slice::from_ref(&x), &out)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("sanitizer: node %7 (act) dispatched") && err.contains("roll-row"),
+            "{err}"
+        );
+        // the relu's own split is declared, and the check disarmed the log
+        intra::reset_stats(true);
+        let out = ngb_ops::activation::relu(&x).unwrap();
+        check_splits(&node, std::slice::from_ref(&x), &out).unwrap();
+        ngb_ops::memory::roll(&x, 1, 1).unwrap();
+        assert!(intra::take_split_log().is_empty());
     }
 }

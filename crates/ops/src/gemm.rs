@@ -35,9 +35,9 @@
 
 use std::ops::Range;
 
-use ngb_tensor::{Tensor, TensorError};
+use ngb_tensor::{num_elements, Tensor, TensorError};
 
-use crate::parallel::{self, SendPtr};
+use crate::parallel::{self, SendPtr, Split};
 use crate::{OpCost, Result, F32_BYTES};
 
 /// Register-block height: rows of C computed together by one tile.
@@ -54,31 +54,30 @@ const SUB_NR: usize = 16;
 /// amortizes re-reading A.
 const PANEL_GROUP_BYTES: usize = 256 * 1024;
 
-/// The packed-panel layout of a `[k, n]` B operand: `(panels, panel_len)`,
-/// `n / NR` panels (rounded up) of `k * NR` elements. Packing — and
-/// im2col, which packs as it gathers — fills panels chunk-parallel over
-/// this partition; exposed so `ngb-sanitize` can certify it.
-pub fn packed_panels(k: usize, n: usize) -> (usize, usize) {
-    (n.div_ceil(NR), k * NR)
+/// The packed-panel split of a `[k, n]` B operand: `n / NR` panels
+/// (rounded up) of `k * NR` elements. Packing — and im2col, which packs
+/// as it gathers — fills the panels chunk-parallel over it.
+pub fn packed_panels(k: usize, n: usize) -> Split {
+    Split::rows("gemm-pack", n.div_ceil(NR), k * NR)
 }
 
 /// Length of the packed-panel buffer for a `[k, n]` B operand.
 fn packed_len(k: usize, n: usize) -> usize {
-    let (panels, panel_len) = packed_panels(k, n);
-    panels * panel_len
+    let panels = packed_panels(k, n);
+    panels.rows * panels.row_len
 }
 
 /// Fills the packed panels of a `[k, n]` B operand chunk-parallel:
 /// `fill(j0, panel)` writes the `[k][NR]` panel of columns `j0..j0 + NR`.
 fn fill_panels(k: usize, n: usize, packed: &mut [f32], fill: impl Fn(usize, &mut [f32]) + Sync) {
-    let (panels, panel_len) = packed_panels(k, n);
-    debug_assert_eq!(packed.len(), panels * panel_len);
+    let panels = packed_panels(k, n);
+    let panel_len = panels.row_len;
     if panel_len == 0 {
         return;
     }
-    parallel::par_rows_out(packed, panels, panel_len, |p0, win| {
+    parallel::dispatch_out(panels, packed, panel_len, |r, win| {
         for (p, panel) in win.chunks_exact_mut(panel_len).enumerate() {
-            fill((p0 + p) * NR, panel);
+            fill((r.start + p) * NR, panel);
         }
     });
 }
@@ -434,12 +433,6 @@ impl Tiling {
         self.blocks * self.n.div_ceil(self.group_cols)
     }
 
-    /// Output elements of a full unit: the weight `par_rows` groups
-    /// units by.
-    fn unit_len(&self) -> usize {
-        MR * self.group_cols
-    }
-
     /// Output rows and columns of unit `u`.
     fn unit(&self, u: usize) -> TileUnit {
         let (g, ib) = (u / self.blocks, u % self.blocks);
@@ -455,15 +448,19 @@ impl Tiling {
 /// writes.
 pub type TileUnit = (Range<usize>, Range<usize>);
 
-/// The work units `gemm_into` dispatches for `[m, k] @ [k, n]`: each
-/// unit's `(rows, cols)` rectangle of the output, in unit order, and the
-/// element weight of one unit, which `par_rows` uses to group consecutive
-/// units into chunks. Exposed so `ngb-sanitize` can certify that the units
-/// are a pairwise-disjoint exact cover of the `[m, n]` output and that the
-/// chunks cover the units.
-pub fn tile_units(m: usize, k: usize, n: usize) -> (Vec<TileUnit>, usize) {
+/// The split `gemm_into` dispatches for `[m, k] @ [k, n]`: its work
+/// units, each weighing the output elements of a full unit, grouped
+/// consecutively into chunks.
+pub fn tile_units(m: usize, k: usize, n: usize) -> Split {
     let t = Tiling::new(m, k, n);
-    ((0..t.units()).map(|u| t.unit(u)).collect(), t.unit_len())
+    Split::rows("gemm-chunk", t.units(), MR * t.group_cols)
+}
+
+/// Each work unit's `(rows, cols)` rectangle of the `[m, n]` output, in
+/// unit order: `ngb-sanitize` checks that they tile the output exactly.
+pub fn unit_rects(m: usize, k: usize, n: usize) -> Vec<TileUnit> {
+    let t = Tiling::new(m, k, n);
+    (0..t.units()).map(|u| t.unit(u)).collect()
 }
 
 /// `C[m, n] = A[m, k] @ packed_B (+ bias)` with `MR x NR` register
@@ -523,7 +520,7 @@ fn gemm_tiled(
     let a_direct = a.cs == 1 && a.rs >= 0;
     let t = Tiling::new(m, k, n);
     let ptr = SendPtr(out.as_mut_ptr());
-    parallel::par_rows(t.units(), t.unit_len(), |units| {
+    parallel::dispatch(tile_units(m, k, n), |units| {
         let mut abuf: Vec<f32> = Vec::new();
         let mut acc = [[0.0f32; NR]; MR];
         for u in units {
@@ -914,8 +911,8 @@ pub enum ConvLowering {
 }
 
 /// The lowering [`conv2d`] dispatches for output `[N, F, oh, ow]`, weight
-/// `[F, C/groups, KH, KW]` and `groups`. Exposed so `ngb-sanitize` can
-/// certify the partitions of the path `conv2d` actually takes.
+/// `[F, C/groups, KH, KW]` and `groups`: which splits it dispatches,
+/// [`conv2d_rows`] or a GEMM's.
 pub fn conv2d_lowering(out: [usize; 4], w: [usize; 4], groups: usize) -> ConvLowering {
     let [_, f, oh, ow] = out;
     let [_, cg, kh, kw] = w;
@@ -930,12 +927,11 @@ pub fn conv2d_lowering(out: [usize; 4], w: [usize; 4], groups: usize) -> ConvLow
     }
 }
 
-/// The `(rows, row_len)` split the depthwise kernel and the bias pass fan
-/// out over for a conv2d output `[N, F, oh, ow]`: `N·F·oh` rows of `ow`.
-/// Exposed so `ngb-sanitize` can certify it.
-pub fn conv2d_rows(out: [usize; 4]) -> (usize, usize) {
-    let [n, f, oh, ow] = out;
-    (n * f * oh, ow)
+/// The split the depthwise kernel and the bias pass fan out over for a
+/// conv2d output `[N, F, oh, ow]`: `N·F·oh` rows of `ow`.
+pub fn conv2d_rows(out: &[usize]) -> Split {
+    let ow = out.last().copied().unwrap_or(0);
+    Split::rows("conv-row", num_elements(out) / ow.max(1), ow)
 }
 
 /// An NCHW f32 input view and the convolution window slid over it.
@@ -1219,10 +1215,9 @@ fn conv2d_depthwise(x: &ConvInput<'_>, n: usize, wv: &[f32], out: &mut [f32]) {
             (ky * s + kx % s) * phase_len + kx / s
         })
         .collect();
-    let (rows, row_len) = conv2d_rows([n, x.c, oh, ow]);
-    parallel::par_rows_out(out, rows, row_len, |r0, win| {
+    parallel::dispatch_out(conv2d_rows(&[n, x.c, oh, ow]), out, ow, |r, win| {
+        let (r0, rows) = (r.start, r.len());
         let mut buf = Vec::new();
-        let rows = win.len() / ow;
         let mut done = 0;
         while done < rows {
             let (plane, oy0) = ((r0 + done) / oh, (r0 + done) % oh);
@@ -1333,10 +1328,9 @@ pub fn conv2d(
     }
     if let Some(bt) = bias {
         let bs = crate::param_f32(bt);
-        let (rows, row_len) = conv2d_rows([n, f, oh, ow]);
-        parallel::par_rows_out(&mut out, rows, row_len, |r0, win| {
+        parallel::dispatch_out(conv2d_rows(&[n, f, oh, ow]), &mut out, ow, |r, win| {
             for (i, row) in win.chunks_exact_mut(ow).enumerate() {
-                let b = bs[(r0 + i) / oh % f];
+                let b = bs[(r.start + i) / oh % f];
                 for v in row {
                     *v += b;
                 }

@@ -2,15 +2,22 @@
 //! up/down-sampling of NCHW maps, as used by SegFormer's decode head and
 //! MaskRCNN's FPN.
 
-use ngb_tensor::{Tensor, TensorError};
+use ngb_tensor::{num_elements, Tensor, TensorError};
 
-use crate::{parallel, OpCost, Result, F32_BYTES};
+use crate::parallel::{self, Split};
+use crate::{OpCost, Result, F32_BYTES};
+
+/// The split both resamplers dispatch for an output `[N, C, oh, ow]`: its
+/// `N·C·oh` rows of `ow`.
+pub fn output_rows(out: &[usize]) -> Split {
+    let ow = out.last().copied().unwrap_or(0);
+    Split::rows("resample-row", num_elements(out) / ow.max(1), ow)
+}
 
 /// Nearest-neighbor resize of `x: [N, C, H, W]` to `(out_h, out_w)`.
 ///
 /// The source column of every output column is computed once per call,
-/// and the `N * C * out_h` output rows fan out through
-/// [`parallel::par_rows_out`].
+/// and the [`output_rows`] fan out across chunks.
 ///
 /// # Errors
 ///
@@ -27,9 +34,10 @@ pub fn interpolate_nearest(x: &Tensor, out_h: usize, out_w: usize) -> Result<Ten
         .map(|ox| ((ox * w) / out_w) as isize * sw)
         .collect();
     let mut out = vec![0.0f32; n * c * out_h * out_w];
-    parallel::par_rows_out(&mut out, n * c * out_h, out_w, |first, win| {
-        for (r, orow) in win.chunks_exact_mut(out_w).enumerate() {
-            let (plane, oy) = ((first + r) / out_h, (first + r) % out_h);
+    let rows = output_rows(&[n, c, out_h, out_w]);
+    parallel::dispatch_out(rows, &mut out, out_w, |rows, win| {
+        for (r, orow) in rows.zip(win.chunks_exact_mut(out_w)) {
+            let (plane, oy) = (r / out_h, r % out_h);
             let iy = (oy * h) / out_h;
             let row = chan_base(x, plane / c, plane % c) + iy as isize * sh;
             for (o, &col) in orow.iter_mut().zip(&cols) {
@@ -44,9 +52,9 @@ pub fn interpolate_nearest(x: &Tensor, out_h: usize, out_w: usize) -> Result<Ten
 /// `align_corners=false` (PyTorch default) coordinate mapping.
 ///
 /// The column taps and weight `(x0, x1, dx)` are computed once per call,
-/// the row taps and weight once per output row, and the `N * C * out_h`
-/// output rows fan out through [`parallel::par_rows_out`]. Each element is
-/// the same four-term expression, in the same order, as a per-element loop.
+/// the row taps and weight once per output row, and the [`output_rows`]
+/// fan out across chunks. Each element is the same four-term expression,
+/// in the same order, as a per-element loop.
 ///
 /// # Errors
 ///
@@ -69,9 +77,10 @@ pub fn interpolate_bilinear(x: &Tensor, out_h: usize, out_w: usize) -> Result<Te
         })
         .collect();
     let mut out = vec![0.0f32; n * c * out_h * out_w];
-    parallel::par_rows_out(&mut out, n * c * out_h, out_w, |first, win| {
-        for (r, orow) in win.chunks_exact_mut(out_w).enumerate() {
-            let (plane, oy) = ((first + r) / out_h, (first + r) % out_h);
+    let rows = output_rows(&[n, c, out_h, out_w]);
+    parallel::dispatch_out(rows, &mut out, out_w, |rows, win| {
+        for (r, orow) in rows.zip(win.chunks_exact_mut(out_w)) {
+            let (plane, oy) = (r / out_h, r % out_h);
             let base = chan_base(x, plane / c, plane % c);
             let (y0, y1, dy) = taps(oy, scale_y, h);
             let (row0, row1) = (base + y0 as isize * sh, base + y1 as isize * sh);

@@ -10,7 +10,7 @@
 
 use ngb_tensor::{LaneReader, Tensor};
 
-use crate::parallel;
+use crate::parallel::{self, Split};
 use crate::{OpCost, Result, F32_BYTES};
 
 /// Numerically stable softmax over dimension `dim`.
@@ -38,18 +38,18 @@ pub fn softmax(x: &Tensor, dim: usize) -> Result<Tensor> {
 /// The fused body of [`softmax`] (`log == false`) and [`log_softmax`]:
 /// each `(outer, inner)` lane gets one max pass, one exp-and-sum pass and
 /// one normalize pass, serially; chunk-parallel across the `outer` blocks
-/// of `d * inner` elements, so chunk counts do not depend on the layout. A
+/// of [`softmax_blocks`], so chunk counts do not depend on the layout. A
 /// chunk reads its lanes with one [`LaneReader`] call: borrowed when they
 /// are a dense view's rows, gathered otherwise.
 fn fused_softmax(x: &Tensor, dim: usize, log: bool, op: &'static str) -> Result<Tensor> {
-    let (outer, d, inner) = x.lane_dims(dim)?;
+    let (_, d, inner) = x.lane_dims(dim)?;
     let lanes = LaneReader::new(x, dim, op)?;
     let mut out = vec![0.0f32; x.numel()];
     let blk = d * inner;
-    parallel::par_rows_out(&mut out, outer, blk, |first_outer, win| {
+    parallel::dispatch_out(softmax_blocks(x.shape(), dim), &mut out, blk, |r, win| {
         let mut scratch = Vec::new();
         let window = win.len() / blk.max(1) * inner;
-        let src = lanes.lanes(first_outer * inner, window, &mut scratch);
+        let src = lanes.lanes(r.start * inner, window, &mut scratch);
         for (o, oblk) in win.chunks_exact_mut(blk.max(1)).enumerate() {
             for l in 0..inner {
                 let lane = &src[(o * inner + l) * d..][..d];
@@ -82,6 +82,15 @@ fn fused_softmax(x: &Tensor, dim: usize, log: bool, op: &'static str) -> Result<
         }
     });
     Tensor::from_vec(out, x.shape())
+}
+
+/// The split [`softmax`] and [`log_softmax`] dispatch on `shape` along
+/// `dim`: one block per outer index, holding all `d · inner` elements of
+/// its lanes.
+pub fn softmax_blocks(shape: &[usize], dim: usize) -> Split {
+    let (outer, lanes) = shape.split_at(dim.min(shape.len()));
+    let [outer, lanes] = [outer, lanes].map(|dims| dims.iter().product());
+    Split::rows("softmax-block", outer, lanes)
 }
 
 /// Numerically stable log-softmax over dimension `dim`.

@@ -12,7 +12,8 @@ use ngb_tensor::{
     contiguous_strides, num_elements, transposed_rows, DType, LaneMap, Tensor, TILE_ROWS,
 };
 
-use crate::{parallel, OpCost, Result};
+use crate::parallel::{self, Split};
+use crate::{OpCost, Result};
 
 /// Reshape that preserves PyTorch semantics: views when contiguous, copies
 /// otherwise (re-exported here so callers see the whole memory-op family in
@@ -56,33 +57,37 @@ pub fn transpose(x: &Tensor, d0: isize, d1: isize) -> Result<Tensor> {
 ///
 /// A transpose-shaped f32 view (its unit-stride dim is not the innermost)
 /// of at least one [`parallel::GRAIN_ELEMS`] is copied in transpose tiles,
-/// its output rows split into [`contiguous_blocks`] blocks of
-/// [`TILE_ROWS`] rows through [`parallel::par_blocks_out`]. Every other
-/// view, and every smaller copy, is [`Tensor::contiguous`]. Either way the
-/// materialized bytes are counted once, on the calling thread.
+/// its output rows split in the [`contiguous_blocks`] of [`TILE_ROWS`]
+/// rows. Every other view, and every smaller copy, is
+/// [`Tensor::contiguous`]. Either way the materialized bytes are counted
+/// once, on the calling thread.
 pub fn contiguous(x: &Tensor) -> Tensor {
-    let (Some((rows, cols)), DType::F32) = (contiguous_blocks(x.shape(), x.strides()), x.dtype())
-    else {
+    let (Some(blocks), DType::F32) = (contiguous_blocks(x.shape(), x.strides()), x.dtype()) else {
         return x.contiguous();
     };
     note_materialized(x.size_bytes());
-    let mut out = vec![0.0f32; rows * cols];
-    parallel::par_blocks_out(&mut out, rows, cols, TILE_ROWS, |r, win| {
+    let mut out = vec![0.0f32; x.numel()];
+    parallel::dispatch_out(blocks, &mut out, blocks.row_len, |r, win| {
         x.copy_transposed_rows(r, win)
             .expect("rows of the view's own transposed layout");
     });
     Tensor::from_vec(out, x.shape()).expect("numel preserved")
 }
 
-/// `(rows, cols)` of the tiled split [`contiguous`] dispatches for a view
-/// of `shape`/`strides`: the coalesced transpose's rows, in blocks of
+/// The tiled split [`contiguous`] dispatches for a view of
+/// `shape`/`strides`: the coalesced transpose's rows, in blocks of
 /// [`TILE_ROWS`]. `None` below one grain or when the view is not
 /// transpose-shaped (the copy then runs serially).
-pub fn contiguous_blocks(shape: &[usize], strides: &[isize]) -> Option<(usize, usize)> {
+pub fn contiguous_blocks(shape: &[usize], strides: &[isize]) -> Option<Split> {
     if num_elements(shape) < parallel::GRAIN_ELEMS {
         return None;
     }
-    transposed_rows(shape, strides)
+    let (rows, cols) = transposed_rows(shape, strides)?;
+    let tiles = Split::rows("transpose-block", rows, cols);
+    Some(Split {
+        block: TILE_ROWS,
+        ..tiles
+    })
 }
 
 /// Zero-copy broadcast expansion.
@@ -136,9 +141,9 @@ pub fn cat(xs: &[Tensor], dim: usize) -> Result<Tensor> {
 /// The result is dense. With `inner` the product of the dims after `dim`,
 /// output row `(o, i)` of `inner` elements is input row
 /// `(o, (i + d - s) mod d)`: one slice copy when the input is dense, a
-/// strided read in place otherwise. f32 rows fan out through
-/// [`parallel::par_rows_out`]; i64 and bool inputs are read out in logical
-/// order and rolled by the same row body serially.
+/// strided read in place otherwise. f32 rows fan out over
+/// [`roll_rows`]; i64 and bool inputs are read out in logical order and
+/// rolled by the same row body serially.
 ///
 /// # Errors
 ///
@@ -157,8 +162,8 @@ pub fn roll(x: &Tensor, shift: isize, dim: usize) -> Result<Tensor> {
             let (strides, offset) = (x.strides(), x.storage_offset());
             let rows = RollRows::new(shape, strides, offset, x.is_contiguous(), dim, shift);
             let mut out = vec![0.0f32; x.numel()];
-            parallel::par_rows_out(&mut out, rows.count, rows.inner, |first, win| {
-                rows.copy(src, first, win)
+            parallel::dispatch_out(rows.split, &mut out, rows.split.row_len, |r, win| {
+                rows.copy(src, r.start, win)
             });
             Tensor::from_vec(out, shape)
         }
@@ -174,14 +179,22 @@ fn roll_dense<T: Copy>(src: &[T], shape: &[usize], dim: usize, shift: isize) -> 
     out
 }
 
+/// The split [`roll`] dispatches on `shape` along `dim`: its `RollRows`,
+/// `numel / inner` rows of `inner` elements, the product of the dims
+/// after `dim`.
+pub fn roll_rows(shape: &[usize], dim: usize) -> Split {
+    let inner: usize = shape.get(dim + 1..).unwrap_or(&[]).iter().product();
+    Split::rows("roll-row", num_elements(shape) / inner.max(1), inner)
+}
+
 /// Row geometry of a [`roll`] along `dim` of size `d` by `s`: output row
 /// `r = o * d + i` (`inner` elements) reads input row
 /// `(o, (i + d - s) mod d)`.
 struct RollRows {
-    count: usize,
+    /// [`roll_rows`]: the rows and their `inner` elements.
+    split: Split,
     d: usize,
     s: usize,
-    inner: usize,
     /// Storage offset of the first element when the input is dense.
     dense_base: Option<usize>,
     /// Lanes along `dim`, to read a strided input in place.
@@ -202,7 +215,6 @@ impl RollRows {
         shift: isize,
     ) -> Self {
         let d = shape[dim];
-        let inner: usize = shape[dim + 1..].iter().product();
         let last = shape.len() - 1;
         let (tail, tail_stride) = if dim < last {
             (shape[last], strides[last])
@@ -210,10 +222,9 @@ impl RollRows {
             (1, 0)
         };
         RollRows {
-            count: num_elements(shape) / inner.max(1),
+            split: roll_rows(shape, dim),
             d,
             s: shift.rem_euclid(d.max(1) as isize) as usize,
-            inner,
             dense_base: dense.then_some(offset),
             map: LaneMap::new(shape, strides, offset, dim),
             tail,
@@ -223,7 +234,7 @@ impl RollRows {
 
     /// Writes output rows `first_row..` into `out`, a whole number of rows.
     fn copy<T: Copy>(&self, src: &[T], first_row: usize, out: &mut [T]) {
-        let (d, inner) = (self.d, self.inner);
+        let (d, inner) = (self.d, self.split.row_len);
         for (r, orow) in out.chunks_exact_mut(inner.max(1)).enumerate() {
             let (o, i) = ((first_row + r) / d, (first_row + r) % d);
             let si = (i + d - self.s) % d;
@@ -390,9 +401,9 @@ mod tests {
         for (i, x) in inputs.iter().enumerate() {
             let blocks = contiguous_blocks(x.shape(), x.strides());
             assert_eq!(blocks.is_some(), i < 3, "input {i}");
-            if let Some((rows, cols)) = blocks {
-                assert_eq!(rows * cols, x.numel());
-                assert!(parallel::block_partition(rows, cols, TILE_ROWS).len() > 1);
+            if let Some(blocks) = blocks {
+                assert_eq!(blocks.rows * blocks.row_len, x.numel());
+                assert!(blocks.partition().len() > 1);
             }
             let want = gather_per_element(x);
             let run = || contiguous(x);

@@ -9,43 +9,51 @@
 
 use ngb_tensor::{LaneReader, Tensor, TensorError};
 
-use crate::parallel;
+use crate::parallel::{self, Split};
 use crate::{OpCost, Result, F32_BYTES};
 
-/// `(planes, plane)` of an NCHW map: the `N·C` planes of `H·W` elements
-/// the batch-norm kernels split their output into, one channel's
-/// constants per plane.
-pub fn batch_norm_planes(shape: &[usize]) -> (usize, usize) {
+/// The split [`layer_norm`] and [`rms_norm`] dispatch on `shape`: one
+/// unit per row of the last dim.
+pub fn norm_rows(shape: &[usize]) -> Split {
+    let d = shape.last().copied().unwrap_or(0);
+    Split::rows("norm-row", ngb_tensor::num_elements(shape) / d.max(1), d)
+}
+
+/// The split of the batch-norm kernels on an NCHW `shape`: the `N·C`
+/// planes of `H·W` elements, one channel's constants per plane.
+pub fn batch_norm_planes(shape: &[usize]) -> Split {
     match shape {
-        [n, c, h, w] => (n * c, h * w),
-        _ => (0, 0),
+        [n, c, h, w] => Split::rows("bn-plane", n * c, h * w),
+        _ => Split::rows("bn-plane", 0, 0),
     }
 }
 
 /// The one body runner of every kernel here: `body(i, src, dst)` for each
-/// work unit `i` of `n` consecutive last-dim rows of `x` — a norm row, a
-/// batch-norm plane, a group-norm segment — chunk-parallel over the units:
-/// `src` is the unit in logical order and `dst` its window of the output.
-/// A chunk reads all its units with one [`LaneReader`] call, so a dense
-/// view costs one borrow per chunk, not one per unit. Fails, naming `op`,
-/// when `x` is not f32.
+/// unit `i` of `split` — a norm row, a batch-norm plane, a group-norm
+/// segment, each whole last-dim rows of `x` — chunk-parallel over the
+/// units: `src` is the unit in logical order and `dst` its window of the
+/// output. A chunk reads all its units with one [`LaneReader`] call, so a
+/// dense view costs one borrow per chunk, not one per unit. Fails, naming
+/// `op`, when `x` is not f32.
 fn per_unit(
     x: &Tensor,
     op: &'static str,
-    n: usize,
+    split: Split,
     body: impl Fn(usize, &[f32], &mut [f32]) + Sync,
 ) -> Result<Tensor> {
     let rows = LaneReader::new(x, x.rank() - 1, op)?;
-    let unit = n * x.shape()[x.rank() - 1];
+    let unit = split.row_len;
+    // last-dim rows per unit
+    let n = unit / x.shape()[x.rank() - 1].max(1);
     let mut out = vec![0.0f32; x.numel()];
-    parallel::par_rows_out(&mut out, x.numel() / unit.max(1), unit, |first, win| {
+    parallel::dispatch_out(split, &mut out, unit, |r, win| {
         let mut scratch = Vec::new();
-        let src = rows.lanes(first * n, win.len() / unit.max(1) * n, &mut scratch);
+        let src = rows.lanes(r.start * n, r.len() * n, &mut scratch);
         let units = src
             .chunks_exact(unit.max(1))
             .zip(win.chunks_exact_mut(unit.max(1)));
         for (u, (src, dst)) in units.enumerate() {
-            body(first + u, src, dst);
+            body(r.start + u, src, dst);
         }
     });
     Tensor::from_vec(out, x.shape())
@@ -92,7 +100,7 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Result
     let (gs, bs) = (&*gp, &*bp);
     // row-parallel: each row's statistics and normalize stay serial
     // within the row, so chunking never changes the reduction order
-    per_unit(x, "layer_norm", 1, |_, row, orow| {
+    per_unit(x, "layer_norm", norm_rows(x.shape()), |_, row, orow| {
         let mean: f32 = row.iter().sum::<f32>() / d as f32;
         let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
         let inv = 1.0 / (var + eps).sqrt();
@@ -125,7 +133,7 @@ pub fn rms_norm(x: &Tensor, gamma: &Tensor, eps: f32) -> Result<Tensor> {
     let d = last_dim(x, &[gamma], "rms_norm")?;
     let gp = crate::param_f32(gamma);
     let gs = &*gp;
-    per_unit(x, "rms_norm", 1, |_, row, orow| {
+    per_unit(x, "rms_norm", norm_rows(x.shape()), |_, row, orow| {
         let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / d as f32;
         let inv = 1.0 / (ms + eps).sqrt();
         for i in 0..d {
@@ -216,8 +224,9 @@ pub fn batch_norm2d(
     // its order stay those of the broadcast chain (sub, div-sqrt, mul,
     // add), bit for bit
     let sd: Vec<f32> = vs.iter().map(|v| (v + eps).sqrt()).collect();
-    // one unit per plane of `H` rows: its channel's constants held for it
-    per_unit(x, "batch_norm2d", x.shape()[2], |i, src, dst| {
+    // one unit per plane: its channel's constants held for it
+    let planes = batch_norm_planes(x.shape());
+    per_unit(x, "batch_norm2d", planes, |i, src, dst| {
         let ch = i % c;
         let (m, s, g, b) = (ms[ch], sd[ch], gs[ch], bs[ch]);
         for (o, &a) in dst.iter_mut().zip(src) {
@@ -258,7 +267,8 @@ pub fn frozen_batch_norm2d(
     let c = x.shape()[1];
     // the scale-then-shift broadcasts collapse into one plane-parallel
     // pass; per element this is exactly `x * s` then `+ shift`
-    per_unit(x, "frozen_batch_norm2d", x.shape()[2], |i, src, dst| {
+    let planes = batch_norm_planes(x.shape());
+    per_unit(x, "frozen_batch_norm2d", planes, |i, src, dst| {
         let (sc, sh) = (ss[i % c], shs[i % c]);
         for (o, &a) in dst.iter_mut().zip(src) {
             *o = a * sc + sh;
@@ -294,7 +304,7 @@ pub fn group_norm(
     eps: f32,
 ) -> Result<Tensor> {
     nchw(x, "group_norm")?;
-    let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (c, plane) = (x.shape()[1], x.shape()[2] * x.shape()[3]);
     if groups == 0 || c % groups != 0 {
         return Err(TensorError::InvalidArgument(format!(
             "group_norm: {groups} groups do not divide {c} channels"
@@ -309,11 +319,11 @@ pub fn group_norm(
     let gp = crate::param_f32(gamma);
     let bp = crate::param_f32(beta);
     let (gs, bs) = (&*gp, &*bp);
-    let plane = h * w;
-    let (_, seg_len) = group_norm_segments(x.shape(), groups);
+    let segments = group_norm_segments(x.shape(), groups);
+    let seg_len = segments.row_len;
     // segment-parallel: one (batch, group) segment of `cg` planes per
     // unit, its statistics and normalize serial within the segment
-    per_unit(x, "group_norm", cg * h, |seg_idx, seg, oseg| {
+    per_unit(x, "group_norm", segments, |seg_idx, seg, oseg| {
         let mean: f32 = seg.iter().sum::<f32>() / seg_len as f32;
         let var: f32 = seg.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / seg_len as f32;
         let inv = 1.0 / (var + eps).sqrt();
@@ -330,13 +340,13 @@ pub fn group_norm(
     })
 }
 
-/// `(segments, seg_len)` of an NCHW map under `groups` channel groups:
-/// the `N·groups` segments of `C / groups · H·W` elements [`group_norm`]
-/// splits its output into, each normalized serially.
-pub fn group_norm_segments(shape: &[usize], groups: usize) -> (usize, usize) {
+/// The split of [`group_norm`] on an NCHW `shape` under `groups` channel
+/// groups: the `N·groups` segments of `C / groups · H·W` elements, each
+/// normalized serially.
+pub fn group_norm_segments(shape: &[usize], groups: usize) -> Split {
     match shape {
-        [n, c, h, w] if groups > 0 => (n * groups, c / groups * h * w),
-        _ => (0, 0),
+        [n, c, h, w] if groups > 0 => Split::rows("gn-segment", n * groups, c / groups * h * w),
+        _ => Split::rows("gn-segment", 0, 0),
     }
 }
 
@@ -500,9 +510,12 @@ mod tests {
 
     #[test]
     fn plane_and_segment_splits_follow_the_shape() {
-        assert_eq!(batch_norm_planes(&[2, 5, 97, 131]), (10, 97 * 131));
-        assert_eq!(group_norm_segments(&[2, 6, 4, 4], 3), (6, 2 * 16));
-        assert_eq!(batch_norm_planes(&[2, 5]), (0, 0));
+        let dims = |s: Split| (s.rows, s.row_len);
+        assert_eq!(dims(batch_norm_planes(&[2, 5, 97, 131])), (10, 97 * 131));
+        assert_eq!(dims(group_norm_segments(&[2, 6, 4, 4], 3)), (6, 2 * 16));
+        assert_eq!(dims(batch_norm_planes(&[2, 5])), (0, 0));
+        assert_eq!(dims(norm_rows(&[2, 3, 7])), (6, 7));
+        assert_eq!(dims(norm_rows(&[2, 0])), (0, 0));
     }
 
     fn mean_var(v: &[f32]) -> (f32, f32) {

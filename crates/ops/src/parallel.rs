@@ -1,5 +1,5 @@
-//! Deterministic intra-op data parallelism: fixed-grain chunk
-//! partitioning plus a pluggable scoped runner.
+//! Deterministic intra-op data parallelism: one declared split per
+//! kernel dispatch plus a pluggable scoped runner.
 //!
 //! The contract (DESIGN.md §14): partitioning is a **pure function of the
 //! work shape** — never of the thread count, the runner, or any runtime
@@ -8,10 +8,17 @@
 //! kernel produces bit-identical results whether it runs serially,
 //! chunked on one thread, or chunked across N pool workers.
 //!
-//! Kernels call [`par_for`] / [`par_rows`] (or the slice-splitting
-//! [`par_for_out`] / [`par_rows_out`]); execution engines install an
-//! [`IntraOpRunner`] around kernel dispatch via [`with_runner`]. Without
-//! a runner the same chunks run serially on the calling thread, which is
+//! A kernel's split is a [`Split`] value — rows, the work per row, and the
+//! rows per block — returned by one pub fn in the kernel's own module,
+//! and the kernel body runs exactly that value through [`dispatch`] (or
+//! [`dispatch_out`], which also hands each chunk its window of the
+//! output). `ngb-exec` declares per node which of those values its kernels
+//! dispatch, `ngb-sanitize` certifies each declared [`Split::partition`],
+//! and a thread that armed the split log through [`reset_stats`] records
+//! every split it dispatches, so the execution sanitizer can hold each
+//! dispatch to the node's declaration. Execution engines install an
+//! [`IntraOpRunner`] around kernel dispatch via [`with_runner`]. Without a
+//! runner the same chunks run serially on the calling thread, which is
 //! also the work-budget fallback for small tensors.
 
 use std::cell::{Cell, RefCell};
@@ -24,90 +31,73 @@ use crate::Result;
 
 /// Elements per chunk: 32 Ki f32 elements (128 KiB) keeps a chunk's
 /// working set cache-resident while amortizing dispatch overhead. It is
-/// also the work-budget floor: tensors smaller than one grain stay serial
+/// also the work-budget floor: work smaller than one grain stays serial
 /// (one chunk).
 pub const GRAIN_ELEMS: usize = 32 * 1024;
 
-// ----------------------------------------------------------------------
-// Partitioning: pure functions of (total, row_len) only
-// ----------------------------------------------------------------------
+/// One intra-op split: `rows` work units of `row_len` elements each,
+/// chunked in whole blocks of `block` rows (the last block possibly
+/// short; a `block` of 0 counts as 1). A chunk holds as many blocks as
+/// fit one [`GRAIN_ELEMS`], and all of them when the whole split is below
+/// one grain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Split {
+    /// What the kernel splits (`"element"`, `"gemm-pack"`, ...).
+    pub label: &'static str,
+    /// Work units, the range every chunk is a piece of.
+    pub rows: usize,
+    /// Elements of work per unit: the weight chunks are sized by.
+    pub row_len: usize,
+    /// Units per block, the grain no chunk boundary falls inside of.
+    pub block: usize,
+}
 
-/// Number of element chunks for `total` elements: 1 below one grain,
-/// else `ceil(total / GRAIN_ELEMS)`.
-pub fn element_chunks(total: usize) -> usize {
-    if total < GRAIN_ELEMS {
-        1
-    } else {
-        total.div_ceil(GRAIN_ELEMS).max(1)
+impl Split {
+    /// `rows` units of `row_len` elements, in blocks of one unit; a flat
+    /// element split is `Split::rows(label, total, 1)`.
+    pub const fn rows(label: &'static str, rows: usize, row_len: usize) -> Split {
+        Split {
+            label,
+            rows,
+            row_len,
+            block: 1,
+        }
+    }
+
+    /// `(chunks, blocks per chunk)`.
+    fn layout(&self) -> (usize, usize) {
+        // blocks of one row, the common split, need no division
+        let (block, blocks) = match self.block {
+            0 | 1 => (1, self.rows),
+            b => (b, self.rows.div_ceil(b)),
+        };
+        let weight = block.saturating_mul(self.row_len);
+        if blocks.saturating_mul(weight) < GRAIN_ELEMS {
+            return (1, blocks);
+        }
+        let per = (GRAIN_ELEMS / weight).max(1);
+        (blocks.div_ceil(per), per)
+    }
+
+    /// Rows of chunk `c` of a [`Split::layout`] of `per` blocks a chunk.
+    fn chunk(&self, per: usize, c: usize) -> Range<usize> {
+        let span = per * self.block.max(1);
+        c * span..((c + 1) * span).min(self.rows)
+    }
+
+    /// Every chunk's row range, in chunk order: what [`dispatch`] runs
+    /// and `ngb-sanitize` certifies as a pairwise-disjoint exact cover of
+    /// `0..rows`.
+    pub fn partition(&self) -> Vec<Range<usize>> {
+        let (chunks, per) = self.layout();
+        (0..chunks).map(|c| self.chunk(per, c)).collect()
     }
 }
 
-/// Element range of chunk `chunk` out of [`element_chunks`] many.
-pub fn element_range(total: usize, chunks: usize, chunk: usize) -> Range<usize> {
-    if chunks <= 1 {
-        return 0..total;
-    }
-    let start = chunk * GRAIN_ELEMS;
-    start..(start + GRAIN_ELEMS).min(total)
-}
-
-/// Rows (generic work units of `row_len` elements) grouped per chunk so a
-/// chunk carries roughly [`GRAIN_ELEMS`] elements.
-pub fn rows_per_chunk(row_len: usize) -> usize {
-    (GRAIN_ELEMS / row_len.max(1)).max(1)
-}
-
-/// Number of row chunks for `rows` rows of `row_len` elements.
-pub fn row_chunks(rows: usize, row_len: usize) -> usize {
-    if rows.saturating_mul(row_len) < GRAIN_ELEMS {
-        1
-    } else {
-        rows.div_ceil(rows_per_chunk(row_len)).max(1)
-    }
-}
-
-/// Row range of chunk `chunk` out of [`row_chunks`] many.
-pub fn row_range(rows: usize, row_len: usize, chunks: usize, chunk: usize) -> Range<usize> {
-    if chunks <= 1 {
-        return 0..rows;
-    }
-    let per = rows_per_chunk(row_len);
-    let start = chunk * per;
-    start..(start + per).min(rows)
-}
-
-/// The complete element decomposition `par_elems` dispatches for `total`
-/// elements: every chunk's range, in chunk order. This is the metadata the
-/// `ngb-sanitize` disjointness check certifies — it must stay an exact,
-/// pairwise-disjoint cover of `0..total` and a pure function of shape.
-pub fn element_partition(total: usize) -> Vec<Range<usize>> {
-    let chunks = element_chunks(total);
-    (0..chunks)
-        .map(|c| element_range(total, chunks, c))
-        .collect()
-}
-
-/// The complete row decomposition `par_rows` dispatches for `rows` rows of
-/// `row_len` elements; same exact-cover contract as [`element_partition`]
-/// over `0..rows`.
-pub fn row_partition(rows: usize, row_len: usize) -> Vec<Range<usize>> {
-    let chunks = row_chunks(rows, row_len);
-    (0..chunks)
-        .map(|c| row_range(rows, row_len, chunks, c))
-        .collect()
-}
-
-/// The row ranges [`par_blocks_out`] dispatches for `rows` rows of
-/// `row_len` elements grouped in blocks of `block_rows` rows: the
-/// [`row_partition`] of the blocks (a block of `block_rows * row_len`
-/// elements being the work unit), each clipped to `0..rows`. Same
-/// exact-cover contract as [`element_partition`] over `0..rows`.
-pub fn block_partition(rows: usize, row_len: usize, block_rows: usize) -> Vec<Range<usize>> {
-    let block_rows = block_rows.max(1);
-    row_partition(rows.div_ceil(block_rows), block_rows * row_len)
-        .into_iter()
-        .map(|b| b.start * block_rows..(b.end * block_rows).min(rows))
-        .collect()
+/// The split [`unary`] and [`binary`] dispatch over `total` output
+/// elements.
+pub fn elements(total: usize) -> Split {
+    Split::rows("element", total, 1)
 }
 
 // ----------------------------------------------------------------------
@@ -135,9 +125,23 @@ pub struct IntraOpStats {
     pub max_participants: usize,
 }
 
+/// A thread's dispatch record: the counters, and whether the splits it
+/// dispatches go to its [`SPLIT_LOG`].
+struct Tally {
+    stats: Cell<IntraOpStats>,
+    armed: Cell<bool>,
+}
+
 thread_local! {
     static RUNNER: RefCell<Option<Arc<dyn IntraOpRunner>>> = const { RefCell::new(None) };
-    static STATS: Cell<IntraOpStats> = const { Cell::new(IntraOpStats { chunks: 0, max_participants: 0 }) };
+    static TALLY: Tally = const {
+        Tally {
+            stats: Cell::new(IntraOpStats { chunks: 0, max_participants: 0 }),
+            armed: Cell::new(false),
+        }
+    };
+    /// The splits dispatched while armed: touched, and allocated, only then.
+    static SPLIT_LOG: RefCell<Vec<Split>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Installs `runner` for intra-op dispatch while `f` runs on this thread,
@@ -155,22 +159,41 @@ pub fn with_runner<R>(runner: Arc<dyn IntraOpRunner>, f: impl FnOnce() -> R) -> 
     f()
 }
 
-/// Clears this thread's intra-op counters.
-pub fn reset_stats() {
-    STATS.with(|s| s.set(IntraOpStats::default()));
+/// Clears this thread's intra-op counters, and arms its split log when
+/// `log` is set (disarming and dropping any earlier one otherwise).
+pub fn reset_stats(log: bool) {
+    TALLY.with(|t| {
+        t.stats.set(IntraOpStats::default());
+        t.armed.set(log);
+    });
+    if log {
+        SPLIT_LOG.with(|l| l.borrow_mut().clear());
+    }
 }
 
 /// Returns and clears this thread's intra-op counters.
 pub fn take_stats() -> IntraOpStats {
-    STATS.with(|s| s.replace(IntraOpStats::default()))
+    TALLY.with(|t| t.stats.replace(IntraOpStats::default()))
 }
 
-fn record(chunks: usize, participants: usize) {
-    STATS.with(|s| {
-        let mut v = s.get();
+/// Disarms this thread's split log, returning every split dispatched on
+/// it since [`reset_stats`] armed it (empty when it was not armed).
+pub fn take_split_log() -> Vec<Split> {
+    match TALLY.with(|t| t.armed.replace(false)) {
+        true => SPLIT_LOG.with(|l| std::mem::take(&mut *l.borrow_mut())),
+        false => Vec::new(),
+    }
+}
+
+fn record(split: Split, chunks: usize, participants: usize) {
+    TALLY.with(|t| {
+        let mut v = t.stats.get();
         v.chunks += chunks;
         v.max_participants = v.max_participants.max(participants);
-        s.set(v);
+        t.stats.set(v);
+        if t.armed.get() {
+            SPLIT_LOG.with(|l| l.borrow_mut().push(split));
+        }
     });
 }
 
@@ -190,29 +213,16 @@ fn run_chunks(chunks: usize, job: &(dyn Fn(usize) + Sync)) -> usize {
 }
 
 // ----------------------------------------------------------------------
-// par_for / par_rows
+// Dispatch
 // ----------------------------------------------------------------------
 
-/// Runs `job` over disjoint element ranges that exactly partition
-/// `0..total`. The split depends only on `total`, never on thread count.
-pub fn par_for(total: usize, job: impl Fn(Range<usize>) + Sync) {
-    let chunks = element_chunks(total);
-    let participants = run_chunks(chunks, &|c| job(element_range(total, chunks, c)));
-    record(chunks, participants);
+/// Runs `job` over the chunks of `split`: disjoint row ranges that
+/// exactly partition `0..split.rows`, a pure function of the split.
+pub fn dispatch(split: Split, job: impl Fn(Range<usize>) + Sync) {
+    let (chunks, per) = split.layout();
+    let participants = run_chunks(chunks, &|c| job(split.chunk(per, c)));
+    record(split, chunks, participants);
 }
-
-/// Runs `job` over disjoint row ranges that exactly partition `0..rows`,
-/// where each row is a work unit of `row_len` elements. The split depends
-/// only on `(rows, row_len)`.
-pub fn par_rows(rows: usize, row_len: usize, job: impl Fn(Range<usize>) + Sync) {
-    let chunks = row_chunks(rows, row_len);
-    let participants = run_chunks(chunks, &|c| job(row_range(rows, row_len, chunks, c)));
-    record(chunks, participants);
-}
-
-// ----------------------------------------------------------------------
-// Disjoint output-slice dispatch
-// ----------------------------------------------------------------------
 
 /// Raw pointer wrapper for handing an output buffer to chunk jobs that
 /// write disjoint regions. Confined to this crate; the scoped-join
@@ -240,76 +250,37 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// Element-chunked variant of [`par_for`] that splits `out` into disjoint
-/// slices: `job(start, slice)` receives the chunk's first element index
-/// and its mutable window of `out`.
-pub fn par_for_out<T: Send>(out: &mut [T], job: impl Fn(usize, &mut [T]) + Sync) {
-    let total = out.len();
-    let ptr = SendPtr(out.as_mut_ptr());
-    par_for(total, |r| {
-        let start = r.start;
-        // SAFETY: ranges from `par_for` partition 0..total disjointly and
-        // the scoped join keeps `out` borrowed until every job returns.
-        job(start, unsafe { ptr.slice(r) });
-    });
+/// The panic of [`dispatch_out`], kept out of line: an inline
+/// `assert_eq!` made every dispatch about 6 ns slower (2-vCPU AVX-512
+/// Xeon).
+#[cold]
+#[inline(never)]
+fn window_mismatch(split: Split, len: usize, width: usize) -> ! {
+    panic!("output of {len} elements for {split:?} of width {width}")
 }
 
-/// Row-chunked variant of [`par_rows`] that splits `out` (of length
-/// `rows * row_len`) into disjoint row windows: `job(first_row, slice)`.
-pub fn par_rows_out<T: Send>(
+/// [`dispatch`] over `out`, which holds `width` elements per row of
+/// `split`: `job(rows, window)` receives the chunk's row range and its
+/// disjoint window of `out`.
+///
+/// # Panics
+///
+/// When `out.len() != split.rows * width`, in every build: the windows
+/// are sliced through a raw pointer.
+pub fn dispatch_out<T: Send>(
+    split: Split,
     out: &mut [T],
-    rows: usize,
-    row_len: usize,
-    job: impl Fn(usize, &mut [T]) + Sync,
-) {
-    debug_assert_eq!(out.len(), rows * row_len);
-    let ptr = SendPtr(out.as_mut_ptr());
-    par_rows(rows, row_len, |r| {
-        let elems = r.start * row_len..r.end * row_len;
-        // SAFETY: row ranges partition 0..rows disjointly, so element
-        // windows are disjoint; the scoped join outlives every job.
-        job(r.start, unsafe { ptr.slice(elems) });
-    });
-}
-
-/// Dispatch for kernels that write one output element per work unit of
-/// `unit_len` input elements (a reduction lane): the units are split as
-/// [`par_rows`] splits `out.len()` rows of `unit_len`, and
-/// `job(first_unit, slice)` receives the chunk's first unit and its window
-/// of `out`.
-pub fn par_units_out<T: Send>(
-    out: &mut [T],
-    unit_len: usize,
-    job: impl Fn(usize, &mut [T]) + Sync,
-) {
-    let ptr = SendPtr(out.as_mut_ptr());
-    par_rows(out.len(), unit_len, |r| {
-        let first = r.start;
-        // SAFETY: row ranges partition 0..out.len() disjointly; the scoped
-        // join outlives every job.
-        job(first, unsafe { ptr.slice(r) });
-    });
-}
-
-/// Row-chunked dispatch over `out` (of length `rows * row_len`) whose
-/// chunks hold whole blocks of `block_rows` rows, the last block possibly
-/// short: `job(rows, slice)` receives the chunk's row range (one of
-/// [`block_partition`]'s) and its window of `out`.
-pub fn par_blocks_out<T: Send>(
-    out: &mut [T],
-    rows: usize,
-    row_len: usize,
-    block_rows: usize,
+    width: usize,
     job: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
-    debug_assert_eq!(out.len(), rows * row_len);
-    let block_rows = block_rows.max(1);
+    if Some(out.len()) != split.rows.checked_mul(width) {
+        window_mismatch(split, out.len(), width);
+    }
     let ptr = SendPtr(out.as_mut_ptr());
-    par_rows(rows.div_ceil(block_rows), block_rows * row_len, |b| {
-        let r = b.start * block_rows..(b.end * block_rows).min(rows);
-        let elems = r.start * row_len..r.end * row_len;
-        // SAFETY: block ranges partition the blocks disjointly and the
-        // clip to `rows` keeps the last window in bounds; the scoped join
+    dispatch(split, |r| {
+        let elems = r.start * width..r.end * width;
+        // SAFETY: the chunks partition 0..rows disjointly and the length
+        // check above keeps every window in bounds; the scoped join
         // outlives every job.
         job(r, unsafe { ptr.slice(elems) });
     });
@@ -325,14 +296,14 @@ pub fn par_blocks_out<T: Send>(
 fn alloc_filled(n: usize, fill: impl Fn(usize, &mut [f32]) + Sync) -> Vec<f32> {
     let mut out: Vec<f32> = Vec::with_capacity(n);
     let ptr = SendPtr(out.as_mut_ptr());
-    par_for(n, |r| {
+    dispatch(elements(n), |r| {
         let start = r.start;
         // SAFETY: disjoint windows of the reserved capacity; set_len runs
         // only after the scoped join wrote all n elements.
         fill(start, unsafe { ptr.slice(r) });
     });
-    // SAFETY: par_for's chunks partition 0..n, so all n elements are
-    // initialized once it returns.
+    // SAFETY: the element chunks partition 0..n, so all n elements are
+    // initialized once the dispatch returns.
     unsafe { out.set_len(n) };
     out
 }
@@ -422,6 +393,106 @@ mod tests {
     use super::test_runner::with_test_runner;
     use super::*;
 
+    /// The three decompositions one [`Split::partition`] replaced, as
+    /// they were written: flat element chunks, row chunks, and row chunks
+    /// of whole blocks.
+    mod replaced {
+        use super::GRAIN_ELEMS;
+        use std::ops::Range;
+
+        pub fn element_partition(total: usize) -> Vec<Range<usize>> {
+            let chunks = if total < GRAIN_ELEMS {
+                1
+            } else {
+                total.div_ceil(GRAIN_ELEMS).max(1)
+            };
+            (0..chunks)
+                .map(|c| match chunks {
+                    1 => 0..total,
+                    _ => c * GRAIN_ELEMS..(c * GRAIN_ELEMS + GRAIN_ELEMS).min(total),
+                })
+                .collect()
+        }
+
+        pub fn row_partition(rows: usize, row_len: usize) -> Vec<Range<usize>> {
+            let per = (GRAIN_ELEMS / row_len.max(1)).max(1);
+            let chunks = if rows.saturating_mul(row_len) < GRAIN_ELEMS {
+                1
+            } else {
+                rows.div_ceil(per).max(1)
+            };
+            (0..chunks)
+                .map(|c| match chunks {
+                    1 => 0..rows,
+                    _ => c * per..(c * per + per).min(rows),
+                })
+                .collect()
+        }
+
+        pub fn block_partition(rows: usize, row_len: usize, block: usize) -> Vec<Range<usize>> {
+            let block = block.max(1);
+            row_partition(rows.div_ceil(block), block * row_len)
+                .into_iter()
+                .map(|b| b.start * block..(b.end * block).min(rows))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn partition_matches_the_three_shapes_it_replaces() {
+        // element(t) = rows(t, 1) and rows(r, l) = blocks(r, l, 1): one
+        // partition serves all three, chunk for chunk
+        let sizes = [
+            0usize,
+            1,
+            7,
+            100,
+            GRAIN_ELEMS - 1,
+            GRAIN_ELEMS,
+            GRAIN_ELEMS + 1,
+        ];
+        for total in sizes.into_iter().chain([5 * GRAIN_ELEMS + 13, 1 << 20]) {
+            assert_eq!(
+                elements(total).partition(),
+                replaced::element_partition(total),
+                "total={total}"
+            );
+            assert_eq!(
+                replaced::element_partition(total),
+                replaced::row_partition(total, 1)
+            );
+        }
+        for rows in sizes.into_iter().chain([1000, 16384]) {
+            for row_len in [0usize, 1, 3, 150, 777, 16384, 2 * GRAIN_ELEMS] {
+                let want = replaced::row_partition(rows, row_len);
+                assert_eq!(replaced::block_partition(rows, row_len, 1), want);
+                assert_eq!(Split::rows("t", rows, row_len).partition(), want);
+                for block in [0usize, 2, 32, 5000] {
+                    assert_eq!(
+                        Split {
+                            block,
+                            ..Split::rows("t", rows, row_len)
+                        }
+                        .partition(),
+                        replaced::block_partition(rows, row_len, block),
+                        "rows={rows} len={row_len} block={block}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each chunk starts where the previous one ended and the last ends
+    /// at `rows`.
+    fn assert_cover(split: Split) {
+        let mut next = 0usize;
+        for (c, r) in split.partition().into_iter().enumerate() {
+            assert_eq!(r.start, next, "{split:?} chunk={c}");
+            next = r.end;
+        }
+        assert_eq!(next, split.rows, "{split:?} must cover 0..rows");
+    }
+
     #[test]
     fn element_partition_is_exact_and_disjoint() {
         for total in [
@@ -433,14 +504,7 @@ mod tests {
             GRAIN_ELEMS + 1,
             5 * GRAIN_ELEMS + 13,
         ] {
-            let chunks = element_chunks(total);
-            let mut next = 0usize;
-            for c in 0..chunks {
-                let r = element_range(total, chunks, c);
-                assert_eq!(r.start, next, "total={total} chunk={c}");
-                next = r.end;
-            }
-            assert_eq!(next, total, "ranges must cover 0..{total}");
+            assert_cover(elements(total));
         }
     }
 
@@ -453,14 +517,7 @@ mod tests {
             (1000, 777),
             (4, GRAIN_ELEMS * 2),
         ] {
-            let chunks = row_chunks(rows, row_len);
-            let mut next = 0usize;
-            for c in 0..chunks {
-                let r = row_range(rows, row_len, chunks, c);
-                assert_eq!(r.start, next, "rows={rows} len={row_len} chunk={c}");
-                next = r.end;
-            }
-            assert_eq!(next, rows);
+            assert_cover(Split::rows("row", rows, row_len));
         }
     }
 
@@ -468,29 +525,22 @@ mod tests {
     fn partitioning_is_a_pure_function_of_shape() {
         // same shape => same chunk layout, with or without a runner, on
         // repeated calls, and independent of the runner's thread count
-        let total = 3 * GRAIN_ELEMS + 17;
-        let layout = |label: &str| {
-            let chunks = element_chunks(total);
-            let ranges: Vec<_> = (0..chunks)
-                .map(|c| element_range(total, chunks, c))
-                .collect();
-            (label.to_string(), chunks, ranges)
-        };
-        let base = layout("serial");
+        let split = elements(3 * GRAIN_ELEMS + 17);
+        let base = split.partition();
         for threads in [1usize, 2, 8] {
-            let under = with_test_runner(threads, || layout("runner"));
-            assert_eq!(base.1, under.1, "chunk count moved with thread count");
-            assert_eq!(base.2, under.2, "chunk ranges moved with thread count");
+            let under = with_test_runner(threads, || split.partition());
+            assert_eq!(base, under, "chunk ranges moved with thread count");
         }
     }
 
     #[test]
     fn threshold_only_collapses_to_one_chunk() {
-        assert_eq!(element_chunks(100), 1);
-        assert_eq!(element_chunks(GRAIN_ELEMS - 1), 1);
-        assert_eq!(element_chunks(GRAIN_ELEMS * 3), 3);
-        assert_eq!(row_chunks(10, 100), 1);
-        assert_eq!(row_chunks(10, GRAIN_ELEMS), 10);
+        let chunks = |s: Split| s.partition().len();
+        assert_eq!(chunks(elements(100)), 1);
+        assert_eq!(chunks(elements(GRAIN_ELEMS - 1)), 1);
+        assert_eq!(chunks(elements(GRAIN_ELEMS * 3)), 3);
+        assert_eq!(chunks(Split::rows("row", 10, 100)), 1);
+        assert_eq!(chunks(Split::rows("row", 10, GRAIN_ELEMS)), 10);
     }
 
     #[test]
@@ -504,9 +554,9 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let mut out = vec![0.0f32; n];
             with_test_runner(threads, || {
-                par_for_out(&mut out, |start, win| {
+                dispatch_out(elements(n), &mut out, 1, |r, win| {
                     for (j, v) in win.iter_mut().enumerate() {
-                        *v = f(start + j);
+                        *v = f(r.start + j);
                     }
                 });
             });
@@ -520,6 +570,12 @@ mod tests {
         }
     }
 
+    #[test]
+    #[should_panic(expected = "output of 11 elements for Split")]
+    fn a_window_past_the_output_panics_in_every_build() {
+        // 3 rows of 4 need 12 elements: 11 would slice past the buffer
+        dispatch_out(Split::rows("row", 3, 4), &mut [0u8; 11], 4, |_, _| {});
+    }
     #[test]
     fn unary_and_binary_match_tensor_combinators_bitwise() {
         let n = GRAIN_ELEMS + 100;
@@ -557,15 +613,15 @@ mod tests {
 
     #[test]
     fn stats_track_chunks_and_participants() {
-        reset_stats();
-        par_for(10, |_r| {});
+        reset_stats(false);
+        dispatch(elements(10), |_r| {});
         let s = take_stats();
         assert_eq!(s.chunks, 1, "small op stays one chunk");
         assert_eq!(s.max_participants, 1);
 
         with_test_runner(4, || {
-            reset_stats();
-            par_for(4 * GRAIN_ELEMS, |_r| {
+            reset_stats(false);
+            dispatch(elements(4 * GRAIN_ELEMS), |_r| {
                 std::thread::yield_now();
             });
             let s = take_stats();
@@ -581,5 +637,21 @@ mod tests {
             assert!(RUNNER.with(|r| r.borrow().is_some()));
         });
         assert!(RUNNER.with(|r| r.borrow().is_none()));
+    }
+
+    #[test]
+    fn the_split_log_records_only_while_armed() {
+        let split = Split::rows("row", 3, 4);
+        reset_stats(false);
+        dispatch(split, |_r| {});
+        assert_eq!(take_split_log(), vec![]);
+        reset_stats(true);
+        dispatch(split, |_r| {});
+        dispatch(elements(5), |_r| {});
+        assert_eq!(take_split_log(), vec![split, elements(5)]);
+        // taking disarms it
+        dispatch(split, |_r| {});
+        assert_eq!(take_split_log(), vec![]);
+        assert_eq!(take_stats().chunks, 3);
     }
 }

@@ -5,7 +5,8 @@ use std::cmp::Ordering;
 
 use ngb_tensor::{LaneReader, Tensor, TensorError};
 
-use crate::{parallel, OpCost, Result, F32_BYTES};
+use crate::parallel::{self, Split};
+use crate::{OpCost, Result, F32_BYTES};
 
 /// Argmax along `dim` (indices as i64, dim removed). Ties go to the lowest
 /// index, a lane with no value above `-inf` answers 0, and NaN never wins.
@@ -35,8 +36,8 @@ pub fn argmax(x: &Tensor, dim: usize) -> Result<Tensor> {
     let lanes = LaneReader::new(x, dim, "argmax")?;
     let swept = x.as_slice_f32().filter(|_| inner > 1);
     let mut out = vec![0i64; outer * inner];
-    let (_, unit) = argmax_lanes(x.shape(), dim);
-    parallel::par_units_out(&mut out, unit, |first, win| {
+    parallel::dispatch_out(argmax_lanes(x.shape(), dim), &mut out, 1, |r, win| {
+        let first = r.start;
         let Some(xs) = swept else {
             let mut scratch = Vec::new();
             for (p, at) in win.iter_mut().enumerate() {
@@ -79,12 +80,11 @@ pub fn argmax(x: &Tensor, dim: usize) -> Result<Tensor> {
 /// `GRAIN_ELEMS / d` positions long.
 const ARGMAX_GRAINS: usize = 16;
 
-/// `(positions, unit)` of the split [`argmax`] dispatches on a dense input
-/// of `shape` along `dim`: one output position per lane, the positions
-/// split as [`parallel::par_rows`] splits rows of `unit` elements. A lane
-/// of `d` values weighs `d / 16`, so a chunk sweeps rows of `16 ·
-/// GRAIN_ELEMS / d` consecutive positions.
-pub fn argmax_lanes(shape: &[usize], dim: usize) -> (usize, usize) {
+/// The split [`argmax`] dispatches on an input of `shape` along `dim`:
+/// one unit per output position (lane). A lane of `d` values weighs
+/// `d / 16`, so a chunk sweeps rows of `16 · GRAIN_ELEMS / d` consecutive
+/// positions.
+pub fn argmax_lanes(shape: &[usize], dim: usize) -> Split {
     let positions = shape
         .iter()
         .enumerate()
@@ -92,7 +92,7 @@ pub fn argmax_lanes(shape: &[usize], dim: usize) -> (usize, usize) {
         .map(|(_, &n)| n)
         .product();
     let d = shape.get(dim).copied().unwrap_or(0);
-    (positions, d.div_ceil(ARGMAX_GRAINS))
+    Split::rows("argmax-lane", positions, d.div_ceil(ARGMAX_GRAINS))
 }
 
 /// Descending score order with NaN after every number: a total order, so
@@ -243,9 +243,9 @@ mod tests {
         ];
         for x in &inputs {
             for dim in 0..3 {
-                let (positions, unit) = argmax_lanes(x.shape(), dim);
-                assert_eq!(positions * x.shape()[dim], x.numel());
-                assert!(crate::parallel::row_chunks(positions, unit) > 1);
+                let lanes = argmax_lanes(x.shape(), dim);
+                assert_eq!(lanes.rows * x.shape()[dim], x.numel());
+                assert!(lanes.partition().len() > 1);
                 let want = argmax_fold(x, dim);
                 let run = || argmax(x, dim).unwrap().to_vec_i64().unwrap();
                 assert_eq!(run(), want, "serial, dim {dim}, strides {:?}", x.strides());

@@ -272,21 +272,29 @@ fn assert_exact_cover(
     Ok(())
 }
 
-proptest! {
-    /// Element chunking is a pairwise-disjoint exact cover of the flat
-    /// output for arbitrary sizes.
-    #[test]
-    fn element_partition_is_exact_cover(total in 0usize..300_000) {
-        assert_exact_cover(&parallel::element_partition(total), total)?;
-    }
+/// Row widths below 3 000, empty about one case in ten.
+fn widths() -> impl Strategy<Value = usize> {
+    (0usize..3_300).prop_map(|w| w.saturating_sub(300))
+}
 
-    /// Row chunking is a pairwise-disjoint exact cover of the row space
-    /// for arbitrary row counts and widths.
+proptest! {
+    /// A split's chunks are a pairwise-disjoint exact cover of its rows
+    /// for arbitrary row counts, widths (empty rows included) and blocks
+    /// (wider than all the rows included), and no chunk boundary falls
+    /// inside a block: only the end of the rows clips one.
     #[test]
-    fn row_partition_is_exact_cover(
-        rows in 0usize..5_000, row_len in 0usize..3_000,
+    fn split_partition_is_exact_cover(
+        rows in 0usize..5_000,
+        row_len in widths(),
+        block in 0usize..6_000,
     ) {
-        assert_exact_cover(&parallel::row_partition(rows, row_len), rows)?;
+        let split = parallel::Split { block, ..parallel::Split::rows("t", rows, row_len) };
+        let chunks = split.partition();
+        assert_exact_cover(&chunks, rows)?;
+        for r in &chunks {
+            prop_assert_eq!(r.start % block.max(1), 0, "{:?} starts inside a block", r);
+            prop_assert!(r.end == rows || r.end % block.max(1) == 0, "{:?} ends inside a block", r);
+        }
     }
 
     /// Shape purity: the decomposition is a function of shape only — installing intra-op runners with different thread counts
@@ -295,15 +303,13 @@ proptest! {
     fn partition_is_independent_of_thread_count(
         total in 1usize..200_000, row_len in 1usize..2_000,
     ) {
-        let elems_base = parallel::element_partition(total);
-        let rows_base = parallel::row_partition(total.min(4_000), row_len);
+        let rows_split = parallel::Split::rows("row", total.min(4_000), row_len);
+        let elems_base = parallel::elements(total).partition();
+        let rows_base = rows_split.partition();
         for threads in [1usize, 2, 8] {
             let runner = std::sync::Arc::new(CountingRunner { threads });
             let (elems, rows) = parallel::with_runner(runner, || {
-                (
-                    parallel::element_partition(total),
-                    parallel::row_partition(total.min(4_000), row_len),
-                )
+                (parallel::elements(total).partition(), rows_split.partition())
             });
             prop_assert_eq!(&elems, &elems_base, "{threads} threads changed element chunks");
             prop_assert_eq!(&rows, &rows_base, "{threads} threads changed row chunks");
@@ -311,13 +317,14 @@ proptest! {
     }
 
     /// GEMM work units — (panel group x row block) rectangles — cover the
-    /// `[m, n]` output exactly once, and the chunks `par_rows` forms over
-    /// them cover every unit exactly once.
+    /// `[m, n]` output exactly once, and the chunks the GEMM's split forms
+    /// over them cover every unit exactly once.
     #[test]
     fn gemm_tile_blocks_are_exact_cover(m in 1usize..2_000, k in 1usize..6_000, n in 1usize..300) {
-        let (units, unit_len) = gemm::tile_units(m, k, n);
-        prop_assert!(unit_len >= 1);
-        assert_exact_cover(&parallel::row_partition(units.len(), unit_len), units.len())?;
+        let (units, chunks) = (gemm::unit_rects(m, k, n), gemm::tile_units(m, k, n));
+        prop_assert!(chunks.row_len >= 1);
+        prop_assert_eq!(chunks.rows, units.len());
+        assert_exact_cover(&chunks.partition(), units.len())?;
         let mut hits = vec![0u8; m * n];
         for (rows, cols) in &units {
             prop_assert!(rows.end <= m && cols.end <= n, "unit {rows:?} x {cols:?} out of bounds");

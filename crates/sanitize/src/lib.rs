@@ -12,13 +12,14 @@
 //!    drop-at-last-use lifetimes, checked against graph-derived truth
 //!    and colored into storage slots such that no two simultaneously
 //!    live values ever share one without a happens-before edge.
-//! 3. **Partition disjointness** — every intra-op chunk decomposition an
-//!    operator can dispatch for its static shape (element chunks, row
-//!    chunks, GEMM work units, convolution rows and panels) is a
-//!    pairwise-disjoint exact cover of its output.
+//! 3. **Partition disjointness** — every intra-op split a node's kernels
+//!    declare ([`ngb_exec::node_splits`]) is, for the node's static
+//!    shapes, a pairwise-disjoint exact cover of its rows, and every
+//!    declared GEMM's work units tile its output.
 //!
 //! The dynamic counterpart is the shadow-memory sanitizer in `ngb-exec`
-//! ([`ngb_exec::ShadowMemory`], `--sanitize`); the [`faults`] module
+//! ([`ngb_exec::ShadowMemory`], `--sanitize`), which also fails a node
+//! whose kernel dispatches a split it does not declare; the [`faults`] module
 //! provides the seeded mutators that prove both halves actually detect
 //! each hazard class.
 //!
@@ -95,7 +96,8 @@ mod tests {
         assert_eq!(report.stats.nodes, 4);
         assert_eq!(report.stats.edges_checked, 4);
         assert_eq!(report.stats.ordered_pairs_proved, 4);
-        assert!(report.stats.partitions_checked >= 4);
+        // the element splits of the three kernels; the input declares none
+        assert_eq!(report.stats.partitions_checked, 3);
     }
 
     #[test]
@@ -145,7 +147,7 @@ mod tests {
         );
 
         // overlapping chunks -> partition-overlap (or out-of-bounds)
-        let mut ranges = ngb_ops::parallel::element_partition(100_000);
+        let mut ranges = ngb_ops::parallel::elements(100_000).partition();
         faults::overlap_chunks(&mut ranges, 7).unwrap();
         let mut report = SanitizeReport::new("chunks");
         assert!(!verify_ranges(

@@ -2,22 +2,19 @@
 //!
 //! Intra-op kernels hand disjoint output slices to concurrent chunk jobs
 //! through raw pointers (`ngb_ops::parallel`), so the memory-safety
-//! argument rests entirely on the chunk decomposition being a pairwise-
-//! disjoint, exact cover of the output. This module re-derives every
-//! decomposition an operator can dispatch for its static output shape —
-//! flat element chunks, row chunks, `roll`'s rows split at the rolled dim,
-//! softmax's outer blocks, batch norm's planes, group norm's segments,
-//! argmax's lane positions, a transposing `contiguous`'s tile-row blocks
-//! (from the input's statically propagated strides), the GEMM's (panel
-//! group x row block) units, and a convolution's output rows (depthwise
-//! kernel, bias pass) and per-image im2col panels and GEMM units — and
-//! symbolically checks the cover, per node, for the shapes actually
-//! present in the graph.
+//! argument rests entirely on every chunk decomposition being a pairwise-
+//! disjoint, exact cover of its work. Each node declares the splits its
+//! kernels dispatch once, in `ngb_exec::node_splits`, from the kernels'
+//! own split functions. This module checks the partition of every
+//! declared split, per node, for the shapes and statically propagated
+//! strides actually present in the graph, and that the work units of
+//! every declared GEMM tile its output. It holds no per-operator
+//! knowledge of its own; the execution sanitizer holds every kernel
+//! dispatch to the same declaration.
 
 use std::ops::Range;
 
-use ngb_graph::{static_strides, FusedKind, Graph, Node, NodeId, OpKind};
-use ngb_ops::{gemm, memory, normalization, parallel, reduction};
+use ngb_graph::{static_strides, Graph, NodeId};
 
 use crate::hazard::{HazardKind, SanitizeReport};
 
@@ -93,226 +90,37 @@ pub fn verify_ranges(
     clean
 }
 
-/// Symbolically checks every decomposition each node's kernels can
-/// dispatch for the node's static output shape.
+/// Checks the partition of every split each node declares for its static
+/// shapes, and the work units of every GEMM it declares.
 pub fn verify_partitions(graph: &Graph, report: &mut SanitizeReport) {
     let strides = static_strides(graph);
+    let nodes = graph.iter().as_slice();
     for node in graph.iter() {
-        let numel = ngb_tensor::num_elements(&node.out_shape);
-        verify_ranges(
-            "element",
-            &parallel::element_partition(numel),
-            numel,
-            node.id,
-            report,
-        );
-        if let Some(&row_len) = node.out_shape.last() {
-            if node.out_shape.len() >= 2 && row_len > 0 {
-                let rows = numel / row_len;
-                verify_ranges(
-                    "row",
-                    &parallel::row_partition(rows, row_len),
-                    rows,
-                    node.id,
-                    report,
-                );
-            }
+        // a dangling input id is the structural pass's finding, skipped here
+        let inputs: Vec<(&[usize], &[isize])> = node
+            .inputs
+            .iter()
+            .filter_map(|id| Some((&nodes.get(id.0)?.out_shape[..], &strides[id.0][..])))
+            .collect();
+        let declared = ngb_exec::node_splits(&node.op, &inputs, &node.out_shape);
+        for split in &declared.splits {
+            verify_ranges(split.label, &split.partition(), split.rows, node.id, report);
         }
-        // `roll` splits its rows at the rolled dim: `inner` elements per
-        // row, the product of the dims after it
-        if let OpKind::Roll { dim, .. } = node.op {
-            let inner: usize = node
-                .out_shape
-                .get(dim + 1..)
-                .unwrap_or(&[])
-                .iter()
-                .product();
-            if let Some(rows) = numel.checked_div(inner) {
-                verify_ranges(
-                    "roll-row",
-                    &parallel::row_partition(rows, inner),
-                    rows,
-                    node.id,
-                    report,
-                );
-            }
-        }
-        verify_lane_splits(graph, node, &strides, report);
-        // a Conv+BN fusion runs its convolution through the same kernel,
-        // with the folded bias
-        let conv = match &node.op {
-            OpKind::Fused(f) if f.kind == FusedKind::ConvBnAct => {
-                f.stages.first().map(|s| (&s.op, true))
-            }
-            op => Some((op, matches!(op, OpKind::Conv2d { bias: true, .. }))),
-        };
-        if let Some((
-            &OpKind::Conv2d {
-                in_c,
-                out_c,
-                kernel,
-                groups,
-                ..
-            },
-            bias,
-        )) = conv
-        {
-            if let [n, f, oh, ow] = node.out_shape[..] {
-                let w = [out_c, in_c / groups.max(1), kernel, kernel];
-                verify_conv([n, f, oh, ow], w, groups, bias, node.id, report);
-            }
-        }
-        if let Some((m, k, n)) = gemm_dims(graph, node) {
+        for &[m, k, n] in &declared.gemms {
             verify_gemm_tiles(m, k, n, node.id, report);
         }
     }
 }
 
-/// Checks the splits of the kernels whose work unit is not a row of the
-/// output's last dim: softmax's outer blocks (an attention prologue ends in
-/// the same kernel), batch norm's `H·W` planes, group norm's segments,
-/// argmax's lane positions and a transpose-shaped `contiguous`'s tile-row
-/// blocks, the last two sized by the input's shape and static strides.
-fn verify_lane_splits(
-    graph: &Graph,
-    node: &Node,
-    strides: &[Vec<isize>],
-    report: &mut SanitizeReport,
-) {
-    let shape = &node.out_shape[..];
-    let input = node
-        .inputs
-        .first()
-        .map(|id| id.0)
-        .filter(|&i| i < graph.len());
-    let in_shape = |i: usize| &graph.iter().as_slice()[i].out_shape[..];
-    let softmax_dim = |op: &OpKind| match *op {
-        OpKind::Softmax { dim } | OpKind::LogSoftmax { dim } => Some(dim),
-        _ => None,
-    };
-    let softmax = match &node.op {
-        OpKind::Fused(f) if f.kind == FusedKind::AttentionPrologue => {
-            f.stages.iter().find_map(|s| softmax_dim(&s.op))
-        }
-        op => softmax_dim(op),
-    };
-    // (label, (rows, row_len), rows per block): a plain row split is
-    // blocks of one row
-    let split = if let Some(dim) = softmax.filter(|&d| d < shape.len()) {
-        // one block per outer index, holding all of its lanes
-        let (outer, lanes) = shape.split_at(dim);
-        let blocks = (outer.iter().product(), lanes.iter().product());
-        Some(("softmax-block", blocks, 1))
-    } else {
-        match (&node.op, input) {
-            (OpKind::BatchNorm2d { .. } | OpKind::FrozenBatchNorm2d { .. }, _) => {
-                Some(("bn-plane", normalization::batch_norm_planes(shape), 1))
-            }
-            (&OpKind::GroupNorm { groups, .. }, _) => {
-                let segments = normalization::group_norm_segments(shape, groups);
-                Some(("gn-segment", segments, 1))
-            }
-            (&OpKind::Argmax { dim }, Some(i)) if dim < in_shape(i).len() => {
-                Some(("argmax-lane", reduction::argmax_lanes(in_shape(i), dim), 1))
-            }
-            (OpKind::Contiguous, Some(i)) => memory::contiguous_blocks(in_shape(i), &strides[i])
-                .map(|blocks| ("transpose-block", blocks, ngb_tensor::TILE_ROWS)),
-            _ => None,
-        }
-    };
-    if let Some((label, (rows, row_len), block)) = split {
-        verify_ranges(
-            label,
-            &parallel::block_partition(rows, row_len, block),
-            rows,
-            node.id,
-            report,
-        );
-    }
-}
-
-/// The `(m, k, n)` of the `gemm_into` call(s) a matmul, bmm, linear or
-/// Conv1D node dispatches, from the static shapes; `None` for every
-/// other operator (convolutions go through [`verify_conv`]).
-fn gemm_dims(graph: &Graph, node: &Node) -> Option<(usize, usize, usize)> {
-    let numel = ngb_tensor::num_elements(&node.out_shape);
-    // a dangling input id is the structural pass's finding, not a panic here
-    let lhs = node
-        .inputs
-        .first()
-        .and_then(|id| graph.iter().as_slice().get(id.0))
-        .map(|n| &n.out_shape[..]);
-    match (&node.op, &node.out_shape[..], lhs) {
-        (OpKind::Matmul, &[m, n], Some(&[_, k])) => Some((m, k, n)),
-        // bmm runs one gemm per batch, all with the same (m, k, n)
-        (OpKind::Bmm, &[_, m, n], Some(&[_, _, k])) => Some((m, k, n)),
-        (&OpKind::Linear { in_f, out_f, .. } | &OpKind::Conv1dGpt2 { in_f, out_f, .. }, _, _)
-            if out_f > 0 =>
-        {
-            Some((numel / out_f, in_f, out_f))
-        }
-        _ => None,
-    }
-}
-
-/// Checks the partitions a convolution with output `out` and weight `w`
-/// dispatches: the output rows the depthwise kernel and the bias pass
-/// split, and for an im2col lowering the per-image GEMM's (im2col fills
-/// its packed panels).
-fn verify_conv(
-    out: [usize; 4],
-    w: [usize; 4],
-    groups: usize,
-    bias: bool,
-    node: NodeId,
-    report: &mut SanitizeReport,
-) {
-    let lowering = gemm::conv2d_lowering(out, w, groups);
-    if bias || lowering == gemm::ConvLowering::Depthwise {
-        let (rows, row_len) = gemm::conv2d_rows(out);
-        verify_ranges(
-            "conv-row",
-            &parallel::row_partition(rows, row_len),
-            rows,
-            node,
-            report,
-        );
-    }
-    if let gemm::ConvLowering::Im2col { m, k, n } = lowering {
-        verify_gemm_tiles(m, k, n, node, report);
-    }
-}
-
-/// Checks the partitions of a `[m, k] @ [k, n]` GEMM: the chunks that
-/// fill B's packed panels must cover the panels, the chunks of work units
-/// must cover the units, and the units — rectangles of the `[m, n]`
-/// output — must tile it exactly: their column ranges form an exact cover
-/// of `0..n`, and within each column band the row ranges form an exact
-/// cover of `0..m`.
+/// Checks that the work units of a `[m, k] @ [k, n]` GEMM — rectangles
+/// of the `[m, n]` output — tile it exactly: their column ranges form an
+/// exact cover of `0..n`, and within each column band the row ranges form
+/// an exact cover of `0..m`.
 fn verify_gemm_tiles(m: usize, k: usize, n: usize, node: NodeId, report: &mut SanitizeReport) {
-    let (panels, panel_len) = gemm::packed_panels(k, n);
-    if panel_len > 0 {
-        verify_ranges(
-            "gemm-pack",
-            &parallel::row_partition(panels, panel_len),
-            panels,
-            node,
-            report,
-        );
-    }
     if m == 0 || n == 0 {
         return;
     }
-    let (mut units, unit_len) = gemm::tile_units(m, k, n);
-    if !verify_ranges(
-        "gemm-chunk",
-        &parallel::row_partition(units.len(), unit_len),
-        units.len(),
-        node,
-        report,
-    ) {
-        return;
-    }
+    let mut units = ngb_ops::gemm::unit_rects(m, k, n);
     units.sort_by_key(|(rows, cols)| (cols.start, cols.end, rows.start));
     let mut bands: Vec<Range<usize>> = Vec::new();
     for band in units.chunk_by(|a, b| a.1 == b.1) {
@@ -328,7 +136,9 @@ fn verify_gemm_tiles(m: usize, k: usize, n: usize, node: NodeId, report: &mut Sa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ngb_graph::GraphBuilder;
+    use ngb_graph::{FusedKind, GraphBuilder, OpKind};
+    use ngb_ops::gemm;
+    use ngb_ops::parallel::Split;
 
     #[test]
     fn overlap_gap_and_bounds_are_distinguished() {
@@ -360,6 +170,18 @@ mod tests {
         assert_eq!(r.count(HazardKind::PartitionGap), 1);
     }
 
+    /// `(partitions, chunks)` the partition check certifies on `g`.
+    fn certified(g: &Graph) -> (usize, usize) {
+        let mut report = SanitizeReport::new(&g.name);
+        verify_partitions(g, &mut report);
+        assert!(report.is_clean(), "{}", report.to_text());
+        (report.stats.partitions_checked, report.stats.chunks_checked)
+    }
+
+    fn chunks(split: Split) -> usize {
+        split.partition().len()
+    }
+
     #[test]
     fn real_graph_partitions_verify_clean() {
         let mut b = GraphBuilder::new("mlp");
@@ -376,12 +198,11 @@ mod tests {
             )
             .unwrap();
         b.push(OpKind::Gelu, &[h], "act").unwrap();
-        let g = b.finish();
-        let mut report = SanitizeReport::new(&g.name);
-        verify_partitions(&g, &mut report);
-        assert!(report.is_clean(), "{}", report.to_text());
-        assert!(report.stats.partitions_checked >= 6);
-        assert!(report.stats.chunks_checked > report.stats.partitions_checked);
+        let (partitions, chunks) = certified(&b.finish());
+        // the GEMM's packing, units, tile bands and columns, and the
+        // activation's elements
+        assert!(partitions >= 5);
+        assert!(chunks > partitions);
     }
 
     #[test]
@@ -391,11 +212,7 @@ mod tests {
             let mut b = GraphBuilder::new("conv");
             let x = b.input(&[2, 64, 56, 56]);
             b.push(op, &[x], "conv").unwrap();
-            let g = b.finish();
-            let mut report = SanitizeReport::new(&g.name);
-            verify_partitions(&g, &mut report);
-            assert!(report.is_clean(), "{}", report.to_text());
-            report.stats
+            certified(&b.finish())
         };
         let conv = |groups, bias| OpKind::Conv2d {
             in_c: 64,
@@ -409,34 +226,27 @@ mod tests {
         let copy = stats(OpKind::Contiguous);
         // the N·C·oh output rows of ow that the depthwise kernel and the
         // bias pass split: checked once whether or not both run
-        let rows = parallel::row_partition(2 * 64 * 56, 56).len();
+        let rows = chunks(Split::rows("t", 2 * 64 * 56, 56));
         assert!(rows > 1);
         for bias in [false, true] {
-            let depthwise = stats(conv(64, bias));
-            assert_eq!(depthwise.partitions_checked, copy.partitions_checked + 1);
-            assert_eq!(depthwise.chunks_checked, copy.chunks_checked + rows);
+            assert_eq!(stats(conv(64, bias)), (copy.0 + 1, copy.1 + rows));
         }
         // dense, one image at a time: the im2col-filled panels, the GEMM's
         // chunks, each column band's row blocks and the bands themselves,
         // and the output rows when a bias pass runs
-        let (units, unit_len) = gemm::tile_units(64, 64 * 9, 56 * 56);
+        let units = gemm::unit_rects(64, 64 * 9, 56 * 56);
         let bands = units.iter().filter(|(rows, _)| rows.start == 0).count();
-        assert!(parallel::row_partition(units.len(), unit_len).len() > 1 && bands > 1);
+        assert!(chunks(gemm::tile_units(64, 64 * 9, 56 * 56)) > 1 && bands > 1);
         let gemm_partitions = 3 + bands;
-        assert_eq!(
-            stats(conv(1, false)).partitions_checked,
-            copy.partitions_checked + gemm_partitions
-        );
-        assert_eq!(
-            stats(conv(1, true)).partitions_checked,
-            copy.partitions_checked + gemm_partitions + 1
-        );
+        assert_eq!(stats(conv(1, false)).0, copy.0 + gemm_partitions);
+        assert_eq!(stats(conv(1, true)).0, copy.0 + gemm_partitions + 1);
     }
 
     #[test]
     fn lane_and_tile_splits_are_certified() {
-        // the one split `op` adds on a `[1, 150, 128, 128]` input, dense or
-        // viewed NHWC through a permute: (partitions, chunks) checked
+        // what a graph ending in `op` on a `[1, 150, 128, 128]` input,
+        // dense or viewed NHWC through a permute, certifies: neither the
+        // input nor the permute declares a split, so this is `op`'s own
         let split = |op: OpKind, nhwc: bool| {
             let mut b = GraphBuilder::new("lanes");
             let mut x = b.input(&[1, 150, 128, 128]);
@@ -444,49 +254,49 @@ mod tests {
                 let perm = vec![0, 2, 3, 1];
                 x = b.push(OpKind::Permute { perm }, &[x], "nhwc").unwrap();
             }
-            let y = b.push(op, &[x], "op").unwrap();
-            let g = b.finish();
-            let mut report = SanitizeReport::new(&g.name);
-            verify_lane_splits(&g, &g.nodes[y.0], &static_strides(&g), &mut report);
-            assert!(report.is_clean(), "{}", report.to_text());
-            (report.stats.partitions_checked, report.stats.chunks_checked)
+            b.push(op, &[x], "op").unwrap();
+            certified(&b.finish())
         };
-        let (positions, unit) = reduction::argmax_lanes(&[1, 150, 128, 128], 1);
         let cases = [
             (
                 OpKind::BatchNorm2d { c: 150 },
                 false,
-                parallel::row_partition(150, 16384),
+                Split::rows("t", 150, 16384),
             ),
             (
                 OpKind::GroupNorm { groups: 10, c: 150 },
                 false,
-                parallel::row_partition(10, 15 * 16384),
+                Split::rows("t", 10, 15 * 16384),
             ),
             (
                 OpKind::Softmax { dim: 2 },
                 false,
-                parallel::row_partition(150, 16384),
+                Split::rows("t", 150, 16384),
             ),
+            // one position per lane, a lane of 150 weighing 150 / 16
             (
                 OpKind::Argmax { dim: 1 },
                 false,
-                parallel::row_partition(positions, unit),
+                Split::rows("t", 16384, 10),
             ),
             // the NHWC view coalesces to 16384 unit-stride rows of 150
             (
                 OpKind::Contiguous,
                 true,
-                parallel::block_partition(16384, 150, ngb_tensor::TILE_ROWS),
+                Split {
+                    block: ngb_tensor::TILE_ROWS,
+                    ..Split::rows("t", 16384, 150)
+                },
             ),
+            // an element-wise kernel on the view declares its elements
+            (OpKind::Relu, true, Split::rows("t", 150 * 16384, 1)),
         ];
         for (op, nhwc, want) in cases {
-            assert!(want.len() > 1, "{op:?}: the split must really split");
-            assert_eq!(split(op.clone(), nhwc), (1, want.len()), "{op:?}");
+            assert!(chunks(want) > 1, "{op:?}: the split must really split");
+            assert_eq!(split(op.clone(), nhwc), (1, chunks(want)), "{op:?}");
         }
         // a dense copy runs serially: no split of its own
         assert_eq!(split(OpKind::Contiguous, false), (0, 0));
-        assert_eq!(split(OpKind::Relu, true), (0, 0));
     }
 
     #[test]
@@ -496,19 +306,81 @@ mod tests {
             let mut b = GraphBuilder::new("shift");
             let x = b.input(&[1, 56, 56, 96]);
             b.push(op, &[x], "copy").unwrap();
-            let g = b.finish();
-            let mut report = SanitizeReport::new(&g.name);
-            verify_partitions(&g, &mut report);
-            assert!(report.is_clean(), "{}", report.to_text());
-            report.stats
+            certified(&b.finish())
         };
         let copy = stats(OpKind::Contiguous);
-        let roll = stats(OpKind::Roll { shift: -3, dim: 1 });
-        // a dim-1 roll dispatches 56 rows of 56 * 96 elements, not the
-        // (numel / last, last) rows every node is certified for
-        let rows = parallel::row_partition(56, 56 * 96).len();
+        // a dim-1 roll dispatches 56 rows of 56 * 96 elements
+        let rows = chunks(Split::rows("t", 56, 56 * 96));
         assert!(rows > 1);
-        assert_eq!(roll.partitions_checked, copy.partitions_checked + 1);
-        assert_eq!(roll.chunks_checked, copy.chunks_checked + rows);
+        assert_eq!(
+            stats(OpKind::Roll { shift: -3, dim: 1 }),
+            (copy.0 + 1, copy.1 + rows)
+        );
+    }
+
+    /// The one node `optimize(O2)` fuses `g` into, and its declaration.
+    fn fused(g: &Graph, kind: FusedKind) -> (Graph, ngb_exec::NodeSplits) {
+        let (o2, _) = ngb_opt::optimize(g, ngb_opt::OptLevel::O2);
+        let node = o2
+            .iter()
+            .find(|n| matches!(&n.op, OpKind::Fused(f) if f.kind == kind))
+            .unwrap_or_else(|| panic!("no {kind:?} node"))
+            .clone();
+        let strides = static_strides(&o2);
+        let inputs: Vec<(&[usize], &[isize])> = node
+            .inputs
+            .iter()
+            .map(|id| (&o2.node(*id).out_shape[..], &strides[id.0][..]))
+            .collect();
+        let declared = ngb_exec::node_splits(&node.op, &inputs, &node.out_shape);
+        (o2.clone(), declared)
+    }
+
+    #[test]
+    fn fused_gemm_heads_are_certified() {
+        // Linear(3072 -> 768) -> GELU: at O2 one GEMM-epilogue node, which
+        // runs the Linear's kernel and folds the GELU into a serial loop
+        let mut b = GraphBuilder::new("mlp");
+        let x = b.input(&[64, 3072]);
+        let linear = OpKind::Linear {
+            in_f: 3072,
+            out_f: 768,
+            bias: true,
+        };
+        let h = b.push(linear.clone(), &[x], "fc").unwrap();
+        b.push(OpKind::Gelu, &[h], "act").unwrap();
+        let o0 = b.finish();
+        let (o2, declared) = fused(&o0, FusedKind::GemmEpilogue);
+        let plain = ngb_exec::node_splits(&linear, &[(&[64, 3072], &[3072, 1])], &[64, 768]);
+        assert_eq!(declared, plain);
+        assert_eq!(plain.gemms, vec![[64, 3072, 768]]);
+        assert!(plain.splits.iter().all(|&s| chunks(s) > 1));
+        // the same pack, chunk and tile partitions as the plain Linear;
+        // only the GELU's element split is gone
+        let gelu = chunks(Split::rows("t", 64 * 768, 1));
+        let (p0, c0) = certified(&o0);
+        assert_eq!(certified(&o2), (p0 - 1, c0 - gelu));
+
+        // bmm -> scale -> mask add -> softmax: at O2 one attention
+        // prologue, which runs the bmm, the add and the softmax kernels
+        let mut b = GraphBuilder::new("attn");
+        let q = b.input(&[8, 256, 64]);
+        let k = b.input(&[8, 64, 256]);
+        let m = b.input(&[8, 256, 256]);
+        let s = b.push(OpKind::Bmm, &[q, k], "scores").unwrap();
+        let d = b.push(OpKind::DivScalar(8.0), &[s], "scale").unwrap();
+        let a = b.push(OpKind::Add, &[d, m], "mask").unwrap();
+        b.push(OpKind::Softmax { dim: 2 }, &[a], "probs").unwrap();
+        let o0 = b.finish();
+        let (o2, declared) = fused(&o0, FusedKind::AttentionPrologue);
+        assert_eq!(declared.gemms, vec![[256, 64, 256]]);
+        let tiles = gemm::tile_units(256, 64, 256);
+        let blocks = Split::rows("softmax-block", 8 * 256, 256);
+        assert!(chunks(tiles) > 1 && chunks(blocks) > 1);
+        assert!(declared.splits.contains(&tiles) && declared.splits.contains(&blocks));
+        // everything the unfused chain certifies but the scale's elements
+        let scale = chunks(Split::rows("t", 8 * 256 * 256, 1));
+        let (p0, c0) = certified(&o0);
+        assert_eq!(certified(&o2), (p0 - 1, c0 - scale));
     }
 }

@@ -58,7 +58,13 @@
 # multi-threaded engine with intra-op parallelism on. Tiny GEMMs fall under
 # one intra-op grain and run as a single chunk, so it also runs the static
 # verifier alone on the four full-scale graph_full models, whose GEMM and
-# convolution partitions really split.
+# convolution partitions really split. Every split comes from one
+# declaration, ngb_exec::node_splits, which the kernels' own split
+# functions feed: outside test modules, crates/sanitize/src may name
+# neither OpKind:: nor FusedKind:: nor Split nor an ngb-ops split helper
+# (a pub fn of crates/ops/src returning a Split, or conv2d_lowering) on a
+# line of code, so no per-operator mirror of a kernel split can come back. The sanitized
+# run holds every kernel dispatch to the same declaration.
 # The serve stage boots the inference service on a tiny model, fires a
 # short open-loop loadgen burst, and asserts completions > 0 with zero
 # failures and a clean drain; the sweep summary lands in
@@ -156,6 +162,21 @@ sanitize_gate() {
   if grep -rln 'unsafe ' crates/*/src --include='*.rs' \
       | grep -v -e '^crates/ops/' -e '^crates/exec/'; then
     echo "error: unsafe code outside ngb-ops/ngb-exec (see files above)"
+    return 1
+  fi
+  local helpers mirror
+  helpers=$(grep -rhoE 'pub fn [a-z0-9_]+\([^)]*\) -> (Option<)?Split\b' crates/ops/src \
+    | sed -E 's/pub fn ([a-z0-9_]+).*/\1/' | sort -u | paste -sd'|')
+  [[ -n "$helpers" ]] || { echo "error: no split helper found in crates/ops/src"; return 1; }
+  # comment lines (the crate docs' examples among them) are not code
+  mirror=$(grep -rnE --include='*.rs' "OpKind::|FusedKind::|\bSplit\b|\b($helpers|conv2d_lowering)\(" \
+    crates/sanitize/src | grep -vE '^[^:]+:[0-9]+: *//' | while IFS=: read -r f lineno _; do
+      test_start=$(grep -n 'mod tests' "$f" | head -n1 | cut -d: -f1 || true)
+      [[ -n "$test_start" && "$lineno" -gt "$test_start" ]] || echo "$f:$lineno"
+    done)
+  if [[ -n "$mirror" ]]; then
+    echo "error: the verifier decides a kernel split itself instead of reading ngb_exec::node_splits:"
+    echo "$mirror"
     return 1
   fi
   cargo clippy -q -p ngb-sanitize --all-targets -- -D warnings

@@ -6,7 +6,7 @@
 //! chunks) is caught by the static verifier or the shadow-memory
 //! sanitizer. Sanitizer-off runs stay byte-identical to sanitized runs.
 
-use nongemm::exec::{BufferPlan, Engine, Interpreter, Schedule};
+use nongemm::exec::{node_splits, BufferPlan, Engine, Interpreter, Schedule};
 use nongemm::graph::{Graph, GraphBuilder, OpKind};
 use nongemm::sanitize::{faults, verify_graph, verify_parts, HazardKind, SanitizeReport};
 use nongemm::{optimize, ModelId, OptLevel, Scale};
@@ -54,7 +54,24 @@ fn every_model_is_statically_hazard_free_at_both_scales() {
                     report.stats.ordered_pairs_proved, report.stats.edges_checked,
                     "{model} {scale:?} {level:?}: unproved edges"
                 );
-                assert!(report.stats.partitions_checked >= g.len());
+                // every node that declares a split had one checked
+                let strides = nongemm::graph::static_strides(&g);
+                let declaring = g
+                    .iter()
+                    .filter(|n| {
+                        let inputs: Vec<(&[usize], &[isize])> = n
+                            .inputs
+                            .iter()
+                            .map(|i| (&g.node(*i).out_shape[..], &strides[i.0][..]))
+                            .collect();
+                        !node_splits(&n.op, &inputs, &n.out_shape).splits.is_empty()
+                    })
+                    .count();
+                assert!(
+                    declaring > 0,
+                    "{model} {scale:?} {level:?}: nothing declared"
+                );
+                assert!(report.stats.partitions_checked >= declaring);
             }
         }
     }
@@ -153,7 +170,7 @@ fn static_verifier_catches_every_seeded_fault_class() {
         );
 
         // overlapping chunk decomposition -> partition hazard
-        let mut ranges = nongemm::ops::parallel::element_partition(1 << 20);
+        let mut ranges = nongemm::ops::parallel::elements(1 << 20).partition();
         faults::overlap_chunks(&mut ranges, seed).expect("non-empty decomposition");
         let mut report = SanitizeReport::new("chunks");
         assert!(!nongemm::sanitize::verify_ranges(
