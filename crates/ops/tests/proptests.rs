@@ -278,6 +278,20 @@ fn widths() -> impl Strategy<Value = usize> {
 }
 
 proptest! {
+    /// Element chunking is a pairwise-disjoint exact cover of the flat
+    /// output for arbitrary sizes.
+    #[test]
+    fn element_partition_is_exact_cover(total in 0usize..300_000) {
+        assert_exact_cover(&parallel::elements(total).partition(), total)?;
+    }
+
+    /// Row chunking (blocks of one row) is a pairwise-disjoint exact cover
+    /// of the row space for arbitrary row counts and widths.
+    #[test]
+    fn row_partition_is_exact_cover(rows in 0usize..5_000, row_len in 0usize..3_000) {
+        assert_exact_cover(&parallel::Split::rows("t", rows, row_len).partition(), rows)?;
+    }
+
     /// A split's chunks are a pairwise-disjoint exact cover of its rows
     /// for arbitrary row counts, widths (empty rows included) and blocks
     /// (wider than all the rows included), and no chunk boundary falls
