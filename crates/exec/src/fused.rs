@@ -1,4 +1,5 @@
-//! Execution of [`OpKind::Fused`] composite nodes.
+//! Execution of [`OpKind::Fused`] composite nodes, and the one path every
+//! unary f32 map takes.
 //!
 //! Two strategies, chosen by [`FusedKind`]:
 //!
@@ -10,15 +11,23 @@
 //!   arithmetic, so outputs match the unfused graph within a tolerance,
 //!   not bitwise.
 //! * **Stage pipeline** (everything else): stages execute in order, with
-//!   consecutive unary pointwise stages collapsed into one fused loop
-//!   ([`ngb_ops::fused::map_chain`]) and every other stage dispatched
-//!   through the interpreter's regular [`execute_op`] under a synthetic
-//!   node carrying the stage's original seed id. Per-stage arithmetic is
-//!   therefore identical to the unfused kernels — outputs are
-//!   bit-identical to `-O0`.
+//!   consecutive unary pointwise stages collapsed into one pass and every
+//!   other stage dispatched through the interpreter's regular
+//!   [`execute_op`] under a synthetic node carrying the stage's original
+//!   seed id. Per-stage arithmetic is therefore identical to the unfused
+//!   kernels — outputs are bit-identical to `-O0`.
+//!
+//! Every such pass — a pipeline's pointwise run, the Conv+BN epilogue and
+//! a standalone pointwise node alike — is [`pointwise`]: the chunk-parallel
+//! [`ngb_ops::parallel::unary`] kernel mapping [`apply_chain`] (a single
+//! stage maps its own function), which dispatches `elements(numel)`
+//! wherever it runs and checks the chain's arguments first, so a fused
+//! stage fails exactly as its standalone node.
+
+use std::borrow::Cow;
 
 use ngb_graph::{FusedKind, FusedOp, FusedStage, Node, NodeId, OpKind};
-use ngb_ops::fused::{map_chain, Pointwise};
+use ngb_ops::fused::{apply_chain, Pointwise};
 use ngb_tensor::{Tensor, TensorError};
 
 use crate::interp::execute_op;
@@ -98,7 +107,25 @@ fn conv_bn_act(f: &FusedOp, args: &[Tensor], folded: &[Tensor]) -> Result<Tensor
     if chain.is_empty() {
         Ok(out)
     } else {
-        map_chain(out, &chain)
+        pointwise(out, &chain)
+    }
+}
+
+/// Maps `chain` over `x` through the one element-wise kernel, reusing
+/// the buffer of an owned, uniquely held `x`.
+///
+/// # Errors
+///
+/// Fails when a stage's argument is rejected (a division by zero) or `x`
+/// is not f32.
+pub(crate) fn pointwise<'a>(x: impl Into<Cow<'a, Tensor>>, chain: &[Pointwise]) -> Result<Tensor> {
+    for p in chain {
+        p.check()?;
+    }
+    match *chain {
+        // one stage, nearly every run: a loop over its own function
+        [p] => p.map(x),
+        _ => ngb_ops::parallel::unary(x, |v| apply_chain(chain, v)),
     }
 }
 
@@ -113,8 +140,8 @@ fn synthetic_node(stage: &FusedStage) -> Node {
     }
 }
 
-/// Generic stage pipeline: pointwise runs collapse into single fused
-/// loops; every other stage runs through the shared kernel dispatch.
+/// Generic stage pipeline: pointwise runs collapse into one [`pointwise`]
+/// pass each; every other stage runs through the shared kernel dispatch.
 fn pipeline(
     seed: u64,
     f: &FusedOp,
@@ -123,23 +150,20 @@ fn pipeline(
     quant: ngb_ops::Quant,
 ) -> Result<Tensor> {
     let mut cursor = 0usize;
-    let mut chain: Option<Tensor> = None;
+    let mut chain: Option<Cow<Tensor>> = None;
     let mut pending: Vec<Pointwise> = Vec::new();
     for (k, stage) in f.stages.iter().enumerate() {
         match (chain.is_some(), stage.op.pointwise(), stage.extra_inputs) {
             (true, Some(p), 0) => pending.push(p),
             (false, Some(p), 1) => {
-                chain = Some(take_arg(args, cursor)?.clone());
+                chain = Some(Cow::Borrowed(take_arg(args, cursor)?));
                 cursor += 1;
                 pending.push(p);
             }
             _ => {
-                if let Some(t) = chain.take() {
-                    chain = Some(flush(t, &mut pending)?);
-                }
                 let mut stage_args: Vec<Tensor> = Vec::with_capacity(stage.extra_inputs + 1);
                 if let Some(t) = chain.take() {
-                    stage_args.push(t);
+                    stage_args.push(flush(t, &mut pending)?);
                 }
                 for k in 0..stage.extra_inputs {
                     stage_args.push(take_arg(args, cursor + k)?.clone());
@@ -147,7 +171,8 @@ fn pipeline(
                 cursor += stage.extra_inputs;
                 let synth = synthetic_node(stage);
                 let p = params.stage(k);
-                chain = Some(execute_op(seed, &synth, &stage_args, None, p, quant)?);
+                let out = execute_op(seed, &synth, &stage_args, None, p, quant)?;
+                chain = Some(Cow::Owned(out));
             }
         }
     }
@@ -155,11 +180,12 @@ fn pipeline(
     flush(t, &mut pending)
 }
 
-fn flush(t: Tensor, pending: &mut Vec<Pointwise>) -> Result<Tensor> {
+/// `t` with the pending pointwise run applied, which leaves the run empty.
+fn flush(t: Cow<Tensor>, pending: &mut Vec<Pointwise>) -> Result<Tensor> {
     if pending.is_empty() {
-        return Ok(t);
+        return Ok(t.into_owned());
     }
-    let out = map_chain(t, pending)?;
+    let out = pointwise(t, pending)?;
     pending.clear();
     Ok(out)
 }
@@ -308,5 +334,79 @@ mod tests {
         let a = Interpreter::default().run(&unfused).unwrap();
         let f = Interpreter::default().run(&fused).unwrap();
         assert!(bit_equal(&a.outputs[0].1, &f.outputs[0].1).unwrap());
+    }
+
+    #[test]
+    fn fused_pointwise_runs_are_chunk_parallel() {
+        // Linear(3072 -> 768) -> GELU on [64, 3072]: at O2 one GEMM
+        // epilogue, whose GELU dispatches the element chunks its O0 node does
+        let mut b = GraphBuilder::new("mlp");
+        let x = b.input(&[64, 3072]);
+        let linear = OpKind::Linear {
+            in_f: 3072,
+            out_f: 768,
+            bias: true,
+        };
+        let h = b.push(linear, &[x], "fc").unwrap();
+        b.push(OpKind::Gelu, &[h], "act").unwrap();
+        let unfused = b.finish();
+        let (fused, _) = ngb_opt::optimize(&unfused, ngb_opt::OptLevel::O2);
+        assert_eq!(fused.len(), 2, "the Linear and GELU fuse into one node");
+        let [o0, o2] = [unfused, fused].map(|g| {
+            let trace = Interpreter::default()
+                .engine(crate::Engine::Parallel(2))
+                .run(&g)
+                .unwrap();
+            let chunks: Vec<usize> = trace.timings.iter().map(|t| t.intra_chunks).collect();
+            (trace.outputs[0].1.clone(), chunks)
+        });
+        let gelu = ngb_ops::parallel::elements(64 * 768).partition().len();
+        assert!(gelu > 1);
+        assert_eq!(o0.1[2], gelu);
+        assert_eq!(o2.1[1], o0.1[1] + o0.1[2], "O0 {:?}, O2 {:?}", o0.1, o2.1);
+        assert!(bit_equal(&o0.0, &o2.0).unwrap());
+    }
+
+    #[test]
+    fn dividing_by_zero_fails_alike_at_every_opt_level() {
+        let linear = OpKind::Linear {
+            in_f: 8,
+            out_f: 16,
+            bias: true,
+        };
+        let mut b = GraphBuilder::new("linear");
+        let x = b.input(&[3, 8]);
+        let h = b.push(linear, &[x], "fc").unwrap();
+        b.push(OpKind::DivScalar(0.0), &[h], "scale").unwrap();
+        let gemm_epilogue = b.finish();
+
+        let mut b = GraphBuilder::new("attn");
+        let q = b.input(&[2, 4, 8]);
+        let k = b.input(&[2, 8, 4]);
+        let m = b.input(&[2, 4, 4]);
+        let s = b.push(OpKind::Bmm, &[q, k], "scores").unwrap();
+        let d = b.push(OpKind::DivScalar(0.0), &[s], "scale").unwrap();
+        let a = b.push(OpKind::Add, &[d, m], "mask").unwrap();
+        b.push(OpKind::Softmax { dim: 2 }, &[a], "probs").unwrap();
+        let attention = b.finish();
+
+        for (g, kind) in [
+            (gemm_epilogue, FusedKind::GemmEpilogue),
+            (attention, FusedKind::AttentionPrologue),
+        ] {
+            let (o2, _) = ngb_opt::optimize(&g, ngb_opt::OptLevel::O2);
+            assert!(
+                o2.iter()
+                    .any(|n| matches!(&n.op, OpKind::Fused(f) if f.kind == kind)),
+                "{kind:?}"
+            );
+            for graph in [&g, &o2] {
+                let err = Interpreter::default().run(graph).unwrap_err();
+                assert!(
+                    matches!(&err, TensorError::InvalidArgument(m) if m.contains("div_scalar by zero")),
+                    "{kind:?}: {err}"
+                );
+            }
+        }
     }
 }

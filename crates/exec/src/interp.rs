@@ -475,14 +475,9 @@ pub(crate) fn execute_op(
         OpKind::Matmul => ngb_ops::gemm::matmul(arg(0)?, arg(1)?),
         OpKind::Bmm => ngb_ops::gemm::bmm(arg(0)?, arg(1)?),
 
-        OpKind::Relu => ngb_ops::activation::relu(arg(0)?),
-        OpKind::Relu6 => ngb_ops::activation::relu6(arg(0)?),
-        OpKind::Gelu => ngb_ops::activation::gelu(arg(0)?),
-        OpKind::GeluTanh => ngb_ops::activation::gelu_tanh(arg(0)?),
+        // the eager profile keeps `NewGELU`'s eight-kernel decomposition
+        // (paper §4.1.4); every other pointwise op takes the last arm
         OpKind::NewGelu => ngb_ops::activation::new_gelu(arg(0)?),
-        OpKind::Silu => ngb_ops::activation::silu(arg(0)?),
-        OpKind::Sigmoid => ngb_ops::activation::sigmoid(arg(0)?),
-        OpKind::Hardswish => ngb_ops::activation::hardswish(arg(0)?),
 
         OpKind::LayerNorm { .. } => {
             ngb_ops::normalization::layer_norm(arg(0)?, param(0)?, param(1)?, 1e-5)
@@ -534,12 +529,6 @@ pub(crate) fn execute_op(
         OpKind::Sub => ngb_ops::arithmetic::sub(arg(0)?, arg(1)?),
         OpKind::Mul => ngb_ops::arithmetic::mul(arg(0)?, arg(1)?),
         OpKind::Div => ngb_ops::arithmetic::div(arg(0)?, arg(1)?),
-        OpKind::Neg => ngb_ops::arithmetic::neg(arg(0)?),
-        OpKind::AddScalar(s) => ngb_ops::arithmetic::add_scalar(arg(0)?, *s),
-        OpKind::MulScalar(s) => ngb_ops::arithmetic::mul_scalar(arg(0)?, *s),
-        OpKind::DivScalar(s) => ngb_ops::arithmetic::div_scalar(arg(0)?, *s),
-        OpKind::PowScalar(e) => ngb_ops::arithmetic::pow_scalar(arg(0)?, *e),
-        OpKind::Sqrt => ngb_ops::arithmetic::sqrt(arg(0)?),
         OpKind::MeanDim { dim, keepdim } => ngb_ops::arithmetic::mean_dim(arg(0)?, *dim, *keepdim),
         OpKind::CausalMask => causal_mask(arg(0)?),
 
@@ -638,6 +627,16 @@ pub(crate) fn execute_op(
             "node {} ({}) nests a fused op inside a fused stage",
             node.id, node.name
         ))),
+        // every other op is pointwise: the one element-wise kernel
+        op => match op.pointwise() {
+            Some(p) => crate::fused::pointwise(arg(0)?, &[p]),
+            None => Err(TensorError::InvalidArgument(format!(
+                "node {} ({}) has no kernel for {}",
+                node.id,
+                node.name,
+                op.name()
+            ))),
+        },
     }
 }
 
@@ -673,15 +672,22 @@ impl NodeSplits {
 /// The [`NodeSplits`] of a node running `op` on inputs of the given
 /// `(shape, strides)` into an output of shape `out`. A fused node declares
 /// the stages it runs: a Conv+BN fusion its folded conv, which has a bias,
-/// and a pipeline every stage it hands to `execute_op` — not the
-/// pointwise runs it collapses into one serial loop.
+/// and its activation epilogue; a pipeline every stage. A pointwise stage
+/// declares `elements(numel)` wherever it runs, as every pointwise pass is
+/// the one element-wise kernel.
 pub fn node_splits(op: &OpKind, inputs: &[(&[usize], &[isize])], out: &[usize]) -> NodeSplits {
     let mut d = NodeSplits::default();
     match op {
+        // a plain `NewGELU` node runs its decomposed chain serially
+        OpKind::NewGelu => {}
         OpKind::Fused(f) if f.kind == FusedKind::ConvBnAct => {
             if let Some(conv) = f.stages.first() {
                 declare(&conv.op, inputs, out, &mut d);
                 d.push(gemm::conv2d_rows(out));
+            }
+            // the epilogue after the folded batch norm
+            for stage in f.stages.iter().skip(2) {
+                declare(&stage.op, &[], out, &mut d);
             }
         }
         OpKind::Fused(f) => {
@@ -695,11 +701,7 @@ pub fn node_splits(op: &OpKind, inputs: &[(&[usize], &[isize])], out: &[usize]) 
                 let mut layouts: Vec<(&[usize], &[isize])> = Vec::new();
                 layouts.extend(chained.as_deref().map(|st| (&s_in[0][..], st)));
                 layouts.extend(inputs.iter().skip(next).take(stage.extra_inputs));
-                let collapsed =
-                    stage.op.pointwise().is_some() && stage.extra_inputs == usize::from(k == 0);
-                if !collapsed {
-                    declare(&stage.op, &layouts, s_out, &mut d);
-                }
+                declare(&stage.op, &layouts, s_out, &mut d);
                 (k, next) = (k + 1, next + stage.extra_inputs);
             });
         }
@@ -760,8 +762,6 @@ fn declare(op: &OpKind, inputs: &[(&[usize], &[isize])], out: &[usize], d: &mut 
         OpKind::InterpolateNearest { .. } | OpKind::InterpolateBilinear { .. } => {
             d.push(interpolate::output_rows(out))
         }
-        // `new_gelu` runs its decomposed chain serially
-        OpKind::NewGelu => {}
         OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div | OpKind::AllReduce => {
             d.push(intra::elements(numel))
         }

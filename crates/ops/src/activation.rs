@@ -180,11 +180,6 @@ pub(crate) fn relu6_elem(v: f32) -> f32 {
     v.clamp(0.0, 6.0)
 }
 
-/// Cost of [`relu6`] on `shape`.
-pub fn relu6_cost(shape: &[usize]) -> OpCost {
-    OpCost::elementwise(ngb_tensor::num_elements(shape), 2.0)
-}
-
 /// Abramowitz–Stegun rational approximation of `erf`, accurate to ~1.5e-7 —
 /// ample for f32 activation math.
 fn erf(x: f32) -> f32 {

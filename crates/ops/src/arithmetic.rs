@@ -96,11 +96,7 @@ pub(crate) fn mul_scalar_elem(x: f32, s: f32) -> f32 {
 ///
 /// Fails when input is not f32 or `s` is zero.
 pub fn div_scalar(a: &Tensor, s: f32) -> Result<Tensor> {
-    if s == 0.0 {
-        return Err(ngb_tensor::TensorError::InvalidArgument(
-            "div_scalar by zero".into(),
-        ));
-    }
+    crate::fused::Pointwise::DivScalar(s).check()?;
     parallel::unary(a, |x| div_scalar_elem(x, s))
 }
 
@@ -134,24 +130,6 @@ pub fn sqrt(a: &Tensor) -> Result<Tensor> {
     parallel::unary(a, f32::sqrt)
 }
 
-/// Element-wise reciprocal square root.
-///
-/// # Errors
-///
-/// Fails when input is not f32.
-pub fn rsqrt(a: &Tensor) -> Result<Tensor> {
-    parallel::unary(a, |x| 1.0 / x.sqrt())
-}
-
-/// Clamps every element into `[lo, hi]`.
-///
-/// # Errors
-///
-/// Fails when input is not f32.
-pub fn clamp(a: &Tensor, lo: f32, hi: f32) -> Result<Tensor> {
-    parallel::unary(a, move |x| x.clamp(lo, hi))
-}
-
 /// Mean over dimension `dim` (keepdim optional).
 ///
 /// # Errors
@@ -168,64 +146,6 @@ pub fn mean_dim(a: &Tensor, dim: usize, keepdim: bool) -> Result<Tensor> {
         })? as f32;
     a.reduce_dim(dim, keepdim, 0.0, |acc, v| acc + v)?
         .map(|v| v / n)
-}
-
-/// Sum over dimension `dim`.
-///
-/// # Errors
-///
-/// Fails when `dim` is out of range or input is not f32.
-pub fn sum_dim(a: &Tensor, dim: usize, keepdim: bool) -> Result<Tensor> {
-    a.reduce_dim(dim, keepdim, 0.0, |acc, v| acc + v)
-}
-
-/// Replaces elements where `mask` is `true` with `value`
-/// (`torch.masked_fill`, used for causal attention masks).
-///
-/// # Errors
-///
-/// Fails when shapes differ or dtypes are wrong.
-pub fn masked_fill(a: &Tensor, mask: &Tensor, value: f32) -> Result<Tensor> {
-    if a.shape() != mask.shape() {
-        return Err(ngb_tensor::TensorError::ShapeMismatch {
-            expected: a.shape().to_vec(),
-            actual: mask.shape().to_vec(),
-            op: "masked_fill",
-        });
-    }
-    let m = mask.to_vec_bool()?;
-    let v = a.to_vec_f32()?;
-    let out: Vec<f32> = v
-        .into_iter()
-        .zip(m)
-        .map(|(x, keep)| if keep { value } else { x })
-        .collect();
-    Tensor::from_vec(out, a.shape())
-}
-
-/// Ternary select: `cond ? a : b`, element-wise with equal shapes
-/// (`torch.where`).
-///
-/// # Errors
-///
-/// Fails when shapes differ or dtypes are wrong.
-pub fn where_cond(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if a.shape() != b.shape() || a.shape() != cond.shape() {
-        return Err(ngb_tensor::TensorError::ShapeMismatch {
-            expected: a.shape().to_vec(),
-            actual: cond.shape().to_vec(),
-            op: "where",
-        });
-    }
-    let c = cond.to_vec_bool()?;
-    let av = a.to_vec_f32()?;
-    let bv = b.to_vec_f32()?;
-    let out: Vec<f32> = c
-        .into_iter()
-        .zip(av.into_iter().zip(bv))
-        .map(|(k, (x, y))| if k { x } else { y })
-        .collect();
-    Tensor::from_vec(out, a.shape())
 }
 
 /// Cost of a unary element-wise arithmetic kernel on `shape`.
@@ -302,16 +222,8 @@ mod tests {
         assert!(div_scalar(&a, 0.0).is_err());
         assert_eq!(sqrt(&a).unwrap().to_vec_f32().unwrap(), vec![2.0, 3.0]);
         assert_eq!(
-            rsqrt(&a).unwrap().to_vec_f32().unwrap(),
-            vec![0.5, 1.0 / 3.0]
-        );
-        assert_eq!(
             pow_scalar(&a, 2.0).unwrap().to_vec_f32().unwrap(),
             vec![16.0, 81.0]
-        );
-        assert_eq!(
-            clamp(&a, 5.0, 8.0).unwrap().to_vec_f32().unwrap(),
-            vec![5.0, 8.0]
         );
     }
 
@@ -322,21 +234,7 @@ mod tests {
             mean_dim(&a, 1, false).unwrap().to_vec_f32().unwrap(),
             vec![1.5, 3.5]
         );
-        assert_eq!(sum_dim(&a, 0, true).unwrap().shape(), &[1, 2]);
         assert!(mean_dim(&a, 2, false).is_err());
-    }
-
-    #[test]
-    fn masked_fill_and_where() {
-        let a = v(&[1.0, 2.0, 3.0]);
-        let m = Tensor::from_bool(vec![true, false, true], &[3]).unwrap();
-        let f = masked_fill(&a, &m, -1e9).unwrap();
-        assert_eq!(f.to_vec_f32().unwrap(), vec![-1e9, 2.0, -1e9]);
-        let b = v(&[10.0, 20.0, 30.0]);
-        let w = where_cond(&m, &a, &b).unwrap();
-        assert_eq!(w.to_vec_f32().unwrap(), vec![1.0, 20.0, 3.0]);
-        let bad = Tensor::from_bool(vec![true], &[1]).unwrap();
-        assert!(masked_fill(&a, &bad, 0.0).is_err());
     }
 
     #[test]

@@ -103,17 +103,6 @@ pub fn gather(x: &Tensor, dim: usize, index: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, index.shape())
 }
 
-/// Cost of a gather producing `out_elems` elements.
-pub fn gather_cost(out_elems: usize) -> OpCost {
-    OpCost {
-        flops: 0.0,
-        bytes_read: out_elems as f64 * (F32_BYTES + 8.0),
-        bytes_written: out_elems as f64 * F32_BYTES,
-        kernels: 1,
-        dynamic: false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +190,5 @@ mod tests {
         let c = embedding_cost(128, 768);
         assert_eq!(c.flops, 0.0);
         assert!(c.memory_bytes() > 0.0);
-        assert_eq!(gather_cost(100).flops, 0.0);
     }
 }

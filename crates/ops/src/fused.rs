@@ -3,16 +3,22 @@
 //!
 //! Fusion here means *loop fusion*: a chain of unary element-wise stages is
 //! collapsed into one pass over the data, applying every stage to a value
-//! while it is still in a register. Each [`Pointwise`] variant reproduces
-//! its standalone kernel's per-element arithmetic **exactly** (same
-//! operations, same order), so a fused chain is bit-identical to running
-//! the unfused kernels back-to-back — only the interior loads/stores
-//! disappear. The one equivalence exception in the optimizer is
-//! [`fold_bn`], which algebraically folds an inference batch-norm into the
-//! preceding convolution's weights and therefore reorders floating-point
-//! arithmetic (checked against a tolerance, not for bit equality).
+//! while it is still in a register. That pass is the one element-wise
+//! kernel, [`crate::parallel::unary`], mapping [`apply_chain`] (or, for a
+//! single stage, the stage's own function through [`Pointwise::map`]): a
+//! fused run and a standalone pointwise op dispatch the same chunks. Each
+//! [`Pointwise`] variant reproduces its standalone kernel's per-element
+//! arithmetic **exactly** (same operations, same order), so a fused chain
+//! is bit-identical to running the unfused kernels back-to-back — only the
+//! interior loads/stores disappear. The one equivalence exception in the
+//! optimizer is [`fold_bn`], which algebraically folds an inference
+//! batch-norm into the preceding convolution's weights and therefore
+//! reorders floating-point arithmetic (checked against a tolerance, not for
+//! bit equality).
 
-use ngb_tensor::Tensor;
+use std::borrow::Cow;
+
+use ngb_tensor::{Tensor, TensorError};
 
 use crate::activation::{self as act, SQRT_2_OVER_PI};
 use crate::arithmetic as arith;
@@ -55,53 +61,103 @@ pub enum Pointwise {
     Sqrt,
 }
 
+/// A computation over a per-element function, which
+/// [`Pointwise::with_fn`] compiles once per stage: a loop it runs calls
+/// that stage's function with no branch per element.
+trait OverFn {
+    type Output;
+    fn over(self, f: impl Fn(f32) -> f32 + Sync) -> Self::Output;
+}
+
 impl Pointwise {
-    /// The per-element function of the corresponding standalone kernel.
-    pub fn apply(self, v: f32) -> f32 {
+    /// Runs `k` over the per-element function of the corresponding
+    /// standalone kernel.
+    #[inline]
+    fn with_fn<K: OverFn>(self, k: K) -> K::Output {
         match self {
-            Pointwise::Relu => act::relu_elem(v),
-            Pointwise::Relu6 => act::relu6_elem(v),
-            Pointwise::Gelu => act::gelu_elem(v),
-            Pointwise::GeluTanh => act::gelu_tanh_elem(v),
-            Pointwise::NewGelu => {
-                // The decomposed eager chain, stage by stage, so the fused
-                // value tracks the unfused kernel sequence bit-for-bit.
-                let v3 = v * v * v;
-                let v3s = 0.044_715 * v3;
-                let inner = v + v3s;
-                let scaled = SQRT_2_OVER_PI * inner;
-                let th = scaled.tanh();
-                let one_p = 1.0 + th;
-                let half = 0.5 * v;
-                half * one_p
+            Pointwise::Relu => k.over(act::relu_elem),
+            Pointwise::Relu6 => k.over(act::relu6_elem),
+            Pointwise::Gelu => k.over(act::gelu_elem),
+            Pointwise::GeluTanh => k.over(act::gelu_tanh_elem),
+            Pointwise::NewGelu => k.over(new_gelu_elem),
+            Pointwise::Silu => k.over(act::silu_elem),
+            Pointwise::Sigmoid => k.over(act::sigmoid_elem),
+            Pointwise::Hardswish => k.over(act::hardswish_elem),
+            Pointwise::Neg => k.over(arith::neg_elem),
+            Pointwise::AddScalar(s) => k.over(move |v| arith::add_scalar_elem(v, s)),
+            Pointwise::MulScalar(s) => k.over(move |v| arith::mul_scalar_elem(v, s)),
+            Pointwise::DivScalar(s) => k.over(move |v| arith::div_scalar_elem(v, s)),
+            Pointwise::PowScalar(e) => k.over(move |v| arith::pow_scalar_elem(v, e)),
+            Pointwise::Sqrt => k.over(f32::sqrt),
+        }
+    }
+
+    /// The per-element function of the corresponding standalone kernel.
+    #[inline]
+    pub fn apply(self, v: f32) -> f32 {
+        struct At(f32);
+        impl OverFn for At {
+            type Output = f32;
+            #[inline]
+            fn over(self, f: impl Fn(f32) -> f32 + Sync) -> f32 {
+                f(self.0)
             }
-            Pointwise::Silu => act::silu_elem(v),
-            Pointwise::Sigmoid => act::sigmoid_elem(v),
-            Pointwise::Hardswish => act::hardswish_elem(v),
-            Pointwise::Neg => arith::neg_elem(v),
-            Pointwise::AddScalar(s) => arith::add_scalar_elem(v, s),
-            Pointwise::MulScalar(s) => arith::mul_scalar_elem(v, s),
-            Pointwise::DivScalar(s) => arith::div_scalar_elem(v, s),
-            Pointwise::PowScalar(e) => arith::pow_scalar_elem(v, e),
-            Pointwise::Sqrt => f32::sqrt(v),
+        }
+        self.with_fn(At(v))
+    }
+
+    /// This stage mapped over `x` by the one element-wise kernel,
+    /// [`crate::parallel::unary`], compiled for the stage's own function.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `x` is not f32.
+    pub fn map<'a>(self, x: impl Into<Cow<'a, Tensor>>) -> Result<Tensor> {
+        struct Map<'a>(Cow<'a, Tensor>);
+        impl OverFn for Map<'_> {
+            type Output = Result<Tensor>;
+            fn over(self, f: impl Fn(f32) -> f32 + Sync) -> Result<Tensor> {
+                crate::parallel::unary(self.0, f)
+            }
+        }
+        self.with_fn(Map(x.into()))
+    }
+
+    /// Fails on the argument its standalone kernel rejects, a division by
+    /// zero, so every path that runs the stage fails the same way.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::InvalidArgument`] for `DivScalar(0.0)`.
+    pub fn check(self) -> Result<()> {
+        match self {
+            Pointwise::DivScalar(0.0) => {
+                Err(TensorError::InvalidArgument("div_scalar by zero".into()))
+            }
+            _ => Ok(()),
         }
     }
 }
 
-/// Applies every stage of `chain` to one value, in order.
-pub fn apply_chain(chain: &[Pointwise], v: f32) -> f32 {
-    chain.iter().fold(v, |acc, p| p.apply(acc))
+/// Hugging Face `NewGELU` of one element: the decomposed eager chain,
+/// stage by stage, so the fused value tracks the unfused kernel sequence
+/// bit-for-bit.
+#[inline]
+fn new_gelu_elem(v: f32) -> f32 {
+    let v3 = v * v * v;
+    let v3s = 0.044_715 * v3;
+    let inner = v + v3s;
+    let scaled = SQRT_2_OVER_PI * inner;
+    let th = scaled.tanh();
+    let one_p = 1.0 + th;
+    let half = 0.5 * v;
+    half * one_p
 }
 
-/// Runs a pointwise chain over a whole tensor in a single pass, reusing the
-/// input's buffer when it is uniquely owned (the fused node just consumed
-/// its last reference).
-///
-/// # Errors
-///
-/// Fails when `x` is not f32.
-pub fn map_chain(x: Tensor, chain: &[Pointwise]) -> Result<Tensor> {
-    x.map_into(|v| apply_chain(chain, v))
+/// Applies every stage of `chain` to one value, in order.
+#[inline]
+pub fn apply_chain(chain: &[Pointwise], v: f32) -> f32 {
+    chain.iter().fold(v, |acc, p| p.apply(acc))
 }
 
 /// Folds an inference batch-norm (`gamma`, `beta`, running `mean`/`var`,
@@ -216,12 +272,49 @@ mod tests {
         for p in chain {
             want = want.map(|v| p.apply(v)).unwrap();
         }
-        let got = map_chain(x, &chain).unwrap();
+        let got = crate::parallel::unary(x, |v| apply_chain(&chain, v)).unwrap();
         let (a, b) = (got.to_vec_f32().unwrap(), want.to_vec_f32().unwrap());
         assert_eq!(got.shape(), want.shape());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn map_runs_each_stage_like_apply() {
+        let x = TensorRng::seed(10).uniform(&[3, 50], 0.1, 4.0);
+        let strided = x.permute(&[1, 0]).unwrap();
+        let stages = [
+            Pointwise::Relu,
+            Pointwise::Relu6,
+            Pointwise::Gelu,
+            Pointwise::GeluTanh,
+            Pointwise::NewGelu,
+            Pointwise::Silu,
+            Pointwise::Sigmoid,
+            Pointwise::Hardswish,
+            Pointwise::Neg,
+            Pointwise::AddScalar(0.25),
+            Pointwise::MulScalar(1.5),
+            Pointwise::DivScalar(3.0),
+            Pointwise::PowScalar(2.0),
+            Pointwise::Sqrt,
+        ];
+        for p in stages {
+            for t in [&x, &strided] {
+                let want = t.map(|v| p.apply(v)).unwrap();
+                let got = p.map(t).unwrap();
+                assert_eq!(got.shape(), want.shape());
+                let (a, b) = (got.to_vec_f32().unwrap(), want.to_vec_f32().unwrap());
+                assert!(
+                    a.iter().zip(&b).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{p:?}"
+                );
+            }
+        }
+        assert!(Pointwise::DivScalar(0.0).check().is_err());
+        assert!(Pointwise::DivScalar(-0.0).check().is_err());
+        assert!(stages.iter().all(|p| p.check().is_ok()));
     }
 
     #[test]

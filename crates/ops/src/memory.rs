@@ -273,15 +273,6 @@ pub fn contiguous_cost(shape: &[usize]) -> OpCost {
     OpCost::copy(ngb_tensor::num_elements(shape))
 }
 
-/// Cost of `reshape` given whether the input is contiguous.
-pub fn reshape_cost(shape: &[usize], input_contiguous: bool) -> OpCost {
-    if input_contiguous {
-        OpCost::metadata()
-    } else {
-        contiguous_cost(shape)
-    }
-}
-
 /// Cost of `cat` producing `out_elems` total elements.
 pub fn cat_cost(out_elems: usize) -> OpCost {
     OpCost::copy(out_elems)
@@ -500,8 +491,6 @@ mod tests {
         let c = contiguous_cost(&[2, 850, 256]);
         assert!(c.memory_bytes() > 0.0);
         assert_eq!(c.kernels, 1);
-        assert_eq!(reshape_cost(&[4, 4], true).kernels, 0);
-        assert_eq!(reshape_cost(&[4, 4], false).kernels, 1);
         assert_eq!(cat_cost(100).bytes_written, 400.0);
     }
 }

@@ -21,6 +21,7 @@
 //! runner the same chunks run serially on the calling thread, which is
 //! also the work-budget fallback for small tensors.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::Arc;
@@ -308,20 +309,49 @@ fn alloc_filled(n: usize, fill: impl Fn(usize, &mut [f32]) + Sync) -> Vec<f32> {
     out
 }
 
-/// Chunk-parallel element-wise unary kernel: identical per-element math
-/// to [`Tensor::map`] (bit-for-bit), with the contiguous fast path split
-/// across chunks. Falls back to `map` for strided views.
-pub fn unary(x: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Result<Tensor> {
-    let Some(src) = x.as_slice_f32() else {
-        return x.map(f);
+/// The chunk-parallel element-wise unary kernel every f32 map runs
+/// through: the standalone pointwise ops, the pointwise runs of fused
+/// nodes and the Conv+BN activation epilogue. It dispatches
+/// [`elements`]`(numel)` and applies `f` once per element, in the order of
+/// [`Tensor::map`] (bit-for-bit):
+///
+/// * a dense input it borrows, or shares, is read in one pass into a
+///   fresh buffer;
+/// * a dense input it owns uniquely is mapped in its own allocation;
+/// * a strided input is copied once through the walker, then mapped in
+///   place.
+///
+/// # Errors
+///
+/// Fails when `x` is not f32.
+pub fn unary<'a>(x: impl Into<Cow<'a, Tensor>>, f: impl Fn(f32) -> f32 + Sync) -> Result<Tensor> {
+    let map_in_place = |mut data: Vec<f32>, shape: &[usize]| {
+        dispatch_out(elements(data.len()), &mut data, 1, |_, win| {
+            for v in win {
+                *v = f(*v);
+            }
+        });
+        Tensor::from_vec(data, shape)
     };
-    let data = alloc_filled(src.len(), |start, out| {
-        let xs = &src[start..start + out.len()];
-        for (o, &v) in out.iter_mut().zip(xs) {
-            *o = f(v);
+    match x.into() {
+        Cow::Owned(t) if t.is_reclaimable_f32() => {
+            let shape = t.shape().to_vec();
+            let data = t.try_reclaim_f32().expect("a reclaimable tensor reclaims");
+            map_in_place(data, &shape)
         }
-    });
-    Tensor::from_vec(data, x.shape())
+        x => match x.as_slice_f32() {
+            Some(src) => {
+                let data = alloc_filled(src.len(), |start, out| {
+                    let xs = &src[start..start + out.len()];
+                    for (o, &v) in out.iter_mut().zip(xs) {
+                        *o = f(v);
+                    }
+                });
+                Tensor::from_vec(data, x.shape())
+            }
+            None => map_in_place(x.to_vec_f32()?, x.shape()),
+        },
+    }
 }
 
 /// Chunk-parallel element-wise binary kernel for same-shape contiguous
@@ -581,26 +611,68 @@ mod tests {
         let n = GRAIN_ELEMS + 100;
         let a = Tensor::from_vec((0..n).map(|i| (i as f32) * 0.37 - 50.0).collect(), &[n]).unwrap();
         let b = Tensor::from_vec((0..n).map(|i| (i as f32).cos()).collect(), &[n]).unwrap();
+        // transposed and narrowed: a strided view of several chunks
+        let (rows, cols) = (300, 400);
+        let base = Tensor::from_vec(
+            (0..rows * cols)
+                .map(|i| (i as f32) * 0.01 - 600.0)
+                .collect(),
+            &[rows, cols],
+        )
+        .unwrap();
+        let strided = base.permute(&[1, 0]).unwrap().narrow(1, 10, 250).unwrap();
+        assert!(!strided.is_contiguous() && strided.numel() > 3 * GRAIN_ELEMS);
         let f = |x: f32| (x * 1.5).tanh();
         let g = |x: f32, y: f32| x * y + 0.25;
         let want_u = a.map(f).unwrap().to_vec_f32().unwrap();
         let want_b = a.zip_map(&b, g).unwrap().to_vec_f32().unwrap();
-        for threads in [1usize, 4] {
-            let (got_u, got_b) = with_test_runner(threads, || {
+        let want_s = strided.map(f).unwrap().to_vec_f32().unwrap();
+        for threads in [1usize, 2, 4, 8] {
+            let (got_u, got_b, got_s) = with_test_runner(threads, || {
                 (
                     unary(&a, f).unwrap().to_vec_f32().unwrap(),
                     binary(&a, &b, g).unwrap().to_vec_f32().unwrap(),
+                    unary(&strided, f).unwrap().to_vec_f32().unwrap(),
                 )
             });
-            assert!(want_u
-                .iter()
-                .zip(&got_u)
-                .all(|(x, y)| x.to_bits() == y.to_bits()));
-            assert!(want_b
-                .iter()
-                .zip(&got_b)
-                .all(|(x, y)| x.to_bits() == y.to_bits()));
+            for (want, got) in [(&want_u, &got_u), (&want_b, &got_b), (&want_s, &got_s)] {
+                assert_eq!(want.len(), got.len());
+                assert!(
+                    want.iter()
+                        .zip(got)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "threads={threads}"
+                );
+            }
         }
+        // the strided input is copied once and mapped chunk-parallel
+        reset_stats(false);
+        unary(&strided, f).unwrap();
+        assert_eq!(
+            take_stats().chunks,
+            elements(strided.numel()).partition().len()
+        );
+    }
+
+    #[test]
+    fn unary_reuses_unique_storage() {
+        // a uniquely owned dense input is mapped in its own allocation
+        let t = Tensor::from_vec(vec![1.0, 4.0, 9.0], &[3]).unwrap();
+        let buffer = t.as_slice_f32().unwrap().as_ptr();
+        let r = unary(t, f32::sqrt).unwrap();
+        assert_eq!(r.to_vec_f32().unwrap(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(r.as_slice_f32().unwrap().as_ptr(), buffer);
+        // a shared one is read into a fresh buffer, leaving the clone alone
+        let t = Tensor::from_vec(vec![2.0], &[1]).unwrap();
+        let keep = t.clone();
+        let r = unary(t, |v| v * 10.0).unwrap();
+        assert_eq!(r.to_vec_f32().unwrap(), vec![20.0]);
+        assert_eq!(keep.to_vec_f32().unwrap(), vec![2.0]);
+        // and so is a borrowed one, however it is owned
+        let r = unary(&keep, |v| v * 10.0).unwrap();
+        assert_eq!(r.to_vec_f32().unwrap(), vec![20.0]);
+        assert_eq!(keep.to_vec_f32().unwrap(), vec![2.0]);
+        assert!(!r.shares_storage(&keep));
     }
 
     #[test]

@@ -163,15 +163,6 @@ pub fn adaptive_avg_pool2d(x: &Tensor, out_h: usize, out_w: usize) -> Result<Ten
     Tensor::from_vec(out, &[n, c, out_h, out_w])
 }
 
-/// Global average pooling: [`adaptive_avg_pool2d`] to 1×1.
-///
-/// # Errors
-///
-/// Fails on non-NCHW input.
-pub fn global_avg_pool(x: &Tensor) -> Result<Tensor> {
-    adaptive_avg_pool2d(x, 1, 1)
-}
-
 /// Cost of a pooling kernel reading `in_shape` with window `k × k` and
 /// producing `out_elems` outputs.
 pub fn pool_cost(in_shape: &[usize], k: usize, out_elems: usize) -> OpCost {
@@ -235,12 +226,6 @@ mod tests {
         let y = adaptive_avg_pool2d(&x, 1, 2).unwrap();
         // bins: [0..3) and [2..5) per ceil boundaries -> [0,1,2] and [2,3,4]
         assert_eq!(y.to_vec_f32().unwrap(), vec![1.0, 3.0]);
-    }
-
-    #[test]
-    fn global_pool_is_mean() {
-        let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]).unwrap();
-        assert_eq!(global_avg_pool(&x).unwrap().item().unwrap(), 4.0);
     }
 
     #[test]

@@ -141,27 +141,6 @@ pub fn topk(x: &Tensor, k: usize) -> Result<(Tensor, Tensor)> {
     ))
 }
 
-/// Maximum element of the whole tensor.
-///
-/// # Errors
-///
-/// Fails on an empty or non-f32 tensor.
-pub fn max_all(x: &Tensor) -> Result<f32> {
-    let v = x.to_vec_f32()?;
-    v.into_iter()
-        .reduce(f32::max)
-        .ok_or_else(|| TensorError::InvalidArgument("max of empty tensor".into()))
-}
-
-/// Sum of the whole tensor.
-///
-/// # Errors
-///
-/// Fails on a non-f32 tensor.
-pub fn sum_all(x: &Tensor) -> Result<f32> {
-    Ok(x.to_vec_f32()?.iter().sum())
-}
-
 /// Cost of [`argmax`] on `shape` along `dim`.
 pub fn argmax_cost(shape: &[usize], dim: usize) -> OpCost {
     let n = ngb_tensor::num_elements(shape);
@@ -348,13 +327,6 @@ mod tests {
         let (v, _) = topk(&x, 1).unwrap();
         assert_eq!(v.shape(), &[2, 1]);
         assert_eq!(v.to_vec_f32().unwrap(), vec![3.0, 6.0]);
-    }
-
-    #[test]
-    fn global_reductions() {
-        let x = Tensor::from_vec(vec![1.0, -2.0, 3.5], &[3]).unwrap();
-        assert_eq!(max_all(&x).unwrap(), 3.5);
-        assert_eq!(sum_all(&x).unwrap(), 2.5);
     }
 
     #[test]

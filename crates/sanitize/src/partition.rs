@@ -339,7 +339,8 @@ mod tests {
     #[test]
     fn fused_gemm_heads_are_certified() {
         // Linear(3072 -> 768) -> GELU: at O2 one GEMM-epilogue node, which
-        // runs the Linear's kernel and folds the GELU into a serial loop
+        // runs the Linear's kernel and maps the GELU through the one
+        // element-wise kernel, exactly as the O0 GELU node does
         let mut b = GraphBuilder::new("mlp");
         let x = b.input(&[64, 3072]);
         let linear = OpKind::Linear {
@@ -352,17 +353,20 @@ mod tests {
         let o0 = b.finish();
         let (o2, declared) = fused(&o0, FusedKind::GemmEpilogue);
         let plain = ngb_exec::node_splits(&linear, &[(&[64, 3072], &[3072, 1])], &[64, 768]);
-        assert_eq!(declared, plain);
         assert_eq!(plain.gemms, vec![[64, 3072, 768]]);
         assert!(plain.splits.iter().all(|&s| chunks(s) > 1));
-        // the same pack, chunk and tile partitions as the plain Linear;
-        // only the GELU's element split is gone
-        let gelu = chunks(Split::rows("t", 64 * 768, 1));
-        let (p0, c0) = certified(&o0);
-        assert_eq!(certified(&o2), (p0 - 1, c0 - gelu));
+        // the plain Linear's pack, chunk and tile partitions, then the
+        // GELU's elements
+        let gelu = ngb_ops::parallel::elements(64 * 768);
+        assert!(chunks(gelu) > 1);
+        let mut want = plain.clone();
+        want.splits.push(gelu);
+        assert_eq!(declared, want);
+        assert_eq!(certified(&o2), certified(&o0));
 
         // bmm -> scale -> mask add -> softmax: at O2 one attention
-        // prologue, which runs the bmm, the add and the softmax kernels
+        // prologue, which runs the bmm, maps the scale, then runs the add
+        // and the softmax kernels
         let mut b = GraphBuilder::new("attn");
         let q = b.input(&[8, 256, 64]);
         let k = b.input(&[8, 64, 256]);
@@ -376,11 +380,17 @@ mod tests {
         assert_eq!(declared.gemms, vec![[256, 64, 256]]);
         let tiles = gemm::tile_units(256, 64, 256);
         let blocks = Split::rows("softmax-block", 8 * 256, 256);
-        assert!(chunks(tiles) > 1 && chunks(blocks) > 1);
-        assert!(declared.splits.contains(&tiles) && declared.splits.contains(&blocks));
-        // everything the unfused chain certifies but the scale's elements
-        let scale = chunks(Split::rows("t", 8 * 256 * 256, 1));
+        // the scale and the mask add each dispatch these same elements,
+        // declared once
+        let scores = ngb_ops::parallel::elements(8 * 256 * 256);
+        assert!(chunks(tiles) > 1 && chunks(blocks) > 1 && chunks(scores) > 1);
+        for split in [tiles, blocks, scores] {
+            let declarations = declared.splits.iter().filter(|&&s| s == split).count();
+            assert_eq!(declarations, 1, "{split:?}");
+        }
+        // so O2 certifies everything O0 does, the scale's and the add's
+        // shared partition once where O0 certifies it at each node
         let (p0, c0) = certified(&o0);
-        assert_eq!(certified(&o2), (p0 - 1, c0 - scale));
+        assert_eq!(certified(&o2), (p0 - 1, c0 - chunks(scores)));
     }
 }

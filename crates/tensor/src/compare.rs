@@ -231,17 +231,4 @@ mod tests {
         assert!(!bit_equal(&a, &f).unwrap());
         assert!(Tolerance::bn_folding().check(&a, &f).is_err());
     }
-
-    #[test]
-    fn map_into_reuses_unique_storage() {
-        let t = Tensor::from_vec(vec![1.0, 4.0, 9.0], &[3]).unwrap();
-        let r = t.map_into(|v| v.sqrt()).unwrap();
-        assert_eq!(r.to_vec_f32().unwrap(), vec![1.0, 2.0, 3.0]);
-        // shared storage falls back to a fresh buffer, leaving the clone alone
-        let t = Tensor::from_vec(vec![2.0], &[1]).unwrap();
-        let keep = t.clone();
-        let r = t.map_into(|v| v * 10.0).unwrap();
-        assert_eq!(r.to_vec_f32().unwrap(), vec![20.0]);
-        assert_eq!(keep.to_vec_f32().unwrap(), vec![2.0]);
-    }
 }

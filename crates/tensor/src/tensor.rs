@@ -1,5 +1,6 @@
 //! The [`Tensor`] type: shared storage + shape + strides + offset.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -183,15 +184,22 @@ impl Tensor {
     /// Returns `None` (dropping the tensor normally) when the storage is
     /// shared, non-f32, or viewed through a nontrivial layout.
     pub fn try_reclaim_f32(self) -> Option<Vec<f32>> {
-        if self.offset != 0 || !self.is_contiguous() {
+        if !self.is_reclaimable_f32() {
             return None;
         }
         match self.storage {
-            Storage::F32(arc) if arc.len() == num_elements(&self.shape) => {
-                Arc::try_unwrap(arc).ok()
-            }
+            Storage::F32(arc) => Arc::try_unwrap(arc).ok(),
             _ => None,
         }
+    }
+
+    /// Whether [`Tensor::try_reclaim_f32`] would hand this tensor's buffer
+    /// back, asked without giving the tensor up.
+    pub fn is_reclaimable_f32(&self) -> bool {
+        self.offset == 0
+            && self.is_contiguous()
+            && matches!(&self.storage, Storage::F32(arc)
+                if arc.len() == self.numel() && Arc::strong_count(arc) == 1)
     }
 
     /// Whether this view aliases the same storage as `other`.
@@ -429,56 +437,6 @@ impl Tensor {
         Tensor::from_vec(data.into_iter().map(f).collect(), &self.shape)
     }
 
-    /// Applies `f` element-wise, mutating the storage in place when this
-    /// tensor is the unique owner of a dense buffer — the zero-allocation
-    /// path fused kernels take for their epilogue loops. Falls back to
-    /// [`Tensor::map`] semantics (one new buffer) when the storage is
-    /// shared or viewed through a nontrivial layout.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the tensor is not f32.
-    pub fn map_into(self, f: impl Fn(f32) -> f32) -> Result<Tensor> {
-        if self.offset != 0 || !self.is_contiguous() {
-            return self.map(f);
-        }
-        let Tensor {
-            storage,
-            shape,
-            strides,
-            offset,
-        } = self;
-        match storage {
-            Storage::F32(arc) if arc.len() == num_elements(&shape) => match Arc::try_unwrap(arc) {
-                Ok(mut data) => {
-                    for v in &mut data {
-                        *v = f(*v);
-                    }
-                    Ok(Tensor {
-                        storage: Storage::F32(Arc::new(data)),
-                        shape,
-                        strides,
-                        offset,
-                    })
-                }
-                Err(arc) => Tensor {
-                    storage: Storage::F32(arc),
-                    shape,
-                    strides,
-                    offset,
-                }
-                .map(f),
-            },
-            other => Tensor {
-                storage: other,
-                shape,
-                strides,
-                offset,
-            }
-            .map(f),
-        }
-    }
-
     /// Applies `f` pairwise with NumPy-style broadcasting, returning a new
     /// contiguous f32 tensor of the broadcast shape.
     ///
@@ -662,6 +620,20 @@ impl Tensor {
             },
         );
         Ok(acc)
+    }
+}
+
+/// A kernel that takes `impl Into<Cow<Tensor>>` reads a borrowed tensor
+/// and may reuse the buffer of an owned one.
+impl<'a> From<&'a Tensor> for Cow<'a, Tensor> {
+    fn from(t: &'a Tensor) -> Self {
+        Cow::Borrowed(t)
+    }
+}
+
+impl From<Tensor> for Cow<'_, Tensor> {
+    fn from(t: Tensor) -> Self {
+        Cow::Owned(t)
     }
 }
 

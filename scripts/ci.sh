@@ -52,6 +52,15 @@
 # ngb-analyze and ngb-runtime share; and the reshape wildcard test
 # `== usize::MAX` appears only in crates/tensor/src/shape.rs, whose
 # resolve_reshape serves Tensor::reshape/view and graph shape inference.
+# And it pins one pointwise path: every unary f32 map — a standalone
+# pointwise node, a fused node's pointwise run, the Conv+BN epilogue —
+# runs ngb_ops::parallel::unary, reached from crates/exec/src/fused.rs.
+# Outside test modules, map_into (the serial in-place twin it replaced)
+# appears nowhere under crates/*/src, and crates/exec/src names no
+# activation:: kernel but new_gelu (whose eager profile keeps its
+# eight-kernel decomposition), no scalar unary arithmetic:: kernel (neg,
+# add_scalar, mul_scalar, div_scalar, pow_scalar, sqrt) and no use-list of
+# either module, so a per-op arm beside the one pointwise arm fails CI.
 # The sanitize stage audits that unsafe code stays confined to ngb-ops
 # and ngb-exec, lints the verifier crate at -D warnings, and runs the
 # 18-model hazard sweep (static verifier + shadow-memory execution) on a
@@ -356,8 +365,19 @@ one_executor() {
       violations=1
     fi
   done
+  local second_map
+  second_map=$({
+    non_test_hits 'map_into' crates/*/src
+    non_test_hits 'activation::(\{|[a-z0-9_]+)|arithmetic::(\{|(neg|add_scalar|mul_scalar|div_scalar|pow_scalar|sqrt)\b)' \
+      crates/exec/src | grep -v $'\tactivation::new_gelu$'
+  } || true)
+  if [[ -n "$second_map" ]]; then
+    echo "error: a unary map beside ngb_ops::parallel::unary (map_into, or a per-op kernel in crates/exec/src):"
+    echo "$second_map"
+    violations=1
+  fi
   [[ $violations -eq 0 ]] || return 1
-  echo "one executor: one gather/execute/finish core, no NGB_* reader, one flag table, one fusion matcher, one reshape resolver"
+  echo "one executor: one gather/execute/finish core, no NGB_* reader, one flag table, one fusion matcher, one reshape resolver, one pointwise path"
 }
 
 doc_paths() {
