@@ -18,16 +18,16 @@
 //!   kernels — outputs are bit-identical to `-O0`.
 //!
 //! Every such pass — a pipeline's pointwise run, the Conv+BN epilogue and
-//! a standalone pointwise node alike — is [`pointwise`]: the chunk-parallel
-//! [`ngb_ops::parallel::unary`] kernel mapping [`apply_chain`] (a single
-//! stage maps its own function), which dispatches `elements(numel)`
-//! wherever it runs and checks the chain's arguments first, so a fused
-//! stage fails exactly as its standalone node.
+//! a standalone pointwise node alike — is [`map_run`] on the
+//! chunk-parallel [`ngb_ops::parallel::unary`] kernel, which dispatches
+//! `elements(numel)` wherever it runs, compiles each stage's own loop and
+//! checks the run's arguments first, so a fused stage fails exactly as its
+//! standalone node.
 
 use std::borrow::Cow;
 
 use ngb_graph::{FusedKind, FusedOp, FusedStage, Node, NodeId, OpKind};
-use ngb_ops::fused::{apply_chain, Pointwise};
+use ngb_ops::fused::{map_run, Pointwise};
 use ngb_tensor::{Tensor, TensorError};
 
 use crate::interp::execute_op;
@@ -104,29 +104,7 @@ fn conv_bn_act(f: &FusedOp, args: &[Tensor], folded: &[Tensor]) -> Result<Tensor
             })
         })
         .collect::<Result<_>>()?;
-    if chain.is_empty() {
-        Ok(out)
-    } else {
-        pointwise(out, &chain)
-    }
-}
-
-/// Maps `chain` over `x` through the one element-wise kernel, reusing
-/// the buffer of an owned, uniquely held `x`.
-///
-/// # Errors
-///
-/// Fails when a stage's argument is rejected (a division by zero) or `x`
-/// is not f32.
-pub(crate) fn pointwise<'a>(x: impl Into<Cow<'a, Tensor>>, chain: &[Pointwise]) -> Result<Tensor> {
-    for p in chain {
-        p.check()?;
-    }
-    match *chain {
-        // one stage, nearly every run: a loop over its own function
-        [p] => p.map(x),
-        _ => ngb_ops::parallel::unary(x, |v| apply_chain(chain, v)),
-    }
+    map_run(&chain, out)
 }
 
 fn synthetic_node(stage: &FusedStage) -> Node {
@@ -140,8 +118,8 @@ fn synthetic_node(stage: &FusedStage) -> Node {
     }
 }
 
-/// Generic stage pipeline: pointwise runs collapse into one [`pointwise`]
-/// pass each; every other stage runs through the shared kernel dispatch.
+/// Generic stage pipeline: pointwise runs collapse into one [`map_run`]
+/// dispatch each; every other stage runs through the shared kernel dispatch.
 fn pipeline(
     seed: u64,
     f: &FusedOp,
@@ -163,7 +141,7 @@ fn pipeline(
             _ => {
                 let mut stage_args: Vec<Tensor> = Vec::with_capacity(stage.extra_inputs + 1);
                 if let Some(t) = chain.take() {
-                    stage_args.push(flush(t, &mut pending)?);
+                    stage_args.push(map_run(&std::mem::take(&mut pending), t)?);
                 }
                 for k in 0..stage.extra_inputs {
                     stage_args.push(take_arg(args, cursor + k)?.clone());
@@ -177,17 +155,7 @@ fn pipeline(
         }
     }
     let t = chain.ok_or_else(|| bad("fused node has no stages"))?;
-    flush(t, &mut pending)
-}
-
-/// `t` with the pending pointwise run applied, which leaves the run empty.
-fn flush(t: Cow<Tensor>, pending: &mut Vec<Pointwise>) -> Result<Tensor> {
-    if pending.is_empty() {
-        return Ok(t.into_owned());
-    }
-    let out = pointwise(t, pending)?;
-    pending.clear();
-    Ok(out)
+    map_run(&pending, t)
 }
 
 #[cfg(test)]

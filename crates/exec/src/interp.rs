@@ -476,7 +476,8 @@ pub(crate) fn execute_op(
         OpKind::Bmm => ngb_ops::gemm::bmm(arg(0)?, arg(1)?),
 
         // the eager profile keeps `NewGELU`'s eight-kernel decomposition
-        // (paper §4.1.4); every other pointwise op takes the last arm
+        // (paper §4.1.4); every other pointwise op takes the last arm, the
+        // one element-wise kernel
         OpKind::NewGelu => ngb_ops::activation::new_gelu(arg(0)?),
 
         OpKind::LayerNorm { .. } => {
@@ -627,16 +628,19 @@ pub(crate) fn execute_op(
             "node {} ({}) nests a fused op inside a fused stage",
             node.id, node.name
         ))),
-        // every other op is pointwise: the one element-wise kernel
-        op => match op.pointwise() {
-            Some(p) => crate::fused::pointwise(arg(0)?, &[p]),
-            None => Err(TensorError::InvalidArgument(format!(
-                "node {} ({}) has no kernel for {}",
-                node.id,
-                node.name,
-                op.name()
-            ))),
-        },
+        OpKind::Relu
+        | OpKind::Relu6
+        | OpKind::Gelu
+        | OpKind::GeluTanh
+        | OpKind::Silu
+        | OpKind::Sigmoid
+        | OpKind::Hardswish
+        | OpKind::Neg
+        | OpKind::AddScalar(_)
+        | OpKind::MulScalar(_)
+        | OpKind::DivScalar(_)
+        | OpKind::PowScalar(_)
+        | OpKind::Sqrt => ngb_ops::fused::map_run(node.op.pointwise().as_slice(), arg(0)?),
     }
 }
 

@@ -2,15 +2,14 @@
 //! rewriter.
 //!
 //! Fusion here means *loop fusion*: a chain of unary element-wise stages is
-//! collapsed into one pass over the data, applying every stage to a value
-//! while it is still in a register. That pass is the one element-wise
-//! kernel, [`crate::parallel::unary`], mapping [`apply_chain`] (or, for a
-//! single stage, the stage's own function through [`Pointwise::map`]): a
-//! fused run and a standalone pointwise op dispatch the same chunks. Each
+//! collapsed into one dispatch over the data, applying every stage to a
+//! chunk while it is still in cache. That dispatch is the one element-wise
+//! kernel, [`crate::parallel::unary`]'s, running [`map_run`]: a fused run
+//! and a standalone pointwise op dispatch the same chunks. Each
 //! [`Pointwise`] variant reproduces its standalone kernel's per-element
 //! arithmetic **exactly** (same operations, same order), so a fused chain
 //! is bit-identical to running the unfused kernels back-to-back — only the
-//! interior loads/stores disappear. The one equivalence exception in the
+//! intermediate tensors disappear. The one equivalence exception in the
 //! optimizer is [`fold_bn`], which algebraically folds an inference
 //! batch-norm into the preceding convolution's weights and therefore
 //! reorders floating-point arithmetic (checked against a tolerance, not for
@@ -106,23 +105,6 @@ impl Pointwise {
         self.with_fn(At(v))
     }
 
-    /// This stage mapped over `x` by the one element-wise kernel,
-    /// [`crate::parallel::unary`], compiled for the stage's own function.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `x` is not f32.
-    pub fn map<'a>(self, x: impl Into<Cow<'a, Tensor>>) -> Result<Tensor> {
-        struct Map<'a>(Cow<'a, Tensor>);
-        impl OverFn for Map<'_> {
-            type Output = Result<Tensor>;
-            fn over(self, f: impl Fn(f32) -> f32 + Sync) -> Result<Tensor> {
-                crate::parallel::unary(self.0, f)
-            }
-        }
-        self.with_fn(Map(x.into()))
-    }
-
     /// Fails on the argument its standalone kernel rejects, a division by
     /// zero, so every path that runs the stage fails the same way.
     ///
@@ -154,10 +136,37 @@ fn new_gelu_elem(v: f32) -> f32 {
     half * one_p
 }
 
-/// Applies every stage of `chain` to one value, in order.
-#[inline]
-pub fn apply_chain(chain: &[Pointwise], v: f32) -> f32 {
-    chain.iter().fold(v, |acc, p| p.apply(acc))
+/// `run` mapped over `x` by the one element-wise kernel,
+/// [`crate::parallel::unary`]'s: each chunk runs every stage's own
+/// compiled loop in turn, the first from `x` and the rest in place, so
+/// each element meets the stages in order and the result is bit-identical
+/// to the standalone kernels run one after another. The kernel reuses the
+/// buffer of an owned, uniquely held `x`.
+///
+/// # Errors
+///
+/// Fails when a stage's argument is rejected (a division by zero) or `x`
+/// is not f32.
+pub fn map_run<'a>(run: &[Pointwise], x: impl Into<Cow<'a, Tensor>>) -> Result<Tensor> {
+    struct Chunk<'s, 'o>(Option<&'s [f32]>, &'o mut [f32]);
+    impl OverFn for Chunk<'_, '_> {
+        type Output = ();
+        fn over(self, f: impl Fn(f32) -> f32 + Sync) {
+            crate::parallel::map_chunk(f, self.0, self.1);
+        }
+    }
+    for p in run {
+        p.check()?;
+    }
+    let Some((first, rest)) = run.split_first() else {
+        return Ok(x.into().into_owned());
+    };
+    crate::parallel::map_chunks(x, |src, out| {
+        first.with_fn(Chunk(src, out));
+        for p in rest {
+            p.with_fn(Chunk(None, out));
+        }
+    })
 }
 
 /// Folds an inference batch-norm (`gamma`, `beta`, running `mean`/`var`,
@@ -206,6 +215,7 @@ pub fn fold_bn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::test_runner::with_test_runner;
     use crate::{activation, arithmetic};
     use ngb_tensor::random::TensorRng;
 
@@ -261,23 +271,41 @@ mod tests {
     #[test]
     fn chain_composes_in_order() {
         let chain = [Pointwise::AddScalar(1.0), Pointwise::MulScalar(2.0)];
-        assert_eq!(apply_chain(&chain, 3.0), 8.0); // (3+1)*2, not 3*2+1
+        let x = Tensor::from_vec(vec![3.0], &[1]).unwrap();
+        // (3+1)*2, not 3*2+1
+        assert_eq!(map_run(&chain, x).unwrap().to_vec_f32().unwrap(), [8.0]);
     }
 
     #[test]
     fn map_chain_equals_sequential_maps() {
-        let x = TensorRng::seed(9).normal(&[4, 33]);
+        // several chunks, dense and strided, borrowed and owned, on 1..8 threads
+        let n = 3 * crate::parallel::GRAIN_ELEMS + 7;
+        let x = TensorRng::seed(9).normal(&[n / 7, 7]);
+        let strided = x.permute(&[1, 0]).unwrap();
         let chain = [Pointwise::Gelu, Pointwise::MulScalar(0.5), Pointwise::Silu];
-        let mut want = x.clone();
-        for p in chain {
-            want = want.map(|v| p.apply(v)).unwrap();
+        for t in [&x, &strided] {
+            let mut want = t.clone();
+            for p in chain {
+                want = want.map(|v| p.apply(v)).unwrap();
+            }
+            let want = want.to_vec_f32().unwrap();
+            for threads in [1, 2, 8] {
+                let (borrowed, owned) = with_test_runner(threads, || {
+                    let owned = Tensor::from_vec(t.to_vec_f32().unwrap(), t.shape()).unwrap();
+                    (map_run(&chain, t).unwrap(), map_run(&chain, owned).unwrap())
+                });
+                for got in [borrowed, owned] {
+                    assert_eq!(got.shape(), t.shape());
+                    let got = got.to_vec_f32().unwrap();
+                    assert!(got
+                        .iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()));
+                }
+            }
         }
-        let got = crate::parallel::unary(x, |v| apply_chain(&chain, v)).unwrap();
-        let (a, b) = (got.to_vec_f32().unwrap(), want.to_vec_f32().unwrap());
-        assert_eq!(got.shape(), want.shape());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        // an empty run is the identity
+        assert_eq!(map_run(&[], &x).unwrap(), x);
     }
 
     #[test]
@@ -303,7 +331,7 @@ mod tests {
         for p in stages {
             for t in [&x, &strided] {
                 let want = t.map(|v| p.apply(v)).unwrap();
-                let got = p.map(t).unwrap();
+                let got = map_run(&[p], t).unwrap();
                 assert_eq!(got.shape(), want.shape());
                 let (a, b) = (got.to_vec_f32().unwrap(), want.to_vec_f32().unwrap());
                 assert!(
@@ -313,6 +341,7 @@ mod tests {
             }
         }
         assert!(Pointwise::DivScalar(0.0).check().is_err());
+        assert!(map_run(&[Pointwise::Relu, Pointwise::DivScalar(0.0)], &x).is_err());
         assert!(Pointwise::DivScalar(-0.0).check().is_err());
         assert!(stages.iter().all(|p| p.check().is_ok()));
     }

@@ -309,48 +309,73 @@ fn alloc_filled(n: usize, fill: impl Fn(usize, &mut [f32]) + Sync) -> Vec<f32> {
     out
 }
 
-/// The chunk-parallel element-wise unary kernel every f32 map runs
-/// through: the standalone pointwise ops, the pointwise runs of fused
-/// nodes and the Conv+BN activation epilogue. It dispatches
-/// [`elements`]`(numel)` and applies `f` once per element, in the order of
-/// [`Tensor::map`] (bit-for-bit):
+/// `f` mapped over `x` once per element, in the order of [`Tensor::map`]
+/// (bit-for-bit), by the one chunk-parallel element-wise kernel,
+/// `map_chunks`.
+///
+/// # Errors
+///
+/// Fails when `x` is not f32.
+pub fn unary<'a>(x: impl Into<Cow<'a, Tensor>>, f: impl Fn(f32) -> f32 + Sync) -> Result<Tensor> {
+    map_chunks(x, |src, out| map_chunk(&f, src, out))
+}
+
+/// The element-wise unary kernel every f32 map runs through, [`unary`]'s
+/// and [`crate::fused::map_run`]'s: the standalone pointwise ops, the
+/// pointwise runs of fused nodes and the Conv+BN activation epilogue all
+/// dispatch [`elements`]`(numel)` here. `job` maps one chunk, from `src` into `out`
+/// or, with no source, `out` in place, and must write every element of
+/// `out`:
 ///
 /// * a dense input it borrows, or shares, is read in one pass into a
 ///   fresh buffer;
 /// * a dense input it owns uniquely is mapped in its own allocation;
 /// * a strided input is copied once through the walker, then mapped in
 ///   place.
-///
-/// # Errors
-///
-/// Fails when `x` is not f32.
-pub fn unary<'a>(x: impl Into<Cow<'a, Tensor>>, f: impl Fn(f32) -> f32 + Sync) -> Result<Tensor> {
+pub(crate) fn map_chunks<'a>(
+    x: impl Into<Cow<'a, Tensor>>,
+    job: impl Fn(Option<&[f32]>, &mut [f32]) + Sync,
+) -> Result<Tensor> {
     let map_in_place = |mut data: Vec<f32>, shape: &[usize]| {
-        dispatch_out(elements(data.len()), &mut data, 1, |_, win| {
-            for v in win {
-                *v = f(*v);
-            }
-        });
+        dispatch_out(elements(data.len()), &mut data, 1, |_, win| job(None, win));
         Tensor::from_vec(data, shape)
     };
-    match x.into() {
-        Cow::Owned(t) if t.is_reclaimable_f32() => {
+    let x = match x.into() {
+        Cow::Owned(t) => {
             let shape = t.shape().to_vec();
-            let data = t.try_reclaim_f32().expect("a reclaimable tensor reclaims");
-            map_in_place(data, &shape)
-        }
-        x => match x.as_slice_f32() {
-            Some(src) => {
-                let data = alloc_filled(src.len(), |start, out| {
-                    let xs = &src[start..start + out.len()];
-                    for (o, &v) in out.iter_mut().zip(xs) {
-                        *o = f(v);
-                    }
-                });
-                Tensor::from_vec(data, x.shape())
+            match t.try_reclaim_f32() {
+                Ok(data) => return map_in_place(data, &shape),
+                Err(t) => Cow::Owned(t),
             }
-            None => map_in_place(x.to_vec_f32()?, x.shape()),
-        },
+        }
+        x => x,
+    };
+    match x.as_slice_f32() {
+        Some(src) => {
+            let data = alloc_filled(src.len(), |start, out| {
+                job(Some(&src[start..start + out.len()]), out);
+            });
+            Tensor::from_vec(data, x.shape())
+        }
+        None => map_in_place(x.to_vec_f32()?, x.shape()),
+    }
+}
+
+/// `f` applied to one chunk of [`map_chunks`]: from `src` into `out` or,
+/// with no source, `out` in place.
+#[inline]
+pub(crate) fn map_chunk(f: impl Fn(f32) -> f32, src: Option<&[f32]>, out: &mut [f32]) {
+    match src {
+        Some(src) => {
+            for (o, &v) in out.iter_mut().zip(src) {
+                *o = f(v);
+            }
+        }
+        None => {
+            for v in out {
+                *v = f(*v);
+            }
+        }
     }
 }
 

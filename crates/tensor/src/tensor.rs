@@ -181,25 +181,19 @@ impl Tensor {
     /// buffer anyway — so a caller can recycle a dead tensor's storage
     /// instead of round-tripping it through the global allocator.
     ///
-    /// Returns `None` (dropping the tensor normally) when the storage is
-    /// shared, non-f32, or viewed through a nontrivial layout.
-    pub fn try_reclaim_f32(self) -> Option<Vec<f32>> {
-        if !self.is_reclaimable_f32() {
-            return None;
-        }
-        match self.storage {
-            Storage::F32(arc) => Arc::try_unwrap(arc).ok(),
-            _ => None,
-        }
-    }
-
-    /// Whether [`Tensor::try_reclaim_f32`] would hand this tensor's buffer
-    /// back, asked without giving the tensor up.
-    pub fn is_reclaimable_f32(&self) -> bool {
-        self.offset == 0
+    /// Hands the tensor back unchanged when the storage is shared, non-f32,
+    /// or viewed through a nontrivial layout.
+    pub fn try_reclaim_f32(self) -> std::result::Result<Vec<f32>, Tensor> {
+        let whole = self.offset == 0
             && self.is_contiguous()
-            && matches!(&self.storage, Storage::F32(arc)
-                if arc.len() == self.numel() && Arc::strong_count(arc) == 1)
+            && matches!(&self.storage, Storage::F32(arc) if arc.len() == self.numel());
+        match self.storage {
+            Storage::F32(arc) if whole => Arc::try_unwrap(arc).map_err(|arc| Tensor {
+                storage: Storage::F32(arc),
+                ..self
+            }),
+            storage => Err(Tensor { storage, ..self }),
+        }
     }
 
     /// Whether this view aliases the same storage as `other`.
@@ -773,18 +767,20 @@ mod tests {
         // shared storage: reclaim refuses while a clone is alive
         let t = Tensor::zeros(&[4]);
         let alias = t.clone();
-        assert!(t.try_reclaim_f32().is_none());
-        assert!(alias.try_reclaim_f32().is_some()); // last owner wins
+        let t = t.try_reclaim_f32().expect_err("a shared buffer stays put");
+        assert!(t.shares_storage(&alias)); // handed back unchanged
+        drop(t);
+        assert!(alias.try_reclaim_f32().is_ok()); // last owner wins
 
         // nontrivial view: transposed 2x3 is not reclaimable
         let t = Tensor::from_vec(vec![0.0; 6], &[2, 3])
             .unwrap()
             .permute(&[1, 0])
             .unwrap();
-        assert!(t.try_reclaim_f32().is_none());
+        assert!(t.try_reclaim_f32().is_err());
 
         // i64 storage is not an f32 buffer
         let ids = Tensor::from_i64(vec![1, 2], &[2]).unwrap();
-        assert!(ids.try_reclaim_f32().is_none());
+        assert!(ids.try_reclaim_f32().is_err());
     }
 }

@@ -54,7 +54,7 @@
 # resolve_reshape serves Tensor::reshape/view and graph shape inference.
 # And it pins one pointwise path: every unary f32 map — a standalone
 # pointwise node, a fused node's pointwise run, the Conv+BN epilogue —
-# runs ngb_ops::parallel::unary, reached from crates/exec/src/fused.rs.
+# runs ngb_ops::parallel::unary's kernel through ngb_ops::fused::map_run.
 # Outside test modules, map_into (the serial in-place twin it replaced)
 # appears nowhere under crates/*/src, and crates/exec/src names no
 # activation:: kernel but new_gelu (whose eager profile keeps its
